@@ -32,7 +32,8 @@ class PopulationModel:
     """Limits of the design second-moment pieces.
 
     sigma   : limit of X'X/n  (= M'M/n + sigma_psi^2 I + sigma_delta^2 I)
-    sigma_d : sigma - sigma_delta^2 I (also equals sigma @ k)
+    sigma_d : sigma - sigma_delta^2 I (also equals sigma @ k), the symmetric
+              PD scale of the corrected estimator
     k       : attenuation limit sigma^{-1} sigma_d of the naive estimator
     kbar    : sigma_delta^2 sigma^{-1}, the residual attenuation weight
     """
@@ -46,11 +47,6 @@ class PopulationModel:
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
-
-    @property
-    def sigma_k(self) -> np.ndarray:
-        """sigma @ k, the symmetric PD scale of the corrected estimator."""
-        return self.sigma_d
 
 
 def population(cfg: ModelConfig, n: int | None = None) -> PopulationModel:
@@ -85,6 +81,28 @@ class ScoreCov:
         return self.cov.shape[0]
 
 
+def _score_moments(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
+                   n: int, design: np.ndarray | None,
+                   with_xtx: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw one dataset and reduce it to X'(E - Delta B), plus X'X when the
+    design term is wanted."""
+    ds = generate(cfg, B, rng, keep_latent=True, n=n, design=design)
+    lat = ds.latent
+    xtu = ds.X.T @ (lat.E - lat.Delta @ B)
+    return xtu, (ds.X.T @ ds.X if with_xtx else None)
+
+
+def _centered_score(cfg: ModelConfig, B: np.ndarray, n: int, xtu: np.ndarray,
+                    xtx: np.ndarray | None,
+                    pm: PopulationModel | None) -> np.ndarray:
+    """Score matrices h from one reduction or a stack (reps, p, q) of them."""
+    h = xtu / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
+    if xtx is not None:
+        H = xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma
+        h = h + H @ pm.kbar @ B
+    return h
+
+
 def score_sample(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
                  n: int | None = None, pm: PopulationModel | None = None,
                  include_design_term: bool = False) -> np.ndarray:
@@ -95,16 +113,10 @@ def score_sample(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     infeasible estimator built from population weights, not the plug-in one.
     """
     n = cfg.n if n is None else n
-    ds = generate(cfg, B, rng, keep_latent=True, n=n)
-    lat = ds.latent
-    h = (ds.X.T @ (lat.E - lat.Delta @ B)) / math.sqrt(n) \
-        + math.sqrt(n) * cfg.sigma_delta2 * B
-    if include_design_term:
-        if pm is None:
-            pm = population(cfg, n)
-        H = ds.X.T @ ds.X / math.sqrt(n) - math.sqrt(n) * pm.sigma
-        h = h + H @ pm.kbar @ B
-    return rvec(h)
+    xtu, xtx = _score_moments(cfg, B, rng, n, None, include_design_term)
+    if include_design_term and pm is None:
+        pm = population(cfg, n)
+    return rvec(_centered_score(cfg, B, n, xtu, xtx, pm))
 
 
 def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
@@ -113,24 +125,34 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
     """Average of flattened-score outer products over `reps` replications.
 
     Replication r uses the generator seeded by (seed, 1, r), so results do not
-    depend on evaluation order or worker count.
+    depend on evaluation order or worker count.  Each draw is reduced to p-by-q
+    (and, with the design term, p-by-p) moments at once; the scores are then
+    formed for all replications together, with the same arithmetic as
+    `score_sample`.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n = cfg.n if n is None else n
     B = np.asarray(B, dtype=float)
     pm = population(cfg, n) if include_design_term else None
-    k = cfg.p * cfg.q
-    draws = np.empty((reps, k))
+    design = cfg.design(n)
+    p, q = cfg.p, cfg.q
+    xtu = np.empty((reps, p, q))
+    xtx = np.empty((reps, p, p)) if include_design_term else None
     for r in range(reps):
         rng = np.random.default_rng([seed, 1, r])
-        draws[r] = score_sample(cfg, B, rng, n=n, pm=pm,
-                                include_design_term=include_design_term)
+        xtu[r], xtx_r = _score_moments(cfg, B, rng, n, design,
+                                       include_design_term)
+        if xtx is not None:
+            xtx[r] = xtx_r
+    draws = _centered_score(cfg, B, n, xtu, xtx, pm).reshape(reps, p * q)
     cov = sym(draws.T @ draws) / reps
-    # entrywise Monte Carlo SE of the averaged outer products
-    prods = draws[:, :, None] * draws[:, None, :]
-    se = np.sqrt(np.var(prods, axis=0, ddof=1) / reps)
-    return ScoreCov(cov=cov, reps=reps, n_used=n, standard_error=float(se.max()))
+    # entrywise Monte Carlo SE of the averaged outer products, one column of
+    # products at a time; the products are symmetric, so only j >= i
+    var_max = np.max([np.var(draws[:, i, None] * draws[:, i:], axis=0,
+                             ddof=1).max() for i in range(p * q)])
+    return ScoreCov(cov=cov, reps=reps, n_used=n,
+                    standard_error=float(np.sqrt(var_max / reps)))
 
 
 def projector_cols(r2: np.ndarray) -> np.ndarray:
@@ -147,7 +169,7 @@ def constraint_gain(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
 def named_weight_limit(pm: PopulationModel, which: str) -> np.ndarray:
     """Limit of weight/n for the named restricted estimators."""
     if which == "B2":
-        return pm.sigma_k
+        return pm.sigma_d
     if which == "B3":
         return pm.sigma
     if which == "B4":
@@ -159,11 +181,11 @@ def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
               which: str = "UE", q0: np.ndarray | None = None) -> np.ndarray:
     """Linear map from the flattened score limit to a flattened estimator limit.
 
-    which="UE" gives kron(sigma_k^{-1}, I_q); restricted variants subtract the
-    constraint projection kron(gain @ R1 @ sigma_k^{-1}, proj(R2)) with the
+    which="UE" gives kron(sigma_d^{-1}, I_q); restricted variants subtract the
+    constraint projection kron(gain @ R1 @ sigma_d^{-1}, proj(R2)) with the
     weight limit Q0 (named or explicit).
     """
-    a1 = kron(np.linalg.inv(pm.sigma_k), np.eye(q))
+    a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
     if which == "UE":
         return a1
     if restr is None:
@@ -176,7 +198,7 @@ def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
     else:
         raise ShapeMismatch(f"unknown estimator label {which!r}")
     gain = constraint_gain(q0, restr.R1)
-    correction = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_k),
+    correction = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d),
                       projector_cols(restr.R2))
     return a1 - correction
 

@@ -245,6 +245,14 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
     return run
 
 
+def worker_count(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eivreg",
@@ -258,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override master seed")
         p.add_argument("--reps", type=int, help="override replication count")
         p.add_argument("--n", type=int, help="override sample size")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--workers", type=worker_count,
+                       default=os.cpu_count() or 1,
                        help="worker processes (default: machine parallelism)")
 
     p_est = sub.add_parser("estimate", help="estimate from CSV data")
@@ -286,9 +295,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EivregError as exc:
+    except (EivregError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # out-of-range run settings, e.g. --reps 1 for a replication study
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

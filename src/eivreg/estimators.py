@@ -9,15 +9,18 @@ configurable positive definite weight.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimMismatch, NearSingular, NotPD, RankDeficient, SingularDesign
-from .linalg import COND_LIMIT, eig_extremes, is_symmetric, sym
+from .exceptions import (DimMismatch, NearSingular, NonSymmetric, NotPD,
+                         RankDeficient, SingularDesign)
+from .linalg import COND_LIMIT, SYM_RTOL, eig_extremes, is_symmetric, sym
 from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
+ESTIMATOR_LABELS = ("LSE", "UE", "B2", "B3", "B4", "generic")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,183 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
     return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ np.linalg.solve(r2tr2, restr.R2.T)
 
 
+class _Guards:
+    """First failed check of each replication of a stack.
+
+    Checks are recorded in the order `lse`, `build_kx` and `restricted` run
+    them on one dataset; a replication's first failure is the one it would
+    raise there, and later checks cannot overwrite it.
+    """
+
+    def __init__(self, reps: int):
+        self.first = np.full(reps, -1)
+        self.failures: list[tuple[type, Callable[[int], str]]] = []
+
+    def check(self, fail, exc: type, message: Callable[[int], str]) -> None:
+        """Record `exc` for every replication where `fail` holds (a scalar
+        for a check shared by all); `message(r)` describes replication r."""
+        new = np.broadcast_to(fail, self.first.shape) & (self.first < 0)
+        self.first[new] = len(self.failures)
+        self.failures.append((exc, message))
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.first >= 0
+
+    def message(self, r: int) -> str:
+        return self.failures[self.first[r]][1](r)
+
+    def raise_first_hard(self) -> None:
+        """Raise the failure of the first replication whose first failed
+        check is not NearSingular."""
+        # a trailing False maps "no failure" (-1) to not hard
+        hard = np.array([exc is not NearSingular for exc, _ in self.failures]
+                        + [False])[self.first]
+        if hard.any():
+            r = int(np.argmax(hard))
+            raise self.failures[self.first[r]][0](self.message(r))
+
+
+def _solvable(mats: np.ndarray, bad) -> np.ndarray:
+    """`mats` with the identity in place of each matrix a guard rejected, so
+    that a stacked solve or eigensolve cannot raise for a replication that is
+    already failed.  A single matrix shared by all replications takes a
+    scalar `bad`."""
+    eye = np.eye(mats.shape[-1])
+    if mats.ndim == 2:
+        return eye if bad else mats
+    return np.where(bad[:, None, None], eye, mats)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den
+
+
+def _asymmetry(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||S - S'|| and the `is_symmetric` pass mask, matrix by matrix."""
+    asym = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
+    return asym, asym <= SYM_RTOL * scale
+
+
+def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
+             right: np.ndarray, r2_singular: bool,
+             guards: _Guards) -> np.ndarray:
+    """`restricted` for a stack of corrected estimates, with its checks in its
+    order.  `weight` is (reps, p, p), or (p, p) when one weight serves every
+    replication, which is then validated once.  `right` is (R2'R2)^{-1} R2'
+    and `r2_singular` its conditioning check, both fixed per restriction."""
+    _, symmetric = _asymmetry(weight)
+    guards.check(~symmetric, NotPD,
+                 lambda r: "weight must be symmetric positive definite")
+    w = np.linalg.eigvalsh(_solvable(weight, ~symmetric))
+    ch_min = np.broadcast_to(w[..., 0], guards.first.shape)
+    ill = _ratio(w[..., -1], w[..., 0]) > COND_LIMIT
+    guards.check(ch_min <= 0, NotPD, lambda r: "weight is not positive "
+                 f"definite (ch_min={ch_min[r]:.3e})")
+    guards.check(ill, NearSingular, lambda r: "weight matrix is too ill-conditioned")
+    bad = ~symmetric | (w[..., 0] <= 0) | ill
+    # an explicit stack of right-hand sides: numpy < 2 reads a 2-d b against
+    # a 3-d a as a stack of vectors
+    r1t = np.broadcast_to(restr.R1.T, weight.shape[:-2] + restr.R1.T.shape)
+    sinv_r1t = np.linalg.solve(_solvable(weight, bad), r1t)
+    gram = restr.R1 @ sinv_r1t
+    gram_singular = np.linalg.cond(gram) > COND_LIMIT
+    guards.check(gram_singular, RankDeficient,
+                 lambda r: "R1 S^{-1} R1' is numerically singular")
+    guards.check(r2_singular, RankDeficient,
+                 lambda r: "R2'R2 is numerically singular")
+    gap = restr.R1 @ b1 @ restr.R2 - restr.theta
+    return b1 - sinv_r1t @ np.linalg.solve(_solvable(gram, gram_singular), gap) @ right
+
+
+@dataclass(frozen=True)
+class BatchEstimates:
+    """Estimates for a stack of replications.
+
+    `estimates[r, i]` is replication r's estimate for `labels[i]` (NaN for an
+    excluded replication); `excluded` lists the replications a NearSingular
+    check dropped, in order, and `reasons` says why, one entry each.
+    """
+
+    labels: tuple[str, ...]
+    estimates: np.ndarray                # (reps, len(labels), p, q)
+    excluded: tuple[int, ...]
+    reasons: tuple[str, ...]
+
+
+def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
+                   sigma_delta2: float, restr: Restriction,
+                   labels: tuple[str, ...],
+                   generic_weight: np.ndarray | None = None) -> BatchEstimates:
+    """Every requested estimator for a stack of replications, from each
+    replication's X'X (reps, p, p) and X'Z (reps, p, q) at sample size n.
+
+    Replication r gets the same numbers, bit for bit, as `lse` (label "LSE"),
+    `build_kx` with the corrected solve ("UE") and `restricted` with weight
+    n sigma_d ("B2"), n sigma_x ("B3"), n I ("B4") or `generic_weight`
+    ("generic") run on its dataset, and it fails the check they would fail
+    first.  A NearSingular failure excludes the replication.  Any other
+    failure raises for the first replication that has one.  Every check runs
+    before the solve it protects, so an excluded replication never makes a
+    stacked solve raise.
+    """
+    xtx = np.asarray(xtx, dtype=float)
+    xtz = np.asarray(xtz, dtype=float)
+    reps, p = xtx.shape[:2]
+    guards = _Guards(reps)
+    xtx_s = sym(xtx)
+    r2tr2 = restr.R2.T @ restr.R2
+    r2_singular = bool(np.linalg.cond(r2tr2) > COND_LIMIT)
+    right = np.linalg.solve(_solvable(r2tr2, r2_singular), restr.R2.T)
+    out = {}
+    if any(lbl != "LSE" for lbl in labels):
+        sigma_x = xtx_s / n
+        sigma_d = sigma_x - sigma_delta2 * np.eye(p)
+        asym_x, symmetric = _asymmetry(sigma_x)
+        guards.check(~symmetric, NonSymmetric,
+                     lambda r: f"asymmetry {asym_x[r]:.3e} exceeds tolerance")
+        x_max = np.linalg.eigvalsh(_solvable(sigma_x, guards.failed))[:, -1]
+        d_min = np.linalg.eigvalsh(_solvable(sigma_d, guards.failed))[:, 0]
+        guards.check(d_min < 1e-8 * x_max, NearSingular,
+                     lambda r: "attenuation correction breaks down: "
+                     f"ch_min(sigma_d)={d_min[r]:.3e}")
+        # the checks above bound the condition number of sigma_d
+        b1 = np.linalg.solve(_solvable(n * sigma_d, guards.failed), xtz)
+    for lbl in labels:
+        if lbl == "LSE":
+            asym_xtx, symmetric = _asymmetry(xtx_s)
+            guards.check(~symmetric, NonSymmetric,
+                         lambda r: f"asymmetry {asym_xtx[r]:.3e} exceeds tolerance")
+            w = np.linalg.eigvalsh(_solvable(xtx_s, guards.failed))
+            guards.check((w[:, 0] <= 0) | (_ratio(w[:, -1], w[:, 0]) > COND_LIMIT),
+                         SingularDesign, lambda r: "X'X is numerically singular")
+            out[lbl] = np.linalg.solve(_solvable(xtx_s, guards.failed), xtz)
+        elif lbl == "UE":
+            out[lbl] = b1
+        else:
+            if lbl == "B2":
+                weight = n * sigma_d
+            elif lbl == "B3":
+                weight = n * sigma_x
+            elif lbl == "B4":
+                weight = float(n) * np.eye(p)
+            elif lbl == "generic" and generic_weight is not None:
+                weight = np.asarray(generic_weight, dtype=float)
+            else:
+                raise ValueError(f"unknown estimator label {lbl!r}, or "
+                                 "'generic' without generic_weight")
+            out[lbl] = _project(b1, weight, restr, right, r2_singular, guards)
+    guards.raise_first_hard()
+    estimates = np.stack([out[lbl] for lbl in labels], axis=1)
+    excluded = np.flatnonzero(guards.failed)
+    estimates[excluded] = np.nan
+    return BatchEstimates(labels=tuple(labels), estimates=estimates,
+                          excluded=tuple(int(r) for r in excluded),
+                          reasons=tuple(guards.message(r) for r in excluded))
+
+
 @dataclass(frozen=True)
 class EstimateSet:
     """All estimators for one dataset (b_tilde only when a generic weight is given)."""
@@ -112,24 +292,30 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
                  generic_weight: np.ndarray | None = None) -> EstimateSet:
     """Naive, corrected, and the three named restricted estimators.
 
-    The restricted estimators reuse the corrected estimator with weights
-    X'X kx (== n sigma_d, built in the exactly symmetric form), X'X, and n I.
+    One replication of `estimate_batch`; a NearSingular failure raises here.
+    The naive estimator solves against X'X in the form n sigma_x that the
+    restricted estimators use as B3's weight.
     """
     X = np.asarray(X, dtype=float)
-    att = build_kx(X, sigma_delta2)
-    xtx = att.n * att.sigma_x
-    b_lse = np.linalg.solve(xtx, X.T @ Z)
-    b1 = np.linalg.solve(att.n * att.sigma_d, X.T @ Z)
-    b2 = restricted(b1, att.n * att.sigma_d, restr)
-    b3 = restricted(b1, xtx, restr)
-    b4 = restricted(b1, float(att.n) * np.eye(X.shape[1]), restr)
-    b_tilde = (restricted(b1, np.asarray(generic_weight, dtype=float), restr)
-               if generic_weight is not None else None)
+    if sigma_delta2 < 0:
+        raise ValueError("sigma_delta2 must be nonnegative")
+    n = X.shape[0]
+    xtx = X.T @ X
+    xtz = X.T @ Z
+    labels = ("UE", "B2", "B3", "B4") + (("generic",) if generic_weight is not None
+                                         else ())
+    batch = estimate_batch(xtx[None], xtz[None], n, sigma_delta2, restr, labels,
+                           generic_weight)
+    if batch.excluded:
+        raise NearSingular(batch.reasons[0])
+    est = dict(zip(labels, batch.estimates[0]))
+    b_lse = np.linalg.solve(n * (sym(xtx) / n), xtz)
     tol = RESTRICTION_TOL * (1.0 + np.linalg.norm(restr.theta))
-    for b in (b2, b3, b4) + ((b_tilde,) if b_tilde is not None else ()):
-        if restr.gap(b) > tol:
+    for lbl in labels[1:]:  # the restricted estimators
+        if restr.gap(est[lbl]) > tol:
             raise NearSingular("restricted estimate failed to satisfy the restriction")
-    return EstimateSet(b_lse=b_lse, b1=b1, b2=b2, b3=b3, b4=b4, b_tilde=b_tilde)
+    return EstimateSet(b_lse=b_lse, b1=est["UE"], b2=est["B2"], b3=est["B3"],
+                       b4=est["B4"], b_tilde=est.get("generic"))
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sym(s: np.ndarray) -> np.ndarray:
-    """Symmetrize: (S + S') / 2."""
+    """Symmetrize: (S + S') / 2, matrix by matrix for a stack (..., k, k)."""
     s = np.asarray(s, dtype=float)
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def is_symmetric(s: np.ndarray, rtol: float = SYM_RTOL) -> bool:

@@ -207,17 +207,22 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
 
 
 def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
-             keep_latent: bool = False, n: int | None = None) -> Dataset:
+             keep_latent: bool = False, n: int | None = None,
+             design: np.ndarray | None = None) -> Dataset:
     """Draw one dataset: Z = (M + Psi) B + E and X = M + Psi + Delta.
 
     E, Delta, Psi have iid entries from the configured family, scaled to the
-    configured variances, mutually independent.
+    configured variances, mutually independent, drawn in that order.
+    `design` is ``cfg.design(n)`` materialized once by a caller that draws
+    many datasets; it is built here when omitted.
     """
     n = cfg.n if n is None else n
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
-    m = cfg.design(n)
+    m = cfg.design(n) if design is None else design
+    if m.shape != (n, cfg.p):
+        raise DimMismatch(f"design must be {n}x{cfg.p}, got {m.shape}")
     E = math.sqrt(cfg.sigma_eps2) * standardized_draw(cfg.error_family, (n, cfg.q), rng)
     Delta = math.sqrt(cfg.sigma_delta2) * standardized_draw(cfg.error_family, (n, cfg.p), rng)
     Psi = math.sqrt(cfg.sigma_psi2) * standardized_draw(cfg.error_family, (n, cfg.p), rng)

@@ -1,6 +1,18 @@
 """Replication engine: generate datasets, estimate, accumulate scaled errors
 and losses, and compare empirical moments against the theoretical limit laws.
 
+A plan runs in three steps:
+
+1. Per plan: the fixed design M is materialized and rank-checked once, and the
+   true coefficient matrix is projected onto the drifting restriction.
+2. Draw and reduce: replication r draws E, then Delta, then Psi exactly as
+   `generate` does and keeps only X'X and X'Z; no n-row array outlives its
+   replication.  With several workers each pool task reduces a contiguous
+   range of replications and returns those statistics.
+3. Batched estimate: `estimate_batch` solves every replication and every
+   estimator at once, as stacked p-by-p problems, in the parent process.
+   Its NearSingular checks exclude replications; other failures raise.
+
 Seeding contract: replication r of a plan draws from
 ``numpy.random.default_rng([master_seed, 0, r])`` (score-covariance estimation
 uses stream tag 1, the affine-limit suite tag 2).  Results are therefore
@@ -17,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticLaw
-from .estimators import build_kx, lse, restricted
+from .estimators import ESTIMATOR_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
 from .linalg import (AffineTransform, MatrixNormal, psd_factor, rvec,
                      sample_matrix_normal, sym, transform_cov_block)
 from .model import ModelConfig, Restriction, generate, make_restricted_b
 
-KNOWN_ESTIMATORS = ("LSE", "UE", "B2", "B3", "B4", "generic")
 MAX_EXCLUDED_FRACTION = 0.01
 
 
@@ -45,7 +56,7 @@ class SimulationPlan:
         if not self.estimators:
             raise ValueError("estimator set must be nonempty")
         for lbl in self.estimators:
-            if lbl not in KNOWN_ESTIMATORS:
+            if lbl not in ESTIMATOR_LABELS:
                 raise ValueError(f"unknown estimator label {lbl!r}")
         if "generic" in self.estimators and self.generic_weight is None:
             raise ValueError("the generic estimator needs generic_weight")
@@ -87,55 +98,18 @@ class EmpiricalSummary:
         return full[i * k:(i + 1) * k, j * k:(j + 1) * k]
 
 
-def _estimate_labels(X, Z, cfg, restr, labels, generic_weight):
-    out = {}
-    att = None
-    b1 = None
-    need_b1 = any(lbl != "LSE" for lbl in labels)
-    if need_b1:
-        att = build_kx(X, cfg.sigma_delta2)
-        b1 = np.linalg.solve(att.n * att.sigma_d, X.T @ Z)
-    for lbl in labels:
-        if lbl == "LSE":
-            out[lbl] = lse(X, Z)
-        elif lbl == "UE":
-            out[lbl] = b1
-        elif lbl == "B2":
-            out[lbl] = restricted(b1, att.n * att.sigma_d, restr)
-        elif lbl == "B3":
-            out[lbl] = restricted(b1, att.n * att.sigma_x, restr)
-        elif lbl == "B4":
-            out[lbl] = restricted(b1, float(att.n) * np.eye(cfg.p), restr)
-        else:
-            out[lbl] = restricted(b1, generic_weight, restr)
-    return out
-
-
-def _run_chunk(plan: SimulationPlan, b_truth: np.ndarray, start: int,
-               stop: int) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
-    n = plan.sample_size
-    k = plan.cfg.p * plan.cfg.q
-    m = len(plan.estimators)
-    w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
-    errs = np.zeros((stop - start, m * k))
-    losses = np.zeros((stop - start, m))
-    bad: list[int] = []
-    root_n = math.sqrt(n)
-    for r in range(start, stop):
+def _reduce_chunk(plan: SimulationPlan, design: np.ndarray, b_truth: np.ndarray,
+                  start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Z of replications start, ..., stop - 1."""
+    p, q = plan.cfg.p, plan.cfg.q
+    xtx = np.empty((stop - start, p, p))
+    xtz = np.empty((stop - start, p, q))
+    for i, r in enumerate(range(start, stop)):
         rng = np.random.default_rng([plan.master_seed, 0, r])
-        ds = generate(plan.cfg, b_truth, rng, n=n)
-        try:
-            est = _estimate_labels(ds.X, ds.Z, plan.cfg, plan.restr,
-                                   plan.estimators, plan.generic_weight)
-        except NearSingular:
-            bad.append(r)
-            continue
-        row = r - start
-        for i, lbl in enumerate(plan.estimators):
-            dev = est[lbl] - b_truth
-            errs[row, i * k:(i + 1) * k] = root_n * rvec(dev)
-            losses[row, i] = n * float(np.trace(dev.T @ w @ dev))
-    return start, errs, losses, bad
+        ds = generate(plan.cfg, b_truth, rng, n=plan.sample_size, design=design)
+        xtx[i] = ds.X.T @ ds.X
+        xtz[i] = ds.X.T @ ds.Z
+    return xtx, xtz
 
 
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
@@ -146,39 +120,36 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """
     n = plan.sample_size
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed, n=n)
-    k = plan.cfg.p * plan.cfg.q
-    m = len(plan.estimators)
-    errors = np.zeros((plan.reps, m * k))
-    losses = np.zeros((plan.reps, m))
-    excluded: list[int] = []
+    design = plan.cfg.design(n)
     if workers <= 1 or plan.reps < 4:
         chunks = [(0, plan.reps)]
     else:
         step = max(1, math.ceil(plan.reps / (4 * workers)))
         chunks = [(s, min(s + step, plan.reps)) for s in range(0, plan.reps, step)]
     if len(chunks) == 1:
-        results = [_run_chunk(plan, b_truth, *chunks[0])]
+        parts = [_reduce_chunk(plan, design, b_truth, *chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, plan, b_truth, s, e)
+            futures = [pool.submit(_reduce_chunk, plan, design, b_truth, s, e)
                        for s, e in chunks]
-            results = [f.result() for f in futures]
-    for start, errs, loss, bad in results:
-        errors[start:start + errs.shape[0]] = errs
-        losses[start:start + loss.shape[0]] = loss
-        excluded.extend(bad)
-    if len(excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
+            parts = [f.result() for f in futures]
+    batch = estimate_batch(np.concatenate([xtx for xtx, _ in parts]),
+                           np.concatenate([xtz for _, xtz in parts]), n,
+                           plan.cfg.sigma_delta2, plan.restr, plan.estimators,
+                           plan.generic_weight)
+    if len(batch.excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
         raise NearSingular(
-            f"{len(excluded)} of {plan.reps} replications were near-singular")
+            f"{len(batch.excluded)} of {plan.reps} replications were near-singular")
     keep = np.ones(plan.reps, dtype=bool)
-    keep[excluded] = False
-    errors = errors[keep]
-    losses = losses[keep]
+    keep[list(batch.excluded)] = False
+    dev = batch.estimates[keep] - b_truth
+    errors = math.sqrt(n) * dev.reshape(len(dev), -1)
+    w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
+    losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
     per_label = {lbl: losses[:, i].copy() for i, lbl in enumerate(plan.estimators)}
     return EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
                             n=n, rep_count=int(keep.sum()), errors=errors,
-                            per_rep_losses=per_label,
-                            excluded=tuple(sorted(excluded)))
+                            per_rep_losses=per_label, excluded=batch.excluded)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
     """The three traces whose signed sum is the restriction's variance gain.
 
     The Kronecker correction inside the restricted limit map is
-    K = kron(gain(Q0) @ R1 @ sigma_k^{-1}, proj(R2)); the gain is
+    K = kron(gain(Q0) @ R1 @ sigma_d^{-1}, proj(R2)); the gain is
     tr(V A1 L K') + tr(V K L A1') - tr(V K L K') with V = W x I_q and
     L the score covariance.
     """
@@ -83,7 +83,7 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
     v = kron(w, np.eye(q))
     a1 = limit_map(pm, q)
     gain = constraint_gain(q0, restr.R1)
-    kq = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_k),
+    kq = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d),
               projector_cols(restr.R2))
     lam = score.cov
     t1 = float(np.trace(v @ a1 @ lam @ kq.T))
@@ -98,7 +98,7 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     """Single-trace Kronecker-lifted arrangement of the first gain term.
 
     Evaluates rvec(score_cov)' kron(kron(J1' W, J), I) rvec(A1) with
-    J1 = gain @ R1 @ sigma_k^{-1}; equals the first of the three gain traces,
+    J1 = gain @ R1 @ sigma_d^{-1}; equals the first of the three gain traces,
     kept as a cross-check of the lifted arrangement.
     """
     if q is None:
@@ -106,7 +106,7 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     w = _check_weight(weight, pm.p)
     a1 = limit_map(pm, q)
     gain = constraint_gain(q0, restr.R1)
-    j1 = gain @ restr.R1 @ np.linalg.inv(pm.sigma_k)
+    j1 = gain @ restr.R1 @ np.linalg.inv(pm.sigma_d)
     j = projector_cols(restr.R2)
     pq = pm.p * q
     big = kron(kron(j1.T @ w, j), np.eye(pq))

@@ -102,7 +102,7 @@ def test_score_cov_reports_standard_error():
 
 
 def test_limit_map_identity_scale():
-    # sigma_k = I makes the unrestricted limit map the identity
+    # sigma_d = I makes the unrestricted limit map the identity
     from eivreg.asymptotics import PopulationModel
     pm = PopulationModel(sigma=2 * np.eye(2), sigma_d=np.eye(2),
                          k=0.5 * np.eye(2), kbar=0.5 * np.eye(2), n_design=0)

@@ -182,3 +182,25 @@ def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     np.testing.assert_array_equal(mean_ue, np.zeros((2, 2)))
     cov11 = read_matrix_csv(out / "cov_1_1.csv")
     assert cov11.shape == (4, 4)
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values this way
+        return exc.code
+
+
+@pytest.mark.parametrize("command, extra, code, message", [
+    ("simulate", ["--workers", "0"], 2, "--workers"),
+    ("simulate", ["--workers", "-3"], 2, "--workers"),
+    ("law", ["--workers", "0"], 2, "--workers"),
+    ("simulate", ["--reps", "1", "--workers", "1"], 2, "reps must be at least 2"),
+    ("simulate", ["--reps", "4", "--workers", "1"], 0, ""),
+])
+def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
+                           message):
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),
+            *extra]
+    assert _exit_code(argv) == code
+    assert message in capsys.readouterr().err

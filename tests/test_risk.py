@@ -52,7 +52,7 @@ def test_adr_zero_score_cov():
 
 
 def test_adr_identity_case():
-    # sigma_k = I and unit score covariance: ADR with W = I equals p*q
+    # sigma_d = I and unit score covariance: ADR with W = I equals p*q
     pm = _pm_from_sigma(2 * np.eye(2), 1.0)
     sc = ScoreCov(cov=np.eye(4), reps=0, n_used=0, standard_error=0.0)
     assert adr_unrestricted(np.eye(2), pm, sc) == pytest.approx(4.0)
@@ -180,7 +180,7 @@ def test_variance_gain_can_be_negative_for_misaligned_weight():
     score covariance produce a strictly negative gain, yet the dominance
     implications still hold (the risk difference keeps its sign logic)."""
     p, q = 2, 1
-    pm = _pm_from_sigma(np.eye(p) + 0.0, 0.0)  # sigma_k = I
+    pm = _pm_from_sigma(np.eye(p) + 0.0, 0.0)  # sigma_d = I
     restr = Restriction(R1=np.array([[1.0, 0.0]]), R2=np.eye(1),
                         theta=np.zeros((1, 1)), theta0=np.ones((1, 1)))
     q0 = np.linalg.inv(np.array([[1.0, 2.0], [2.0, 5.0]]))

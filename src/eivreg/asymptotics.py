@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .exceptions import DimMismatch, NotPD, ShapeMismatch
 from .linalg import eig_extremes, kron, rvec, sym
-from .model import ModelConfig, Restriction, generate
+from .model import ModelConfig, Restriction, generate, make_restricted_b
 
 NAMED_WEIGHT_LIMITS = ("B2", "B3", "B4")
 
@@ -153,6 +154,18 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
                              ddof=1).max() for i in range(p * q)])
     return ScoreCov(cov=cov, reps=reps, n_used=n,
                     standard_error=float(np.sqrt(var_max / reps)))
+
+
+def law_inputs(run: RunConfig) -> tuple[PopulationModel, ScoreCov]:
+    """The population model at the run's design and the score covariance at
+    the run's `score_cov` scale, seeded by the master seed: the inputs of
+    every law and risk computation of a run."""
+    n = run.score_cov.n
+    cfg = run.model if n == run.model.n else run.model.at_n(n)
+    B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+    score = estimate_score_cov(cfg, B, reps=run.score_cov.reps,
+                               seed=run.simulation.master_seed)
+    return population(run.model), score
 
 
 def projector_cols(r2: np.ndarray) -> np.ndarray:

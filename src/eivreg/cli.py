@@ -18,15 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (estimate_score_cov, joint_law, named_weight_limit,
-                          population)
+from .asymptotics import joint_law, law_inputs, named_weight_limit
 from .config import RunConfig, load_config
 from .csvio import read_matrix_csv, write_manifest, write_matrix_csv, write_rows_csv
 from .estimators import estimate_all
 from .exceptions import ConfigError, EivregError
-from .model import make_restricted_b
 from .montecarlo import SimulationPlan, compare_law, run_plan
-from .risk import dominance_report, efficiency_curve
+from .risk import dominance_report, drift_direction, efficiency_curve
 
 LAW_LABELS = ("UE", "B2", "B3", "B4")
 EFFICIENCY_HEADER = ["scale", "theta0_norm2", "adr_ue", "adr_re",
@@ -39,14 +37,15 @@ def _version() -> str:
     return __version__
 
 
-def _law_pieces(run: RunConfig):
-    pm = population(run.model)
-    cfg_s = run.model.at_n(run.score_cov.n) if run.score_cov.n != run.model.n \
-        else run.model
-    b_s = make_restricted_b(cfg_s, run.restriction, run.b_truth_seed())
-    score = estimate_score_cov(cfg_s, b_s, reps=run.score_cov.reps,
-                               seed=run.simulation.master_seed)
-    return pm, score
+def _make_out_dir(out) -> Path:
+    """Create the output directory; a path that cannot be one is a bad option."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    return out_dir
 
 
 def _finish(out_dir: Path, command: str, run: RunConfig, written: list[Path]) -> None:
@@ -70,7 +69,6 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
             f"expected X with {run.model.p} and Z with {run.model.q} columns, "
             f"got {X.shape[1]} and {Z.shape[1]}")
     est = estimate_all(X, Z, run.model.sigma_delta2, run.restriction)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = {"LSE": ("b_lse.csv", est.b_lse), "UE": ("b1.csv", est.b1),
              "B2": ("b2.csv", est.b2), "B3": ("b3.csv", est.b3),
              "B4": ("b4.csv", est.b4)}
@@ -86,12 +84,11 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
 
 
 def cmd_law(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
-    pm, score = _law_pieces(run)
+    pm, score = law_inputs(run)
     labels = tuple(l for l in run.simulation.estimators if l in LAW_LABELS)
     if not labels:
         raise ConfigError("no law-compatible estimators configured")
     law = joint_law(pm, score, run.restriction, estimators=labels)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     write_matrix_csv(out_dir / "score_cov.csv", score.cov)
     written.append(out_dir / "score_cov.csv")
@@ -121,7 +118,6 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
                           estimators=run.simulation.estimators,
                           weight=run.weight_matrix())
     summary = run_plan(plan, workers=workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for lbl, mat in summary.mean_errors.items():
         path = out_dir / f"mean_error_{lbl}.csv"
@@ -137,7 +133,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]
     if all(lbl in LAW_LABELS for lbl in summary.labels):
-        pm, score = _law_pieces(run)
+        pm, score = law_inputs(run)
         law = joint_law(pm, score, run.restriction, estimators=summary.labels)
         cmp = compare_law(summary, law)
         rows = [[i + 1, j + 1, cmp.cov_rel_fro[(i, j)]]
@@ -166,7 +162,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 
 def cmd_adr(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
-    pm, score = _law_pieces(run)
+    pm, score = law_inputs(run)
     w = run.weight_matrix()
     labels = [l for l in run.simulation.estimators if l in ("B2", "B3", "B4")]
     if not labels:
@@ -179,7 +175,6 @@ def cmd_adr(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
                      rep.bias_form_min, rep.bias_form_max,
                      rep.lower_threshold, rep.upper_threshold,
                      rep.theta0_norm2, rep.relative_efficiency, rep.verdict])
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out_dir / "adr.csv",
                    ["estimator", "adr_ue", "adr_re", "variance_gain",
                     "bias_form_min", "bias_form_max", "lower_threshold",
@@ -191,13 +186,10 @@ def cmd_adr(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 
 def cmd_efficiency(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
-    pm, score = _law_pieces(run)
+    pm, score = law_inputs(run)
     w = run.weight_matrix()
     q0 = named_weight_limit(pm, run.risk.q0)
-    theta0 = run.restriction.theta0
-    if np.linalg.norm(theta0) == 0:
-        theta0 = np.ones_like(run.restriction.theta)
-    direction = theta0 / np.linalg.norm(theta0)
+    direction = drift_direction(run.restriction)
     npts = max(run.risk.grid, 2)
     if run.risk.scale_max is not None:
         scales = np.linspace(0.0, run.risk.scale_max, npts)
@@ -207,7 +199,6 @@ def cmd_efficiency(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
         top = base.upper_threshold if math.isfinite(base.upper_threshold) else 1.0
         scales = np.sqrt(np.linspace(0.0, 2.0 * top, npts))
     rows = efficiency_curve(w, pm, score, run.restriction, q0, direction, scales)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out_dir / "efficiency.csv", EFFICIENCY_HEADER,
                    [[r.scale, r.theta0_norm2, r.adr_ue, r.adr_re,
                      r.relative_efficiency, r.verdict] for r in rows])
@@ -227,7 +218,7 @@ def cmd_verify(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 def run_command(command: str, run: RunConfig, out_dir, workers: int = 1) -> int:
     """Programmatic dispatcher for the config-driven subcommands."""
-    out_dir = Path(out_dir)
+    out_dir = _make_out_dir(out_dir)
     dispatch = {"law": cmd_law, "simulate": cmd_simulate, "adr": cmd_adr,
                 "efficiency": cmd_efficiency, "verify": cmd_verify}
     return dispatch[command](run, out_dir, workers=workers)
@@ -288,10 +279,9 @@ def main(argv=None) -> int:
     try:
         run = load_config(args.config)
         run = _apply_overrides(run, args)
-        out_dir = Path(args.out)
         if args.command == "estimate":
-            return cmd_estimate(run, args.z, args.x, out_dir)
-        return run_command(args.command, run, out_dir, workers=args.workers)
+            return cmd_estimate(run, args.z, args.x, _make_out_dir(args.out))
+        return run_command(args.command, run, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a numeric CSV matrix; a non-numeric first row is treated as a
-    header.  Malformed cells report their row and column."""
+    header.  Malformed and non-finite cells report their row and column."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
@@ -59,6 +59,11 @@ def read_matrix_csv(path) -> np.ndarray:
                 raise ConfigError(
                     f"{path}: row {i + 1}, column {j + 1}: "
                     f"could not parse {cell.strip()!r}") from exc
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise ConfigError(
+            f"{path}: row {i + start + 1}, column {j + 1}: "
+            f"non-finite value {rows[i + start][j].strip()!r}")
     return out
 
 

@@ -299,6 +299,8 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     X = np.asarray(X, dtype=float)
     if sigma_delta2 < 0:
         raise ValueError("sigma_delta2 must be nonnegative")
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise ValueError("X and Z must be finite")
     n = X.shape[0]
     xtx = X.T @ X
     xtz = X.T @ Z

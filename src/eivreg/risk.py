@@ -16,7 +16,6 @@ is claimed.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
 from .exceptions import DegenerateF1, DimMismatch, NotPD
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
-
-log = logging.getLogger(__name__)
 
 VERDICT_RE = "RE-dominates"
 VERDICT_UE = "UE-dominates"
@@ -98,8 +95,9 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     """Single-trace Kronecker-lifted arrangement of the first gain term.
 
     Evaluates rvec(score_cov)' kron(kron(J1' W, J), I) rvec(A1) with
-    J1 = gain @ R1 @ sigma_d^{-1}; equals the first of the three gain traces,
-    kept as a cross-check of the lifted arrangement.
+    J1 = gain @ R1 @ sigma_d^{-1}; equals the first of the three gain traces.
+    Tests use it to cross-check the lifted arrangement; the ADR functions do
+    not call it, since it builds a (pq)^2-by-(pq)^2 matrix.
     """
     if q is None:
         q = score.dim // pm.p
@@ -126,6 +124,7 @@ def bias_form(weight: np.ndarray, restr: Restriction, q0: np.ndarray) -> np.ndar
 @dataclass(frozen=True)
 class RestrictedAdr:
     adr: float
+    adr_ue: float
     variance_gain: float
     bias_form: np.ndarray
 
@@ -145,11 +144,8 @@ def adr_restricted(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
     f1 = bias_form(weight, restr, q0)
     quad = float(rvec(theta0) @ f1 @ rvec(theta0))
     base = adr_unrestricted(weight, pm, score, q)
-    compact = variance_gain_compact(weight, pm, score, restr, q0, q)
-    if abs(compact - t1) > 1e-8 * (1.0 + abs(t1)):
-        log.debug("compact gain arrangement disagrees with the first trace: "
-                  "%.6e vs %.6e", compact, t1)
-    return RestrictedAdr(adr=base - gain + quad, variance_gain=gain, bias_form=f1)
+    return RestrictedAdr(adr=base - gain + quad, adr_ue=base, variance_gain=gain,
+                         bias_form=f1)
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,6 @@ def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
         theta0 = restr.theta0
     theta0 = np.asarray(theta0, dtype=float)
     res = adr_restricted(weight, pm, score, restr, q0, theta0, q)
-    adr_ue = adr_unrestricted(weight, pm, score, q)
     ch_min, ch_max = eig_extremes(res.bias_form)
     if ch_min < -1e-10 * max(ch_max, 1.0):
         raise DegenerateF1(f"bias form has eigenvalue {ch_min:.3e} < 0")
@@ -192,11 +187,11 @@ def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
     else:
         verdict = VERDICT_BAND
     return ADRReport(
-        adr_ue=adr_ue, adr_re=res.adr, variance_gain=res.variance_gain,
+        adr_ue=res.adr_ue, adr_re=res.adr, variance_gain=res.variance_gain,
         bias_form=res.bias_form, bias_form_min=ch_min, bias_form_max=ch_max,
         lower_threshold=lower, upper_threshold=upper, theta0_norm2=norm2,
         verdict=verdict,
-        relative_efficiency=(adr_ue / res.adr if res.adr > 0 else math.inf),
+        relative_efficiency=(res.adr_ue / res.adr if res.adr > 0 else math.inf),
     )
 
 
@@ -215,6 +210,15 @@ class CurveRow:
     adr_re: float
     relative_efficiency: float
     verdict: str
+
+
+def drift_direction(restr: Restriction) -> np.ndarray:
+    """Unit-Frobenius direction of the restriction's theta0, or of a matrix of
+    ones when theta0 = 0, along which efficiency sweeps run."""
+    theta0 = restr.theta0
+    if np.linalg.norm(theta0) == 0:
+        theta0 = np.ones_like(restr.theta)
+    return theta0 / np.linalg.norm(theta0)
 
 
 def efficiency_curve(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (PopulationModel, ScoreCov, estimate_score_cov,
-                          joint_law, mean_shift, population)
+from .asymptotics import (PopulationModel, ScoreCov, joint_law, law_inputs,
+                          mean_shift, population)
 from .config import RunConfig
 from .csvio import write_rows_csv
 from .estimators import estimate_all
@@ -22,7 +22,7 @@ from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
 from .montecarlo import SimulationPlan, affine_limit_suite, compare_law, run_plan
 from .risk import (adr_from_law, adr_restricted, dominance_report,
-                   efficiency_curve, named_weight_limit)
+                   drift_direction, efficiency_curve, named_weight_limit)
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,6 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
                            f"median ||lse - B||={gap_b:.4f} (>10x)")
 
 
-def shared_law_pieces(run: RunConfig, seed: int):
-    """Score covariance at the configured auxiliary scale plus the population
-    model at the comparison scale; reused by several criteria."""
-    n_score = run.score_cov.n
-    cfg_score = run.model.at_n(n_score)
-    b_score = make_restricted_b(cfg_score, run.restriction, run.b_truth_seed())
-    score = estimate_score_cov(cfg_score, b_score, reps=run.score_cov.reps,
-                               seed=seed)
-    pm = population(run.model)
-    return pm, score
-
-
 def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
                             score: ScoreCov,
                             workers: int = 1) -> CriterionResult:
@@ -218,10 +206,7 @@ def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
                                score: ScoreCov) -> CriterionResult:
     w = run.weight_matrix()
     q0 = named_weight_limit(pm, run.risk.q0)
-    theta0 = run.restriction.theta0
-    if np.linalg.norm(theta0) == 0:
-        theta0 = np.ones_like(run.restriction.theta)
-    direction = theta0 / np.linalg.norm(theta0)
+    direction = drift_direction(run.restriction)
     base = dominance_report(w, pm, score, run.restriction, q0,
                             theta0=np.zeros_like(direction))
     upper = base.upper_threshold
@@ -308,7 +293,7 @@ def run_acceptance(run: RunConfig, out_dir, workers: int = 1) -> list[CriterionR
         criterion_sqrt_n_rate(run, seed, workers=workers),
         criterion_naive_bias(run, seed),
     ]
-    pm, score = shared_law_pieces(run, seed)
+    pm, score = law_inputs(run)
     results.append(criterion_law_agreement(run, seed, pm, score, workers=workers))
     results.append(criterion_adr_identity(run, seed))
     results.append(criterion_dominance(run, seed))

@@ -197,10 +197,23 @@ def _exit_code(argv):
     ("law", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--reps", "1", "--workers", "1"], 2, "reps must be at least 2"),
     ("simulate", ["--reps", "4", "--workers", "1"], 0, ""),
+    ("law", ["--out", "{tmp}/file/o"], 2, "file/o"),
+    ("estimate", ["--z", "{tmp}/z_inf.csv", "--x", "{tmp}/x.csv"], 2,
+     "z_inf.csv: row 3, column 2: non-finite value 'inf'"),
+    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_nan.csv"], 2,
+     "x_nan.csv: row 3, column 2: non-finite value 'nan'"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    data = np.random.default_rng(0).standard_normal((10, 2))
+    write_matrix_csv(tmp_path / "z.csv", data)
+    write_matrix_csv(tmp_path / "x.csv", data)
+    for name, bad in (("z_inf.csv", np.inf), ("x_nan.csv", np.nan)):
+        cells = data.copy()
+        cells[1, 1] = bad
+        write_matrix_csv(tmp_path / name, cells)
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),
-            *extra]
+            *(arg.format(tmp=tmp_path) for arg in extra)]
     assert _exit_code(argv) == code
     assert message in capsys.readouterr().err

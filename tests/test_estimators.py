@@ -215,6 +215,16 @@ def test_estimate_all_restriction_exactness():
         assert restr.gap(b) <= tol
 
 
+@pytest.mark.parametrize("matrix, bad", [("X", np.inf), ("Z", np.nan)])
+def test_estimate_all_rejects_non_finite_data(matrix, bad):
+    data = dict(zip("XZ", _random_problem(19, n=40, p=2, q=2)))
+    data[matrix][3, 1] = bad
+    restr = Restriction(R1=np.array([[1.0, -0.5]]), R2=np.array([[1.0], [0.8]]),
+                        theta=np.array([[0.3]]))
+    with pytest.raises(ValueError, match="finite"):
+        estimate_all(data["X"], data["Z"], 0.05, restr)
+
+
 def test_objective_anchored_identity_and_minimum():
     g = np.random.default_rng(19)
     X = g.standard_normal((60, 3))

@@ -206,6 +206,28 @@ def test_compact_gain_arrangement_matches_first_trace():
         assert compact == pytest.approx(t1, rel=1e-10)
 
 
+def test_risk_path_does_not_evaluate_the_compact_arrangement(monkeypatch):
+    _, pm, restr, sc, q0, w = _rand_setup(3)
+    direction = restr.theta0 / np.linalg.norm(restr.theta0)
+    scales = [0.0, 0.5, 1.0, 2.0]
+
+    def outputs():
+        return (dominance_report(w, pm, sc, restr, q0),
+                efficiency_curve(w, pm, sc, restr, q0, direction, scales))
+
+    report, rows = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("variance_gain_compact called on the risk path")
+
+    monkeypatch.setattr("eivreg.risk.variance_gain_compact", refuse)
+    report_patched, rows_patched = outputs()
+    for field in vars(report):
+        np.testing.assert_array_equal(getattr(report_patched, field),
+                                      getattr(report, field))
+    assert rows_patched == rows
+
+
 def test_weight_scale_equivariance():
     g, pm, restr, sc, q0, w = _rand_setup(8)
     c = 3.7

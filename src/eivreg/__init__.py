@@ -3,7 +3,8 @@ restrictions: corrected and restricted estimators, their joint asymptotic laws,
 asymptotic risk comparisons, and a Monte Carlo verification harness."""
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
-                          estimate_score_cov, joint_law, limit_map, mean_shift,
+                          closed_form_score_cov, estimate_score_cov, joint_law,
+                          law_inputs, limit_map, mean_shift,
                           named_weight_limit, population)
 from .config import RunConfig, load_config, parse_config
 from .estimators import (Attenuation, EstimateSet, build_kx, corrected_lse,
@@ -28,10 +29,11 @@ __all__ = [
     "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
     "RunConfig", "ScoreCov", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
-    "build_kx", "compare_law", "corrected_lse", "corrected_objective",
+    "build_kx", "closed_form_score_cov", "compare_law", "corrected_lse",
+    "corrected_objective",
     "dominance_report", "efficiency_curve", "eig_extremes", "empirical_adr",
     "estimate_all", "estimate_score_cov", "generate", "joint_law", "kron",
-    "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
+    "law_inputs", "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
     "named_dominance_report", "named_weight_limit", "parse_config",
     "population", "restricted", "run_plan", "rvec", "sample_matrix_normal",
     "summary_from_law_draws", "transform_cov_block", "unrvec", "unvec", "vec",

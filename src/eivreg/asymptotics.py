@@ -9,8 +9,10 @@ score_cov is the limiting covariance of the centered score
 
     h = n^{-1/2} X'(E - Delta B) + n^{1/2} sigma_delta^2 B .
 
-The score covariance has no closed form under general error families; it is
-estimated by Monte Carlo averaging of flattened-score outer products.
+The score is a sum of independent row terms, so its covariance follows
+exactly from the design and the first four moments of the error family
+(`closed_form_score_cov`); `estimate_score_cov` estimates the same matrix by
+Monte Carlo averaging of flattened-score outer products and serves as its check.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ def population(cfg: ModelConfig, n: int | None = None) -> PopulationModel:
 
 @dataclass(frozen=True)
 class ScoreCov:
-    """Monte Carlo estimate of the limiting score covariance (pq-by-pq)."""
+    """Limiting score covariance (pq-by-pq) at sample size `n_used`.
+
+    A Monte Carlo estimate carries its replication count and max-entry
+    standard error; the closed form has reps=0 and standard_error=0.0.
+    """
 
     cov: np.ndarray
     reps: int
@@ -156,16 +162,58 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
                     standard_error=float(np.sqrt(var_max / reps)))
 
 
-def law_inputs(run: RunConfig) -> tuple[PopulationModel, ScoreCov]:
-    """The population model at the run's design and the score covariance at
-    the run's `score_cov` scale, seeded by the master seed: the inputs of
-    every law and risk computation of a run."""
+def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray,
+                          n: int | None = None) -> ScoreCov:
+    """Exact covariance of the centered score at sample size n.
+
+    The score sums independent row terms x_i u_i' with u_i = e_i - B' delta_i,
+    so moment algebra up to the fourth moment of the error family gives, in
+    rvec's row-major index (a,b) <-> a*q + b,
+
+        L[(a,b),(c,d)] = Sigma_ac Su_bd + sd^4 B_ad B_cb
+                         + g1 sd^3 (mbar_a B_cb B_cd + mbar_c B_ab B_ad)
+                         + [a=c] g2 sd^4 B_ab B_ad
+
+    with Sigma = M'M/n + (sigma_psi^2 + sigma_delta^2) I,
+    Su = sigma_eps^2 I + sigma_delta^2 B'B, mbar the column means of M,
+    sd = sigma_delta and (g1, g2) the family's skewness and excess kurtosis.
+    This is the quantity `estimate_score_cov` averages (without the design
+    term), not an approximation of it.
+    """
+    n = cfg.n if n is None else n
+    B = np.asarray(B, dtype=float)
+    if B.shape != (cfg.p, cfg.q):
+        raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
+    m = cfg.design(n)
+    sigma = sym(m.T @ m) / n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
+    su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
+    mbar = m.mean(axis=0)
+    g1, g2 = cfg.moments
+    sd2 = cfg.sigma_delta2
+    bb = B[:, :, None] * B[:, None, :]  # bb[a, b, d] = B_ab B_ad
+    skew = np.einsum("a,cbd->abcd", mbar, bb)
+    cov = (np.einsum("ac,bd->abcd", sigma, su)
+           + sd2 ** 2 * np.einsum("ad,cb->abcd", B, B)
+           + g1 * sd2 ** 1.5 * (skew + skew.transpose(2, 3, 0, 1))
+           + g2 * sd2 ** 2 * np.einsum("ac,abd->abcd", np.eye(cfg.p), bb))
+    k = cfg.p * cfg.q
+    return ScoreCov(cov=sym(cov.reshape(k, k)), reps=0, n_used=n,
+                    standard_error=0.0)
+
+
+def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
+    """The run's model at its `score_cov.n` and the restricted truth B there."""
     n = run.score_cov.n
     cfg = run.model if n == run.model.n else run.model.at_n(n)
-    B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
-    score = estimate_score_cov(cfg, B, reps=run.score_cov.reps,
-                               seed=run.simulation.master_seed)
-    return population(run.model), score
+    return cfg, make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+
+
+def law_inputs(run: RunConfig) -> tuple[PopulationModel, ScoreCov]:
+    """The population model at the run's design and the exact score covariance
+    at the run's `score_cov.n`: the inputs of every law and risk computation
+    of a run."""
+    cfg, B = score_cov_model(run)
+    return population(run.model), closed_form_score_cov(cfg, B)
 
 
 def projector_cols(r2: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .asymptotics import joint_law, law_inputs, named_weight_limit
 from .config import RunConfig, load_config
-from .csvio import read_matrix_csv, write_manifest, write_matrix_csv, write_rows_csv
+from .csvio import (open_output, read_matrix_csv, write_manifest,
+                    write_matrix_csv, write_rows_csv)
 from .estimators import estimate_all
 from .exceptions import ConfigError, EivregError
 from .montecarlo import SimulationPlan, compare_law, run_plan
@@ -154,8 +155,8 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
         verdict_lines.append(f"worst_mean_se={cmp.worst_mean:.6f}")
     else:
         verdict_lines.append("law_agreement=SKIPPED (non-limit estimators present)")
-    (out_dir / "verdict.txt").write_text("\n".join(verdict_lines) + "\n",
-                                         encoding="utf-8")
+    with open_output(out_dir / "verdict.txt") as fh:
+        fh.write("\n".join(verdict_lines) + "\n")
     written.append(out_dir / "verdict.txt")
     _finish(out_dir, "simulate", run, written)
     return 0

@@ -18,10 +18,19 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def open_output(path, newline: str | None = None):
+    """Open an output file for writing; one that cannot be written is
+    reported as a bad output location naming the file."""
+    path = Path(path)
+    try:
+        return path.open("w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_matrix_csv(path, arr: np.ndarray) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(",".join(f"col_{j + 1}" for j in range(arr.shape[1])) + "\n")
         for row in arr:
             fh.write(",".join(fmt(v) for v in row) + "\n")
@@ -69,8 +78,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_manifest(path, entries: dict) -> None:
     """Plain key=value manifest; values stringified deterministically."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for key, value in entries.items():
             if isinstance(value, float):
                 value = fmt(value)
@@ -80,8 +88,7 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def write_rows_csv(path, header: list[str], rows: list[list]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

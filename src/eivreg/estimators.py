@@ -302,8 +302,12 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise ValueError("X and Z must be finite")
     n = X.shape[0]
-    xtx = X.T @ X
-    xtz = X.T @ Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx = X.T @ X
+        xtz = X.T @ Z
+    if not (np.isfinite(xtx).all() and np.isfinite(xtz).all()):
+        raise ValueError("X'X or X'Z overflows: the data are too large in "
+                         "magnitude for double precision")
     labels = ("UE", "B2", "B3", "B4") + (("generic",) if generic_weight is not None
                                          else ())
     batch = estimate_batch(xtx[None], xtz[None], n, sigma_delta2, restr, labels,

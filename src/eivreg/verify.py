@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (PopulationModel, ScoreCov, joint_law, law_inputs,
-                          mean_shift, population)
+from .asymptotics import (PopulationModel, ScoreCov, estimate_score_cov,
+                          joint_law, law_inputs, mean_shift, population,
+                          score_cov_model)
 from .config import RunConfig
-from .csvio import write_rows_csv
+from .csvio import open_output, write_rows_csv
 from .estimators import estimate_all
 from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
@@ -126,10 +127,18 @@ def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
                           master_seed=seed + 7, estimators=labels)
     summary = run_plan(plan, workers=workers)
     cmp = compare_law(summary, law, tol_cov=0.15, tol_mean_se=4.0)
+    # the Monte Carlo estimate of the same score covariance checks the
+    # closed form the law is built from
+    cfg, B = score_cov_model(run)
+    mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps, seed=seed)
+    diff = float(np.max(np.abs(mc.cov - score.cov)))
+    score_gap = (diff / mc.standard_error if mc.standard_error > 0
+                 else (math.inf if diff > 0 else 0.0))
     return CriterionResult(
-        4, "joint law agreement", cmp.passed,
+        4, "joint law agreement", cmp.passed and score_gap <= 4.0,
         f"worst covariance block {cmp.worst_cov:.3f} rel-Frobenius (tol 0.15), "
-        f"worst mean {cmp.worst_mean:.2f} SE (tol 4)")
+        f"worst mean {cmp.worst_mean:.2f} SE (tol 4), "
+        f"score covariance vs Monte Carlo {score_gap:.2f} SE (tol 4)")
 
 
 def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
@@ -303,7 +312,7 @@ def run_acceptance(run: RunConfig, out_dir, workers: int = 1) -> list[CriterionR
     write_rows_csv(out_dir / "criteria.csv",
                    ["number", "name", "passed", "detail"],
                    [[r.number, r.name, r.passed, r.detail] for r in results])
-    with (out_dir / "report.txt").open("w", encoding="utf-8") as fh:
+    with open_output(out_dir / "report.txt") as fh:
         for r in results:
             fh.write(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number}: "
                      f"{r.name} -- {r.detail}\n")

@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from eivreg.asymptotics import (ScoreCov, estimate_score_cov, joint_law,
+from eivreg import asymptotics
+from eivreg.asymptotics import (ScoreCov, closed_form_score_cov,
+                                estimate_score_cov, joint_law, law_inputs,
                                 limit_map, mean_shift, named_weight_limit,
                                 population)
+from eivreg.config import parse_config
 from eivreg.exceptions import NotPD, ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, sym
 from eivreg.model import (DesignRule, ModelConfig, Restriction, generate,
@@ -99,6 +102,88 @@ def test_score_cov_reports_standard_error():
     sc = estimate_score_cov(cfg, B, reps=500, seed=7)
     assert sc.standard_error > 0
     assert sc.reps == 500 and sc.n_used == 300
+
+
+# p=3, q=2 so that a swapped index shows, and a design with nonzero column
+# means so that the skewness term is not hidden by mbar = 0
+B_32 = np.array([[1.2, -0.7], [0.4, 0.9], [-1.1, 0.5]])
+
+
+def _cfg_32(family):
+    return ModelConfig(n=200, p=3, q=2, sigma_eps2=0.2, sigma_delta2=1.0,
+                       sigma_psi2=0.1, error_family=family,
+                       M=DesignRule(low=0.5, high=1.5, seed=3))
+
+
+def _formula_terms(cfg, B):
+    """The four terms of the closed-form score covariance, entry by entry."""
+    p, q = B.shape
+    m = cfg.design()
+    sigma = m.T @ m / cfg.n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(p)
+    su = cfg.sigma_eps2 * np.eye(q) + cfg.sigma_delta2 * B.T @ B
+    mbar = m.mean(axis=0)
+    g1, g2 = cfg.moments
+    sd = math.sqrt(cfg.sigma_delta2)
+    terms = {name: np.zeros((p * q, p * q))
+             for name in ("base", "cross", "gamma1", "gamma2")}
+    for a in range(p):
+        for b in range(q):
+            for c in range(p):
+                for d in range(q):
+                    i, j = a * q + b, c * q + d
+                    terms["base"][i, j] = sigma[a, c] * su[b, d]
+                    terms["cross"][i, j] = sd ** 4 * B[a, d] * B[c, b]
+                    terms["gamma1"][i, j] = g1 * sd ** 3 * (
+                        mbar[a] * B[c, b] * B[c, d] + mbar[c] * B[a, b] * B[a, d])
+                    terms["gamma2"][i, j] = (a == c) * g2 * sd ** 4 * B[a, b] * B[a, d]
+    return terms
+
+
+@pytest.mark.parametrize("family", ["gaussian", "shifted-exponential",
+                                    "scaled-t"])
+def test_closed_form_score_cov_matches_formula_and_monte_carlo(family):
+    cfg = _cfg_32(family)
+    cf = closed_form_score_cov(cfg, B_32)
+    assert (cf.reps, cf.n_used, cf.standard_error) == (0, 200, 0.0)
+    np.testing.assert_array_equal(cf.cov, cf.cov.T)
+    expected = sum(_formula_terms(cfg, B_32).values())
+    np.testing.assert_allclose(cf.cov, expected, rtol=1e-12, atol=1e-12)
+    mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
+    assert np.max(np.abs(cf.cov - mc.cov)) <= 4.0 * mc.standard_error
+
+
+def test_monte_carlo_check_detects_each_moment_term():
+    # shifted-exponential has both gamma1 and gamma2 nonzero; dropping either
+    # term moves some entry well outside the Monte Carlo's reach
+    cfg = _cfg_32("shifted-exponential")
+    cf = closed_form_score_cov(cfg, B_32)
+    mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
+    terms = _formula_terms(cfg, B_32)
+    for name in ("gamma1", "gamma2"):
+        dropped = cf.cov - terms[name]
+        assert np.max(np.abs(dropped - mc.cov)) > 8.0 * mc.standard_error, name
+
+
+def test_law_inputs_use_the_closed_form(monkeypatch):
+    doc = {"model": {"n": 300, "p": 2, "q": 2, "sigma_eps2": 1.0,
+                     "sigma_delta2": 0.5, "sigma_psi2": 0.5,
+                     "error_family": "scaled-t"},
+           "restriction": {"R1": [[1.0, -0.5]], "R2": [[1.0], [0.8]],
+                           "theta": [[0.3]]},
+           "score_cov": {"n": 500, "reps": 100}}
+    run = parse_config(doc)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("law_inputs must not run the Monte Carlo")
+
+    monkeypatch.setattr(asymptotics, "estimate_score_cov", forbidden)
+    pm, score = law_inputs(run)
+    cfg = run.model.at_n(500)
+    B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+    np.testing.assert_array_equal(score.cov,
+                                  closed_form_score_cov(cfg, B).cov)
+    assert score.n_used == 500 and score.reps == 0
+    np.testing.assert_array_equal(pm.sigma, population(run.model).sigma)
 
 
 def test_limit_map_identity_scale():

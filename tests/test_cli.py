@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: exit codes, CSV formats, manifests, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -202,13 +204,19 @@ def _exit_code(argv):
      "z_inf.csv: row 3, column 2: non-finite value 'inf'"),
     ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_nan.csv"], 2,
      "x_nan.csv: row 3, column 2: non-finite value 'nan'"),
+    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv",
+                  "--out", "{tmp}/blocked"], 2, "cannot write {tmp}/blocked/b1.csv"),
+    ("law", ["--out", "{tmp}/blocked"], 2,
+     "cannot write {tmp}/blocked/score_cov.csv"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
     (tmp_path / "file").write_text("", encoding="utf-8")
+    for name in ("b1.csv", "score_cov.csv"):  # output files that cannot be written
+        (tmp_path / "blocked" / name).mkdir(parents=True)
     data = np.random.default_rng(0).standard_normal((10, 2))
     write_matrix_csv(tmp_path / "z.csv", data)
-    write_matrix_csv(tmp_path / "x.csv", data)
+    write_matrix_csv(tmp_path / "x.csv", 3.0 * data)  # well above sigma_delta2
     for name, bad in (("z_inf.csv", np.inf), ("x_nan.csv", np.nan)):
         cells = data.copy()
         cells[1, 1] = bad
@@ -216,4 +224,21 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),
             *(arg.format(tmp=tmp_path) for arg in extra)]
     assert _exit_code(argv) == code
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+
+
+def test_estimate_reports_cross_product_overflow(tmp_path, config_path, capsys):
+    # finite entries whose cross products overflow double precision
+    x = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]])
+    write_matrix_csv(tmp_path / "x.csv", x)
+    write_matrix_csv(tmp_path / "z.csv", np.ones((3, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["estimate", "--config", str(config_path),
+                         "--z", str(tmp_path / "z.csv"),
+                         "--x", str(tmp_path / "x.csv"),
+                         "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "overflow" in err
+    assert "RuntimeWarning" not in err

@@ -52,12 +52,15 @@ class PopulationModel:
         return self.sigma.shape[0]
 
 
+def _design_sigma(cfg: ModelConfig, m: np.ndarray, n: int) -> np.ndarray:
+    """Limit of X'X/n at the n-row design m: M'M/n + (sigma_psi^2 + sigma_delta^2) I."""
+    return sym(m.T @ m) / n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
+
+
 def population(cfg: ModelConfig, n: int | None = None) -> PopulationModel:
     """Population quantities at the configured design (finite-n M'M/n)."""
     n = cfg.n if n is None else n
-    m = cfg.design(n)
-    mm = sym(m.T @ m) / n
-    sigma = mm + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
+    sigma = _design_sigma(cfg, cfg.design(n), n)
     ch_min, ch_max = eig_extremes(sigma)
     # same relative floor as the plug-in attenuation estimate
     if ch_min - cfg.sigma_delta2 <= 1e-8 * ch_max:
@@ -162,9 +165,8 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
                     standard_error=float(np.sqrt(var_max / reps)))
 
 
-def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray,
-                          n: int | None = None) -> ScoreCov:
-    """Exact covariance of the centered score at sample size n.
+def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> ScoreCov:
+    """Exact covariance of the centered score at the model's sample size n.
 
     The score sums independent row terms x_i u_i' with u_i = e_i - B' delta_i,
     so moment algebra up to the fourth moment of the error family gives, in
@@ -178,14 +180,15 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray,
     Su = sigma_eps^2 I + sigma_delta^2 B'B, mbar the column means of M,
     sd = sigma_delta and (g1, g2) the family's skewness and excess kurtosis.
     This is the quantity `estimate_score_cov` averages (without the design
-    term), not an approximation of it.
+    term), not an approximation of it.  For another sample size pass
+    `cfg.at_n(n)`.
     """
-    n = cfg.n if n is None else n
+    n = cfg.n
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
     m = cfg.design(n)
-    sigma = sym(m.T @ m) / n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
+    sigma = _design_sigma(cfg, m, n)
     su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
     mbar = m.mean(axis=0)
     g1, g2 = cfg.moments

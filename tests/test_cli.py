@@ -124,7 +124,7 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
 def test_efficiency_grid_rows_and_header(tmp_path, config_path):
     out = tmp_path / "eff"
     code = cli.main(["efficiency", "--config", str(config_path), "--out",
-                     str(out), "--reps", "200", "--workers", "1"])
+                     str(out), "--workers", "1"])
     assert code == 0
     lines = (out / "efficiency.csv").read_text().splitlines()
     assert lines[0] == "scale,theta0_norm2,adr_ue,adr_re,relative_efficiency,verdict"
@@ -138,7 +138,7 @@ def test_adr_zero_direction_verdict(tmp_path):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "adr"
     code = cli.main(["adr", "--config", str(path), "--out", str(out),
-                     "--reps", "200", "--workers", "1"])
+                     "--workers", "1"])
     assert code == 0
     lines = (out / "adr.csv").read_text().splitlines()
     assert lines[0].startswith("estimator,adr_ue,adr_re")
@@ -174,7 +174,7 @@ def test_seed_override_changes_outputs(tmp_path, config_path):
 def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     out = tmp_path / "law"
     code = cli.main(["law", "--config", str(config_path), "--out", str(out),
-                     "--reps", "200", "--workers", "1"])
+                     "--workers", "1"])
     assert code == 0
     blocks = (out / "blocks.txt").read_text()
     assert "labels=UE;B2;B3;B4" in blocks

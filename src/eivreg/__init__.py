@@ -15,8 +15,7 @@ from .linalg import (AffineTransform, MatrixNormal, eig_extremes, kron, rvec,
 from .model import (Dataset, DesignRule, ModelConfig, Restriction, generate,
                     make_restricted_b)
 from .montecarlo import (EmpiricalSummary, SimulationPlan, affine_limit_suite,
-                         compare_law, empirical_adr, run_plan,
-                         summary_from_law_draws)
+                         compare_law, run_plan)
 from .risk import (ADRReport, CurveRow, adr_from_law, adr_restricted,
                    adr_unrestricted, bias_form, dominance_report,
                    efficiency_curve, named_dominance_report)
@@ -31,10 +30,10 @@ __all__ = [
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
     "build_kx", "closed_form_score_cov", "compare_law", "corrected_lse",
     "corrected_objective",
-    "dominance_report", "efficiency_curve", "eig_extremes", "empirical_adr",
+    "dominance_report", "efficiency_curve", "eig_extremes",
     "estimate_all", "estimate_score_cov", "generate", "joint_law", "kron",
     "law_inputs", "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
     "named_dominance_report", "named_weight_limit", "parse_config",
     "population", "restricted", "run_plan", "rvec", "sample_matrix_normal",
-    "summary_from_law_draws", "transform_cov_block", "unrvec", "unvec", "vec",
+    "transform_cov_block", "unrvec", "unvec", "vec",
 ]

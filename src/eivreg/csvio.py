@@ -7,6 +7,7 @@ doubles), so reruns with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,43 @@ def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            raw = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _parse_grid(text)
+    except ValueError:
+        return _parse_cells(path, text)
+
+
+def _parse_grid(text: str) -> np.ndarray:
+    """The whole body in one numpy call.  Raises ValueError for anything but
+    a plain grid of finite numbers under an optional header line; the cell
+    parser then names the problem.  Both convert each cell with correct
+    rounding, so they return the same array bit for bit."""
+    # quotes and bare carriage returns change how csv splits rows and cells
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        raise ValueError("quoted cells or bare carriage returns")
+    first, _, rest = text.partition("\n")
+    cells = first.split(",")
+    if not all(c.strip() for c in cells):
+        raise ValueError("blank cell in the first row")
+    try:
+        [float(c) for c in cells]
+        body = text
+    except ValueError:
+        body = rest
+    if not body.strip():
+        raise ValueError("no data rows")
+    out = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite cell")
+    return out
+
+
+def _parse_cells(path: Path, text: str) -> np.ndarray:
+    """Cell-by-cell parse that reports the first bad row or cell."""
+    raw = list(csv.reader(io.StringIO(text, newline="")))
     rows = [r for r in raw if r and any(c.strip() for c in r)]
     if not rows:
         raise ConfigError(f"{path}: no data rows")

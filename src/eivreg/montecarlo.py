@@ -4,18 +4,33 @@ and losses, and compare empirical moments against the theoretical limit laws.
 A plan runs in three steps:
 
 1. Per plan: the fixed design M is materialized and rank-checked once, and the
-   true coefficient matrix is projected onto the drifting restriction.
-2. Draw and reduce: replication r draws E, then Delta, then Psi exactly as
-   `generate` does and keeps only X'X and X'Z; no n-row array outlives its
-   replication.  With several workers each pool task reduces a contiguous
-   range of replications and returns those statistics.
+   true coefficient matrix is projected onto the drifting restriction.  Under
+   gaussian errors the plan also sets up the exact law of the sufficient
+   statistics (`GaussianSampler`): M = QR and a factor F of the row
+   covariance Omega of W = [X Z].
+2. Draw and reduce, depending on the error family:
+   - gaussian: replication r draws W'W directly,
+     (R [I, B] + Q'G)'(R [I, B] + Q'G) + F A A' F', with Q'G ~ N(0, Omega)
+     rows and A A' a Bartlett draw of Wishart(n - p, I); it costs
+     O((p + q)^3) whatever n is.
+   - every other family: replication r draws E, then Delta, then Psi exactly
+     as `generate` does and keeps only X'X and X'Z; no n-row array outlives
+     its replication.
+   With several workers each pool task reduces a contiguous range of
+   replications and returns those statistics.
 3. Batched estimate: `estimate_batch` solves every replication and every
    estimator at once, as stacked p-by-p problems, in the parent process.
    Its NearSingular checks exclude replications; other failures raise.
 
 Seeding contract: replication r of a plan draws from
 ``numpy.random.default_rng([master_seed, 0, r])`` (score-covariance estimation
-uses stream tag 1, the affine-limit suite tag 2).  Results are therefore
+uses stream tag 1, the affine-limit suite tag 2).  Under gaussian errors, with
+k = p + q, that one generator yields in order: p*k standard normals (the rows
+of Q'G before the factor F), k(k-1)/2 standard normals filling the strictly
+lower triangle of A row by row, and k chi-squares with n-p, n-p-1, ...,
+n-p-k+1 degrees of freedom whose square roots form A's diagonal.  When
+n - p < k the Bartlett form does not exist, and the last two draws are
+replaced by (n-p)*k standard normals Y, with A = Y'.  Results are therefore
 independent of evaluation order and of the worker count, and reruns are
 bit-reproducible.
 """
@@ -98,9 +113,82 @@ class EmpiricalSummary:
         return full[i * k:(i + 1) * k, j * k:(j + 1) * k]
 
 
+@dataclass(frozen=True)
+class GaussianSampler:
+    """Exact law of W'W for W = [X Z] under gaussian errors.
+
+    The rows of W are independent N(mu_i, Omega), with mean mu = M [I, B] and
+    Omega = [[(s_psi + s_delta) I, s_psi B], [s_psi B', s_psi B'B + s_eps I]].
+    With M = QR, W'W splits into the independent parts (R [I, B] + Q'G)'(...)
+    and a Wishart(n - p, Omega) matrix (Anderson 2003, An Introduction to
+    Multivariate Statistical Analysis, section 7.2).
+    """
+
+    root: np.ndarray      # R [I, B], p x (p + q)
+    factor: np.ndarray    # F with F F' = Omega
+    n: int
+
+    def draw(self, master_seed: int, start: int, stop: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """X'X and X'Z of replications start, ..., stop - 1, in the draw order
+        of the module's seeding contract."""
+        p, k = self.root.shape
+        dof = self.n - p
+        reps = stop - start
+        bartlett = dof >= k
+        low = np.tril_indices(k, -1)
+        chi_df = dof - np.arange(k, dtype=float)
+        normals = np.empty((reps, p, k))
+        # Bartlett: off-diagonal normals, then chi-squares; else Y, (n-p) x k
+        tail = np.empty((reps, len(low[0]) + k if bartlett else dof * k))
+        for i, r in enumerate(range(start, stop)):
+            rng = np.random.default_rng([master_seed, 0, r])
+            normals[i] = rng.standard_normal((p, k))
+            if bartlett:
+                tail[i, :-k] = rng.standard_normal(len(low[0]))
+                tail[i, -k:] = rng.chisquare(chi_df)
+            else:
+                tail[i] = rng.standard_normal(dof * k)
+        if bartlett:
+            a = np.zeros((reps, k, k))
+            a[:, low[0], low[1]] = tail[:, :-k]
+            a[:, range(k), range(k)] = np.sqrt(tail[:, -k:])
+        else:
+            a = np.swapaxes(tail.reshape(reps, dof, k), 1, 2)
+        del tail  # the stacks scale with reps: hold as few at once as we can
+        h = normals @ self.factor.T
+        del normals
+        h += self.root
+        t = self.factor @ a
+        del a
+        top = np.swapaxes(h[:, :, :p], 1, 2) @ h
+        top += t[:, :p] @ np.swapaxes(t, 1, 2)
+        return top[:, :, :p], top[:, :, p:]
+
+
+def _gaussian_sampler(cfg: ModelConfig, b_truth: np.ndarray,
+                      design: np.ndarray) -> GaussianSampler | None:
+    """The plan's exact sampler, or None when the errors are not gaussian:
+    their X'X is not Wishart, and such plans use the row sampler."""
+    if cfg.error_family != "gaussian":
+        return None
+    p, q = cfg.p, cfg.q
+    s_psi = cfg.sigma_psi2
+    omega = np.block([
+        [(s_psi + cfg.sigma_delta2) * np.eye(p), s_psi * b_truth],
+        [s_psi * b_truth.T, s_psi * (b_truth.T @ b_truth) + cfg.sigma_eps2 * np.eye(q)]])
+    r = np.linalg.qr(design, mode="r")
+    return GaussianSampler(root=r @ np.hstack([np.eye(p), b_truth]),
+                           factor=psd_factor(omega), n=len(design))
+
+
 def _reduce_chunk(plan: SimulationPlan, design: np.ndarray, b_truth: np.ndarray,
-                  start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z of replications start, ..., stop - 1."""
+                  sampler: GaussianSampler | None, start: int,
+                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Z of replications start, ..., stop - 1: drawn directly by
+    `sampler` when there is one, else reduced from each generated dataset."""
+    if sampler is not None:
+        return sampler.draw(plan.master_seed, start, stop)
     p, q = plan.cfg.p, plan.cfg.q
     xtx = np.empty((stop - start, p, p))
     xtz = np.empty((stop - start, p, q))
@@ -121,16 +209,17 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     n = plan.sample_size
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed, n=n)
     design = plan.cfg.design(n)
+    sampler = _gaussian_sampler(plan.cfg, b_truth, design)
     if workers <= 1 or plan.reps < 4:
         chunks = [(0, plan.reps)]
     else:
         step = max(1, math.ceil(plan.reps / (4 * workers)))
         chunks = [(s, min(s + step, plan.reps)) for s in range(0, plan.reps, step)]
     if len(chunks) == 1:
-        parts = [_reduce_chunk(plan, design, b_truth, *chunks[0])]
+        parts = [_reduce_chunk(plan, design, b_truth, sampler, *chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_reduce_chunk, plan, design, b_truth, s, e)
+            futures = [pool.submit(_reduce_chunk, plan, design, b_truth, sampler, s, e)
                        for s, e in chunks]
             parts = [f.result() for f in futures]
     batch = estimate_batch(np.concatenate([xtx for xtx, _ in parts]),
@@ -197,19 +286,6 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     return LawComparison(labels=summary.labels, cov_rel_fro=cov_rel,
                          mean_max_se=mean_se, tol_cov=tol_cov,
                          tol_mean_se=tol_mean_se)
-
-
-def summary_from_law_draws(law: AsymptoticLaw, ndraws: int,
-                           rng: np.random.Generator) -> EmpiricalSummary:
-    """Sample the stacked limit law directly (bypassing the model); the
-    resulting summary must agree with the law itself."""
-    factor = psd_factor(sym(law.full_cov()))
-    z = rng.standard_normal((ndraws, factor.shape[1]))
-    draws = z @ factor.T + law.full_mean()
-    losses = {lbl: np.zeros(ndraws) for lbl in law.labels}
-    return EmpiricalSummary(labels=law.labels, p=law.p, q=law.q, n=0,
-                            rep_count=ndraws, errors=draws,
-                            per_rep_losses=losses)
 
 
 @dataclass(frozen=True)
@@ -302,7 +378,3 @@ def affine_limit_suite(m: int, seed: int, p: int = 2, q: int = 2,
                              pair_cross_rel=pair_rel, passed=passed,
                              tol_cov=tol_cov, tol_mean_se=tol_mean_se)
 
-
-def empirical_adr(summary: EmpiricalSummary, label: str) -> float:
-    """Mean per-replication loss n ||b - B||_W^2; diagnostic counterpart of ADR."""
-    return float(summary.per_rep_losses[label].mean())

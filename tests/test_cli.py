@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from eivreg import cli
+from eivreg import cli, csvio
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
+from eivreg.exceptions import ConfigError
 from eivreg.model import generate, make_restricted_b
 from eivreg.config import parse_config
 
@@ -91,6 +92,73 @@ def test_estimate_malformed_csv_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 4" in err
+
+
+def _random_cells(rows, cols, seed):
+    """Numbers spelled with 1 to 17 significant digits and exponents across
+    the double range, subnormals and the extremes included."""
+    g = np.random.default_rng(seed)
+    mant = g.standard_normal((rows, cols))
+    expo = g.integers(-300, 300, (rows, cols))
+    digits = g.integers(1, 18, (rows, cols))
+    cells = [[format(float(m) * 10.0 ** int(e), f".{int(d)}g")
+              for m, e, d in zip(mr, er, dr)]
+             for mr, er, dr in zip(mant, expo, digits)]
+    cells[0][0], cells[1][-1] = "5e-324", "-1.7976931348623157e308"
+    cells[2][0] = "0.1"
+    return cells
+
+
+@pytest.mark.parametrize("header, newline, blank_lines", [
+    (True, "\n", False), (False, "\n", False), (True, "\r\n", True),
+    (False, "\r\n", False), (True, "\n", True)])
+def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, header, newline,
+                                                  blank_lines):
+    cells = _random_cells(400, 3, seed=len(newline) + 2 * header)
+    lines = [",".join(row) for row in cells]
+    if blank_lines:
+        lines[5:5] = ["", ""]
+        lines.append("")
+    if header:
+        lines.insert(0, "col_1,col_2,col_3")
+    text = newline.join(lines) + newline
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    loop = csvio._parse_cells(path, text)
+    assert loop.shape == (400, 3)
+    np.testing.assert_array_equal(csvio._parse_grid(text), loop)
+    got = read_matrix_csv(path)
+    assert got.tobytes() == loop.tobytes() and got.dtype == loop.dtype
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('"1.5",2\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),          # quoted cells
+    ("a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),         # bare CR rows
+    ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),          # blank row
+    (" , \n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),         # blank first row
+    ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),           # Python float syntax
+])
+def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError):
+        csvio._parse_grid(text)
+    np.testing.assert_array_equal(read_matrix_csv(path), np.array(expected))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no data rows"),
+    ("col_1,col_2\n\n", "header but no data rows"),
+    ("col_1,col_2\n1,2\n3,4,5\n", "row 3 has 3 fields, expected 2"),
+    ("1,2\nabc,4\n", "row 2, column 1: could not parse 'abc'"),
+    ("col_1,col_2\n1,2\n3, inf\n", "row 3, column 2: non-finite value 'inf'"),
+])
+def test_read_matrix_csv_messages(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError) as err:
+        read_matrix_csv(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_estimate_shape_mismatch_exit_2(tmp_path, capsys):

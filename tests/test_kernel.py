@@ -1,5 +1,6 @@
 """The batched replication kernel against per-replication reference loops built
-from the public one-dataset functions."""
+from the public one-dataset functions, and the exact gaussian sampler of the
+sufficient statistics against the row sampler it replaces."""
 
 import math
 
@@ -12,6 +13,7 @@ from eivreg.exceptions import NearSingular, NotPD
 from eivreg.linalg import rvec, sym
 from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
                           generate, make_restricted_b)
+from eivreg import montecarlo
 from eivreg.montecarlo import SimulationPlan, run_plan
 
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
@@ -64,8 +66,18 @@ def _reference(plan):
     return np.array(errors), np.array(losses), tuple(excluded)
 
 
+def _row_sampler_only(monkeypatch):
+    """Draw gaussian plans through the row sampler too.  The reference loop
+    replays those draws, so they test the batched estimate and reduction
+    bit for bit; the exact sampler's draws are tested by their law below."""
+    monkeypatch.setattr(montecarlo, "_gaussian_sampler",
+                        lambda cfg, b_truth, design: None)
+
+
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
-def test_run_plan_matches_reference_loop(family):
+def test_run_plan_matches_reference_loop(family, monkeypatch):
+    if family == "gaussian":
+        _row_sampler_only(monkeypatch)
     plan = _plan(_cfg(error_family=family))
     errors, losses, excluded = _reference(plan)
     for workers in (1, 2):
@@ -77,7 +89,8 @@ def test_run_plan_matches_reference_loop(family):
                                        rtol=1e-12, atol=0)
 
 
-def test_excluded_replications_match_reference_loop():
+def test_excluded_replications_match_reference_loop(monkeypatch):
+    _row_sampler_only(monkeypatch)
     # sigma_delta2 close to ch_min(sigma): a few plug-in sigma_d lose
     # definiteness, fewer than the 1% cap
     cfg = _cfg(n=60, p=2, sigma_eps2=1.0, sigma_psi2=0.36,
@@ -157,3 +170,144 @@ def test_design_materialized_once_per_plan(monkeypatch):
     calls.clear()
     estimate_score_cov(plan.cfg, B_SEED, reps=40, seed=3)
     assert len(calls) <= 2
+
+
+def _omega(cfg, B):
+    """Row covariance of [x_i, z_i] from the latent structure
+    [x z] = [psi delta eps] L."""
+    p, q = cfg.p, cfg.q
+    lift = np.block([[np.eye(p), B], [np.eye(p), np.zeros((p, q))],
+                     [np.zeros((q, p)), np.eye(q)]])
+    var = np.repeat([cfg.sigma_psi2, cfg.sigma_delta2, cfg.sigma_eps2], [p, p, q])
+    return lift.T @ (var[:, None] * lift)
+
+
+def _sampler_and_exact_mean(plan):
+    """The plan's exact sampler, its B, and E[W'W] = mu'mu + n Omega built
+    from the design and the latent structure."""
+    cfg = plan.cfg
+    b_truth = make_restricted_b(cfg, plan.restr, plan.b_seed)
+    design = cfg.design()
+    mu = design @ np.hstack([np.eye(cfg.p), b_truth])
+    sampler = montecarlo._gaussian_sampler(cfg, b_truth, design)
+    return sampler, b_truth, mu.T @ mu + cfg.n * _omega(cfg, b_truth)
+
+
+def _pieces_mean(sampler):
+    """E[W'W] from the sampler's per-plan pieces: root'root + n F F'."""
+    return (sampler.root.T @ sampler.root
+            + sampler.n * (sampler.factor @ sampler.factor.T))
+
+
+def _stats(xtx, xtz):
+    """Upper triangle of X'X and all of X'Z, one row per replication."""
+    p = xtx.shape[1]
+    upper = np.triu_indices(p)
+    return np.hstack([xtx[:, upper[0], upper[1]], xtz.reshape(len(xtz), -1)])
+
+
+def _mean_gap_se(draws, ww, p):
+    """Largest gap of the draws' mean from the statistics of E[W'W] = ww, in
+    standard errors of the mean."""
+    target = _stats(ww[None, :p, :p], ww[None, :p, p:])[0]
+    se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    return float(np.max(np.abs(draws.mean(axis=0) - target) / se))
+
+
+def test_gaussian_sampler_mean_is_exact():
+    plan = _plan(_cfg())
+    sampler, _, exact = _sampler_and_exact_mean(plan)
+    assert sampler.root.shape == (3, 5)
+    np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
+                               atol=1e-12 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("n", [200, 4])
+def test_gaussian_sampler_follows_documented_draw_order(n):
+    # replays the seeding contract of the montecarlo docstring one
+    # replication at a time: Q'G, Bartlett off-diagonals, chi-squares
+    # (or, when n - p < p + q, the (n-p) x k normals Y)
+    plan = _plan(_cfg(n=n), reps=5)
+    sampler, _, _ = _sampler_and_exact_mean(plan)
+    p, k = sampler.root.shape
+    dof = n - p
+    xtx, xtz = sampler.draw(plan.master_seed, 0, plan.reps)
+    for r in range(plan.reps):
+        rng = np.random.default_rng([plan.master_seed, 0, r])
+        h = sampler.root + rng.standard_normal((p, k)) @ sampler.factor.T
+        if dof >= k:
+            a = np.zeros((k, k))
+            a[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
+            a[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
+        else:
+            a = rng.standard_normal((dof, k)).T
+        ww = h.T @ h + sampler.factor @ a @ a.T @ sampler.factor.T
+        np.testing.assert_allclose(xtx[r], ww[:p, :p], rtol=1e-12)
+        np.testing.assert_allclose(xtz[r], ww[:p, p:], rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_gaussian_sampler_matches_row_sampler(seed):
+    reps = 2000
+    plan = _plan(_cfg(), reps=reps, master_seed=seed)
+    sampler, b_truth, exact = _sampler_and_exact_mean(plan)
+    wishart = _stats(*sampler.draw(seed, 0, reps))
+    rows = _stats(*montecarlo._reduce_chunk(plan, plan.cfg.design(), b_truth,
+                                            None, 0, reps))
+    gap = np.abs(wishart.mean(axis=0) - rows.mean(axis=0)) / np.sqrt(
+        (wishart.var(axis=0, ddof=1) + rows.var(axis=0, ddof=1)) / reps)
+    assert gap.max() <= 4.0
+    ratio = wishart.std(axis=0, ddof=1) / rows.std(axis=0, ddof=1)
+    assert np.all((ratio > 0.9) & (ratio < 1.1))
+    assert _mean_gap_se(wishart, exact, 3) <= 4.0
+    assert _mean_gap_se(rows, exact, 3) <= 4.0
+
+
+def test_gaussian_sampler_is_chunk_and_worker_invariant():
+    plan = _plan(_cfg(), reps=37)
+    sampler, _, _ = _sampler_and_exact_mean(plan)
+    full = sampler.draw(plan.master_seed, 0, plan.reps)
+    part = sampler.draw(plan.master_seed, 17, 30)
+    for whole, piece in zip(full, part):
+        np.testing.assert_array_equal(whole[17:30], piece)
+    s1 = run_plan(plan, workers=1)
+    s2 = run_plan(plan, workers=2)
+    np.testing.assert_array_equal(s1.errors, s2.errors)
+    assert s1.excluded == s2.excluded
+    for lbl in plan.estimators:
+        np.testing.assert_array_equal(s1.per_rep_losses[lbl],
+                                      s2.per_rep_losses[lbl])
+
+
+@pytest.mark.parametrize("case", ["singular-omega", "n-p-below-p+q",
+                                  "n-p-equals-p+q"])
+def test_gaussian_sampler_edge_cases(case):
+    # at small n a wrong chi-square degree of freedom moves the mean by many SEs
+    if case == "singular-omega":
+        # no response noise and q > p: the z-block of Omega has rank <= p
+        cfg = _cfg(p=2, q=3, sigma_eps2=0.0)
+    elif case == "n-p-below-p+q":
+        # n - p = 2 < p + q = 5: no Bartlett form, Y'Y from (n-p) x k normals
+        cfg = _cfg(n=4, p=2, q=3, sigma_psi2=1.0, sigma_delta2=0.01,
+                   M=DesignRule(low=-0.5, high=0.5, seed=1848))
+    else:
+        # n - p = p + q: the last Bartlett chi-square has one degree of freedom
+        cfg = _cfg(n=7, p=2, q=3, sigma_psi2=1.0, sigma_delta2=0.01,
+                   M=DesignRule(low=-0.5, high=0.5, seed=1848))
+    restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8], [0.2]],
+                        theta=[[0.3]], theta0=[[0.9]])
+    b_seed = np.array([[1.6, 0.8, -0.3], [-0.5, 1.3, 0.6]])
+    plan = _plan(cfg, restr=restr, b_seed=b_seed, reps=4000,
+                 estimators=("UE", "B2"), weight=None, generic_weight=None)
+    sampler, b_truth, exact = _sampler_and_exact_mean(plan)
+    if case == "singular-omega":
+        assert np.linalg.matrix_rank(_omega(cfg, b_truth)) < cfg.p + cfg.q
+    elif case == "n-p-below-p+q":
+        assert cfg.n - cfg.p < cfg.p + cfg.q
+    np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
+                               atol=1e-12 * np.abs(exact).max())
+    draws = _stats(*sampler.draw(plan.master_seed, 0, plan.reps))
+    assert _mean_gap_se(draws, exact, cfg.p) <= 4.0
+    summary = run_plan(plan)
+    assert summary.rep_count > 0.99 * plan.reps
+    assert np.all(np.isfinite(summary.errors))

@@ -8,7 +8,7 @@ import pytest
 
 from eivreg.asymptotics import (PopulationModel, ScoreCov, joint_law,
                                 mean_shift, population)
-from eivreg.linalg import eig_extremes, kron, rvec, sym
+from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction
 from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
                          adr_restricted, adr_unrestricted, bias_form,
@@ -62,9 +62,10 @@ def test_adr_monte_carlo_definition():
     # ADR is the expected weighted squared norm of the limit variable
     g, pm, restr, sc, q0, w = _rand_setup(1)
     law = joint_law(pm, sc, restr, estimators=("UE",))
-    from eivreg.montecarlo import summary_from_law_draws
-    summary = summary_from_law_draws(law, 100_000, np.random.default_rng(2))
-    u = summary.errors
+    # draws of the limit law itself
+    factor = psd_factor(sym(law.full_cov()))
+    z = np.random.default_rng(2).standard_normal((100_000, factor.shape[1]))
+    u = z @ factor.T + law.full_mean()
     vals = np.einsum("ri,ij,rj->r", u, kron(w, np.eye(law.q)), u)
     mc = float(vals.mean())
     exact = adr_unrestricted(w, pm, sc, q=law.q)

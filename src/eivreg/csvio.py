@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,75 +40,90 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a numeric CSV matrix; a non-numeric first row is treated as a
-    header.  Malformed and non-finite cells report their row and column."""
+    header.  Malformed and non-finite cells report their row and column.
+
+    The text is read once for the checks of `_parse_grid`, which then lets
+    `np.loadtxt` stream the rows from the file itself."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             text = fh.read()
+        try:
+            return _parse_grid(path, text)
+        except ValueError:
+            pass
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        return _parse_grid(text)
-    except ValueError:
-        return _parse_cells(path, text)
+    return _parse_cells(path, text)
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """The whole body in one numpy call.  Raises ValueError for anything but
-    a plain grid of finite numbers under an optional header line; the cell
-    parser then names the problem.  Both convert each cell with correct
-    rounding, so they return the same array bit for bit."""
+_NONBLANK = re.compile(r"\S")
+
+
+def _parse_grid(path: Path, text: str) -> np.ndarray:
+    """The whole body in one numpy call, streamed from the file at `path`
+    whose contents are `text`.  Raises ValueError for anything but a plain
+    grid of finite numbers under an optional header line; the cell parser
+    then names the problem.  Both convert each cell with correct rounding,
+    so they return the same array bit for bit."""
     # quotes and bare carriage returns change how csv splits rows and cells
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or ("\r" in text
+                       and text.count("\r") != text.count("\r\n")):
         raise ValueError("quoted cells or bare carriage returns")
-    first, _, rest = text.partition("\n")
-    cells = first.split(",")
+    end = text.find("\n")
+    end = len(text) if end < 0 else end
+    cells = text[:end].split(",")
     if not all(c.strip() for c in cells):
         raise ValueError("blank cell in the first row")
     try:
         [float(c) for c in cells]
-        body = text
+        header = 0
     except ValueError:
-        body = rest
-    if not body.strip():
+        header = 1
+    if not _NONBLANK.search(text, end + 1 if header else 0):
         raise ValueError("no data rows")
-    out = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        out = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                         skiprows=header)
     if not np.isfinite(out).all():
         raise ValueError("non-finite cell")
     return out
 
 
 def _parse_cells(path: Path, text: str) -> np.ndarray:
-    """Cell-by-cell parse that reports the first bad row or cell."""
-    raw = list(csv.reader(io.StringIO(text, newline="")))
-    rows = [r for r in raw if r and any(c.strip() for c in r)]
+    """Cell-by-cell parse that reports the first bad row or cell.  Rows are
+    numbered by csv record, blank records included."""
+    records = csv.reader(io.StringIO(text, newline=""))
+    rows = [(k, r) for k, r in enumerate(records, start=1)
+            if r and any(c.strip() for c in r)]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     start = 0
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0][1]]
     except ValueError:
         start = 1
     if start == len(rows):
         raise ConfigError(f"{path}: header but no data rows")
-    width = len(rows[start])
+    width = len(rows[start][1])
     out = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start):
+    for i, (k, row) in enumerate(rows[start:]):
         if len(row) != width:
             raise ConfigError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
+                f"{path}: row {k} has {len(row)} fields, expected {width}")
         for j, cell in enumerate(row):
             try:
-                out[i - start, j] = float(cell)
+                out[i, j] = float(cell)
             except ValueError as exc:
                 raise ConfigError(
-                    f"{path}: row {i + 1}, column {j + 1}: "
+                    f"{path}: row {k}, column {j + 1}: "
                     f"could not parse {cell.strip()!r}") from exc
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
+        k, row = rows[start + i]
         raise ConfigError(
-            f"{path}: row {i + start + 1}, column {j + 1}: "
-            f"non-finite value {rows[i + start][j].strip()!r}")
+            f"{path}: row {k}, column {j + 1}: "
+            f"non-finite value {row[j].strip()!r}")
     return out
 
 

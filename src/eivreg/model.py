@@ -25,16 +25,25 @@ ERROR_FAMILIES = {
 _STUDENT_T_DF = 8  # gamma2 = 6/(df-4) = 1.5
 
 
-def standardized_draw(family: str, size, rng: np.random.Generator) -> np.ndarray:
-    """Mean-zero unit-variance draw from the named family."""
+def standardized_draw(family: str, size, rng: np.random.Generator,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Mean-zero unit-variance draw from the named family, written into `out`
+    (a float64 array of shape `size`) when given instead of a new array.
+    Either way the values are those of `rng.standard_normal(size)`,
+    `rng.exponential(1.0, size) - 1.0` or `rng.standard_t(8, size) *
+    sqrt(6 / 8)`, bit for bit."""
+    if family not in ERROR_FAMILIES:
+        raise ConfigError(f"unknown error family {family!r}")
+    out = np.empty(size) if out is None else out
     if family == "gaussian":
-        return rng.standard_normal(size)
-    if family == "shifted-exponential":
-        return rng.exponential(1.0, size) - 1.0
-    if family == "scaled-t":
-        return rng.standard_t(_STUDENT_T_DF, size) * math.sqrt(
-            (_STUDENT_T_DF - 2) / _STUDENT_T_DF)
-    raise ConfigError(f"unknown error family {family!r}")
+        rng.standard_normal(out=out)
+    elif family == "shifted-exponential":
+        rng.standard_exponential(out=out)
+        out -= 1.0
+    else:
+        out[...] = rng.standard_t(_STUDENT_T_DF, out.shape)
+        out *= math.sqrt((_STUDENT_T_DF - 2) / _STUDENT_T_DF)
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,3 +239,38 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     Z = D @ B + E
     X = D + Delta
     return Dataset(Z=Z, X=X, latent=Latent(D, E, Delta, Psi) if keep_latent else None)
+
+
+class RowSampler:
+    """X'X and X'Z of datasets drawn exactly as `generate` draws them, bit for
+    bit, for a caller that needs only the sufficient statistics of many.
+
+    The n-row arrays of E, Delta, Psi and Z are allocated once and every draw
+    overwrites them: D = M + Psi takes Psi's place and X = D + Delta takes
+    Delta's, so a draw allocates nothing of size n.
+    """
+
+    def __init__(self, cfg: ModelConfig, B: np.ndarray, design: np.ndarray):
+        n, p = design.shape
+        self.cfg, self.B, self.design = cfg, B, design
+        self._e = np.empty((n, cfg.q))
+        self._delta = np.empty((n, p))
+        self._psi = np.empty((n, p))
+        self._z = np.empty((n, cfg.q))
+
+    def draw(self, rng: np.random.Generator, xtx: np.ndarray,
+             xtz: np.ndarray) -> None:
+        """Write X'X into `xtx` and X'Z into `xtz` (contiguous p x p and
+        p x q) for one dataset drawn from `rng`."""
+        cfg = self.cfg
+        scaled = ((self._e, cfg.sigma_eps2), (self._delta, cfg.sigma_delta2),
+                  (self._psi, cfg.sigma_psi2))
+        for buf, var in scaled:  # E, then Delta, then Psi, as generate draws
+            standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
+            buf *= math.sqrt(var)
+        d = np.add(self.design, self._psi, out=self._psi)
+        z = np.matmul(d, self.B, out=self._z)
+        z += self._e
+        x = np.add(d, self._delta, out=self._delta)
+        np.matmul(x.T, x, out=xtx)
+        np.matmul(x.T, z, out=xtz)

@@ -14,8 +14,9 @@ A plan runs in three steps:
      rows and A A' a Bartlett draw of Wishart(n - p, I); it costs
      O((p + q)^3) whatever n is.
    - every other family: replication r draws E, then Delta, then Psi exactly
-     as `generate` does and keeps only X'X and X'Z; no n-row array outlives
-     its replication.
+     as `generate` does, in the same order, and keeps only X'X and X'Z.  The
+     row sampler (`model.RowSampler`) allocates one set of n-row arrays per
+     chunk and every replication of the chunk overwrites it.
    With several workers each pool task reduces a contiguous range of
    replications and returns those statistics.
 3. Batched estimate: `estimate_batch` solves every replication and every
@@ -38,7 +39,6 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,7 @@ from .estimators import ESTIMATOR_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
 from .linalg import (AffineTransform, MatrixNormal, psd_factor, rvec,
                      sample_matrix_normal, sym, transform_cov_block)
-from .model import ModelConfig, Restriction, generate, make_restricted_b
+from .model import ModelConfig, Restriction, RowSampler, make_restricted_b
 
 MAX_EXCLUDED_FRACTION = 0.01
 
@@ -186,17 +186,15 @@ def _reduce_chunk(plan: SimulationPlan, design: np.ndarray, b_truth: np.ndarray,
                   sampler: GaussianSampler | None, start: int,
                   stop: int) -> tuple[np.ndarray, np.ndarray]:
     """X'X and X'Z of replications start, ..., stop - 1: drawn directly by
-    `sampler` when there is one, else reduced from each generated dataset."""
+    `sampler` when there is one, else by the row sampler."""
     if sampler is not None:
         return sampler.draw(plan.master_seed, start, stop)
     p, q = plan.cfg.p, plan.cfg.q
     xtx = np.empty((stop - start, p, p))
     xtz = np.empty((stop - start, p, q))
+    rows = RowSampler(plan.cfg, b_truth, design)
     for i, r in enumerate(range(start, stop)):
-        rng = np.random.default_rng([plan.master_seed, 0, r])
-        ds = generate(plan.cfg, b_truth, rng, n=plan.sample_size, design=design)
-        xtx[i] = ds.X.T @ ds.X
-        xtz[i] = ds.X.T @ ds.Z
+        rows.draw(np.random.default_rng([plan.master_seed, 0, r]), xtx[i], xtz[i])
     return xtx, xtz
 
 
@@ -218,6 +216,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     if len(chunks) == 1:
         parts = [_reduce_chunk(plan, design, b_truth, sampler, *chunks[0])]
     else:
+        # imported here: only a pooled run pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_reduce_chunk, plan, design, b_truth, sampler, s, e)
                        for s, e in chunks]

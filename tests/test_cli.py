@@ -1,6 +1,11 @@
 """End-to-end CLI behaviour: exit codes, CSV formats, manifests, determinism."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +131,7 @@ def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, header, newline,
     path.write_bytes(text.encode("utf-8"))
     loop = csvio._parse_cells(path, text)
     assert loop.shape == (400, 3)
-    np.testing.assert_array_equal(csvio._parse_grid(text), loop)
+    np.testing.assert_array_equal(csvio._parse_grid(path, text), loop)
     got = read_matrix_csv(path)
     assert got.tobytes() == loop.tobytes() and got.dtype == loop.dtype
 
@@ -142,7 +147,7 @@ def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(ValueError):
-        csvio._parse_grid(text)
+        csvio._parse_grid(path, text)
     np.testing.assert_array_equal(read_matrix_csv(path), np.array(expected))
 
 
@@ -152,6 +157,8 @@ def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
     ("col_1,col_2\n1,2\n3,4,5\n", "row 3 has 3 fields, expected 2"),
     ("1,2\nabc,4\n", "row 2, column 1: could not parse 'abc'"),
     ("col_1,col_2\n1,2\n3, inf\n", "row 3, column 2: non-finite value 'inf'"),
+    ("1,2\n\nnan,4\n", "row 3, column 1: non-finite value 'nan'"),
+    ("col_1,col_2\n1,2\n\n3,4,5\n", "row 4 has 3 fields, expected 2"),
 ])
 def test_read_matrix_csv_messages(tmp_path, text, message):
     path = tmp_path / "m.csv"
@@ -159,6 +166,33 @@ def test_read_matrix_csv_messages(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
         read_matrix_csv(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_matrix_csv_memory_is_a_few_file_sizes(tmp_path):
+    # the rows stream from the file into numpy: no in-memory copy of the
+    # text per parsing stage
+    path = tmp_path / "big.csv"
+    write_matrix_csv(path, np.random.default_rng(7).standard_normal((20_000, 2)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        got = read_matrix_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (20_000, 2)
+    assert peak <= 4 * size, (peak, size)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run with more than one chunk needs concurrent.futures
+    code = ("import sys, eivreg.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_estimate_shape_mismatch_exit_2(tmp_path, capsys):

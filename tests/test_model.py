@@ -67,6 +67,24 @@ def test_scaled_t_unit_variance_and_symmetry():
     assert abs(np.mean(draws ** 3)) < 0.1
 
 
+PLAIN_DRAWS = {
+    "gaussian": lambda g, size: g.standard_normal(size),
+    "shifted-exponential": lambda g, size: g.exponential(1.0, size) - 1.0,
+    "scaled-t": lambda g, size: g.standard_t(8, size) * math.sqrt(6 / 8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLAIN_DRAWS))
+def test_standardized_draw_in_place_matches_plain_numpy(family):
+    size = (300, 3)
+    want = PLAIN_DRAWS[family](np.random.default_rng(9), size)
+    fresh = standardized_draw(family, size, np.random.default_rng(9))
+    buf = np.full(size, np.nan)
+    into = standardized_draw(family, size, np.random.default_rng(9), out=buf)
+    assert into is buf
+    assert fresh.tobytes() == want.tobytes() == buf.tobytes()
+
+
 def test_error_components_uncorrelated():
     cfg = _cfg(n=10_000)
     B = np.array([[1.0, 0.0], [0.0, 1.0]])

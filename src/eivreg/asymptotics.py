@@ -13,6 +13,10 @@ The score is a sum of independent row terms, so its covariance follows
 exactly from the design and the first four moments of the error family
 (`closed_form_score_cov`); `estimate_score_cov` estimates the same matrix by
 Monte Carlo averaging of flattened-score outer products and serves as its check.
+Since Z - X B = E - Delta B, the score needs only the sufficient statistics,
+X'(E - Delta B) = X'Z - X'X B, so its draws come from the samplers that drive
+the replication studies (`model.stats_sampler`): exact under gaussian errors
+whatever n is, row by row otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 from .config import RunConfig
 from .exceptions import DimMismatch, NotPD, ShapeMismatch
 from .linalg import eig_extremes, kron, rvec, sym
-from .model import ModelConfig, Restriction, generate, make_restricted_b
+from .model import (ModelConfig, Restriction, make_restricted_b, replication_rngs,
+                    stats_sampler)
 
 NAMED_WEIGHT_LIMITS = ("B2", "B3", "B4")
 
@@ -91,23 +96,12 @@ class ScoreCov:
         return self.cov.shape[0]
 
 
-def _score_moments(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
-                   n: int, design: np.ndarray | None,
-                   with_xtx: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw one dataset and reduce it to X'(E - Delta B), plus X'X when the
-    design term is wanted."""
-    ds = generate(cfg, B, rng, keep_latent=True, n=n, design=design)
-    lat = ds.latent
-    xtu = ds.X.T @ (lat.E - lat.Delta @ B)
-    return xtu, (ds.X.T @ ds.X if with_xtx else None)
-
-
-def _centered_score(cfg: ModelConfig, B: np.ndarray, n: int, xtu: np.ndarray,
-                    xtx: np.ndarray | None,
-                    pm: PopulationModel | None) -> np.ndarray:
-    """Score matrices h from one reduction or a stack (reps, p, q) of them."""
-    h = xtu / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
-    if xtx is not None:
+def _centered_score(cfg: ModelConfig, B: np.ndarray, n: int, xtx: np.ndarray,
+                    xtz: np.ndarray, pm: PopulationModel | None) -> np.ndarray:
+    """Score matrices h of a stack (reps, p, p) of X'X and (reps, p, q) of
+    X'Z, with the design term H kbar B added when `pm` is given."""
+    h = (xtz - xtx @ B) / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
+    if pm is not None:
         H = xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma
         h = h + H @ pm.kbar @ B
     return h
@@ -123,10 +117,12 @@ def score_sample(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     infeasible estimator built from population weights, not the plug-in one.
     """
     n = cfg.n if n is None else n
-    xtu, xtx = _score_moments(cfg, B, rng, n, None, include_design_term)
+    B = np.asarray(B, dtype=float)
+    xtx, xtz = stats_sampler(cfg, B, cfg.design(n)).draw([rng], 1)
     if include_design_term and pm is None:
         pm = population(cfg, n)
-    return rvec(_centered_score(cfg, B, n, xtu, xtx, pm))
+    return rvec(_centered_score(cfg, B, n, xtx, xtz,
+                                pm if include_design_term else None)[0])
 
 
 def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
@@ -134,28 +130,20 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
                        include_design_term: bool = False) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
-    Replication r uses the generator seeded by (seed, 1, r), so results do not
-    depend on evaluation order or worker count.  Each draw is reduced to p-by-q
-    (and, with the design term, p-by-p) moments at once; the scores are then
-    formed for all replications together, with the same arithmetic as
-    `score_sample`.
+    Replication r draws from stream tag 1 of the seeding contract in `model`,
+    so results do not depend on evaluation order.  The sampler reduces each
+    draw to X'X and X'Z; the scores are then formed for all replications
+    together, with the same arithmetic as `score_sample`.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n = cfg.n if n is None else n
     B = np.asarray(B, dtype=float)
     pm = population(cfg, n) if include_design_term else None
-    design = cfg.design(n)
+    xtx, xtz = stats_sampler(cfg, B, cfg.design(n)).draw(
+        replication_rngs(seed, 1, 0, reps), reps)
     p, q = cfg.p, cfg.q
-    xtu = np.empty((reps, p, q))
-    xtx = np.empty((reps, p, p)) if include_design_term else None
-    for r in range(reps):
-        rng = np.random.default_rng([seed, 1, r])
-        xtu[r], xtx_r = _score_moments(cfg, B, rng, n, design,
-                                       include_design_term)
-        if xtx is not None:
-            xtx[r] = xtx_r
-    draws = _centered_score(cfg, B, n, xtu, xtx, pm).reshape(reps, p * q)
+    draws = _centered_score(cfg, B, n, xtx, xtz, pm).reshape(reps, p * q)
     cov = sym(draws.T @ draws) / reps
     # entrywise Monte Carlo SE of the averaged outer products, one column of
     # products at a time; the products are symmetric, so only j >= i

@@ -84,7 +84,7 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
     return 0
 
 
-def cmd_law(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
+def cmd_law(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
     labels = tuple(l for l in run.simulation.estimators if l in LAW_LABELS)
     if not labels:
@@ -162,7 +162,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
     return 0
 
 
-def cmd_adr(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
+def cmd_adr(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
     w = run.weight_matrix()
     labels = [l for l in run.simulation.estimators if l in ("B2", "B3", "B4")]
@@ -186,7 +186,7 @@ def cmd_adr(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
     return 0
 
 
-def cmd_efficiency(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
+def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
     w = run.weight_matrix()
     q0 = named_weight_limit(pm, run.risk.q0)
@@ -220,9 +220,11 @@ def cmd_verify(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 def run_command(command: str, run: RunConfig, out_dir, workers: int = 1) -> int:
     """Programmatic dispatcher for the config-driven subcommands."""
     out_dir = _make_out_dir(out_dir)
-    dispatch = {"law": cmd_law, "simulate": cmd_simulate, "adr": cmd_adr,
-                "efficiency": cmd_efficiency, "verify": cmd_verify}
-    return dispatch[command](run, out_dir, workers=workers)
+    with_workers = {"simulate": cmd_simulate, "verify": cmd_verify}
+    if command in with_workers:
+        return with_workers[command](run, out_dir, workers=workers)
+    dispatch = {"law": cmd_law, "adr": cmd_adr, "efficiency": cmd_efficiency}
+    return dispatch[command](run, out_dir)
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:

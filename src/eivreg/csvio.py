@@ -40,7 +40,8 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a numeric CSV matrix; a non-numeric first row is treated as a
-    header.  Malformed and non-finite cells report their row and column.
+    header.  Malformed and non-finite cells report their row and column, a
+    byte that is not UTF-8 its row.
 
     The text is read once for the checks of `_parse_grid`, which then lets
     `np.loadtxt` stream the rows from the file itself."""
@@ -52,6 +53,11 @@ def read_matrix_csv(path) -> np.ndarray:
             return _parse_grid(path, text)
         except ValueError:
             pass
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once: exc.start is a file offset
+        row = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: row {row}: byte 0x{exc.object[exc.start]:02x} "
+                          "is not UTF-8") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return _parse_cells(path, text)

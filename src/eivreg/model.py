@@ -4,17 +4,38 @@ observed predictors X = D + Delta, with latent design D = M + Psi.
 Synthetic data generators honour the moment structure of the three error
 arrays (iid entries, mean zero, known variances, family-specific skewness and
 excess kurtosis) and keep the fixed design M frozen across replications.
+
+Replication studies and the score-covariance Monte Carlo check need only the
+sufficient statistics X'X and X'Z of each dataset, and `stats_sampler` alone
+decides how they are drawn: from their exact law under gaussian errors
+(`GaussianSampler`, (R [I, B] + Q'G)'(R [I, B] + Q'G) + F A A' F' with
+M = QR), at a cost that does not depend on n, and from datasets drawn as
+`generate` draws them otherwise (`RowSampler`).
+
+Seeding contract: replication r of stream `tag` draws from
+``numpy.random.default_rng([master_seed, tag, r])`` (`replication_rngs`).
+Replication studies use tag 0, score-covariance estimation tag 1 and the
+affine-limit suite tag 2.  Under gaussian errors, with k = p + q, the
+generator of each replication of tags 0 and 1 yields in order: p*k standard
+normals (the rows of Q'G before the factor F), k(k-1)/2 standard normals
+filling the strictly lower triangle of A row by row, and k chi-squares with
+n-p, n-p-1, ..., n-p-k+1 degrees of freedom whose square roots form A's
+diagonal.  When n - p < k the Bartlett form does not exist, and the last two
+draws are replaced by (n-p)*k standard normals Y, with A = Y'.  Results are
+therefore independent of evaluation order and of the worker count, and
+reruns are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError, DimMismatch, RankDeficient
-from .linalg import COND_LIMIT
+from .linalg import COND_LIMIT, psd_factor
 
 # family -> (skewness gamma1, excess kurtosis gamma2) of the standardized draw
 ERROR_FAMILIES = {
@@ -241,36 +262,112 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     return Dataset(Z=Z, X=X, latent=Latent(D, E, Delta, Psi) if keep_latent else None)
 
 
+def replication_rngs(seed: int, tag: int, start: int,
+                     stop: int) -> Iterator[np.random.Generator]:
+    """The generators of replications start, ..., stop - 1 of stream `tag`
+    under the seeding contract, each made when it is drawn from."""
+    return (np.random.default_rng([seed, tag, r]) for r in range(start, stop))
+
+
+@dataclass(frozen=True)
 class RowSampler:
     """X'X and X'Z of datasets drawn exactly as `generate` draws them, bit for
     bit, for a caller that needs only the sufficient statistics of many.
 
-    The n-row arrays of E, Delta, Psi and Z are allocated once and every draw
-    overwrites them: D = M + Psi takes Psi's place and X = D + Delta takes
-    Delta's, so a draw allocates nothing of size n.
+    Each `draw` allocates one set of n-row arrays for E, Delta, Psi and Z and
+    every dataset overwrites it: D = M + Psi takes Psi's place and
+    X = D + Delta takes Delta's, so a dataset allocates nothing of size n.
     """
 
-    def __init__(self, cfg: ModelConfig, B: np.ndarray, design: np.ndarray):
-        n, p = design.shape
-        self.cfg, self.B, self.design = cfg, B, design
-        self._e = np.empty((n, cfg.q))
-        self._delta = np.empty((n, p))
-        self._psi = np.empty((n, p))
-        self._z = np.empty((n, cfg.q))
+    cfg: ModelConfig
+    B: np.ndarray
+    design: np.ndarray
 
-    def draw(self, rng: np.random.Generator, xtx: np.ndarray,
-             xtz: np.ndarray) -> None:
-        """Write X'X into `xtx` and X'Z into `xtz` (contiguous p x p and
-        p x q) for one dataset drawn from `rng`."""
+    def draw(self, rngs: Iterable[np.random.Generator], reps: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """X'X and X'Z, stacked, of `reps` datasets, one from each of `rngs`."""
         cfg = self.cfg
-        scaled = ((self._e, cfg.sigma_eps2), (self._delta, cfg.sigma_delta2),
-                  (self._psi, cfg.sigma_psi2))
-        for buf, var in scaled:  # E, then Delta, then Psi, as generate draws
-            standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
-            buf *= math.sqrt(var)
-        d = np.add(self.design, self._psi, out=self._psi)
-        z = np.matmul(d, self.B, out=self._z)
-        z += self._e
-        x = np.add(d, self._delta, out=self._delta)
-        np.matmul(x.T, x, out=xtx)
-        np.matmul(x.T, z, out=xtz)
+        n, p = self.design.shape
+        e, delta, psi, z = (np.empty((n, k)) for k in (cfg.q, p, p, cfg.q))
+        xtx, xtz = np.empty((reps, p, p)), np.empty((reps, p, cfg.q))
+        scaled = ((e, cfg.sigma_eps2), (delta, cfg.sigma_delta2),
+                  (psi, cfg.sigma_psi2))
+        for i, rng in zip(range(reps), rngs, strict=True):
+            for buf, var in scaled:  # E, then Delta, then Psi, as generate draws
+                standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
+                buf *= math.sqrt(var)
+            d = np.add(self.design, psi, out=psi)
+            np.matmul(d, self.B, out=z)
+            z += e
+            x = np.add(d, delta, out=delta)
+            np.matmul(x.T, x, out=xtx[i])
+            np.matmul(x.T, z, out=xtz[i])
+        return xtx, xtz
+
+
+@dataclass(frozen=True)
+class GaussianSampler:
+    """Exact law of W'W for W = [X Z] under gaussian errors.
+
+    The rows of W are independent N(mu_i, Omega), with mean mu = M [I, B] and
+    Omega = [[(s_psi + s_delta) I, s_psi B], [s_psi B', s_psi B'B + s_eps I]].
+    With M = QR, W'W splits into the independent parts (R [I, B] + Q'G)'(...)
+    and a Wishart(n - p, Omega) matrix (Anderson 2003, An Introduction to
+    Multivariate Statistical Analysis, section 7.2).
+    """
+
+    root: np.ndarray      # R [I, B], p x (p + q)
+    factor: np.ndarray    # F with F F' = Omega
+    n: int
+
+    def draw(self, rngs: Iterable[np.random.Generator], reps: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """X'X and X'Z, stacked, of `reps` datasets, one from each of `rngs`
+        in the draw order of the seeding contract."""
+        p, k = self.root.shape
+        dof = self.n - p
+        bartlett = dof >= k
+        low = np.tril_indices(k, -1)
+        chi_df = dof - np.arange(k, dtype=float)
+        normals = np.empty((reps, p, k))
+        # Bartlett: off-diagonal normals, then chi-squares; else Y, (n-p) x k
+        tail = np.empty((reps, len(low[0]) + k if bartlett else dof * k))
+        for i, rng in zip(range(reps), rngs, strict=True):
+            normals[i] = rng.standard_normal((p, k))
+            if bartlett:
+                tail[i, :-k] = rng.standard_normal(len(low[0]))
+                tail[i, -k:] = rng.chisquare(chi_df)
+            else:
+                tail[i] = rng.standard_normal(dof * k)
+        if bartlett:
+            a = np.zeros((reps, k, k))
+            a[:, low[0], low[1]] = tail[:, :-k]
+            a[:, range(k), range(k)] = np.sqrt(tail[:, -k:])
+        else:
+            a = np.swapaxes(tail.reshape(reps, dof, k), 1, 2)
+        del tail  # the stacks scale with reps: hold as few at once as we can
+        h = normals @ self.factor.T
+        del normals
+        h += self.root
+        t = self.factor @ a
+        del a
+        top = np.swapaxes(h[:, :, :p], 1, 2) @ h
+        top += t[:, :p] @ np.swapaxes(t, 1, 2)
+        return top[:, :, :p], top[:, :, p:]
+
+
+def stats_sampler(cfg: ModelConfig, B: np.ndarray,
+                  design: np.ndarray) -> GaussianSampler | RowSampler:
+    """The sampler of X'X and X'Z for datasets of `cfg` with coefficients B
+    on the materialized n-row `design`: exact under gaussian errors, row by
+    row otherwise, where X'X is not Wishart."""
+    if cfg.error_family != "gaussian":
+        return RowSampler(cfg, B, design)
+    p, q = cfg.p, cfg.q
+    s_psi = cfg.sigma_psi2
+    omega = np.block([
+        [(s_psi + cfg.sigma_delta2) * np.eye(p), s_psi * B],
+        [s_psi * B.T, s_psi * (B.T @ B) + cfg.sigma_eps2 * np.eye(q)]])
+    r = np.linalg.qr(design, mode="r")
+    return GaussianSampler(root=r @ np.hstack([np.eye(p), B]),
+                           factor=psd_factor(omega), n=len(design))

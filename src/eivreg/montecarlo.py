@@ -1,39 +1,17 @@
 """Replication engine: generate datasets, estimate, accumulate scaled errors
 and losses, and compare empirical moments against the theoretical limit laws.
 
-A plan runs in three steps:
-
-1. Per plan: the fixed design M is materialized and rank-checked once, and the
-   true coefficient matrix is projected onto the drifting restriction.  Under
-   gaussian errors the plan also sets up the exact law of the sufficient
-   statistics (`GaussianSampler`): M = QR and a factor F of the row
-   covariance Omega of W = [X Z].
-2. Draw and reduce, depending on the error family:
-   - gaussian: replication r draws W'W directly,
-     (R [I, B] + Q'G)'(R [I, B] + Q'G) + F A A' F', with Q'G ~ N(0, Omega)
-     rows and A A' a Bartlett draw of Wishart(n - p, I); it costs
-     O((p + q)^3) whatever n is.
-   - every other family: replication r draws E, then Delta, then Psi exactly
-     as `generate` does, in the same order, and keeps only X'X and X'Z.  The
-     row sampler (`model.RowSampler`) allocates one set of n-row arrays per
-     chunk and every replication of the chunk overwrites it.
-   With several workers each pool task reduces a contiguous range of
-   replications and returns those statistics.
-3. Batched estimate: `estimate_batch` solves every replication and every
-   estimator at once, as stacked p-by-p problems, in the parent process.
-   Its NearSingular checks exclude replications; other failures raise.
-
-Seeding contract: replication r of a plan draws from
-``numpy.random.default_rng([master_seed, 0, r])`` (score-covariance estimation
-uses stream tag 1, the affine-limit suite tag 2).  Under gaussian errors, with
-k = p + q, that one generator yields in order: p*k standard normals (the rows
-of Q'G before the factor F), k(k-1)/2 standard normals filling the strictly
-lower triangle of A row by row, and k chi-squares with n-p, n-p-1, ...,
-n-p-k+1 degrees of freedom whose square roots form A's diagonal.  When
-n - p < k the Bartlett form does not exist, and the last two draws are
-replaced by (n-p)*k standard normals Y, with A = Y'.  Results are therefore
-independent of evaluation order and of the worker count, and reruns are
-bit-reproducible.
+A plan materializes and rank-checks the fixed design M once, projects the
+true coefficient matrix onto the drifting restriction, and draws the X'X and
+X'Z of replication r through `model.stats_sampler` from stream tag 0 of the
+seeding contract in `model`.  Row-sampler plans (the non-gaussian families)
+are split into ranges of replications, one pool task each, when several
+workers are asked for; exact-sampler plans run in-process at any worker
+count, since a replication costs tens of microseconds there, less than
+shipping it to a worker.  `estimate_batch` then solves every replication and
+estimator at once, as stacked p-by-p problems; its NearSingular checks
+exclude replications, other failures raise.  Results are independent of
+evaluation order and of the worker count, and reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,9 +24,10 @@ import numpy as np
 from .asymptotics import AsymptoticLaw
 from .estimators import ESTIMATOR_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
-from .linalg import (AffineTransform, MatrixNormal, psd_factor, rvec,
-                     sample_matrix_normal, sym, transform_cov_block)
-from .model import ModelConfig, Restriction, RowSampler, make_restricted_b
+from .linalg import (AffineTransform, MatrixNormal, rvec, sample_matrix_normal,
+                     sym, transform_cov_block)
+from .model import (GaussianSampler, ModelConfig, Restriction, RowSampler,
+                    make_restricted_b, replication_rngs, stats_sampler)
 
 MAX_EXCLUDED_FRACTION = 0.01
 
@@ -113,89 +92,11 @@ class EmpiricalSummary:
         return full[i * k:(i + 1) * k, j * k:(j + 1) * k]
 
 
-@dataclass(frozen=True)
-class GaussianSampler:
-    """Exact law of W'W for W = [X Z] under gaussian errors.
-
-    The rows of W are independent N(mu_i, Omega), with mean mu = M [I, B] and
-    Omega = [[(s_psi + s_delta) I, s_psi B], [s_psi B', s_psi B'B + s_eps I]].
-    With M = QR, W'W splits into the independent parts (R [I, B] + Q'G)'(...)
-    and a Wishart(n - p, Omega) matrix (Anderson 2003, An Introduction to
-    Multivariate Statistical Analysis, section 7.2).
-    """
-
-    root: np.ndarray      # R [I, B], p x (p + q)
-    factor: np.ndarray    # F with F F' = Omega
-    n: int
-
-    def draw(self, master_seed: int, start: int, stop: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """X'X and X'Z of replications start, ..., stop - 1, in the draw order
-        of the module's seeding contract."""
-        p, k = self.root.shape
-        dof = self.n - p
-        reps = stop - start
-        bartlett = dof >= k
-        low = np.tril_indices(k, -1)
-        chi_df = dof - np.arange(k, dtype=float)
-        normals = np.empty((reps, p, k))
-        # Bartlett: off-diagonal normals, then chi-squares; else Y, (n-p) x k
-        tail = np.empty((reps, len(low[0]) + k if bartlett else dof * k))
-        for i, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng([master_seed, 0, r])
-            normals[i] = rng.standard_normal((p, k))
-            if bartlett:
-                tail[i, :-k] = rng.standard_normal(len(low[0]))
-                tail[i, -k:] = rng.chisquare(chi_df)
-            else:
-                tail[i] = rng.standard_normal(dof * k)
-        if bartlett:
-            a = np.zeros((reps, k, k))
-            a[:, low[0], low[1]] = tail[:, :-k]
-            a[:, range(k), range(k)] = np.sqrt(tail[:, -k:])
-        else:
-            a = np.swapaxes(tail.reshape(reps, dof, k), 1, 2)
-        del tail  # the stacks scale with reps: hold as few at once as we can
-        h = normals @ self.factor.T
-        del normals
-        h += self.root
-        t = self.factor @ a
-        del a
-        top = np.swapaxes(h[:, :, :p], 1, 2) @ h
-        top += t[:, :p] @ np.swapaxes(t, 1, 2)
-        return top[:, :, :p], top[:, :, p:]
-
-
-def _gaussian_sampler(cfg: ModelConfig, b_truth: np.ndarray,
-                      design: np.ndarray) -> GaussianSampler | None:
-    """The plan's exact sampler, or None when the errors are not gaussian:
-    their X'X is not Wishart, and such plans use the row sampler."""
-    if cfg.error_family != "gaussian":
-        return None
-    p, q = cfg.p, cfg.q
-    s_psi = cfg.sigma_psi2
-    omega = np.block([
-        [(s_psi + cfg.sigma_delta2) * np.eye(p), s_psi * b_truth],
-        [s_psi * b_truth.T, s_psi * (b_truth.T @ b_truth) + cfg.sigma_eps2 * np.eye(q)]])
-    r = np.linalg.qr(design, mode="r")
-    return GaussianSampler(root=r @ np.hstack([np.eye(p), b_truth]),
-                           factor=psd_factor(omega), n=len(design))
-
-
-def _reduce_chunk(plan: SimulationPlan, design: np.ndarray, b_truth: np.ndarray,
-                  sampler: GaussianSampler | None, start: int,
-                  stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z of replications start, ..., stop - 1: drawn directly by
-    `sampler` when there is one, else by the row sampler."""
-    if sampler is not None:
-        return sampler.draw(plan.master_seed, start, stop)
-    p, q = plan.cfg.p, plan.cfg.q
-    xtx = np.empty((stop - start, p, p))
-    xtz = np.empty((stop - start, p, q))
-    rows = RowSampler(plan.cfg, b_truth, design)
-    for i, r in enumerate(range(start, stop)):
-        rows.draw(np.random.default_rng([plan.master_seed, 0, r]), xtx[i], xtz[i])
-    return xtx, xtz
+def _reduce_chunk(sampler: GaussianSampler | RowSampler, master_seed: int,
+                  start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Z of replications start, ..., stop - 1 of a plan."""
+    return sampler.draw(replication_rngs(master_seed, 0, start, stop),
+                        stop - start)
 
 
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
@@ -206,21 +107,17 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """
     n = plan.sample_size
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed, n=n)
-    design = plan.cfg.design(n)
-    sampler = _gaussian_sampler(plan.cfg, b_truth, design)
-    if workers <= 1 or plan.reps < 4:
-        chunks = [(0, plan.reps)]
+    sampler = stats_sampler(plan.cfg, b_truth, plan.cfg.design(n))
+    if workers <= 1 or plan.reps < 4 or isinstance(sampler, GaussianSampler):
+        parts = [_reduce_chunk(sampler, plan.master_seed, 0, plan.reps)]
     else:
         step = max(1, math.ceil(plan.reps / (4 * workers)))
-        chunks = [(s, min(s + step, plan.reps)) for s in range(0, plan.reps, step)]
-    if len(chunks) == 1:
-        parts = [_reduce_chunk(plan, design, b_truth, sampler, *chunks[0])]
-    else:
         # imported here: only a pooled run pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_reduce_chunk, plan, design, b_truth, sampler, s, e)
-                       for s, e in chunks]
+            futures = [pool.submit(_reduce_chunk, sampler, plan.master_seed, s,
+                                   min(s + step, plan.reps))
+                       for s in range(0, plan.reps, step)]
             parts = [f.result() for f in futures]
     batch = estimate_batch(np.concatenate([xtx for xtx, _ in parts]),
                            np.concatenate([xtz for _, xtz in parts]), n,

@@ -159,10 +159,14 @@ def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
     ("col_1,col_2\n1,2\n3, inf\n", "row 3, column 2: non-finite value 'inf'"),
     ("1,2\n\nnan,4\n", "row 3, column 1: non-finite value 'nan'"),
     ("col_1,col_2\n1,2\n\n3,4,5\n", "row 4 has 3 fields, expected 2"),
+    pytest.param(b"col_1,col_2\n1,2\n3,4\xe9\n",
+                 "row 3: byte 0xe9 is not UTF-8", id="not-utf8"),
+    pytest.param(b"1,2\n" * 3000 + b"3,\xe94\n",
+                 "row 3001: byte 0xe9 is not UTF-8", id="not-utf8-past-8k"),
 ])
 def test_read_matrix_csv_messages(tmp_path, text, message):
     path = tmp_path / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(ConfigError) as err:
         read_matrix_csv(path)
     assert str(err.value) == f"{path}: {message}"

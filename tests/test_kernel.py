@@ -1,7 +1,9 @@
 """The batched replication kernel against per-replication reference loops built
-from the public one-dataset functions, and the exact gaussian sampler of the
-sufficient statistics against the row sampler it replaces."""
+from the public one-dataset functions, the exact gaussian sampler of the
+sufficient statistics against the row sampler, the score drawn through both,
+and which plans use the process pool."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -12,8 +14,9 @@ from eivreg.estimators import build_kx, estimate_batch, lse, restricted
 from eivreg.exceptions import NearSingular, NotPD
 from eivreg.linalg import rvec, sym
 from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
-                          generate, make_restricted_b)
-from eivreg import montecarlo
+                          RowSampler, generate, make_restricted_b,
+                          replication_rngs)
+from eivreg import asymptotics, model, montecarlo
 from eivreg.montecarlo import SimulationPlan, run_plan
 
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
@@ -70,8 +73,7 @@ def _row_sampler_only(monkeypatch):
     """Draw gaussian plans through the row sampler too.  The reference loop
     replays those draws, so they test the batched estimate and reduction
     bit for bit; the exact sampler's draws are tested by their law below."""
-    monkeypatch.setattr(montecarlo, "_gaussian_sampler",
-                        lambda cfg, b_truth, design: None)
+    monkeypatch.setattr(montecarlo, "stats_sampler", RowSampler)
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -155,6 +157,60 @@ def test_score_cov_matches_score_sample_loop(design_term):
     assert sc.standard_error == pytest.approx(se, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+def test_score_from_sufficient_statistics_matches_latent_form(family):
+    # Z - X B = E - Delta B, so X'Z - X'X B is the score's X'(E - Delta B)
+    cfg = _cfg(n=2000, error_family=family)
+    ds = generate(cfg, B_SEED, np.random.default_rng(8), keep_latent=True)
+    xtu = ds.X.T @ (ds.latent.E - ds.latent.Delta @ B_SEED)
+    xtx, xtz = RowSampler(cfg, B_SEED, cfg.design()).draw(
+        [np.random.default_rng(8)], 1)
+    np.testing.assert_array_equal(xtx[0], ds.X.T @ ds.X)
+    np.testing.assert_array_equal(xtz[0], ds.X.T @ ds.Z)
+    gap = np.linalg.norm(xtz[0] - xtx[0] @ B_SEED - xtu) / np.linalg.norm(xtu)
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+def test_score_draws_come_from_the_samplers(family, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the score drew a whole dataset")
+
+    monkeypatch.setattr(model, "generate", forbidden)
+    monkeypatch.setattr(asymptotics, "generate", forbidden, raising=False)
+    cfg = _cfg(p=2, error_family=family)
+    for design_term in (False, True):
+        sc = estimate_score_cov(cfg, B_SEED[:2], reps=20, seed=5,
+                                include_design_term=design_term)
+        assert np.all(np.isfinite(sc.cov)) and sc.standard_error > 0
+        draw = score_sample(cfg, B_SEED[:2], np.random.default_rng(5),
+                            include_design_term=design_term)
+        assert draw.shape == (4,) and np.all(np.isfinite(draw))
+
+
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+def test_pool_only_for_row_sampler_plans(family, monkeypatch):
+    # an exact-sampler replication costs less than shipping it to a worker
+    opened = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    plan = _plan(_cfg(error_family=family), reps=37)
+    s1 = run_plan(plan, workers=1)
+    s2 = run_plan(plan, workers=2)
+    assert opened == ([] if family == "gaussian" else [2])
+    np.testing.assert_array_equal(s1.errors, s2.errors)
+    assert s1.excluded == s2.excluded
+    for lbl in plan.estimators:
+        np.testing.assert_array_equal(s1.per_rep_losses[lbl],
+                                      s2.per_rep_losses[lbl])
+
+
 def test_design_materialized_once_per_plan(monkeypatch):
     calls = []
     original = ModelConfig.design
@@ -189,8 +245,13 @@ def _sampler_and_exact_mean(plan):
     b_truth = make_restricted_b(cfg, plan.restr, plan.b_seed)
     design = cfg.design()
     mu = design @ np.hstack([np.eye(cfg.p), b_truth])
-    sampler = montecarlo._gaussian_sampler(cfg, b_truth, design)
+    sampler = model.stats_sampler(cfg, b_truth, design)
     return sampler, b_truth, mu.T @ mu + cfg.n * _omega(cfg, b_truth)
+
+
+def _draw(sampler, seed, start, stop):
+    """X'X and X'Z of replications start, ..., stop - 1 of stream tag 0."""
+    return sampler.draw(replication_rngs(seed, 0, start, stop), stop - start)
 
 
 def _pieces_mean(sampler):
@@ -224,14 +285,14 @@ def test_gaussian_sampler_mean_is_exact():
 
 @pytest.mark.parametrize("n", [200, 4])
 def test_gaussian_sampler_follows_documented_draw_order(n):
-    # replays the seeding contract of the montecarlo docstring one
+    # replays the seeding contract of the model docstring one
     # replication at a time: Q'G, Bartlett off-diagonals, chi-squares
     # (or, when n - p < p + q, the (n-p) x k normals Y)
     plan = _plan(_cfg(n=n), reps=5)
     sampler, _, _ = _sampler_and_exact_mean(plan)
     p, k = sampler.root.shape
     dof = n - p
-    xtx, xtz = sampler.draw(plan.master_seed, 0, plan.reps)
+    xtx, xtz = _draw(sampler, plan.master_seed, 0, plan.reps)
     for r in range(plan.reps):
         rng = np.random.default_rng([plan.master_seed, 0, r])
         h = sampler.root + rng.standard_normal((p, k)) @ sampler.factor.T
@@ -251,9 +312,9 @@ def test_gaussian_sampler_matches_row_sampler(seed):
     reps = 2000
     plan = _plan(_cfg(), reps=reps, master_seed=seed)
     sampler, b_truth, exact = _sampler_and_exact_mean(plan)
-    wishart = _stats(*sampler.draw(seed, 0, reps))
-    rows = _stats(*montecarlo._reduce_chunk(plan, plan.cfg.design(), b_truth,
-                                            None, 0, reps))
+    wishart = _stats(*_draw(sampler, seed, 0, reps))
+    rows = _stats(*_draw(RowSampler(plan.cfg, b_truth, plan.cfg.design()),
+                         seed, 0, reps))
     gap = np.abs(wishart.mean(axis=0) - rows.mean(axis=0)) / np.sqrt(
         (wishart.var(axis=0, ddof=1) + rows.var(axis=0, ddof=1)) / reps)
     assert gap.max() <= 4.0
@@ -266,8 +327,8 @@ def test_gaussian_sampler_matches_row_sampler(seed):
 def test_gaussian_sampler_is_chunk_and_worker_invariant():
     plan = _plan(_cfg(), reps=37)
     sampler, _, _ = _sampler_and_exact_mean(plan)
-    full = sampler.draw(plan.master_seed, 0, plan.reps)
-    part = sampler.draw(plan.master_seed, 17, 30)
+    full = _draw(sampler, plan.master_seed, 0, plan.reps)
+    part = _draw(sampler, plan.master_seed, 17, 30)
     for whole, piece in zip(full, part):
         np.testing.assert_array_equal(whole[17:30], piece)
     s1 = run_plan(plan, workers=1)
@@ -306,7 +367,7 @@ def test_gaussian_sampler_edge_cases(case):
         assert cfg.n - cfg.p < cfg.p + cfg.q
     np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
                                atol=1e-12 * np.abs(exact).max())
-    draws = _stats(*sampler.draw(plan.master_seed, 0, plan.reps))
+    draws = _stats(*_draw(sampler, plan.master_seed, 0, plan.reps))
     assert _mean_gap_se(draws, exact, cfg.p) <= 4.0
     summary = run_plan(plan)
     assert summary.rep_count > 0.99 * plan.reps

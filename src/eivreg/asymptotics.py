@@ -16,7 +16,8 @@ Monte Carlo averaging of flattened-score outer products and serves as its check.
 Since Z - X B = E - Delta B, the score needs only the sufficient statistics,
 X'(E - Delta B) = X'Z - X'X B, so its draws come from the samplers that drive
 the replication studies (`model.stats_sampler`): exact under gaussian errors
-whatever n is, row by row otherwise.
+whatever n is, row by row otherwise.  Every function here works at the
+model's own n; another sample size is ``cfg.at_n(n)``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .estimators import NAMED_WEIGHT_LIMITS
 from .exceptions import DimMismatch, NotPD, ShapeMismatch
 from .linalg import eig_extremes, kron, rvec, sym
 from .model import (ModelConfig, Restriction, make_restricted_b, replication_rngs,
                     stats_sampler)
 
-NAMED_WEIGHT_LIMITS = ("B2", "B3", "B4")
-
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """Limits of the design second-moment pieces.
+    """Limits of the design second-moment pieces, stored as sigma and sigma_delta2.
 
     sigma   : limit of X'X/n  (= M'M/n + sigma_psi^2 I + sigma_delta^2 I)
     sigma_d : sigma - sigma_delta^2 I (also equals sigma @ k), the symmetric
@@ -47,35 +47,40 @@ class PopulationModel:
     """
 
     sigma: np.ndarray
-    sigma_d: np.ndarray
-    k: np.ndarray
-    kbar: np.ndarray
-    n_design: int
+    sigma_delta2: float
 
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
 
+    @property
+    def sigma_d(self) -> np.ndarray:
+        return self.sigma - self.sigma_delta2 * np.eye(self.p)
 
-def _design_sigma(cfg: ModelConfig, m: np.ndarray, n: int) -> np.ndarray:
+    @property
+    def k(self) -> np.ndarray:
+        return np.linalg.solve(self.sigma, self.sigma_d)
+
+    @property
+    def kbar(self) -> np.ndarray:
+        return self.sigma_delta2 * np.linalg.inv(self.sigma)
+
+
+def _design_sigma(cfg: ModelConfig, m: np.ndarray) -> np.ndarray:
     """Limit of X'X/n at the n-row design m: M'M/n + (sigma_psi^2 + sigma_delta^2) I."""
-    return sym(m.T @ m) / n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
+    return sym(m.T @ m) / cfg.n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
 
 
-def population(cfg: ModelConfig, n: int | None = None) -> PopulationModel:
+def population(cfg: ModelConfig) -> PopulationModel:
     """Population quantities at the configured design (finite-n M'M/n)."""
-    n = cfg.n if n is None else n
-    sigma = _design_sigma(cfg, cfg.design(n), n)
+    sigma = _design_sigma(cfg, cfg.design())
     ch_min, ch_max = eig_extremes(sigma)
     # same relative floor as the plug-in attenuation estimate
     if ch_min - cfg.sigma_delta2 <= 1e-8 * ch_max:
         raise NotPD(
             f"sigma_delta2={cfg.sigma_delta2} reaches ch_min(sigma)={ch_min:.3e}; "
             "the corrected estimator's limit scale is not positive definite")
-    sigma_d = sigma - cfg.sigma_delta2 * np.eye(cfg.p)
-    k = np.linalg.solve(sigma, sigma_d)
-    kbar = cfg.sigma_delta2 * np.linalg.inv(sigma)
-    return PopulationModel(sigma=sigma, sigma_d=sigma_d, k=k, kbar=kbar, n_design=n)
+    return PopulationModel(sigma=sigma, sigma_delta2=cfg.sigma_delta2)
 
 
 @dataclass(frozen=True)
@@ -96,38 +101,23 @@ class ScoreCov:
         return self.cov.shape[0]
 
 
-def _centered_score(cfg: ModelConfig, B: np.ndarray, n: int, xtx: np.ndarray,
-                    xtz: np.ndarray, pm: PopulationModel | None) -> np.ndarray:
+def _centered_score(cfg: ModelConfig, B: np.ndarray, xtx: np.ndarray,
+                    xtz: np.ndarray) -> np.ndarray:
     """Score matrices h of a stack (reps, p, p) of X'X and (reps, p, q) of
-    X'Z, with the design term H kbar B added when `pm` is given."""
-    h = (xtz - xtx @ B) / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
-    if pm is not None:
-        H = xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma
-        h = h + H @ pm.kbar @ B
-    return h
+    X'Z at the model's n."""
+    return (xtz - xtx @ B) / math.sqrt(cfg.n) + math.sqrt(cfg.n) * cfg.sigma_delta2 * B
 
 
-def score_sample(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
-                 n: int | None = None, pm: PopulationModel | None = None,
-                 include_design_term: bool = False) -> np.ndarray:
-    """One flattened draw of the centered score at sample size n.
-
-    With `include_design_term` the design-fluctuation contribution
-    H kbar B, H = n^{-1/2}(X'X - n sigma), is added; that variant matches the
-    infeasible estimator built from population weights, not the plug-in one.
-    """
-    n = cfg.n if n is None else n
+def score_sample(cfg: ModelConfig, B: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One flattened draw of the centered score at the model's n."""
     B = np.asarray(B, dtype=float)
-    xtx, xtz = stats_sampler(cfg, B, cfg.design(n)).draw([rng], 1)
-    if include_design_term and pm is None:
-        pm = population(cfg, n)
-    return rvec(_centered_score(cfg, B, n, xtx, xtz,
-                                pm if include_design_term else None)[0])
+    xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw([rng], 1)
+    return rvec(_centered_score(cfg, B, xtx, xtz)[0])
 
 
-def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
-                       n: int | None = None,
-                       include_design_term: bool = False) -> ScoreCov:
+def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
+                       seed: int) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
     Replication r draws from stream tag 1 of the seeding contract in `model`,
@@ -137,19 +127,17 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int, seed: int,
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    n = cfg.n if n is None else n
     B = np.asarray(B, dtype=float)
-    pm = population(cfg, n) if include_design_term else None
-    xtx, xtz = stats_sampler(cfg, B, cfg.design(n)).draw(
+    xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw(
         replication_rngs(seed, 1, 0, reps), reps)
     p, q = cfg.p, cfg.q
-    draws = _centered_score(cfg, B, n, xtx, xtz, pm).reshape(reps, p * q)
+    draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
     cov = sym(draws.T @ draws) / reps
     # entrywise Monte Carlo SE of the averaged outer products, one column of
     # products at a time; the products are symmetric, so only j >= i
     var_max = np.max([np.var(draws[:, i, None] * draws[:, i:], axis=0,
                              ddof=1).max() for i in range(p * q)])
-    return ScoreCov(cov=cov, reps=reps, n_used=n,
+    return ScoreCov(cov=cov, reps=reps, n_used=cfg.n,
                     standard_error=float(np.sqrt(var_max / reps)))
 
 
@@ -167,16 +155,14 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> ScoreCov:
     with Sigma = M'M/n + (sigma_psi^2 + sigma_delta^2) I,
     Su = sigma_eps^2 I + sigma_delta^2 B'B, mbar the column means of M,
     sd = sigma_delta and (g1, g2) the family's skewness and excess kurtosis.
-    This is the quantity `estimate_score_cov` averages (without the design
-    term), not an approximation of it.  For another sample size pass
-    `cfg.at_n(n)`.
+    This is the quantity `estimate_score_cov` averages, not an approximation
+    of it.  Another sample size is ``closed_form_score_cov(cfg.at_n(n), B)``.
     """
-    n = cfg.n
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
-    m = cfg.design(n)
-    sigma = _design_sigma(cfg, m, n)
+    m = cfg.design()
+    sigma = _design_sigma(cfg, m)
     su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
     mbar = m.mean(axis=0)
     g1, g2 = cfg.moments
@@ -188,14 +174,13 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> ScoreCov:
            + g1 * sd2 ** 1.5 * (skew + skew.transpose(2, 3, 0, 1))
            + g2 * sd2 ** 2 * np.einsum("ac,abd->abcd", np.eye(cfg.p), bb))
     k = cfg.p * cfg.q
-    return ScoreCov(cov=sym(cov.reshape(k, k)), reps=0, n_used=n,
+    return ScoreCov(cov=sym(cov.reshape(k, k)), reps=0, n_used=cfg.n,
                     standard_error=0.0)
 
 
 def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
     """The run's model at its `score_cov.n` and the restricted truth B there."""
-    n = run.score_cov.n
-    cfg = run.model if n == run.model.n else run.model.at_n(n)
+    cfg = run.model.at_n(run.score_cov.n)
     return cfg, make_restricted_b(cfg, run.restriction, run.b_truth_seed())
 
 
@@ -308,15 +293,14 @@ class AsymptoticLaw:
 def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
               estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4"),
               theta0: np.ndarray | None = None,
-              q0: np.ndarray | None = None, q: int | None = None) -> AsymptoticLaw:
+              q0: np.ndarray | None = None) -> AsymptoticLaw:
     """Joint law of the requested estimators.
 
     `estimators` may contain "UE", the named restricted labels, and "generic"
     (which requires the explicit weight limit `q0`).  `theta0` overrides the
     restriction's local-alternative direction; zero means the exact restriction.
     """
-    if q is None:
-        q = score.dim // pm.p
+    q = score.dim // pm.p
     if pm.p * q != score.dim:
         raise ShapeMismatch("score covariance does not factor as p*q")
     if theta0 is not None:

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .exceptions import ConfigError
+from .estimators import NAMED_WEIGHT_LIMITS
+from .exceptions import ConfigError, DimMismatch, RankDeficient
+from .linalg import eig_extremes, is_symmetric
 from .model import DesignRule, ModelConfig, Restriction
 
 
@@ -127,8 +129,14 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"restriction section missing field {exc.args[0]!r}") from exc
+    except (DimMismatch, RankDeficient) as exc:
+        raise ConfigError(f"restriction: {exc}") from exc
     if rsec:
         raise ConfigError(f"unknown restriction fields: {sorted(rsec)}")
+    r1, r2 = restriction.R1.shape, restriction.R2.shape
+    if r1[1] != model.p or r2[0] != model.q:
+        raise ConfigError(f"fields 'R1' and 'R2' must be r1x{model.p} and {model.q}xr2 "
+                          f"for R1 B R2 at p={model.p}, q={model.q}, got {r1} and {r2}")
 
     ssec = dict(doc.get("simulation", {}))
     sim = SimSettings(
@@ -158,6 +166,11 @@ def parse_config(doc: dict) -> RunConfig:
     weight = ksec.pop("weight", "identity")
     if not isinstance(weight, str):
         weight = _matrix(weight, "weight")
+        p = model.p
+        if (weight.shape != (p, p) or not is_symmetric(weight)
+                or eig_extremes(weight)[0] <= 0):
+            raise ConfigError(f"field 'weight' must be a symmetric positive "
+                              f"definite {p}x{p} matrix")
     scale_max = ksec.pop("scale_max", None)
     risk = RiskSettings(
         weight=weight,
@@ -167,6 +180,9 @@ def parse_config(doc: dict) -> RunConfig:
     )
     if ksec:
         raise ConfigError(f"unknown risk fields: {sorted(ksec)}")
+    if risk.q0 not in NAMED_WEIGHT_LIMITS:
+        raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHT_LIMITS)}, "
+                          f"got {risk.q0!r}")
 
     return RunConfig(model=model, restriction=restriction, simulation=sim,
                      score_cov=score, risk=risk, digest=config_digest(doc))

@@ -40,21 +40,23 @@ def write_matrix_csv(path, arr: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a numeric CSV matrix; a non-numeric first row is treated as a
-    header.  Malformed and non-finite cells report their row and column, a
-    byte that is not UTF-8 its row.
+    header, and a leading UTF-8 byte-order mark is dropped.  Malformed and
+    non-finite cells report their row and column, a byte that is not UTF-8
+    its row.
 
     The text is read once for the checks of `_parse_grid`, which then lets
     `np.loadtxt` stream the rows from the file itself."""
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig: a byte-order mark glued to the first cell makes a header
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
         try:
             return _parse_grid(path, text)
         except ValueError:
             pass
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once: exc.start is a file offset
+        # read() decodes the whole file at once: exc.start indexes exc.object
         row = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}: row {row}: byte 0x{exc.object[exc.start]:02x} "
                           "is not UTF-8") from exc
@@ -88,7 +90,7 @@ def _parse_grid(path: Path, text: str) -> np.ndarray:
         header = 1
     if not _NONBLANK.search(text, end + 1 if header else 0):
         raise ValueError("no data rows")
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         out = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                          skiprows=header)
     if not np.isfinite(out).all():

@@ -21,6 +21,7 @@ from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
 ESTIMATOR_LABELS = ("LSE", "UE", "B2", "B3", "B4", "generic")
+NAMED_WEIGHT_LIMITS = ("B2", "B3", "B4")  # restricted estimators with a named weight
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,12 @@ def lse(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(xtx, X.T @ Z)
 
 
-def build_kx(X: np.ndarray, sigma_delta2: float, n: int | None = None) -> Attenuation:
-    """Plug-in attenuation estimate from the observed design."""
+def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
+    """Plug-in attenuation estimate from the observed n-row design."""
     X = np.asarray(X, dtype=float)
     if sigma_delta2 < 0:
         raise ValueError("sigma_delta2 must be nonnegative")
-    n = X.shape[0] if n is None else n
+    n = X.shape[0]
     sigma_x = sym(X.T @ X) / n
     sigma_d = sigma_x - sigma_delta2 * np.eye(X.shape[1])
     _, x_max = eig_extremes(sigma_x)

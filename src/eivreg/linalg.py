@@ -172,24 +172,9 @@ class AffineTransform:
         if self.rho.shape != (self.kappa.shape[0], self.iota.shape[1]):
             raise DimMismatch("rho does not conform to kappa @ Y @ iota")
 
-    @classmethod
-    def identity(cls, p: int, q: int) -> "AffineTransform":
-        return cls(np.eye(p), np.eye(q), np.zeros((p, p)), np.zeros((q, q)),
-                   np.zeros((p, q)))
-
     @property
     def in_shape(self) -> tuple[int, int]:
         return self.kappa.shape[1], self.iota.shape[0]
-
-    @property
-    def out_shape(self) -> tuple[int, int]:
-        return self.kappa.shape[0], self.iota.shape[1]
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != self.in_shape:
-            raise DimMismatch(f"expected input shape {self.in_shape}, got {y.shape}")
-        return self.kappa @ y @ self.iota + self.alpha @ y @ self.beta + self.rho
 
     def lift(self) -> np.ndarray:
         """Linear map taking rvec(Y) to rvec(kappa Y iota + alpha Y beta)."""

@@ -5,6 +5,9 @@ Synthetic data generators honour the moment structure of the three error
 arrays (iid entries, mean zero, known variances, family-specific skewness and
 excess kurtosis) and keep the fixed design M frozen across replications.
 
+Everything that depends on the sample size n reads it from the `ModelConfig`;
+the same model at another sample size is ``cfg.at_n(n)``.
+
 Replication studies and the score-covariance Monte Carlo check need only the
 sufficient statistics X'X and X'Z of each dataset, and `stats_sampler` alone
 decides how they are drawn: from their exact law under gaussian errors
@@ -126,22 +129,18 @@ class ModelConfig:
         """(gamma1, gamma2) of the configured family."""
         return ERROR_FAMILIES[self.error_family]
 
-    def design(self, n: int | None = None) -> np.ndarray:
-        """Materialize M with full column rank, optionally at another n."""
-        n = self.n if n is None else n
-        if isinstance(self.M, DesignRule):
-            m = self.M.rows(n, self.p)
-        else:
-            if n != self.n:
-                raise ConfigError("explicit M cannot be resized to a different n")
-            m = self.M
+    def design(self) -> np.ndarray:
+        """Materialize M, n x p with full column rank."""
+        m = (self.M.rows(self.n, self.p) if isinstance(self.M, DesignRule)
+             else self.M)
         if np.linalg.matrix_rank(m) < self.p:
             raise RankDeficient("design M does not have full column rank")
         return m
 
     def at_n(self, n: int) -> "ModelConfig":
-        """Same model at a different sample size (design rule only)."""
-        if not isinstance(self.M, DesignRule):
+        """The same model at sample size n, the one way to change it; an
+        explicit M is fixed at its own number of rows."""
+        if n != self.n and not isinstance(self.M, DesignRule):
             raise ConfigError("explicit M cannot be resized to a different n")
         return ModelConfig(n, self.p, self.q, self.sigma_eps2,
                            self.sigma_delta2, self.sigma_psi2,
@@ -217,13 +216,12 @@ class Dataset:
 
 
 def make_restricted_b(cfg: ModelConfig, restr: Restriction,
-                      seed_b: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Project seed_b onto {B : R1 B R2 = theta + theta0/sqrt(n)}.
+                      seed_b: np.ndarray) -> np.ndarray:
+    """Project seed_b onto {B : R1 B R2 = theta + theta0/sqrt(n)}, n = cfg.n.
 
     Minimum-norm correction: B = seed - R1'(R1 R1')^{-1} (R1 seed R2 - target)
     (R2'R2)^{-1} R2'.  The returned B satisfies the drifting restriction exactly.
     """
-    n = cfg.n if n is None else n
     seed_b = np.asarray(seed_b, dtype=float)
     if seed_b.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
@@ -231,28 +229,23 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
     r2tr2 = restr.R2.T @ restr.R2
     if np.linalg.cond(r1r1t) > COND_LIMIT or np.linalg.cond(r2tr2) > COND_LIMIT:
         raise RankDeficient("R1 R1' or R2'R2 is numerically singular")
-    gap = restr.R1 @ seed_b @ restr.R2 - restr.target(n)
+    gap = restr.R1 @ seed_b @ restr.R2 - restr.target(cfg.n)
     left = restr.R1.T @ np.linalg.solve(r1r1t, gap)
     return seed_b - left @ np.linalg.solve(r2tr2, restr.R2.T)
 
 
 def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
-             keep_latent: bool = False, n: int | None = None,
-             design: np.ndarray | None = None) -> Dataset:
-    """Draw one dataset: Z = (M + Psi) B + E and X = M + Psi + Delta.
+             keep_latent: bool = False) -> Dataset:
+    """Draw one dataset of n rows: Z = (M + Psi) B + E and X = M + Psi + Delta.
 
     E, Delta, Psi have iid entries from the configured family, scaled to the
     configured variances, mutually independent, drawn in that order.
-    `design` is ``cfg.design(n)`` materialized once by a caller that draws
-    many datasets; it is built here when omitted.
     """
-    n = cfg.n if n is None else n
+    n = cfg.n
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
-    m = cfg.design(n) if design is None else design
-    if m.shape != (n, cfg.p):
-        raise DimMismatch(f"design must be {n}x{cfg.p}, got {m.shape}")
+    m = cfg.design()
     E = math.sqrt(cfg.sigma_eps2) * standardized_draw(cfg.error_family, (n, cfg.q), rng)
     Delta = math.sqrt(cfg.sigma_delta2) * standardized_draw(cfg.error_family, (n, cfg.p), rng)
     Psi = math.sqrt(cfg.sigma_psi2) * standardized_draw(cfg.error_family, (n, cfg.p), rng)

@@ -42,7 +42,6 @@ class SimulationPlan:
     estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4")
     weight: np.ndarray | None = None      # loss weight, identity when None
     generic_weight: np.ndarray | None = None  # fixed weight for the "generic" label
-    n: int | None = None
 
     def __post_init__(self):
         if self.reps < 2:
@@ -56,10 +55,6 @@ class SimulationPlan:
             raise ValueError("the generic estimator needs generic_weight")
         object.__setattr__(self, "b_seed", np.asarray(self.b_seed, dtype=float))
 
-    @property
-    def sample_size(self) -> int:
-        return self.cfg.n if self.n is None else self.n
-
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
@@ -68,7 +63,6 @@ class EmpiricalSummary:
     labels: tuple[str, ...]
     p: int
     q: int
-    n: int
     rep_count: int
     errors: np.ndarray                   # (kept reps, len(labels)*p*q), rvec rows
     per_rep_losses: dict[str, np.ndarray]
@@ -86,11 +80,6 @@ class EmpiricalSummary:
     def cov_empirical(self) -> np.ndarray:
         return np.atleast_2d(np.cov(self.errors.T))
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        k = self.p * self.q
-        full = self.cov_empirical
-        return full[i * k:(i + 1) * k, j * k:(j + 1) * k]
-
 
 def _reduce_chunk(sampler: GaussianSampler | RowSampler, master_seed: int,
                   start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +94,9 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     Replications hitting NearSingular are excluded; more than 1% excluded is an
     error.
     """
-    n = plan.sample_size
-    b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed, n=n)
-    sampler = stats_sampler(plan.cfg, b_truth, plan.cfg.design(n))
+    n = plan.cfg.n
+    b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
+    sampler = stats_sampler(plan.cfg, b_truth, plan.cfg.design())
     if workers <= 1 or plan.reps < 4 or isinstance(sampler, GaussianSampler):
         parts = [_reduce_chunk(sampler, plan.master_seed, 0, plan.reps)]
     else:
@@ -134,7 +123,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
     per_label = {lbl: losses[:, i].copy() for i, lbl in enumerate(plan.estimators)}
     return EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
-                            n=n, rep_count=int(keep.sum()), errors=errors,
+                            rep_count=int(keep.sum()), errors=errors,
                             per_rep_losses=per_label, excluded=batch.excluded)
 
 
@@ -166,11 +155,12 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     if summary.labels != law.labels or (summary.p, summary.q) != (law.p, law.q):
         raise ShapeMismatch("summary and law describe different estimator stacks")
     k = summary.p * summary.q
+    cov = summary.cov_empirical
     cov_rel = {}
     for i in range(len(summary.labels)):
         for j in range(len(summary.labels)):
             ref = law.cov_blocks[(i, j)]
-            emp = summary.block(i, j)
+            emp = cov[i * k:(i + 1) * k, j * k:(j + 1) * k]
             denom = np.linalg.norm(ref)
             cov_rel[(i, j)] = float(np.linalg.norm(emp - ref) /
                                     (denom if denom > 0 else 1.0))

@@ -46,10 +46,9 @@ def _check_weight(w: np.ndarray, p: int) -> np.ndarray:
 
 
 def adr_unrestricted(weight: np.ndarray, pm: PopulationModel,
-                     score: ScoreCov, q: int | None = None) -> float:
+                     score: ScoreCov) -> float:
     """tr((W x I_q) S11) for the corrected estimator's limit covariance."""
-    if q is None:
-        q = score.dim // pm.p
+    q = score.dim // pm.p
     w = _check_weight(weight, pm.p)
     a1 = limit_map(pm, q)
     s11 = a1 @ score.cov @ a1.T
@@ -66,7 +65,7 @@ def adr_from_law(weight: np.ndarray, law: AsymptoticLaw, label: str) -> float:
 
 def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
                         score: ScoreCov, restr: Restriction,
-                        q0: np.ndarray, q: int | None = None) -> tuple[float, float, float]:
+                        q0: np.ndarray) -> tuple[float, float, float]:
     """The three traces whose signed sum is the restriction's variance gain.
 
     The Kronecker correction inside the restricted limit map is
@@ -74,8 +73,7 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
     tr(V A1 L K') + tr(V K L A1') - tr(V K L K') with V = W x I_q and
     L the score covariance.
     """
-    if q is None:
-        q = score.dim // pm.p
+    q = score.dim // pm.p
     w = _check_weight(weight, pm.p)
     v = kron(w, np.eye(q))
     a1 = limit_map(pm, q)
@@ -91,7 +89,7 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
 
 def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
                           score: ScoreCov, restr: Restriction,
-                          q0: np.ndarray, q: int | None = None) -> float:
+                          q0: np.ndarray) -> float:
     """Single-trace Kronecker-lifted arrangement of the first gain term.
 
     Evaluates rvec(score_cov)' kron(kron(J1' W, J), I) rvec(A1) with
@@ -99,8 +97,7 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     Tests use it to cross-check the lifted arrangement; the ADR functions do
     not call it, since it builds a (pq)^2-by-(pq)^2 matrix.
     """
-    if q is None:
-        q = score.dim // pm.p
+    q = score.dim // pm.p
     w = _check_weight(weight, pm.p)
     a1 = limit_map(pm, q)
     gain = constraint_gain(q0, restr.R1)
@@ -131,19 +128,16 @@ class RestrictedAdr:
 
 def adr_restricted(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
                    restr: Restriction, q0: np.ndarray,
-                   theta0: np.ndarray | None = None,
-                   q: int | None = None) -> RestrictedAdr:
+                   theta0: np.ndarray | None = None) -> RestrictedAdr:
     """Decomposition form of the restricted estimator's ADR."""
-    if q is None:
-        q = score.dim // pm.p
     if theta0 is None:
         theta0 = restr.theta0
     theta0 = np.asarray(theta0, dtype=float)
-    t1, t2, t3 = variance_gain_terms(weight, pm, score, restr, q0, q)
+    t1, t2, t3 = variance_gain_terms(weight, pm, score, restr, q0)
     gain = t1 + t2 - t3
     f1 = bias_form(weight, restr, q0)
     quad = float(rvec(theta0) @ f1 @ rvec(theta0))
-    base = adr_unrestricted(weight, pm, score, q)
+    base = adr_unrestricted(weight, pm, score)
     return RestrictedAdr(adr=base - gain + quad, adr_ue=base, variance_gain=gain,
                          bias_form=f1)
 
@@ -167,13 +161,12 @@ class ADRReport:
 
 def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
                      restr: Restriction, q0: np.ndarray,
-                     theta0: np.ndarray | None = None,
-                     q: int | None = None) -> ADRReport:
+                     theta0: np.ndarray | None = None) -> ADRReport:
     """Thresholds and verdict for the restricted-vs-unrestricted comparison."""
     if theta0 is None:
         theta0 = restr.theta0
     theta0 = np.asarray(theta0, dtype=float)
-    res = adr_restricted(weight, pm, score, restr, q0, theta0, q)
+    res = adr_restricted(weight, pm, score, restr, q0, theta0)
     ch_min, ch_max = eig_extremes(res.bias_form)
     if ch_min < -1e-10 * max(ch_max, 1.0):
         raise DegenerateF1(f"bias form has eigenvalue {ch_min:.3e} < 0")

@@ -53,12 +53,8 @@ def _rand_pd(k: int, g: np.random.Generator) -> np.ndarray:
 
 def _rand_population(p: int, g: np.random.Generator) -> PopulationModel:
     sigma = _rand_pd(p, g)
-    ch_min, _ = eig_extremes(sigma)
-    sd2 = float(g.uniform(0.1, 0.5)) * ch_min
-    sigma_d = sigma - sd2 * np.eye(p)
-    return PopulationModel(sigma=sigma, sigma_d=sigma_d,
-                           k=np.linalg.solve(sigma, sigma_d),
-                           kbar=sd2 * np.linalg.inv(sigma), n_design=0)
+    sd2 = float(g.uniform(0.1, 0.5)) * eig_extremes(sigma)[0]
+    return PopulationModel(sigma=sigma, sigma_delta2=sd2)
 
 
 def criterion_restriction_exactness(run: RunConfig, seed: int) -> CriterionResult:
@@ -83,9 +79,9 @@ def criterion_sqrt_n_rate(run: RunConfig, seed: int,
                           workers: int = 1) -> CriterionResult:
     medians = []
     for i, n in enumerate((500, 2000, 8000)):
-        plan = SimulationPlan(cfg=run.model, restr=run.restriction,
+        plan = SimulationPlan(cfg=run.model.at_n(n), restr=run.restriction,
                               b_seed=run.b_truth_seed(), reps=200,
-                              master_seed=seed + i, estimators=("UE",), n=n)
+                              master_seed=seed + i, estimators=("UE",))
         summary = run_plan(plan, workers=workers)
         norms = np.linalg.norm(summary.errors, axis=1) / math.sqrt(n)
         medians.append(float(np.median(norms)))
@@ -153,9 +149,9 @@ def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
         w = _rand_pd(p, g)
         theta0 = g.standard_normal(restr.theta.shape)
         restr = restr.with_theta0(theta0)
-        res = adr_restricted(w, pm, lam, restr, q0, theta0, q)
+        res = adr_restricted(w, pm, lam, restr, q0, theta0)
         decomposition = res.adr
-        law = joint_law(pm, lam, restr, estimators=("UE", "generic"), q0=q0, q=q)
+        law = joint_law(pm, lam, restr, estimators=("UE", "generic"), q0=q0)
         direct = adr_from_law(w, law, "generic")
         worst_adr = max(worst_adr,
                         abs(decomposition - direct) / (1.0 + abs(direct)))
@@ -182,7 +178,7 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
         direction = g.standard_normal(restr.theta.shape)
         direction /= np.linalg.norm(direction)
         base = dominance_report(w, pm, lam, restr, q0,
-                                theta0=np.zeros_like(restr.theta), q=q)
+                                theta0=np.zeros_like(restr.theta))
         lower, upper = base.lower_threshold, base.upper_threshold
         targets = []
         if lower > 0:
@@ -193,7 +189,7 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
                 targets.append(math.sqrt(math.sqrt(lower * upper)))
         for s in targets:
             rep = dominance_report(w, pm, lam, restr, q0,
-                                   theta0=s * direction, q=q)
+                                   theta0=s * direction)
             # strict-hypothesis margins: at the exact threshold (always hit
             # when the band degenerates to a point) the ordering claim is empty
             eps = 1e-9

@@ -16,7 +16,7 @@ from eivreg.config import parse_config
 from eivreg.exceptions import NotPD, ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, sym
 from eivreg.model import (DesignRule, ModelConfig, Restriction, generate,
-                          make_restricted_b)
+                          make_restricted_b, replication_rngs, stats_sampler)
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -91,8 +91,8 @@ def test_score_mean_is_centered():
 def test_score_cov_stable_in_n():
     cfg = _cfg()
     B = make_restricted_b(cfg, RESTR, np.array([[1.5, 0.7], [-0.4, 1.2]]))
-    a = estimate_score_cov(cfg, B, reps=2500, seed=5, n=2000)
-    b = estimate_score_cov(cfg, B, reps=2500, seed=6, n=8000)
+    a = estimate_score_cov(cfg.at_n(2000), B, reps=2500, seed=5)
+    b = estimate_score_cov(cfg.at_n(8000), B, reps=2500, seed=6)
     assert np.linalg.norm(a.cov - b.cov) / np.linalg.norm(b.cov) <= 0.10
 
 
@@ -189,8 +189,7 @@ def test_law_inputs_use_the_closed_form(monkeypatch):
 def test_limit_map_identity_scale():
     # sigma_d = I makes the unrestricted limit map the identity
     from eivreg.asymptotics import PopulationModel
-    pm = PopulationModel(sigma=2 * np.eye(2), sigma_d=np.eye(2),
-                         k=0.5 * np.eye(2), kbar=0.5 * np.eye(2), n_design=0)
+    pm = PopulationModel(sigma=2 * np.eye(2), sigma_delta2=1.0)
     np.testing.assert_allclose(limit_map(pm, 2), np.eye(4), atol=1e-14)
 
 
@@ -300,23 +299,29 @@ def test_joint_law_label_errors():
 
 
 def test_score_convention_matches_feasible_estimator():
-    """The default score covariance (no design-fluctuation term) describes the
-    plug-in corrected estimator; the variant with the term describes the
-    infeasible estimator built from population weights.  The two laws differ
-    by a factor >2 in this regime, so matching is diagnostic, not luck."""
+    """The package's score covariance describes the plug-in corrected
+    estimator; adding the design-fluctuation term H kbar B,
+    H = n^{-1/2}(X'X - n sigma), describes the infeasible estimator built from
+    population weights instead.  The two laws differ by a factor >2 in this
+    regime, so matching is diagnostic, not luck."""
     n, reps = 2000, 2500
     cfg = ModelConfig(n=n, p=1, q=1, sigma_eps2=0.25, sigma_delta2=0.8,
                       sigma_psi2=0.2, M=DesignRule(low=-1, high=1, seed=11))
     B = np.array([[3.0]])
     pm = population(cfg)
     sc_plain = estimate_score_cov(cfg, B, reps=reps, seed=21)
-    sc_design = estimate_score_cov(cfg, B, reps=reps, seed=22,
-                                   include_design_term=True)
-    assert sc_plain.cov[0, 0] > 2.0 * sc_design.cov[0, 0]
+    # the infeasible estimator's score, drawn as estimate_score_cov draws
+    xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw(
+        replication_rngs(22, 1, 0, reps), reps)
+    h = (xtz - xtx @ B) / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
+    h = h + (xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma) @ pm.kbar @ B
+    draws = h.reshape(reps, 1)
+    cov_design = sym(draws.T @ draws) / reps
+    assert sc_plain.cov[0, 0] > 2.0 * cov_design[0, 0]
 
     a1 = limit_map(pm, 1)
     var_plain = (a1 @ sc_plain.cov @ a1.T).item()
-    var_design = (a1 @ sc_design.cov @ a1.T).item()
+    var_design = (a1 @ cov_design @ a1.T).item()
 
     feas = np.empty(reps)
     infeas = np.empty(reps)

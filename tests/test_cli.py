@@ -163,6 +163,8 @@ def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
                  "row 3: byte 0xe9 is not UTF-8", id="not-utf8"),
     pytest.param(b"1,2\n" * 3000 + b"3,\xe94\n",
                  "row 3001: byte 0xe9 is not UTF-8", id="not-utf8-past-8k"),
+    pytest.param(b"\xef\xbb\xbf1,2\n\xe9,4\n",
+                 "row 2: byte 0xe9 is not UTF-8", id="bom-then-not-utf8"),
 ])
 def test_read_matrix_csv_messages(tmp_path, text, message):
     path = tmp_path / "m.csv"
@@ -170,6 +172,19 @@ def test_read_matrix_csv_messages(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
         read_matrix_csv(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("body", [b"1,2\n3,4\n", b"col_1,col_2\n1,2\n3,4\n"],
+                         ids=["headerless", "header"])
+def test_read_matrix_csv_drops_byte_order_mark(tmp_path, body):
+    # the mark must not glue itself to the first cell and make a header of
+    # the first data row; the one-call grid parse reads the file as well
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + body)
+    expected = [[1.0, 2.0], [3.0, 4.0]]
+    np.testing.assert_array_equal(read_matrix_csv(path), expected)
+    text = body.decode("utf-8")
+    np.testing.assert_array_equal(csvio._parse_grid(path, text), expected)
 
 
 def test_read_matrix_csv_memory_is_a_few_file_sizes(tmp_path):
@@ -292,6 +307,16 @@ def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     assert cov11.shape == (4, 4)
 
 
+# configs that the exit-code rows below name, each one field off the default
+BAD_CONFIGS = {
+    "theta_1x2": ("restriction", "theta", [[0.3, 0.1]]),
+    "r1_3cols": ("restriction", "R1", [[1.0, -0.5, 0.2]]),
+    "r1_rank": ("restriction", "R1", [[0.0, 0.0]]),
+    "q0_b9": ("risk", "q0", "B9"),
+    "weight_asym": ("risk", "weight", [[1.0, 0.5], [0.0, 1.0]]),
+}
+
+
 def _exit_code(argv):
     try:
         return cli.main(argv)
@@ -314,6 +339,19 @@ def _exit_code(argv):
                   "--out", "{tmp}/blocked"], 2, "cannot write {tmp}/blocked/b1.csv"),
     ("law", ["--out", "{tmp}/blocked"], 2,
      "cannot write {tmp}/blocked/score_cov.csv"),
+    ("law", ["--config", "{tmp}/theta_1x2.yaml"], 2,
+     "restriction: theta must be 1x1, got (1, 2)"),
+    ("law", ["--config", "{tmp}/r1_3cols.yaml"], 2,
+     "fields 'R1' and 'R2' must be r1x2 and 2xr2 for R1 B R2 at p=2, q=2, "
+     "got (1, 3) and (2, 1)"),
+    ("adr", ["--config", "{tmp}/r1_rank.yaml"], 2,
+     "restriction: R1 must have full row rank"),
+    ("efficiency", ["--config", "{tmp}/q0_b9.yaml"], 2,
+     "field 'q0' must be one of B2, B3, B4, got 'B9'"),
+    ("adr", ["--config", "{tmp}/weight_asym.yaml"], 2,
+     "field 'weight' must be a symmetric positive definite 2x2 matrix"),
+    ("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"], 2,
+     "field 'weight' must be a symmetric positive definite 2x2 matrix"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
@@ -327,6 +365,11 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
         cells = data.copy()
         cells[1, 1] = bad
         write_matrix_csv(tmp_path / name, cells)
+    for name, (section, key, value) in BAD_CONFIGS.items():
+        path = tmp_path / f"{name}.yaml"
+        doc = _write_config(path)
+        doc[section][key] = value
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),
             *(arg.format(tmp=tmp_path) for arg in extra)]
     assert _exit_code(argv) == code

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from eivreg.asymptotics import estimate_score_cov, population, score_sample
+from eivreg.asymptotics import estimate_score_cov, score_sample
 from eivreg.estimators import build_kx, estimate_batch, lse, restricted
 from eivreg.exceptions import NearSingular, NotPD
 from eivreg.linalg import rvec, sym
@@ -44,13 +44,12 @@ def _plan(cfg, **kw):
 
 def _reference(plan):
     """One dataset at a time: generate, then lse / build_kx / restricted."""
-    n = plan.sample_size
-    b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed, n=n)
+    n = plan.cfg.n
+    b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
     errors, losses, excluded = [], [], []
     for r in range(plan.reps):
-        ds = generate(plan.cfg, b_truth, np.random.default_rng([plan.master_seed, 0, r]),
-                      n=n)
+        ds = generate(plan.cfg, b_truth, np.random.default_rng([plan.master_seed, 0, r]))
         try:
             att = build_kx(ds.X, plan.cfg.sigma_delta2)
             b1 = np.linalg.solve(att.n * att.sigma_d, ds.X.T @ ds.Z)
@@ -140,17 +139,13 @@ def test_guards_run_before_stacked_solves():
                                   restricted(b1, att.n * att.sigma_d, RESTR))
 
 
-@pytest.mark.parametrize("design_term", [False, True])
-def test_score_cov_matches_score_sample_loop(design_term):
-    cfg = _cfg(p=2, error_family="shifted-exponential")
+def test_score_cov_matches_score_sample_loop():
+    cfg = _cfg(p=2, error_family="shifted-exponential").at_n(300)
     B = B_SEED[:2]
-    reps, seed, n = 60, 17, 300
-    pm = population(cfg, n) if design_term else None
-    draws = np.array([score_sample(cfg, B, np.random.default_rng([seed, 1, r]),
-                                   n=n, pm=pm, include_design_term=design_term)
+    reps, seed = 60, 17
+    draws = np.array([score_sample(cfg, B, np.random.default_rng([seed, 1, r]))
                       for r in range(reps)])
-    sc = estimate_score_cov(cfg, B, reps=reps, seed=seed, n=n,
-                            include_design_term=design_term)
+    sc = estimate_score_cov(cfg, B, reps=reps, seed=seed)
     np.testing.assert_array_equal(sc.cov, sym(draws.T @ draws) / reps)
     prods = draws[:, :, None] * draws[:, None, :]
     se = float(np.sqrt(np.var(prods, axis=0, ddof=1) / reps).max())
@@ -179,13 +174,10 @@ def test_score_draws_come_from_the_samplers(family, monkeypatch):
     monkeypatch.setattr(model, "generate", forbidden)
     monkeypatch.setattr(asymptotics, "generate", forbidden, raising=False)
     cfg = _cfg(p=2, error_family=family)
-    for design_term in (False, True):
-        sc = estimate_score_cov(cfg, B_SEED[:2], reps=20, seed=5,
-                                include_design_term=design_term)
-        assert np.all(np.isfinite(sc.cov)) and sc.standard_error > 0
-        draw = score_sample(cfg, B_SEED[:2], np.random.default_rng(5),
-                            include_design_term=design_term)
-        assert draw.shape == (4,) and np.all(np.isfinite(draw))
+    sc = estimate_score_cov(cfg, B_SEED[:2], reps=20, seed=5)
+    assert np.all(np.isfinite(sc.cov)) and sc.standard_error > 0
+    draw = score_sample(cfg, B_SEED[:2], np.random.default_rng(5))
+    assert draw.shape == (4,) and np.all(np.isfinite(draw))
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -215,9 +207,9 @@ def test_design_materialized_once_per_plan(monkeypatch):
     calls = []
     original = ModelConfig.design
 
-    def counting(self, n=None):
-        calls.append(n)
-        return original(self, n)
+    def counting(self):
+        calls.append(self.n)
+        return original(self)
 
     monkeypatch.setattr(ModelConfig, "design", counting)
     plan = _plan(_cfg(), reps=40)

@@ -178,8 +178,9 @@ def test_explicit_design_matrix():
     m = np.random.default_rng(8).standard_normal((50, 2))
     cfg = _cfg(n=50, M=m)
     np.testing.assert_array_equal(cfg.design(), m)
+    np.testing.assert_array_equal(cfg.at_n(50).design(), m)
     with pytest.raises(ConfigError):
-        cfg.design(100)
+        cfg.at_n(100)
     with pytest.raises(ConfigError):
         _cfg(n=50, M=np.zeros((40, 2)))
 

@@ -40,7 +40,7 @@ def _summary_from_law_draws(law, ndraws, rng):
     z = rng.standard_normal((ndraws, factor.shape[1]))
     draws = z @ factor.T + law.full_mean()
     losses = {lbl: np.zeros(ndraws) for lbl in law.labels}
-    return EmpiricalSummary(labels=law.labels, p=law.p, q=law.q, n=0,
+    return EmpiricalSummary(labels=law.labels, p=law.p, q=law.q,
                             rep_count=ndraws, errors=draws,
                             per_rep_losses=losses)
 
@@ -211,7 +211,7 @@ def test_restriction_holds_in_every_replication():
     # scaled errors of restricted estimators satisfy the constraint direction:
     # R1 (b - B) R2 = theta - target(n) = -theta0/sqrt(n) exactly
     k = 4
-    n = plan.sample_size
+    n = plan.cfg.n
     expected = -RESTR.theta0[0, 0]  # after sqrt(n) scaling
     for i, lbl in enumerate(plan.estimators):
         if lbl == "UE":
@@ -248,7 +248,8 @@ def test_identity_transform_recovers_cov():
     g = np.random.default_rng(12)
     f = g.standard_normal((4, 4))
     lam = sym(f @ f.T) + np.eye(4)
-    t = AffineTransform.identity(2, 2)
+    t = AffineTransform(kappa=np.eye(2), iota=np.eye(2), alpha=np.zeros((2, 2)),
+                        beta=np.zeros((2, 2)), rho=np.zeros((2, 2)))
     np.testing.assert_allclose(transform_cov_block(t, t, lam), lam, atol=1e-12)
     y = sample_matrix_normal(MatrixNormal(np.zeros((2, 2)), lam), g, size=50_000)
     emp = np.cov(y.reshape(-1, 4).T)

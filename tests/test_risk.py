@@ -22,12 +22,7 @@ def _pd(k, g, ridge=0.3):
 
 
 def _pm_from_sigma(sigma, sd2):
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    sigma_d = sigma - sd2 * np.eye(p)
-    return PopulationModel(sigma=sigma, sigma_d=sigma_d,
-                           k=np.linalg.solve(sigma, sigma_d),
-                           kbar=sd2 * np.linalg.inv(sigma), n_design=0)
+    return PopulationModel(sigma=np.asarray(sigma, dtype=float), sigma_delta2=sd2)
 
 
 def _rand_setup(seed, p=3, q=2, r1=2, r2=1):
@@ -68,7 +63,7 @@ def test_adr_monte_carlo_definition():
     u = z @ factor.T + law.full_mean()
     vals = np.einsum("ri,ij,rj->r", u, kron(w, np.eye(law.q)), u)
     mc = float(vals.mean())
-    exact = adr_unrestricted(w, pm, sc, q=law.q)
+    exact = adr_unrestricted(w, pm, sc)
     assert abs(mc - exact) / exact < 0.05
 
 

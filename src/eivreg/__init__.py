@@ -7,11 +7,10 @@ from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
                           law_inputs, limit_map, mean_shift,
                           named_weight_limit, population)
 from .config import RunConfig, load_config, parse_config
-from .estimators import (Attenuation, EstimateSet, build_kx, corrected_lse,
-                         corrected_objective, estimate_all, lse, restricted)
+from .estimators import (Attenuation, EstimateSet, build_kx, estimate_all,
+                         lse, restricted)
 from .linalg import (AffineTransform, MatrixNormal, eig_extremes, kron, rvec,
-                     sample_matrix_normal, transform_cov_block, unrvec, unvec,
-                     vec)
+                     sample_matrix_normal, transform_cov_block, unrvec, vec)
 from .model import (Dataset, DesignRule, ModelConfig, Restriction, generate,
                     make_restricted_b)
 from .montecarlo import (EmpiricalSummary, SimulationPlan, affine_limit_suite,
@@ -28,12 +27,11 @@ __all__ = [
     "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
     "RunConfig", "ScoreCov", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
-    "build_kx", "closed_form_score_cov", "compare_law", "corrected_lse",
-    "corrected_objective",
+    "build_kx", "closed_form_score_cov", "compare_law",
     "dominance_report", "efficiency_curve", "eig_extremes",
     "estimate_all", "estimate_score_cov", "generate", "joint_law", "kron",
     "law_inputs", "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
     "named_dominance_report", "named_weight_limit", "parse_config",
     "population", "restricted", "run_plan", "rvec", "sample_matrix_normal",
-    "transform_cov_block", "unrvec", "unvec", "vec",
+    "transform_cov_block", "unrvec", "vec",
 ]

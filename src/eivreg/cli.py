@@ -117,7 +117,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
                           b_seed=run.b_truth_seed(), reps=run.simulation.reps,
                           master_seed=run.simulation.master_seed + 7,
                           estimators=run.simulation.estimators,
-                          weight=run.weight_matrix())
+                          weight=run.risk.weight)
     summary = run_plan(plan, workers=workers)
     written = []
     for lbl, mat in summary.mean_errors.items():
@@ -164,7 +164,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 def cmd_adr(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
-    w = run.weight_matrix()
+    w = run.risk.weight
     labels = [l for l in run.simulation.estimators if l in ("B2", "B3", "B4")]
     if not labels:
         labels = [run.risk.q0]
@@ -188,7 +188,7 @@ def cmd_adr(run: RunConfig, out_dir: Path) -> int:
 
 def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
-    w = run.weight_matrix()
+    w = run.risk.weight
     q0 = named_weight_limit(pm, run.risk.q0)
     direction = drift_direction(run.restriction)
     npts = max(run.risk.grid, 2)
@@ -239,12 +239,14 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
     return run
 
 
-def worker_count(text: str) -> int:
-    """argparse type of --workers: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(k: int):
+    """argparse type of an integer option whose value must be at least `k`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="YAML configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override master seed")
+        p.add_argument("--seed", type=at_least(0), help="override master seed")
         p.add_argument("--reps", type=int, help="override replication count")
         p.add_argument("--n", type=int, help="override sample size")
-        p.add_argument("--workers", type=worker_count,
+        p.add_argument("--workers", type=at_least(1),
                        default=os.cpu_count() or 1,
                        help="worker processes (default: machine parallelism)")
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
-from .estimators import NAMED_WEIGHT_LIMITS
+from .estimators import ESTIMATOR_LABELS, NAMED_WEIGHT_LIMITS
 from .exceptions import ConfigError, DimMismatch, RankDeficient
 from .linalg import eig_extremes, is_symmetric
 from .model import DesignRule, ModelConfig, Restriction
@@ -25,6 +26,53 @@ def _matrix(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"field {name!r} contains non-finite entries")
     return arr
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _scalar(section: str, key: str, value, kind):
+    """`value` as `kind` (int, float or str).  A null, a boolean, a list, a
+    mapping, a value `kind` rejects, a non-finite number and a fractional
+    integer are a ConfigError naming the section and the field."""
+    try:
+        if value is None or isinstance(value, (bool, list, dict)):
+            raise TypeError
+        out = kind(value)
+        if (kind is float and not np.isfinite(out)
+                or kind is int and isinstance(value, float) and out != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field '{section}.{key}' must be {_KIND_NAMES[kind]}, "
+                          f"got {value!r}") from None
+    return out
+
+
+def _section(doc: dict, name: str, required: bool = False) -> dict:
+    if required and name not in doc:
+        raise ConfigError(f"missing required section {name!r}")
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"section {name!r} must be a mapping, got {sec!r}")
+    return dict(sec)
+
+
+def _settings(cls, sec: dict, section: str, **resolved):
+    """The dataclass `cls` built from a section: the fields in `resolved` as
+    given, every other one converted by `_scalar` to its annotated type, or
+    left at its default when the section omits it."""
+    kinds = get_type_hints(cls)
+    values = dict(resolved)
+    for f in fields(cls):
+        if f.name in values:
+            continue
+        if f.name in sec:
+            values[f.name] = _scalar(section, f.name, sec.pop(f.name), kinds[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"{section} section missing field {f.name!r}")
+    if sec:
+        raise ConfigError(f"unknown {section} fields: {sorted(sec)}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -43,7 +91,7 @@ class ScoreCovSettings:
 
 @dataclass(frozen=True)
 class RiskSettings:
-    weight: np.ndarray | str = "identity"
+    weight: np.ndarray  # the p x p loss weight W; "identity" in a file
     q0: str = "B2"
     grid: int = 21
     scale_max: float | None = None
@@ -53,10 +101,10 @@ class RiskSettings:
 class RunConfig:
     model: ModelConfig
     restriction: Restriction
-    simulation: SimSettings = field(default_factory=SimSettings)
-    score_cov: ScoreCovSettings = field(default_factory=ScoreCovSettings)
-    risk: RiskSettings = field(default_factory=RiskSettings)
-    digest: str = ""
+    simulation: SimSettings
+    score_cov: ScoreCovSettings
+    risk: RiskSettings
+    digest: str
 
     def b_truth_seed(self) -> np.ndarray:
         if self.simulation.B_seed is not None:
@@ -64,13 +112,6 @@ class RunConfig:
         p, q = self.model.p, self.model.q
         g = np.random.default_rng(self.simulation.master_seed)
         return g.uniform(-1.0, 1.0, size=(p, q))
-
-    def weight_matrix(self) -> np.ndarray:
-        if isinstance(self.risk.weight, str):
-            if self.risk.weight != "identity":
-                raise ConfigError(f"unknown weight spec {self.risk.weight!r}")
-            return np.eye(self.model.p)
-        return self.risk.weight
 
 
 def config_digest(doc: dict) -> str:
@@ -86,39 +127,22 @@ def _jsonable(obj):
 
 
 def parse_config(doc: dict) -> RunConfig:
+    """The one place where a configuration document is converted, checked and
+    resolved: every field of the result is in the form its users read."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a mapping")
-    try:
-        msec = dict(doc["model"])
-        rsec = dict(doc["restriction"])
-    except KeyError as exc:
-        raise ConfigError(f"missing required section {exc.args[0]!r}") from exc
+    msec = _section(doc, "model", required=True)
+    rsec = _section(doc, "restriction", required=True)
 
     m_spec = msec.pop("M", None)
     if m_spec is None:
         design: np.ndarray | DesignRule = DesignRule()
     elif isinstance(m_spec, dict):
-        try:
-            design = DesignRule(**m_spec)
-        except TypeError as exc:
-            raise ConfigError(f"bad design rule in 'M': {exc}") from exc
+        design = _settings(DesignRule, dict(m_spec), "M")
     else:
         design = _matrix(m_spec, "M")
-    try:
-        model = ModelConfig(
-            n=int(msec.pop("n")),
-            p=int(msec.pop("p")),
-            q=int(msec.pop("q")),
-            sigma_eps2=float(msec.pop("sigma_eps2")),
-            sigma_delta2=float(msec.pop("sigma_delta2")),
-            sigma_psi2=float(msec.pop("sigma_psi2")),
-            error_family=str(msec.pop("error_family", "gaussian")),
-            M=design,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model section missing field {exc.args[0]!r}") from exc
-    if msec:
-        raise ConfigError(f"unknown model fields: {sorted(msec)}")
+    model = _settings(ModelConfig, msec, "model", M=design)
+    p, q = model.p, model.q
 
     try:
         restriction = Restriction(
@@ -134,52 +158,47 @@ def parse_config(doc: dict) -> RunConfig:
     if rsec:
         raise ConfigError(f"unknown restriction fields: {sorted(rsec)}")
     r1, r2 = restriction.R1.shape, restriction.R2.shape
-    if r1[1] != model.p or r2[0] != model.q:
-        raise ConfigError(f"fields 'R1' and 'R2' must be r1x{model.p} and {model.q}xr2 "
-                          f"for R1 B R2 at p={model.p}, q={model.q}, got {r1} and {r2}")
+    if r1[1] != p or r2[0] != q:
+        raise ConfigError(f"fields 'R1' and 'R2' must be r1x{p} and {q}xr2 "
+                          f"for R1 B R2 at p={p}, q={q}, got {r1} and {r2}")
 
-    ssec = dict(doc.get("simulation", {}))
-    sim = SimSettings(
-        master_seed=int(ssec.pop("master_seed", SimSettings.master_seed)),
-        reps=int(ssec.pop("reps", SimSettings.reps)),
-        B_seed=_matrix(ssec.pop("B_seed"), "B_seed") if "B_seed" in ssec else None,
-        estimators=tuple(ssec.pop("estimators", SimSettings.estimators)),
-    )
-    if ssec:
-        raise ConfigError(f"unknown simulation fields: {sorted(ssec)}")
+    ssec = _section(doc, "simulation")
+    b_seed = _matrix(ssec.pop("B_seed"), "B_seed") if "B_seed" in ssec else None
+    if b_seed is not None and b_seed.shape != (p, q):
+        raise ConfigError(f"field 'B_seed' must be {p}x{q} at p={p}, q={q}, "
+                          f"got {b_seed.shape}")
+    estimators = ssec.pop("estimators", list(SimSettings.estimators))
+    if not isinstance(estimators, list):
+        raise ConfigError(f"field 'simulation.estimators' must be a list of "
+                          f"labels, got {estimators!r}")
+    sim = _settings(SimSettings, ssec, "simulation", B_seed=b_seed,
+                    estimators=tuple(estimators))
     if sim.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
-    allowed = {"LSE", "UE", "B2", "B3", "B4"}
+    allowed = [lbl for lbl in ESTIMATOR_LABELS if lbl != "generic"]
     bad = [lbl for lbl in sim.estimators if lbl not in allowed]
     if bad:
         raise ConfigError(f"unknown estimator labels in config: {bad}")
 
-    csec = dict(doc.get("score_cov", {}))
-    score = ScoreCovSettings(
-        n=int(csec.pop("n", ScoreCovSettings.n)),
-        reps=int(csec.pop("reps", ScoreCovSettings.reps)),
-    )
-    if csec:
-        raise ConfigError(f"unknown score_cov fields: {sorted(csec)}")
+    score = _settings(ScoreCovSettings, _section(doc, "score_cov"), "score_cov")
 
-    ksec = dict(doc.get("risk", {}))
+    ksec = _section(doc, "risk")
     weight = ksec.pop("weight", "identity")
-    if not isinstance(weight, str):
+    if isinstance(weight, str):
+        if weight != "identity":
+            raise ConfigError(f"field 'weight' must be 'identity' or a matrix, "
+                              f"got {weight!r}")
+        weight = np.eye(p)
+    else:
         weight = _matrix(weight, "weight")
-        p = model.p
         if (weight.shape != (p, p) or not is_symmetric(weight)
                 or eig_extremes(weight)[0] <= 0):
             raise ConfigError(f"field 'weight' must be a symmetric positive "
                               f"definite {p}x{p} matrix")
     scale_max = ksec.pop("scale_max", None)
-    risk = RiskSettings(
-        weight=weight,
-        q0=str(ksec.pop("q0", RiskSettings.q0)),
-        grid=int(ksec.pop("grid", RiskSettings.grid)),
-        scale_max=float(scale_max) if scale_max is not None else None,
-    )
-    if ksec:
-        raise ConfigError(f"unknown risk fields: {sorted(ksec)}")
+    if scale_max is not None:
+        scale_max = _scalar("risk", "scale_max", scale_max, float)
+    risk = _settings(RiskSettings, ksec, "risk", weight=weight, scale_max=scale_max)
     if risk.q0 not in NAMED_WEIGHT_LIMITS:
         raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHT_LIMITS)}, "
                           f"got {risk.q0!r}")
@@ -198,40 +217,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     return parse_config(doc)
 
-
-def dump_config(run: RunConfig, path) -> None:
-    doc = {
-        "model": {
-            "n": run.model.n, "p": run.model.p, "q": run.model.q,
-            "sigma_eps2": run.model.sigma_eps2,
-            "sigma_delta2": run.model.sigma_delta2,
-            "sigma_psi2": run.model.sigma_psi2,
-            "error_family": run.model.error_family,
-            "M": (run.model.M.to_dict() if isinstance(run.model.M, DesignRule)
-                  else run.model.M.tolist()),
-        },
-        "restriction": {
-            "R1": run.restriction.R1.tolist(),
-            "R2": run.restriction.R2.tolist(),
-            "theta": run.restriction.theta.tolist(),
-            "theta0": run.restriction.theta0.tolist(),
-        },
-        "simulation": {
-            "master_seed": run.simulation.master_seed,
-            "reps": run.simulation.reps,
-            **({"B_seed": run.simulation.B_seed.tolist()}
-               if run.simulation.B_seed is not None else {}),
-            "estimators": list(run.simulation.estimators),
-        },
-        "score_cov": {"n": run.score_cov.n, "reps": run.score_cov.reps},
-        "risk": {
-            "weight": (run.risk.weight if isinstance(run.risk.weight, str)
-                       else run.risk.weight.tolist()),
-            "q0": run.risk.q0,
-            "grid": run.risk.grid,
-            **({"scale_max": run.risk.scale_max}
-               if run.risk.scale_max is not None else {}),
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)

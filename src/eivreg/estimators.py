@@ -65,12 +65,6 @@ def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
     return Attenuation(sigma_x=sigma_x, sigma_d=sigma_d, kx=kx, n=n)
 
 
-def corrected_lse(X: np.ndarray, Z: np.ndarray, sigma_delta2: float) -> np.ndarray:
-    """Attenuation-corrected estimator kx^{-1} (X'X)^{-1} X'Z = (X'X - n s2 I)^{-1} X'Z."""
-    att = build_kx(X, sigma_delta2)
-    return np.linalg.solve(att.n * att.sigma_d, np.asarray(X, dtype=float).T @ Z)
-
-
 def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.ndarray:
     """Weighted projection of b1 onto {B : R1 B R2 = theta}.
 
@@ -324,32 +318,3 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     return EstimateSet(b_lse=b_lse, b1=est["UE"], b2=est["B2"], b3=est["B3"],
                        b4=est["B4"], b_tilde=est.get("generic"))
 
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Two evaluations of the corrected least-squares objective.
-
-    `direct` is tr((Z-XB)'(Z-XB)) - tr(B'(X'X)(I-kx)B); `quadratic` is
-    tr(Z'Z) + tr((b1-B)'(X'X kx)(b1-B)).  They differ by the B-independent
-    `anchor` tr(b1'(X'X kx) b1): quadratic - direct == anchor.
-    """
-
-    direct: float
-    quadratic: float
-    anchor: float
-
-
-def corrected_objective(B: np.ndarray, X: np.ndarray, Z: np.ndarray,
-                        att: Attenuation, b1: np.ndarray) -> ObjectiveValue:
-    B = np.asarray(B, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    resid = Z - X @ B
-    n = att.n
-    penalty = n * (att.sigma_x @ (np.eye(X.shape[1]) - att.kx))
-    direct = float(np.trace(resid.T @ resid) - np.trace(B.T @ penalty @ B))
-    w = n * att.sigma_d
-    dev = b1 - B
-    quadratic = float(np.trace(Z.T @ Z) + np.trace(dev.T @ w @ dev))
-    anchor = float(np.trace(b1.T @ w @ b1))
-    return ObjectiveValue(direct=direct, quadratic=quadratic, anchor=anchor)

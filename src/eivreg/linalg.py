@@ -24,14 +24,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float).ravel(order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of `vec` for a known shape."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise DimMismatch(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((cols, rows)).T
-
-
 def rvec(m: np.ndarray) -> np.ndarray:
     """Row-major flattening; equals vec of the transposed matrix."""
     return np.asarray(m, dtype=float).ravel(order="C")

@@ -89,10 +89,6 @@ class DesignRule:
         g = np.random.default_rng(self.seed)
         return g.uniform(self.low, self.high, size=(n, p))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "low": self.low, "high": self.high,
-                "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class ModelConfig:

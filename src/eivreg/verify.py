@@ -209,7 +209,7 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
 
 def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
                                score: ScoreCov) -> CriterionResult:
-    w = run.weight_matrix()
+    w = run.risk.weight
     q0 = named_weight_limit(pm, run.risk.q0)
     direction = drift_direction(run.restriction)
     base = dominance_report(w, pm, score, run.restriction, q0,

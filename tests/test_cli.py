@@ -307,13 +307,21 @@ def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     assert cov11.shape == (4, 4)
 
 
-# configs that the exit-code rows below name, each one field off the default
+# configs that the exit-code rows below name, each one field (or, for a
+# section of None, one section) off the default
 BAD_CONFIGS = {
     "theta_1x2": ("restriction", "theta", [[0.3, 0.1]]),
     "r1_3cols": ("restriction", "R1", [[1.0, -0.5, 0.2]]),
     "r1_rank": ("restriction", "R1", [[0.0, 0.0]]),
     "q0_b9": ("risk", "q0", "B9"),
     "weight_asym": ("risk", "weight", [[1.0, 0.5], [0.0, 1.0]]),
+    "b_seed_2x3": ("simulation", "B_seed", [[1.6, 0.8, 0.1], [-0.5, 1.3, 0.2]]),
+    "weight_eye": ("risk", "weight", "eye"),
+    "n_empty": ("model", "n", None),
+    "grid_list": ("risk", "grid", [1, 2]),
+    "model_list": (None, "model", [1, 2]),
+    "estimators_5": ("simulation", "estimators", 5),
+    "reps_many": ("simulation", "reps", "many"),
 }
 
 
@@ -352,6 +360,26 @@ def _exit_code(argv):
      "field 'weight' must be a symmetric positive definite 2x2 matrix"),
     ("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"], 2,
      "field 'weight' must be a symmetric positive definite 2x2 matrix"),
+    ("simulate", ["--seed", "-10", "--workers", "1"], 2,
+     "--seed: must be at least 0, got -10"),
+    ("law", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
+     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
+    ("adr", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
+     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
+    ("simulate", ["--config", "{tmp}/b_seed_2x3.yaml", "--workers", "1"], 2,
+     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
+    ("law", ["--config", "{tmp}/weight_eye.yaml"], 2,
+     "field 'weight' must be 'identity' or a matrix, got 'eye'"),
+    ("law", ["--config", "{tmp}/n_empty.yaml"], 2,
+     "field 'model.n' must be an integer, got None"),
+    ("efficiency", ["--config", "{tmp}/grid_list.yaml"], 2,
+     "field 'risk.grid' must be an integer, got [1, 2]"),
+    ("law", ["--config", "{tmp}/model_list.yaml"], 2,
+     "section 'model' must be a mapping, got [1, 2]"),
+    ("simulate", ["--config", "{tmp}/estimators_5.yaml", "--workers", "1"], 2,
+     "field 'simulation.estimators' must be a list of labels, got 5"),
+    ("simulate", ["--config", "{tmp}/reps_many.yaml", "--workers", "1"], 2,
+     "field 'simulation.reps' must be an integer, got 'many'"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
@@ -368,12 +396,14 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
     for name, (section, key, value) in BAD_CONFIGS.items():
         path = tmp_path / f"{name}.yaml"
         doc = _write_config(path)
-        doc[section][key] = value
+        (doc if section is None else doc[section])[key] = value
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),
             *(arg.format(tmp=tmp_path) for arg in extra)]
     assert _exit_code(argv) == code
-    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_estimate_reports_cross_product_overflow(tmp_path, config_path, capsys):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import yaml
 
-from eivreg.config import config_digest, dump_config, load_config, parse_config
+from eivreg.config import config_digest, load_config, parse_config
 from eivreg.exceptions import ConfigError
 
 DOC = {
@@ -52,7 +53,7 @@ def test_digest_changes_with_content():
 def test_roundtrip_through_yaml(tmp_path):
     run = parse_config(DOC)
     path = tmp_path / "cfg.yaml"
-    dump_config(run, path)
+    path.write_text(yaml.safe_dump(DOC), encoding="utf-8")
     again = load_config(path)
     assert again.model.n == run.model.n
     assert again.simulation.master_seed == run.simulation.master_seed
@@ -60,6 +61,7 @@ def test_roundtrip_through_yaml(tmp_path):
     np.testing.assert_array_equal(again.restriction.theta0,
                                   run.restriction.theta0)
     assert again.risk.grid == run.risk.grid
+    assert again.digest == run.digest
 
 
 def test_inline_design_matrix(tmp_path):
@@ -87,6 +89,27 @@ def test_unknown_field_rejected():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "n", 1e400, "field 'model.n' must be an integer, got inf"),
+    ("model", "sigma_eps2", float("nan"),
+     "field 'model.sigma_eps2' must be a finite number, got nan"),
+    ("model", "M", {"kind": "uniform", "seed": "x"},
+     "field 'M.seed' must be an integer, got 'x'"),
+    ("model", "M", {"low": True}, "field 'M.low' must be a finite number, got True"),
+    ("model", "M", {"rho": 1.0}, "unknown M fields: ['rho']"),
+    ("simulation", "master_seed", 1.5,
+     "field 'simulation.master_seed' must be an integer, got 1.5"),
+    ("risk", "q0", ["B2"], "field 'risk.q0' must be a string, got ['B2']"),
+    (None, "score_cov", None, "section 'score_cov' must be a mapping, got None"),
+])
+def test_wrong_typed_field_is_named(section, key, value, message):
+    doc = {name: dict(sec) for name, sec in DOC.items()}
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+
+
 def test_non_numeric_matrix_rejected():
     bad = {**DOC, "restriction": {**DOC["restriction"], "R1": [["a", "b"]]}}
     with pytest.raises(ConfigError):
@@ -100,18 +123,14 @@ def test_invalid_yaml_reports_config_error(tmp_path):
         load_config(path)
 
 
-def test_scale_max_and_matrix_weight_roundtrip(tmp_path):
+def test_scale_max_and_matrix_weight_roundtrip():
     doc = {**DOC, "risk": {"weight": [[2.0, 0.1], [0.1, 1.0]], "q0": "B4",
                            "grid": 9, "scale_max": 3.5}}
     run = parse_config(doc)
     assert run.risk.scale_max == 3.5
-    np.testing.assert_array_equal(run.weight_matrix(),
+    np.testing.assert_array_equal(run.risk.weight,
                                   [[2.0, 0.1], [0.1, 1.0]])
-    path = tmp_path / "cfg.yaml"
-    dump_config(run, path)
-    again = load_config(path)
-    assert again.risk.scale_max == 3.5
-    np.testing.assert_array_equal(again.weight_matrix(), run.weight_matrix())
+    np.testing.assert_array_equal(parse_config(DOC).risk.weight, np.eye(2))
 
 
 def test_default_b_truth_seed_is_deterministic():

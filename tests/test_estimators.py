@@ -1,18 +1,56 @@
 """Estimator algebra: naive and corrected least squares, weighted restricted
 projections, and the corrected objective."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eivreg.estimators import (Attenuation, build_kx, corrected_lse,
-                               corrected_objective, estimate_all, lse,
-                               restricted)
+from eivreg.estimators import Attenuation, build_kx, estimate_all, lse, restricted
 from eivreg.exceptions import NearSingular, NotPD, SingularDesign
 from eivreg.model import DesignRule, ModelConfig, Restriction, generate, \
     make_restricted_b
 from eivreg.asymptotics import population
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]])
+
+
+def _corrected_lse(X: np.ndarray, Z: np.ndarray, sigma_delta2: float) -> np.ndarray:
+    """Attenuation-corrected estimator kx^{-1} (X'X)^{-1} X'Z = (X'X - n s2 I)^{-1} X'Z."""
+    att = build_kx(X, sigma_delta2)
+    return np.linalg.solve(att.n * att.sigma_d, np.asarray(X, dtype=float).T @ Z)
+
+
+@dataclass(frozen=True)
+class _ObjectiveValue:
+    """Two evaluations of the corrected least-squares objective.
+
+    `direct` is tr((Z-XB)'(Z-XB)) - tr(B'(X'X)(I-kx)B); `quadratic` is
+    tr(Z'Z) + tr((b1-B)'(X'X kx)(b1-B)).  They differ by the B-independent
+    `anchor` tr(b1'(X'X kx) b1): quadratic - direct == anchor.
+    """
+
+    direct: float
+    quadratic: float
+    anchor: float
+
+
+def _corrected_objective(B: np.ndarray, X: np.ndarray, Z: np.ndarray,
+                         att: Attenuation, b1: np.ndarray) -> _ObjectiveValue:
+    B = np.asarray(B, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    resid = Z - X @ B
+    n = att.n
+    penalty = n * (att.sigma_x @ (np.eye(X.shape[1]) - att.kx))
+    direct = float(np.trace(resid.T @ resid) - np.trace(B.T @ penalty @ B))
+    w = n * att.sigma_d
+    dev = b1 - B
+    quadratic = float(np.trace(Z.T @ Z) + np.trace(dev.T @ w @ dev))
+    anchor = float(np.trace(b1.T @ w @ b1))
+    return _ObjectiveValue(direct=direct, quadratic=quadratic, anchor=anchor)
 
 
 def _orthonormal_design(n, p, seed=0):
@@ -80,7 +118,7 @@ def test_corrected_equals_naive_without_measurement_error():
     X = g.standard_normal((80, 3))
     Z = g.standard_normal((80, 2))
     a = lse(X, Z)
-    b = corrected_lse(X, Z, 0.0)
+    b = _corrected_lse(X, Z, 0.0)
     assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
 
@@ -92,7 +130,7 @@ def test_naive_converges_to_attenuated_target():
     ds = generate(cfg, B, np.random.default_rng(8))
     pm = population(cfg)
     naive = lse(ds.X, ds.Z)
-    corrected = corrected_lse(ds.X, ds.Z, cfg.sigma_delta2)
+    corrected = _corrected_lse(ds.X, ds.Z, cfg.sigma_delta2)
     assert np.linalg.norm(naive - pm.k @ B) < 0.1
     assert np.linalg.norm(naive - B) > 3 * np.linalg.norm(naive - pm.k @ B)
     assert np.linalg.norm(corrected - B) < np.linalg.norm(naive - B)
@@ -108,7 +146,7 @@ def _random_problem(seed, n=60, p=3, q=2):
 def test_restricted_fixed_point():
     X, Z = _random_problem(9)
     restr = Restriction(R1=[[1.0, 0.0, 0.0]], R2=[[1.0], [0.0]], theta=[[0.4]])
-    b1 = corrected_lse(X, Z, 0.05)
+    b1 = _corrected_lse(X, Z, 0.05)
     feasible = restricted(b1, np.eye(3), restr)
     again = restricted(feasible, np.eye(3), restr)
     np.testing.assert_allclose(again, feasible, atol=1e-12)
@@ -142,6 +180,41 @@ def test_restricted_weight_scale_invariance():
     a = restricted(b1, weight, restr)
     b = restricted(b1, 7.3 * weight, restr)
     np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def _well_conditioned(g, k):
+    """A k x k matrix with singular values in [0.5, 2]."""
+    u, _ = np.linalg.qr(g.standard_normal((k, k)))
+    v, _ = np.linalg.qr(g.standard_normal((k, k)))
+    return u @ np.diag(g.uniform(0.5, 2.0, k)) @ v
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_restricted_change_of_basis(seed):
+    # B -> G^{-1} B with R1 -> R1 G and S -> G'SG, or B -> B O' with R2 -> O R2
+    # for an orthogonal O, is the same projection in the new coordinates
+    g = np.random.default_rng(seed)
+    p, q = int(g.integers(2, 6)), int(g.integers(2, 5))
+    r1, r2 = int(g.integers(1, p + 1)), int(g.integers(1, q + 1))
+    restr = Restriction(R1=_well_conditioned(g, p)[:r1],
+                        R2=_well_conditioned(g, q)[:, :r2],
+                        theta=g.standard_normal((r1, r2)))
+    b1 = g.standard_normal((p, q))
+    f = _well_conditioned(g, p)
+    weight = f @ f.T
+    want = restricted(b1, weight, restr)
+
+    G = _well_conditioned(g, p)
+    left = G @ restricted(np.linalg.solve(G, b1), G.T @ weight @ G,
+                          Restriction(R1=restr.R1 @ G, R2=restr.R2,
+                                      theta=restr.theta))
+    O, _ = np.linalg.qr(g.standard_normal((q, q)))
+    right = restricted(b1 @ O.T, weight,
+                       Restriction(R1=restr.R1, R2=O @ restr.R2,
+                                   theta=restr.theta)) @ O
+    for got in (left, right):
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_restricted_identity_weight_is_min_norm_projection():
@@ -231,23 +304,23 @@ def test_objective_anchored_identity_and_minimum():
     Z = g.standard_normal((60, 2))
     sd2 = 0.1
     att = build_kx(X, sd2)
-    b1 = corrected_lse(X, Z, sd2)
+    b1 = _corrected_lse(X, Z, sd2)
 
     # at the corrected estimator the quadratic form collapses to tr(Z'Z)
-    at_min = corrected_objective(b1, X, Z, att, b1)
+    at_min = _corrected_objective(b1, X, Z, att, b1)
     assert at_min.quadratic == pytest.approx(float(np.trace(Z.T @ Z)), rel=1e-10)
 
     # the two printed forms differ by the B-independent anchor
     for _ in range(20):
         B = g.standard_normal((3, 2))
-        val = corrected_objective(B, X, Z, att, b1)
+        val = _corrected_objective(B, X, Z, att, b1)
         assert val.quadratic - val.direct == pytest.approx(
             val.anchor, rel=1e-8, abs=1e-8)
 
     # and the quadratic form exceeds its minimum everywhere
     for _ in range(20):
         B = b1 + g.standard_normal((3, 2))
-        assert corrected_objective(B, X, Z, att, b1).quadratic >= at_min.quadratic
+        assert _corrected_objective(B, X, Z, att, b1).quadratic >= at_min.quadratic
 
 
 def test_constrained_minimum_feasible_directions():
@@ -259,7 +332,7 @@ def test_constrained_minimum_feasible_directions():
                         theta=[[0.5]])
     att = build_kx(X, sd2)
     es = estimate_all(X, Z, sd2, restr)
-    base = corrected_objective(es.b2, X, Z, att, es.b1).quadratic
+    base = _corrected_objective(es.b2, X, Z, att, es.b1).quadratic
     # null-space directions of B -> R1 B R2 keep feasibility
     lift = np.kron(restr.R1, restr.R2.T)  # row-major flattening
     _, _, vt = np.linalg.svd(lift)
@@ -270,7 +343,7 @@ def test_constrained_minimum_feasible_directions():
         for t in (0.1, -0.1, 0.5):
             cand = es.b2 + t * direction
             assert restr.gap(cand) <= 1e-8
-            val = corrected_objective(cand, X, Z, att, es.b1).quadratic
+            val = _corrected_objective(cand, X, Z, att, es.b1).quadratic
             assert val >= base - 1e-9 * max(1.0, abs(base))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from eivreg.exceptions import DimMismatch, NonSymmetric, NotPSD
 from eivreg.linalg import (AffineTransform, MatrixNormal, eig_extremes, kron,
                            psd_factor, rvec, sample_matrix_normal, sym,
-                           transform_cov_block, unrvec, unvec, vec)
+                           transform_cov_block, unrvec, vec)
 
 RNG = np.random.default_rng(20260810)
 
@@ -43,18 +43,6 @@ def test_rvec_is_vec_of_transpose():
     m = RNG.standard_normal((3, 4))
     np.testing.assert_array_equal(rvec(m), vec(m.T))
     np.testing.assert_array_equal(unrvec(rvec(m), 3, 4), m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 2**31))
-def test_vec_unvec_roundtrip(rows, cols, seed):
-    m = np.random.default_rng(seed).standard_normal((rows, cols))
-    np.testing.assert_array_equal(unvec(vec(m), rows, cols), m)
-
-
-def test_unvec_size_mismatch():
-    with pytest.raises(DimMismatch):
-        unvec(np.zeros(5), 2, 3)
 
 
 def test_kron_identities():

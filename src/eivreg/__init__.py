@@ -15,15 +15,15 @@ from .model import (Dataset, DesignRule, ModelConfig, Restriction, generate,
                     make_restricted_b)
 from .montecarlo import (EmpiricalSummary, SimulationPlan, affine_limit_suite,
                          compare_law, run_plan)
-from .risk import (ADRReport, CurveRow, adr_from_law, adr_restricted,
+from .risk import (ADRReport, DriftFreeReport, adr_from_law, adr_restricted,
                    adr_unrestricted, bias_form, dominance_report,
-                   efficiency_curve, named_dominance_report)
+                   efficiency_curve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADRReport", "AffineTransform", "AsymptoticLaw", "Attenuation",
-    "CurveRow", "Dataset", "DesignRule", "EmpiricalSummary", "EstimateSet",
+    "Dataset", "DesignRule", "DriftFreeReport", "EmpiricalSummary", "EstimateSet",
     "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
     "RunConfig", "ScoreCov", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
@@ -31,7 +31,7 @@ __all__ = [
     "dominance_report", "efficiency_curve", "eig_extremes",
     "estimate_all", "estimate_score_cov", "generate", "joint_law", "kron",
     "law_inputs", "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
-    "named_dominance_report", "named_weight_limit", "parse_config",
+    "named_weight_limit", "parse_config",
     "population", "restricted", "run_plan", "rvec", "sample_matrix_normal",
     "transform_cov_block", "unrvec", "vec",
 ]

@@ -192,11 +192,6 @@ def law_inputs(run: RunConfig) -> tuple[PopulationModel, ScoreCov]:
     return population(run.model), closed_form_score_cov(cfg, B)
 
 
-def projector_cols(r2: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of R2."""
-    return r2 @ np.linalg.solve(r2.T @ r2, r2.T)
-
-
 def constraint_gain(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     """Q0^{-1} R1' (R1 Q0^{-1} R1')^{-1}, the weighted gain of the projection."""
     q0_r1t = np.linalg.solve(q0, r1.T)
@@ -218,9 +213,8 @@ def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
               which: str = "UE", q0: np.ndarray | None = None) -> np.ndarray:
     """Linear map from the flattened score limit to a flattened estimator limit.
 
-    which="UE" gives kron(sigma_d^{-1}, I_q); restricted variants subtract the
-    constraint projection kron(gain @ R1 @ sigma_d^{-1}, proj(R2)) with the
-    weight limit Q0 (named or explicit).
+    which="UE" gives kron(sigma_d^{-1}, I_q); restricted variants subtract
+    `restriction_correction` at the weight limit Q0 (named or explicit).
     """
     a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
     if which == "UE":
@@ -234,10 +228,16 @@ def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
         q0 = named_weight_limit(pm, which)
     else:
         raise ShapeMismatch(f"unknown estimator label {which!r}")
+    return a1 - restriction_correction(pm, restr, q0)
+
+
+def restriction_correction(pm: PopulationModel, restr: Restriction,
+                           q0: np.ndarray) -> np.ndarray:
+    """kron(gain(Q0) @ R1 @ sigma_d^{-1}, R2 (R2'R2)^{-1} R2'), the part of the
+    corrected estimator's limit map that the projection with weight limit Q0
+    removes."""
     gain = constraint_gain(q0, restr.R1)
-    correction = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d),
-                      projector_cols(restr.R2))
-    return a1 - correction
+    return kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d), restr.R2 @ restr.right)
 
 
 def mean_shift(restr: Restriction, q0: np.ndarray) -> np.ndarray:
@@ -245,9 +245,7 @@ def mean_shift(restr: Restriction, q0: np.ndarray) -> np.ndarray:
 
     -gain(Q0) @ theta0 @ (R2'R2)^{-1} R2'; satisfies R1 @ mu @ R2 = -theta0.
     """
-    gain = constraint_gain(q0, restr.R1)
-    c4 = np.linalg.solve(restr.R2.T @ restr.R2, restr.R2.T)
-    return -gain @ restr.theta0 @ c4
+    return -constraint_gain(q0, restr.R1) @ restr.theta0 @ restr.right
 
 
 @dataclass(frozen=True)
@@ -292,19 +290,16 @@ class AsymptoticLaw:
 
 def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
               estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4"),
-              theta0: np.ndarray | None = None,
               q0: np.ndarray | None = None) -> AsymptoticLaw:
-    """Joint law of the requested estimators.
+    """Joint law of the requested estimators under the restriction's local
+    direction theta0 (zero means the exact restriction).
 
     `estimators` may contain "UE", the named restricted labels, and "generic"
-    (which requires the explicit weight limit `q0`).  `theta0` overrides the
-    restriction's local-alternative direction; zero means the exact restriction.
+    (which requires the explicit weight limit `q0`).
     """
     q = score.dim // pm.p
     if pm.p * q != score.dim:
         raise ShapeMismatch("score covariance does not factor as p*q")
-    if theta0 is not None:
-        restr = restr.with_theta0(theta0)
     maps = []
     means = []
     for label in estimators:

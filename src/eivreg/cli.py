@@ -10,7 +10,6 @@ configuration digest so outputs can be audited and reproduced.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +24,8 @@ from .csvio import (open_output, read_matrix_csv, write_manifest,
 from .estimators import estimate_all
 from .exceptions import ConfigError, EivregError
 from .montecarlo import SimulationPlan, compare_law, run_plan
-from .risk import dominance_report, drift_direction, efficiency_curve
+from .risk import (adr_restricted, dominance_report, drift_direction,
+                   efficiency_curve)
 
 LAW_LABELS = ("UE", "B2", "B3", "B4")
 EFFICIENCY_HEADER = ["scale", "theta0_norm2", "adr_ue", "adr_re",
@@ -195,14 +195,12 @@ def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
     if run.risk.scale_max is not None:
         scales = np.linspace(0.0, run.risk.scale_max, npts)
     else:
-        base = dominance_report(w, pm, score, run.restriction, q0,
-                                theta0=np.zeros_like(direction))
-        top = base.upper_threshold if math.isfinite(base.upper_threshold) else 1.0
-        scales = np.sqrt(np.linspace(0.0, 2.0 * top, npts))
+        scales = adr_restricted(w, pm, score, run.restriction, q0).scale_grid(npts)
     rows = efficiency_curve(w, pm, score, run.restriction, q0, direction, scales)
     write_rows_csv(out_dir / "efficiency.csv", EFFICIENCY_HEADER,
-                   [[r.scale, r.theta0_norm2, r.adr_ue, r.adr_re,
-                     r.relative_efficiency, r.verdict] for r in rows])
+                   [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
+                     r.relative_efficiency, r.verdict]
+                    for s, r in zip(scales, rows)])
     _finish(out_dir, "efficiency", run, [out_dir / "efficiency.csv"])
     return 0
 

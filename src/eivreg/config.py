@@ -19,6 +19,8 @@ from .model import DesignRule, ModelConfig, Restriction
 
 
 def _matrix(value, name: str) -> np.ndarray:
+    if value is None:
+        raise ConfigError(f"field {name!r} is missing a value")
     try:
         arr = np.atleast_2d(np.asarray(value, dtype=float))
     except (TypeError, ValueError) as exc:
@@ -179,6 +181,9 @@ def parse_config(doc: dict) -> RunConfig:
     bad = [lbl for lbl in sim.estimators if lbl not in allowed]
     if bad:
         raise ConfigError(f"unknown estimator labels in config: {bad}")
+    if len(set(sim.estimators)) < len(sim.estimators):
+        raise ConfigError(f"field 'simulation.estimators' repeats a label, "
+                          f"got {list(sim.estimators)}")
 
     score = _settings(ScoreCovSettings, _section(doc, "score_cov"), "score_cov")
 

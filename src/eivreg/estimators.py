@@ -87,10 +87,7 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
     if np.linalg.cond(gram) > COND_LIMIT:
         raise RankDeficient("R1 S^{-1} R1' is numerically singular")
     gap = restr.R1 @ b1 @ restr.R2 - restr.theta
-    r2tr2 = restr.R2.T @ restr.R2
-    if np.linalg.cond(r2tr2) > COND_LIMIT:
-        raise RankDeficient("R2'R2 is numerically singular")
-    return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ np.linalg.solve(r2tr2, restr.R2.T)
+    return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ restr.right
 
 
 class _Guards:
@@ -154,12 +151,10 @@ def _asymmetry(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
-             right: np.ndarray, r2_singular: bool,
              guards: _Guards) -> np.ndarray:
     """`restricted` for a stack of corrected estimates, with its checks in its
     order.  `weight` is (reps, p, p), or (p, p) when one weight serves every
-    replication, which is then validated once.  `right` is (R2'R2)^{-1} R2'
-    and `r2_singular` its conditioning check, both fixed per restriction."""
+    replication, which is then validated once."""
     _, symmetric = _asymmetry(weight)
     guards.check(~symmetric, NotPD,
                  lambda r: "weight must be symmetric positive definite")
@@ -178,10 +173,8 @@ def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
     gram_singular = np.linalg.cond(gram) > COND_LIMIT
     guards.check(gram_singular, RankDeficient,
                  lambda r: "R1 S^{-1} R1' is numerically singular")
-    guards.check(r2_singular, RankDeficient,
-                 lambda r: "R2'R2 is numerically singular")
     gap = restr.R1 @ b1 @ restr.R2 - restr.theta
-    return b1 - sinv_r1t @ np.linalg.solve(_solvable(gram, gram_singular), gap) @ right
+    return b1 - sinv_r1t @ np.linalg.solve(_solvable(gram, gram_singular), gap) @ restr.right
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,6 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
     reps, p = xtx.shape[:2]
     guards = _Guards(reps)
     xtx_s = sym(xtx)
-    r2tr2 = restr.R2.T @ restr.R2
-    r2_singular = bool(np.linalg.cond(r2tr2) > COND_LIMIT)
-    right = np.linalg.solve(_solvable(r2tr2, r2_singular), restr.R2.T)
     out = {}
     if any(lbl != "LSE" for lbl in labels):
         sigma_x = xtx_s / n
@@ -260,7 +250,7 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
             else:
                 raise ValueError(f"unknown estimator label {lbl!r}, or "
                                  "'generic' without generic_weight")
-            out[lbl] = _project(b1, weight, restr, right, r2_singular, guards)
+            out[lbl] = _project(b1, weight, restr, guards)
     guards.raise_first_hard()
     estimates = np.stack([out[lbl] for lbl in labels], axis=1)
     excluded = np.flatnonzero(guards.failed)

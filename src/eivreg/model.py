@@ -145,12 +145,18 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Restriction:
-    """Linear restriction R1 @ B @ R2 = theta with local direction theta0."""
+    """Linear restriction R1 @ B @ R2 = theta with local direction theta0.
+
+    R1 R1' and R2'R2 must have condition numbers at most COND_LIMIT, and
+    `right` stores (R2'R2)^{-1} R2', which every projection onto the
+    restriction and every restricted limit law multiplies by.
+    """
 
     R1: np.ndarray
     R2: np.ndarray
     theta: np.ndarray
     theta0: np.ndarray | None = None
+    right: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r1 = np.atleast_2d(np.asarray(self.R1, dtype=float))
@@ -167,10 +173,12 @@ class Restriction:
                 f"theta must be {r1.shape[0]}x{r2.shape[1]}, got {th.shape}")
         if t0.shape != th.shape:
             raise DimMismatch("theta0 must have the same shape as theta")
-        if np.linalg.matrix_rank(r1) < r1.shape[0]:
+        if np.linalg.cond(r1 @ r1.T) > COND_LIMIT:
             raise RankDeficient("R1 must have full row rank")
-        if np.linalg.matrix_rank(r2) < r2.shape[1]:
+        r2tr2 = r2.T @ r2
+        if np.linalg.cond(r2tr2) > COND_LIMIT:
             raise RankDeficient("R2 must have full column rank")
+        object.__setattr__(self, "right", np.linalg.solve(r2tr2, r2.T))
         if not np.all(np.isfinite(t0)):
             raise ConfigError("theta0 must be finite")
 
@@ -221,13 +229,9 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
     seed_b = np.asarray(seed_b, dtype=float)
     if seed_b.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
-    r1r1t = restr.R1 @ restr.R1.T
-    r2tr2 = restr.R2.T @ restr.R2
-    if np.linalg.cond(r1r1t) > COND_LIMIT or np.linalg.cond(r2tr2) > COND_LIMIT:
-        raise RankDeficient("R1 R1' or R2'R2 is numerically singular")
     gap = restr.R1 @ seed_b @ restr.R2 - restr.target(cfg.n)
-    left = restr.R1.T @ np.linalg.solve(r1r1t, gap)
-    return seed_b - left @ np.linalg.solve(r2tr2, restr.R2.T)
+    left = restr.R1.T @ np.linalg.solve(restr.R1 @ restr.R1.T, gap)
+    return seed_b - left @ restr.right
 
 
 def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,

@@ -12,6 +12,13 @@ the three-trace expansion of tr((W x I_q)(S11 - S22)).  The restricted
 estimator dominates when ||theta0||^2 is below variance_gain / ch_max(bias_form)
 and is dominated above variance_gain / ch_min(bias_form); in between no ordering
 is claimed.
+
+Only the last term depends on the drift theta0.  `adr_restricted` computes
+every other term once per weight W and weight limit Q0, as a
+`DriftFreeReport`, and theta0 enters only through its `at` method, which
+gives the `ADRReport` at one drift.  `dominance_report` is the report at the
+restriction's own theta0; `efficiency_curve` places a sweep of drifts against
+one `DriftFreeReport`.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
-                          constraint_gain, limit_map, named_weight_limit,
-                          projector_cols)
+                          constraint_gain, limit_map, restriction_correction)
 from .exceptions import DegenerateF1, DimMismatch, NotPD
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
@@ -68,18 +74,15 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
                         q0: np.ndarray) -> tuple[float, float, float]:
     """The three traces whose signed sum is the restriction's variance gain.
 
-    The Kronecker correction inside the restricted limit map is
-    K = kron(gain(Q0) @ R1 @ sigma_d^{-1}, proj(R2)); the gain is
-    tr(V A1 L K') + tr(V K L A1') - tr(V K L K') with V = W x I_q and
-    L the score covariance.
+    With K = `restriction_correction`, the Kronecker correction inside the
+    restricted limit map, the gain is tr(V A1 L K') + tr(V K L A1') -
+    tr(V K L K') with V = W x I_q and L the score covariance.
     """
     q = score.dim // pm.p
     w = _check_weight(weight, pm.p)
     v = kron(w, np.eye(q))
     a1 = limit_map(pm, q)
-    gain = constraint_gain(q0, restr.R1)
-    kq = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d),
-              projector_cols(restr.R2))
+    kq = restriction_correction(pm, restr, q0)
     lam = score.cov
     t1 = float(np.trace(v @ a1 @ lam @ kq.T))
     t2 = float(np.trace(v @ kq @ lam @ a1.T))
@@ -102,7 +105,7 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     a1 = limit_map(pm, q)
     gain = constraint_gain(q0, restr.R1)
     j1 = gain @ restr.R1 @ np.linalg.inv(pm.sigma_d)
-    j = projector_cols(restr.R2)
+    j = restr.R2 @ restr.right
     pq = pm.p * q
     big = kron(kron(j1.T @ w, j), np.eye(pq))
     lam_vec = score.cov.ravel(order="F")
@@ -119,32 +122,9 @@ def bias_form(weight: np.ndarray, restr: Restriction, q0: np.ndarray) -> np.ndar
 
 
 @dataclass(frozen=True)
-class RestrictedAdr:
-    adr: float
-    adr_ue: float
-    variance_gain: float
-    bias_form: np.ndarray
-
-
-def adr_restricted(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
-                   restr: Restriction, q0: np.ndarray,
-                   theta0: np.ndarray | None = None) -> RestrictedAdr:
-    """Decomposition form of the restricted estimator's ADR."""
-    if theta0 is None:
-        theta0 = restr.theta0
-    theta0 = np.asarray(theta0, dtype=float)
-    t1, t2, t3 = variance_gain_terms(weight, pm, score, restr, q0)
-    gain = t1 + t2 - t3
-    f1 = bias_form(weight, restr, q0)
-    quad = float(rvec(theta0) @ f1 @ rvec(theta0))
-    base = adr_unrestricted(weight, pm, score)
-    return RestrictedAdr(adr=base - gain + quad, adr_ue=base, variance_gain=gain,
-                         bias_form=f1)
-
-
-@dataclass(frozen=True)
 class ADRReport:
-    """Risk comparison of the corrected estimator against one restricted one."""
+    """Risk comparison of the corrected estimator against one restricted one
+    at one drift theta0."""
 
     adr_ue: float
     adr_re: float
@@ -159,50 +139,66 @@ class ADRReport:
     relative_efficiency: float
 
 
-def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
-                     restr: Restriction, q0: np.ndarray,
-                     theta0: np.ndarray | None = None) -> ADRReport:
-    """Thresholds and verdict for the restricted-vs-unrestricted comparison."""
-    if theta0 is None:
-        theta0 = restr.theta0
-    theta0 = np.asarray(theta0, dtype=float)
-    res = adr_restricted(weight, pm, score, restr, q0, theta0)
-    ch_min, ch_max = eig_extremes(res.bias_form)
+@dataclass(frozen=True)
+class DriftFreeReport:
+    """The terms of the risk comparison that do not depend on the drift
+    theta0, for one weight W and weight limit Q0."""
+
+    adr_ue: float
+    variance_gain: float
+    bias_form: np.ndarray
+    bias_form_min: float
+    bias_form_max: float
+    lower_threshold: float
+    upper_threshold: float
+
+    def at(self, theta0: np.ndarray) -> ADRReport:
+        """The comparison at drift theta0: its bias cost, the restricted ADR,
+        ||theta0||^2 against the thresholds, and the relative efficiency."""
+        theta0 = np.asarray(theta0, dtype=float)
+        quad = float(rvec(theta0) @ self.bias_form @ rvec(theta0))
+        adr_re = self.adr_ue - self.variance_gain + quad
+        norm2 = float(np.sum(theta0 * theta0))
+        if norm2 < self.lower_threshold:
+            verdict = VERDICT_RE
+        elif norm2 > self.upper_threshold:
+            verdict = VERDICT_UE
+        else:
+            verdict = VERDICT_BAND
+        return ADRReport(
+            **vars(self), adr_re=adr_re, theta0_norm2=norm2, verdict=verdict,
+            relative_efficiency=(self.adr_ue / adr_re if adr_re > 0 else math.inf))
+
+    def scale_grid(self, points: int) -> np.ndarray:
+        """`points` drift scales whose squares are evenly spaced from 0 to
+        twice the upper threshold (to 2 when that threshold is infinite)."""
+        top = self.upper_threshold if math.isfinite(self.upper_threshold) else 1.0
+        return np.sqrt(np.linspace(0.0, 2.0 * top, points))
+
+
+def adr_restricted(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
+                   restr: Restriction, q0: np.ndarray) -> DriftFreeReport:
+    """The restricted estimator's ADR against the corrected estimator's as a
+    function of the drift: every term of the comparison except those of
+    theta0, which `DriftFreeReport.at` adds."""
+    t1, t2, t3 = variance_gain_terms(weight, pm, score, restr, q0)
+    gain = t1 + t2 - t3
+    f1 = bias_form(weight, restr, q0)
+    ch_min, ch_max = eig_extremes(f1)
     if ch_min < -1e-10 * max(ch_max, 1.0):
         raise DegenerateF1(f"bias form has eigenvalue {ch_min:.3e} < 0")
-    lower = res.variance_gain / ch_max if ch_max > 0 else math.inf
-    upper = res.variance_gain / ch_min if ch_min > 0 else math.inf
-    norm2 = float(np.sum(theta0 * theta0))
-    if norm2 < lower:
-        verdict = VERDICT_RE
-    elif norm2 > upper:
-        verdict = VERDICT_UE
-    else:
-        verdict = VERDICT_BAND
-    return ADRReport(
-        adr_ue=res.adr_ue, adr_re=res.adr, variance_gain=res.variance_gain,
-        bias_form=res.bias_form, bias_form_min=ch_min, bias_form_max=ch_max,
-        lower_threshold=lower, upper_threshold=upper, theta0_norm2=norm2,
-        verdict=verdict,
-        relative_efficiency=(res.adr_ue / res.adr if res.adr > 0 else math.inf),
-    )
+    return DriftFreeReport(
+        adr_ue=adr_unrestricted(weight, pm, score), variance_gain=gain,
+        bias_form=f1, bias_form_min=ch_min, bias_form_max=ch_max,
+        lower_threshold=gain / ch_max if ch_max > 0 else math.inf,
+        upper_threshold=gain / ch_min if ch_min > 0 else math.inf)
 
 
-def named_dominance_report(weight: np.ndarray, pm: PopulationModel,
-                           score: ScoreCov, restr: Restriction, which: str,
-                           theta0: np.ndarray | None = None) -> ADRReport:
-    return dominance_report(weight, pm, score, restr,
-                            named_weight_limit(pm, which), theta0)
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    scale: float
-    theta0_norm2: float
-    adr_ue: float
-    adr_re: float
-    relative_efficiency: float
-    verdict: str
+def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
+                     restr: Restriction, q0: np.ndarray) -> ADRReport:
+    """Thresholds and verdict for the restricted-vs-unrestricted comparison
+    at the restriction's theta0."""
+    return adr_restricted(weight, pm, score, restr, q0).at(restr.theta0)
 
 
 def drift_direction(restr: Restriction) -> np.ndarray:
@@ -216,18 +212,12 @@ def drift_direction(restr: Restriction) -> np.ndarray:
 
 def efficiency_curve(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
                      restr: Restriction, q0: np.ndarray,
-                     direction: np.ndarray, scales) -> list[CurveRow]:
-    """Sweep theta0 = scale * direction along a unit-Frobenius direction."""
+                     direction: np.ndarray, scales) -> list[ADRReport]:
+    """The comparison at theta0 = scale * direction for each of `scales`,
+    along a unit-Frobenius direction."""
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
     if not math.isclose(nrm, 1.0, rel_tol=1e-8):
         raise DimMismatch(f"direction must have unit Frobenius norm, got {nrm}")
-    rows = []
-    for s in scales:
-        rep = dominance_report(weight, pm, score, restr, q0,
-                               theta0=float(s) * direction)
-        rows.append(CurveRow(scale=float(s), theta0_norm2=rep.theta0_norm2,
-                             adr_ue=rep.adr_ue, adr_re=rep.adr_re,
-                             relative_efficiency=rep.relative_efficiency,
-                             verdict=rep.verdict))
-    return rows
+    report = adr_restricted(weight, pm, score, restr, q0)
+    return [report.at(float(s) * direction) for s in scales]

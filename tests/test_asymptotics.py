@@ -260,7 +260,7 @@ def test_joint_law_block_symmetry_and_psd():
 def test_joint_law_zero_direction_zero_means():
     pm = population(_cfg())
     sc = _dummy_score(pm, 2)
-    law = joint_law(pm, sc, RESTR, theta0=np.zeros((1, 1)))
+    law = joint_law(pm, sc, RESTR.with_theta0(np.zeros((1, 1))))
     for mu in law.means:
         np.testing.assert_array_equal(mu, np.zeros((2, 2)))
 

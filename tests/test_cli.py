@@ -322,6 +322,11 @@ BAD_CONFIGS = {
     "model_list": (None, "model", [1, 2]),
     "estimators_5": ("simulation", "estimators", 5),
     "reps_many": ("simulation", "reps", "many"),
+    "estimators_dup": ("simulation", "estimators", ["UE", "UE"]),
+    # R2'R2 has condition number about 4e14 although R2 has rank 2
+    "r2_near_singular": (None, "restriction", {
+        "R1": [[1.0, -0.5]], "R2": [[1.0, 1.0], [0.0, 1e-7]],
+        "theta": [[0.3, 0.3]], "theta0": [[0.9, 0.9]]}),
 }
 
 
@@ -380,6 +385,15 @@ def _exit_code(argv):
      "field 'simulation.estimators' must be a list of labels, got 5"),
     ("simulate", ["--config", "{tmp}/reps_many.yaml", "--workers", "1"], 2,
      "field 'simulation.reps' must be an integer, got 'many'"),
+    ("law", ["--config", "{tmp}/estimators_dup.yaml"], 2,
+     "field 'simulation.estimators' repeats a label, got ['UE', 'UE']"),
+    ("simulate", ["--config", "{tmp}/estimators_dup.yaml", "--workers", "1"], 2,
+     "field 'simulation.estimators' repeats a label, got ['UE', 'UE']"),
+    ("law", ["--config", "{tmp}/r2_near_singular.yaml"], 2,
+     "restriction: R2 must have full column rank"),
+    ("estimate", ["--config", "{tmp}/r2_near_singular.yaml",
+                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+     "restriction: R2 must have full column rank"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

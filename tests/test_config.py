@@ -101,6 +101,9 @@ def test_unknown_field_rejected():
      "field 'simulation.master_seed' must be an integer, got 1.5"),
     ("risk", "q0", ["B2"], "field 'risk.q0' must be a string, got ['B2']"),
     (None, "score_cov", None, "section 'score_cov' must be a mapping, got None"),
+    ("restriction", "R1", None, "field 'R1' is missing a value"),
+    ("simulation", "B_seed", None, "field 'B_seed' is missing a value"),
+    ("risk", "weight", None, "field 'weight' is missing a value"),
 ])
 def test_wrong_typed_field_is_named(section, key, value, message):
     doc = {name: dict(sec) for name, sec in DOC.items()}

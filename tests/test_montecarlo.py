@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from eivreg.asymptotics import ScoreCov, estimate_score_cov, joint_law, population
+from eivreg.asymptotics import (ScoreCov, estimate_score_cov, joint_law,
+                                named_weight_limit, population)
 from eivreg.exceptions import NearSingular, ShapeMismatch
 from eivreg.linalg import psd_factor, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction, make_restricted_b
 from eivreg.montecarlo import (EmpiricalSummary, SimulationPlan,
                                affine_limit_suite, compare_law, run_plan)
-from eivreg.risk import named_dominance_report
+from eivreg.risk import dominance_report
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -195,7 +196,7 @@ def test_empirical_adr_matches_theory():
     sc = estimate_score_cov(cfg, b_truth, reps=2000, seed=10)
     plan = _plan(cfg=cfg, reps=2000, master_seed=11)
     summary = run_plan(plan, workers=4)
-    rep = named_dominance_report(np.eye(2), pm, sc, restr, "B3")
+    rep = dominance_report(np.eye(2), pm, sc, restr, named_weight_limit(pm, "B3"))
     theory_ue = rep.adr_ue
     theory_re = rep.adr_re
     # mean per-replication loss n ||b - B||_W^2, the empirical counterpart of ADR

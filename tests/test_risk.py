@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eivreg.asymptotics import (PopulationModel, ScoreCov, joint_law,
-                                mean_shift, population)
+                                mean_shift, named_weight_limit, population)
 from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction
 from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
@@ -70,10 +70,10 @@ def test_adr_monte_carlo_definition():
 def test_adr_decomposition_matches_direct_form():
     for seed in range(30):
         g, pm, restr, sc, q0, w = _rand_setup(seed)
-        res = adr_restricted(w, pm, sc, restr, q0)
+        res = dominance_report(w, pm, sc, restr, q0)
         law = joint_law(pm, sc, restr, estimators=("UE", "generic"), q0=q0)
         direct = adr_from_law(w, law, "generic")
-        assert res.adr == pytest.approx(direct, rel=1e-8)
+        assert res.adr_re == pytest.approx(direct, rel=1e-8)
 
 
 def test_quadratic_term_identity():
@@ -88,9 +88,9 @@ def test_quadratic_term_identity():
 
 def test_zero_direction_drops_quadratic_term():
     _, pm, restr, sc, q0, w = _rand_setup(3)
-    res = adr_restricted(w, pm, sc, restr, q0, theta0=np.zeros_like(restr.theta))
+    res = adr_restricted(w, pm, sc, restr, q0).at(np.zeros_like(restr.theta))
     base = adr_unrestricted(w, pm, sc)
-    assert res.adr == pytest.approx(base - res.variance_gain, rel=1e-12)
+    assert res.adr_re == pytest.approx(base - res.variance_gain, rel=1e-12)
 
 
 def test_full_restriction_identity_weights():
@@ -104,10 +104,10 @@ def test_full_restriction_identity_weights():
     sc = ScoreCov(cov=_pd(p * q, g), reps=0, n_used=0, standard_error=0.0)
     f1 = bias_form(np.eye(p), restr, np.eye(p))
     np.testing.assert_allclose(f1, np.eye(p * q), atol=1e-12)
-    res = adr_restricted(np.eye(p), pm, sc, restr, np.eye(p))
+    res = dominance_report(np.eye(p), pm, sc, restr, np.eye(p))
     base = adr_unrestricted(np.eye(p), pm, sc)
     expected_quad = float(np.sum(restr.theta0 ** 2))
-    assert res.adr == pytest.approx(base - res.variance_gain + expected_quad,
+    assert res.adr_re == pytest.approx(base - res.variance_gain + expected_quad,
                                     rel=1e-10)
 
 
@@ -124,7 +124,7 @@ def test_courant_sandwich():
 
 def test_dominance_verdict_at_origin():
     _, pm, restr, sc, q0, w = _rand_setup(6)
-    rep = dominance_report(w, pm, sc, restr, q0, theta0=np.zeros_like(restr.theta))
+    rep = adr_restricted(w, pm, sc, restr, q0).at(np.zeros_like(restr.theta))
     assert rep.variance_gain > 0
     assert rep.verdict == VERDICT_RE
     assert rep.relative_efficiency > 1
@@ -139,11 +139,11 @@ def test_dominance_band_collapse_flips_verdict():
     sc = ScoreCov(cov=_pd(6, g), reps=0, n_used=0, standard_error=0.0)
     q0 = _pd(3, g)
     w = np.eye(3)
-    base = dominance_report(w, pm, sc, restr, q0, theta0=np.zeros((1, 1)))
+    base = adr_restricted(w, pm, sc, restr, q0)
     assert base.lower_threshold == pytest.approx(base.upper_threshold, rel=1e-12)
     s_star = math.sqrt(base.lower_threshold)
-    below = dominance_report(w, pm, sc, restr, q0, theta0=np.array([[0.99 * s_star]]))
-    above = dominance_report(w, pm, sc, restr, q0, theta0=np.array([[1.01 * s_star]]))
+    below = base.at(np.array([[0.99 * s_star]]))
+    above = base.at(np.array([[1.01 * s_star]]))
     assert below.verdict == VERDICT_RE and below.adr_re < below.adr_ue
     assert above.verdict == VERDICT_UE and above.adr_re > above.adr_ue
 
@@ -187,7 +187,7 @@ def test_variance_gain_can_be_negative_for_misaligned_weight():
     assert gain < -1.0
     rep = dominance_report(w, pm, lam, restr, q0)
     # negative gain means the restricted estimator is worse even at theta0 = 0
-    rep0 = dominance_report(w, pm, lam, restr, q0, theta0=np.zeros((1, 1)))
+    rep0 = adr_restricted(w, pm, lam, restr, q0).at(np.zeros((1, 1)))
     assert rep0.adr_re > rep0.adr_ue
     # and the upper-threshold implication remains valid
     assert rep.theta0_norm2 > rep.upper_threshold
@@ -218,10 +218,32 @@ def test_risk_path_does_not_evaluate_the_compact_arrangement(monkeypatch):
 
     monkeypatch.setattr("eivreg.risk.variance_gain_compact", refuse)
     report_patched, rows_patched = outputs()
-    for field in vars(report):
-        np.testing.assert_array_equal(getattr(report_patched, field),
-                                      getattr(report, field))
-    assert rows_patched == rows
+    assert len(rows_patched) == len(rows)
+    for got, want in zip([report_patched, *rows_patched], [report, *rows]):
+        for field in vars(want):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field))
+
+
+def test_efficiency_curve_builds_the_drift_free_terms_once(monkeypatch):
+    _, pm, restr, sc, q0, w = _rand_setup(3)
+    direction = restr.theta0 / np.linalg.norm(restr.theta0)
+    scales = [0.0, 0.5, 1.0, 2.0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return variance_gain_terms(*args)
+
+    monkeypatch.setattr("eivreg.risk.variance_gain_terms", counted)
+    rows = efficiency_curve(w, pm, sc, restr, q0, direction, scales)
+    assert len(calls) == 1
+    # each row is, bit for bit, the report at that drift computed on its own
+    for s, row in zip(scales, rows):
+        alone = dominance_report(w, pm, sc, restr.with_theta0(s * direction), q0)
+        for field in vars(alone):
+            np.testing.assert_array_equal(getattr(row, field),
+                                          getattr(alone, field))
 
 
 def test_weight_scale_equivariance():
@@ -242,9 +264,8 @@ def test_efficiency_curve_shape():
     _, pm, restr, sc, q0, _ = _rand_setup(9)
     w = q0.copy()  # aligned weight keeps the gain positive
     direction = restr.theta0 / np.linalg.norm(restr.theta0)
-    base = dominance_report(w, pm, sc, restr, q0,
-                            theta0=np.zeros_like(restr.theta))
-    scales = np.sqrt(np.linspace(0.0, 2.0 * base.upper_threshold, 15))
+    base = adr_restricted(w, pm, sc, restr, q0)
+    scales = base.scale_grid(15)
     rows = efficiency_curve(w, pm, sc, restr, q0, direction, scales)
     assert rows[0].relative_efficiency >= 1.0
     rel = [r.relative_efficiency for r in rows]
@@ -275,8 +296,7 @@ def test_dominance_with_model_population():
     g = np.random.default_rng(11)
     sc = ScoreCov(cov=_pd(4, g), reps=0, n_used=0, standard_error=0.0)
     for which in ("B2", "B3", "B4"):
-        from eivreg.risk import named_dominance_report
-        rep = named_dominance_report(np.eye(2), pm, sc, restr, which,
-                                     theta0=np.zeros((1, 1)))
+        rep = adr_restricted(np.eye(2), pm, sc, restr,
+                             named_weight_limit(pm, which)).at(np.zeros((1, 1)))
         assert rep.variance_gain > 0
         assert rep.verdict == VERDICT_RE

@@ -7,8 +7,7 @@ from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
                           law_inputs, limit_map, mean_shift,
                           named_weight_limit, population)
 from .config import RunConfig, load_config, parse_config
-from .estimators import (Attenuation, EstimateSet, build_kx, estimate_all,
-                         lse, restricted)
+from .estimators import Attenuation, build_kx, estimate_all, lse, restricted
 from .linalg import (AffineTransform, MatrixNormal, eig_extremes, kron, rvec,
                      sample_matrix_normal, transform_cov_block, unrvec, vec)
 from .model import (Dataset, DesignRule, ModelConfig, Restriction, generate,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ADRReport", "AffineTransform", "AsymptoticLaw", "Attenuation",
-    "Dataset", "DesignRule", "DriftFreeReport", "EmpiricalSummary", "EstimateSet",
+    "Dataset", "DesignRule", "DriftFreeReport", "EmpiricalSummary",
     "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
     "RunConfig", "ScoreCov", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",

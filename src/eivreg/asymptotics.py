@@ -18,6 +18,11 @@ X'(E - Delta B) = X'Z - X'X B, so its draws come from the samplers that drive
 the replication studies (`model.stats_sampler`): exact under gaussian errors
 whatever n is, row by row otherwise.  Every function here works at the
 model's own n; another sample size is ``cfg.at_n(n)``.
+
+A label's limit weight Q0 comes from `estimators.NAMED_WEIGHTS`, the one
+place where an estimator label is defined, through `named_weight_limit`;
+"UE" has none and "generic" takes an explicit one.  `limit_map` and
+`mean_shift` see only Q0, never a label.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .estimators import NAMED_WEIGHT_LIMITS
+from .estimators import LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import DimMismatch, NotPD, ShapeMismatch
 from .linalg import eig_extremes, kron, rvec, sym
 from .model import (ModelConfig, Restriction, make_restricted_b, replication_rngs,
@@ -198,36 +203,27 @@ def constraint_gain(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     return q0_r1t @ np.linalg.inv(r1 @ q0_r1t)
 
 
-def named_weight_limit(pm: PopulationModel, which: str) -> np.ndarray:
-    """Limit of weight/n for the named restricted estimators."""
-    if which == "B2":
-        return pm.sigma_d
-    if which == "B3":
-        return pm.sigma
-    if which == "B4":
-        return np.eye(pm.p)
-    raise ShapeMismatch(f"unknown named weight limit {which!r}")
+def named_weight_limit(pm: PopulationModel, label: str) -> np.ndarray:
+    """Limit of weight/n of a named restricted estimator: its `NAMED_WEIGHTS`
+    rule at (sigma, sigma_d)."""
+    if label not in NAMED_WEIGHTS:
+        raise ShapeMismatch(f"unknown named weight limit {label!r}")
+    return NAMED_WEIGHTS[label](pm.sigma, pm.sigma_d)
 
 
 def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
-              which: str = "UE", q0: np.ndarray | None = None) -> np.ndarray:
+              q0: np.ndarray | None = None) -> np.ndarray:
     """Linear map from the flattened score limit to a flattened estimator limit.
 
-    which="UE" gives kron(sigma_d^{-1}, I_q); restricted variants subtract
-    `restriction_correction` at the weight limit Q0 (named or explicit).
+    Without `q0` it is the corrected estimator's kron(sigma_d^{-1}, I_q); with
+    the weight limit `q0` of a restricted estimator it subtracts
+    `restriction_correction` at Q0.
     """
     a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
-    if which == "UE":
+    if q0 is None:
         return a1
     if restr is None:
         raise DimMismatch("restricted limit maps need the restriction")
-    if which == "generic":
-        if q0 is None:
-            raise DimMismatch("generic limit map needs an explicit weight limit")
-    elif which in NAMED_WEIGHT_LIMITS:
-        q0 = named_weight_limit(pm, which)
-    else:
-        raise ShapeMismatch(f"unknown estimator label {which!r}")
     return a1 - restriction_correction(pm, restr, q0)
 
 
@@ -289,7 +285,7 @@ class AsymptoticLaw:
 
 
 def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
-              estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4"),
+              estimators: tuple[str, ...] = LAW_LABELS,
               q0: np.ndarray | None = None) -> AsymptoticLaw:
     """Joint law of the requested estimators under the restriction's local
     direction theta0 (zero means the exact restriction).
@@ -303,13 +299,16 @@ def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
     maps = []
     means = []
     for label in estimators:
-        a = limit_map(pm, q, restr, which=label, q0=q0)
-        maps.append(a)
         if label == "UE":
-            means.append(np.zeros((pm.p, q)))
+            w0 = None
+        elif label == "generic":
+            if q0 is None:
+                raise DimMismatch("generic limit map needs an explicit weight limit")
+            w0 = q0
         else:
-            w0 = q0 if label == "generic" else named_weight_limit(pm, label)
-            means.append(mean_shift(restr, w0))
+            w0 = named_weight_limit(pm, label)
+        maps.append(limit_map(pm, q, restr, w0))
+        means.append(np.zeros((pm.p, q)) if w0 is None else mean_shift(restr, w0))
     blocks = {}
     for i, ai in enumerate(maps):
         for j, aj in enumerate(maps):

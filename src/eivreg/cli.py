@@ -21,13 +21,15 @@ from .asymptotics import joint_law, law_inputs, named_weight_limit
 from .config import RunConfig, load_config
 from .csvio import (open_output, read_matrix_csv, write_manifest,
                     write_matrix_csv, write_rows_csv)
-from .estimators import estimate_all
+from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
 from .exceptions import ConfigError, EivregError
 from .montecarlo import SimulationPlan, compare_law, run_plan
 from .risk import (adr_restricted, dominance_report, drift_direction,
                    efficiency_curve)
 
-LAW_LABELS = ("UE", "B2", "B3", "B4")
+# the file each estimator of `estimate` is written to
+ESTIMATE_FILES = {"LSE": "b_lse.csv", "UE": "b1.csv",
+                  **{lbl: f"{lbl.lower()}.csv" for lbl in NAMED_WEIGHTS}}
 EFFICIENCY_HEADER = ["scale", "theta0_norm2", "adr_ue", "adr_re",
                      "relative_efficiency", "verdict"]
 
@@ -70,15 +72,11 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
             f"expected X with {run.model.p} and Z with {run.model.q} columns, "
             f"got {X.shape[1]} and {Z.shape[1]}")
     est = estimate_all(X, Z, run.model.sigma_delta2, run.restriction)
-    files = {"LSE": ("b_lse.csv", est.b_lse), "UE": ("b1.csv", est.b1),
-             "B2": ("b2.csv", est.b2), "B3": ("b3.csv", est.b3),
-             "B4": ("b4.csv", est.b4)}
     written = []
-    for _, (name, mat) in files.items():
-        write_matrix_csv(out_dir / name, mat)
+    for label, name in ESTIMATE_FILES.items():
+        write_matrix_csv(out_dir / name, est[label])
         written.append(out_dir / name)
-    write_manifest(out_dir / "estimators.txt",
-                   {label: name for label, (name, _) in files.items()})
+    write_manifest(out_dir / "estimators.txt", ESTIMATE_FILES)
     written.append(out_dir / "estimators.txt")
     _finish(out_dir, "estimate", run, written)
     return 0
@@ -165,7 +163,7 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 def cmd_adr(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
     w = run.risk.weight
-    labels = [l for l in run.simulation.estimators if l in ("B2", "B3", "B4")]
+    labels = [l for l in run.simulation.estimators if l in NAMED_WEIGHTS]
     if not labels:
         labels = [run.risk.q0]
     rows = []
@@ -188,15 +186,13 @@ def cmd_adr(run: RunConfig, out_dir: Path) -> int:
 
 def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
     pm, score = law_inputs(run)
-    w = run.risk.weight
-    q0 = named_weight_limit(pm, run.risk.q0)
-    direction = drift_direction(run.restriction)
-    npts = max(run.risk.grid, 2)
+    report = adr_restricted(run.risk.weight, pm, score, run.restriction,
+                            named_weight_limit(pm, run.risk.q0))
     if run.risk.scale_max is not None:
-        scales = np.linspace(0.0, run.risk.scale_max, npts)
+        scales = np.linspace(0.0, run.risk.scale_max, run.risk.grid)
     else:
-        scales = adr_restricted(w, pm, score, run.restriction, q0).scale_grid(npts)
-    rows = efficiency_curve(w, pm, score, run.restriction, q0, direction, scales)
+        scales = report.scale_grid(run.risk.grid)
+    rows = efficiency_curve(report, drift_direction(run.restriction), scales)
     write_rows_csv(out_dir / "efficiency.csv", EFFICIENCY_HEADER,
                    [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
                      r.relative_efficiency, r.verdict]
@@ -258,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML configuration")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=at_least(0), help="override master seed")
-        p.add_argument("--reps", type=int, help="override replication count")
+        p.add_argument("--reps", type=at_least(2),
+                       help="override replication count")
         p.add_argument("--n", type=int, help="override sample size")
         p.add_argument("--workers", type=at_least(1),
                        default=os.cpu_count() or 1,
@@ -292,7 +289,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # out-of-range run settings, e.g. --reps 1 for a replication study
+        # input data out of range, e.g. X'X overflowing double precision
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .estimators import ESTIMATOR_LABELS, NAMED_WEIGHT_LIMITS
+from .estimators import ESTIMATOR_LABELS, LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import ConfigError, DimMismatch, RankDeficient
 from .linalg import eig_extremes, is_symmetric
 from .model import DesignRule, ModelConfig, Restriction
@@ -82,7 +82,7 @@ class SimSettings:
     master_seed: int = 20260810
     reps: int = 5000
     B_seed: np.ndarray | None = None
-    estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4")
+    estimators: tuple[str, ...] = LAW_LABELS
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,18 @@ def parse_config(doc: dict) -> RunConfig:
     if scale_max is not None:
         scale_max = _scalar("risk", "scale_max", scale_max, float)
     risk = _settings(RiskSettings, ksec, "risk", weight=weight, scale_max=scale_max)
-    if risk.q0 not in NAMED_WEIGHT_LIMITS:
-        raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHT_LIMITS)}, "
+    if risk.q0 not in NAMED_WEIGHTS:
+        raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHTS)}, "
                           f"got {risk.q0!r}")
+    for section, key, value, low in (("simulation", "reps", sim.reps, 2),
+                                     ("score_cov", "reps", score.reps, 1),
+                                     ("risk", "grid", risk.grid, 2)):
+        if value < low:
+            raise ConfigError(f"field '{section}.{key}' must be at least {low}, "
+                              f"got {value}")
+    if risk.scale_max is not None and risk.scale_max <= 0:
+        raise ConfigError(f"field 'risk.scale_max' must be positive, "
+                          f"got {risk.scale_max}")
 
     return RunConfig(model=model, restriction=restriction, simulation=sim,
                      score_cov=score, risk=risk, digest=config_digest(doc))

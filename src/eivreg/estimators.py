@@ -5,6 +5,12 @@ attenuation-corrected estimator divides it by the plug-in reliability matrix
 built from X'X/n and the known measurement-error variance.  Restricted
 estimators project the corrected estimator onto the constraint set with a
 configurable positive definite weight.
+
+`NAMED_WEIGHTS` is the one place where an estimator label is defined: the
+named restricted estimators differ only in their projection weight.
+`estimate_batch` applies its rules to the sample moments,
+`asymptotics.named_weight_limit` to their limits, and every list of labels
+is derived from it.
 """
 
 from __future__ import annotations
@@ -20,8 +26,15 @@ from .linalg import COND_LIMIT, SYM_RTOL, eig_extremes, is_symmetric, sym
 from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
-ESTIMATOR_LABELS = ("LSE", "UE", "B2", "B3", "B4", "generic")
-NAMED_WEIGHT_LIMITS = ("B2", "B3", "B4")  # restricted estimators with a named weight
+# weight per unit of n of each named restricted estimator, from X'X/n and
+# X'X/n - sigma_delta^2 I at a sample, or from their limits sigma and sigma_d
+NAMED_WEIGHTS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "B2": lambda sigma_x, sigma_d: sigma_d,
+    "B3": lambda sigma_x, sigma_d: sigma_x,
+    "B4": lambda sigma_x, sigma_d: np.eye(sigma_x.shape[-1]),
+}
+LAW_LABELS = ("UE", *NAMED_WEIGHTS)  # the estimators with a limit law
+ESTIMATOR_LABELS = ("LSE", *LAW_LABELS, "generic")
 
 
 @dataclass(frozen=True)
@@ -201,12 +214,12 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
 
     Replication r gets the same numbers, bit for bit, as `lse` (label "LSE"),
     `build_kx` with the corrected solve ("UE") and `restricted` with weight
-    n sigma_d ("B2"), n sigma_x ("B3"), n I ("B4") or `generic_weight`
-    ("generic") run on its dataset, and it fails the check they would fail
-    first.  A NearSingular failure excludes the replication.  Any other
-    failure raises for the first replication that has one.  Every check runs
-    before the solve it protects, so an excluded replication never makes a
-    stacked solve raise.
+    n times the `NAMED_WEIGHTS` rule of its sigma_x and sigma_d (a named
+    label) or `generic_weight` ("generic") run on its dataset, and it fails
+    the check they would fail first.  A NearSingular failure excludes the
+    replication.  Any other failure raises for the first replication that has
+    one.  Every check runs before the solve it protects, so an excluded
+    replication never makes a stacked solve raise.
     """
     xtx = np.asarray(xtx, dtype=float)
     xtz = np.asarray(xtz, dtype=float)
@@ -239,12 +252,8 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
         elif lbl == "UE":
             out[lbl] = b1
         else:
-            if lbl == "B2":
-                weight = n * sigma_d
-            elif lbl == "B3":
-                weight = n * sigma_x
-            elif lbl == "B4":
-                weight = float(n) * np.eye(p)
+            if lbl in NAMED_WEIGHTS:
+                weight = n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d)
             elif lbl == "generic" and generic_weight is not None:
                 weight = np.asarray(generic_weight, dtype=float)
             else:
@@ -260,51 +269,34 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
                           reasons=tuple(guards.message(r) for r in excluded))
 
 
-@dataclass(frozen=True)
-class EstimateSet:
-    """All estimators for one dataset (b_tilde only when a generic weight is given)."""
-
-    b_lse: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
-    b4: np.ndarray
-    b_tilde: np.ndarray | None = None
-
-
 def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
                  restr: Restriction,
-                 generic_weight: np.ndarray | None = None) -> EstimateSet:
-    """Naive, corrected, and the three named restricted estimators.
+                 generic_weight: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Naive, corrected, and the named restricted estimators (and "generic"
+    when a generic weight is given), keyed by label.
 
     One replication of `estimate_batch`; a NearSingular failure raises here.
-    The naive estimator solves against X'X in the form n sigma_x that the
-    restricted estimators use as B3's weight.
     """
     X = np.asarray(X, dtype=float)
     if sigma_delta2 < 0:
         raise ValueError("sigma_delta2 must be nonnegative")
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise ValueError("X and Z must be finite")
-    n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         xtx = X.T @ X
         xtz = X.T @ Z
     if not (np.isfinite(xtx).all() and np.isfinite(xtz).all()):
         raise ValueError("X'X or X'Z overflows: the data are too large in "
                          "magnitude for double precision")
-    labels = ("UE", "B2", "B3", "B4") + (("generic",) if generic_weight is not None
-                                         else ())
-    batch = estimate_batch(xtx[None], xtz[None], n, sigma_delta2, restr, labels,
-                           generic_weight)
+    labels = ("LSE", *LAW_LABELS) + (("generic",) if generic_weight is not None
+                                     else ())
+    batch = estimate_batch(xtx[None], xtz[None], X.shape[0], sigma_delta2, restr,
+                           labels, generic_weight)
     if batch.excluded:
         raise NearSingular(batch.reasons[0])
     est = dict(zip(labels, batch.estimates[0]))
-    b_lse = np.linalg.solve(n * (sym(xtx) / n), xtz)
     tol = RESTRICTION_TOL * (1.0 + np.linalg.norm(restr.theta))
-    for lbl in labels[1:]:  # the restricted estimators
+    for lbl in labels[2:]:  # the restricted estimators
         if restr.gap(est[lbl]) > tol:
             raise NearSingular("restricted estimate failed to satisfy the restriction")
-    return EstimateSet(b_lse=b_lse, b1=est["UE"], b2=est["B2"], b3=est["B3"],
-                       b4=est["B4"], b_tilde=est.get("generic"))
-
+    return est

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticLaw
-from .estimators import ESTIMATOR_LABELS, estimate_batch
+from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
 from .linalg import (AffineTransform, MatrixNormal, rvec, sample_matrix_normal,
                      sym, transform_cov_block)
@@ -39,7 +39,7 @@ class SimulationPlan:
     b_seed: np.ndarray
     reps: int
     master_seed: int
-    estimators: tuple[str, ...] = ("UE", "B2", "B3", "B4")
+    estimators: tuple[str, ...] = LAW_LABELS
     weight: np.ndarray | None = None      # loss weight, identity when None
     generic_weight: np.ndarray | None = None  # fixed weight for the "generic" label
 

@@ -210,14 +210,12 @@ def drift_direction(restr: Restriction) -> np.ndarray:
     return theta0 / np.linalg.norm(theta0)
 
 
-def efficiency_curve(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
-                     restr: Restriction, q0: np.ndarray,
-                     direction: np.ndarray, scales) -> list[ADRReport]:
+def efficiency_curve(report: DriftFreeReport, direction: np.ndarray,
+                     scales) -> list[ADRReport]:
     """The comparison at theta0 = scale * direction for each of `scales`,
-    along a unit-Frobenius direction."""
+    along a unit-Frobenius direction, from one `DriftFreeReport`."""
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
     if not math.isclose(nrm, 1.0, rel_tol=1e-8):
         raise DimMismatch(f"direction must have unit Frobenius norm, got {nrm}")
-    report = adr_restricted(weight, pm, score, restr, q0)
     return [report.at(float(s) * direction) for s in scales]

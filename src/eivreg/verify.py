@@ -18,7 +18,7 @@ from .asymptotics import (PopulationModel, ScoreCov, estimate_score_cov,
                           population, score_cov_model)
 from .config import RunConfig
 from .csvio import open_output, write_rows_csv
-from .estimators import estimate_all
+from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
 from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
 from .montecarlo import SimulationPlan, affine_limit_suite, compare_law, run_plan
@@ -69,8 +69,8 @@ def criterion_restriction_exactness(run: RunConfig, seed: int) -> CriterionResul
         sd2 = 0.15 * xmin
         est = estimate_all(X, Z, sd2, restr, generic_weight=_rand_pd(p, g))
         tol = 1e-8 * (1.0 + np.linalg.norm(restr.theta))
-        for b in (est.b2, est.b3, est.b4, est.b_tilde):
-            worst = max(worst, restr.gap(b) / tol)
+        for lbl in (*NAMED_WEIGHTS, "generic"):
+            worst = max(worst, restr.gap(est[lbl]) / tol)
     return CriterionResult(1, "restriction exactness", worst <= 1.0,
                            f"worst gap {worst:.3e} in units of 1e-8(1+||theta||)")
 
@@ -103,8 +103,8 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
     for r in range(9):
         ds = generate(cfg, b_truth, np.random.default_rng([seed, 31, r]))
         est = estimate_all(ds.X, ds.Z, cfg.sigma_delta2, run.restriction)
-        gaps_kb.append(float(np.linalg.norm(est.b_lse - pm.k @ b_truth)))
-        gaps_b.append(float(np.linalg.norm(est.b_lse - b_truth)))
+        gaps_kb.append(float(np.linalg.norm(est["LSE"] - pm.k @ b_truth)))
+        gaps_b.append(float(np.linalg.norm(est["LSE"] - b_truth)))
     gap_kb = float(np.median(gaps_kb))
     gap_b = float(np.median(gaps_b))
     ok = gap_kb < 0.05 and gap_b > 10.0 * gap_kb
@@ -116,11 +116,10 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
 def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
                             score: ScoreCov,
                             workers: int = 1) -> CriterionResult:
-    labels = ("UE", "B2", "B3", "B4")
-    law = joint_law(pm, score, run.restriction, estimators=labels)
+    law = joint_law(pm, score, run.restriction, estimators=LAW_LABELS)
     plan = SimulationPlan(cfg=run.model, restr=run.restriction,
                           b_seed=run.b_truth_seed(), reps=run.simulation.reps,
-                          master_seed=seed + 7, estimators=labels)
+                          master_seed=seed + 7, estimators=LAW_LABELS)
     summary = run_plan(plan, workers=workers)
     cmp = compare_law(summary, law, tol_cov=0.15, tol_mean_se=4.0)
     # the Monte Carlo estimate of the same score covariance checks the
@@ -207,12 +206,10 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
 
 def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
                                score: ScoreCov) -> CriterionResult:
-    w = run.risk.weight
-    q0 = named_weight_limit(pm, run.risk.q0)
-    direction = drift_direction(run.restriction)
-    base = adr_restricted(w, pm, score, run.restriction, q0)
-    grid = base.scale_grid(max(run.risk.grid, 5))
-    rows = efficiency_curve(w, pm, score, run.restriction, q0, direction, grid)
+    base = adr_restricted(run.risk.weight, pm, score, run.restriction,
+                          named_weight_limit(pm, run.risk.q0))
+    rows = efficiency_curve(base, drift_direction(run.restriction),
+                            base.scale_grid(max(run.risk.grid, 5)))
     rel = [r.relative_efficiency for r in rows]
     norm2 = [r.theta0_norm2 for r in rows]
     starts_above = rel[0] >= 1.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eivreg import asymptotics
+from eivreg import asymptotics, estimators
 from eivreg.asymptotics import (ScoreCov, closed_form_score_cov,
                                 estimate_score_cov, joint_law, law_inputs,
                                 limit_map, mean_shift, named_weight_limit,
@@ -195,8 +195,8 @@ def test_limit_map_identity_scale():
 
 def test_limit_map_named_equals_generic():
     pm = population(_cfg())
-    a_named = limit_map(pm, 2, RESTR, which="B3")
-    a_generic = limit_map(pm, 2, RESTR, which="generic", q0=pm.sigma)
+    a_named = limit_map(pm, 2, RESTR, q0=named_weight_limit(pm, "B3"))
+    a_generic = limit_map(pm, 2, RESTR, q0=pm.sigma)
     assert np.linalg.norm(a_named - a_generic) <= 1e-12 * np.linalg.norm(a_named)
 
 
@@ -205,11 +205,12 @@ def test_limit_map_annihilates_constraint_direction():
     pm = population(_cfg())
     g = np.random.default_rng(8)
     for which in ("B2", "B3", "B4", "generic"):
-        q0 = None
         if which == "generic":
             f = g.standard_normal((2, 2))
             q0 = f @ f.T + 2 * np.eye(2)
-        a = limit_map(pm, 2, RESTR, which=which, q0=q0)
+        else:
+            q0 = named_weight_limit(pm, which)
+        a = limit_map(pm, 2, RESTR, q0=q0)
         lift = kron(RESTR.R1, RESTR.R2.T)
         assert np.linalg.norm(lift @ a) <= 1e-12
 
@@ -343,10 +344,24 @@ def test_score_convention_matches_feasible_estimator():
     assert abs(np.var(feas, ddof=1) - var_design) / var_design > 0.5
 
 
-def test_named_weight_limits():
+def test_named_weight_limits(monkeypatch):
     pm = population(_cfg())
     np.testing.assert_array_equal(named_weight_limit(pm, "B4"), np.eye(2))
     np.testing.assert_array_equal(named_weight_limit(pm, "B3"), pm.sigma)
     np.testing.assert_array_equal(named_weight_limit(pm, "B2"), pm.sigma_d)
     with pytest.raises(ShapeMismatch):
         named_weight_limit(pm, "B7")
+    # the limit and the sample kernel read one table: a changed rule moves both
+    monkeypatch.setitem(estimators.NAMED_WEIGHTS, "B4",
+                        lambda sigma_x, sigma_d: sigma_x + sigma_d)
+    np.testing.assert_array_equal(named_weight_limit(pm, "B4"),
+                                  pm.sigma + pm.sigma_d)
+    g = np.random.default_rng(12)
+    X, Z = g.standard_normal((50, 2)), g.standard_normal((50, 2))
+    xtx, xtz = (X.T @ X)[None], (X.T @ Z)[None]
+    sigma_x = sym(xtx) / 50
+    sigma_d = sigma_x - 0.1 * np.eye(2)
+    named = estimators.estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("B4",))
+    generic = estimators.estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("generic",),
+                                        50 * (sigma_x + sigma_d))
+    np.testing.assert_array_equal(named.estimates, generic.estimates)

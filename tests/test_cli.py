@@ -12,10 +12,15 @@ import pytest
 import yaml
 
 from eivreg import cli, csvio
+from eivreg.asymptotics import law_inputs, named_weight_limit
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
+from eivreg.estimators import lse
 from eivreg.exceptions import ConfigError
 from eivreg.model import generate, make_restricted_b
-from eivreg.config import parse_config
+from eivreg.config import load_config, parse_config
+from eivreg.risk import adr_restricted, drift_direction
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def _write_config(path, **model_overrides):
@@ -252,6 +257,45 @@ def test_efficiency_grid_rows_and_header(tmp_path, config_path):
     assert len(lines) == 21  # header + exactly the configured 20 grid rows
 
 
+def test_efficiency_scale_max_rows(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    doc = _write_config(path)
+    doc["risk"].update(scale_max=3.5, grid=8)
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--config", str(path), "--out", str(out),
+                     "--workers", "1"]) == 0
+    rows = [line.split(",")
+            for line in (out / "efficiency.csv").read_text().splitlines()[1:]]
+    scales = np.linspace(0.0, 3.5, 8)
+    assert [row[0] for row in rows] == [csvio.fmt(s) for s in scales]
+    # each row is, bit for bit, the drift-free report at that drift
+    run = parse_config(doc)
+    pm, score = law_inputs(run)
+    report = adr_restricted(run.risk.weight, pm, score, run.restriction,
+                            named_weight_limit(pm, run.risk.q0))
+    direction = drift_direction(run.restriction)
+    for s, row in zip(scales, rows):
+        want = report.at(s * direction)
+        assert row[1:] == [*map(csvio.fmt, (want.theta0_norm2, want.adr_ue,
+                                            want.adr_re, want.relative_efficiency)),
+                           want.verdict]
+
+
+def test_estimate_naive_estimator_matches_lse(tmp_path):
+    run = load_config(CONFIG)
+    B = make_restricted_b(run.model, run.restriction, run.b_truth_seed())
+    ds = generate(run.model, B, np.random.default_rng(1))
+    write_matrix_csv(tmp_path / "x.csv", ds.X)
+    write_matrix_csv(tmp_path / "z.csv", ds.Z)
+    out = tmp_path / "est"
+    assert cli.main(["estimate", "--config", str(CONFIG), "--z",
+                     str(tmp_path / "z.csv"), "--x", str(tmp_path / "x.csv"),
+                     "--out", str(out)]) == 0
+    write_matrix_csv(tmp_path / "lse.csv", lse(ds.X, ds.Z))
+    assert (out / "b_lse.csv").read_bytes() == (tmp_path / "lse.csv").read_bytes()
+
+
 def test_adr_zero_direction_verdict(tmp_path):
     path = tmp_path / "cfg0.yaml"
     doc = _write_config(path)
@@ -327,6 +371,11 @@ BAD_CONFIGS = {
     "r2_near_singular": (None, "restriction", {
         "R1": [[1.0, -0.5]], "R2": [[1.0, 1.0], [0.0, 1e-7]],
         "theta": [[0.3, 0.3]], "theta0": [[0.9, 0.9]]}),
+    "grid_0": ("risk", "grid", 0),
+    "grid_neg": ("risk", "grid", -4),
+    "scale_max_neg": ("risk", "scale_max", -1.0),
+    "sim_reps_1": ("simulation", "reps", 1),
+    "score_reps_0": ("score_cov", "reps", 0),
 }
 
 
@@ -341,7 +390,8 @@ def _exit_code(argv):
     ("simulate", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--workers", "-3"], 2, "--workers"),
     ("law", ["--workers", "0"], 2, "--workers"),
-    ("simulate", ["--reps", "1", "--workers", "1"], 2, "reps must be at least 2"),
+    ("simulate", ["--reps", "1", "--workers", "1"], 2,
+     "--reps: must be at least 2, got 1"),
     ("simulate", ["--reps", "4", "--workers", "1"], 0, ""),
     ("law", ["--out", "{tmp}/file/o"], 2, "file/o"),
     ("estimate", ["--z", "{tmp}/z_inf.csv", "--x", "{tmp}/x.csv"], 2,
@@ -394,6 +444,29 @@ def _exit_code(argv):
     ("estimate", ["--config", "{tmp}/r2_near_singular.yaml",
                   "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
      "restriction: R2 must have full column rank"),
+    # out-of-range run settings fail in parse_config under every command,
+    # not only under the one that uses them
+    ("law", ["--config", "{tmp}/grid_0.yaml"], 2,
+     "field 'risk.grid' must be at least 2, got 0"),
+    ("efficiency", ["--config", "{tmp}/grid_0.yaml"], 2,
+     "field 'risk.grid' must be at least 2, got 0"),
+    ("law", ["--config", "{tmp}/grid_neg.yaml"], 2,
+     "field 'risk.grid' must be at least 2, got -4"),
+    ("efficiency", ["--config", "{tmp}/grid_neg.yaml"], 2,
+     "field 'risk.grid' must be at least 2, got -4"),
+    ("law", ["--config", "{tmp}/scale_max_neg.yaml"], 2,
+     "field 'risk.scale_max' must be positive, got -1.0"),
+    ("efficiency", ["--config", "{tmp}/scale_max_neg.yaml"], 2,
+     "field 'risk.scale_max' must be positive, got -1.0"),
+    ("law", ["--config", "{tmp}/sim_reps_1.yaml"], 2,
+     "field 'simulation.reps' must be at least 2, got 1"),
+    ("simulate", ["--config", "{tmp}/sim_reps_1.yaml", "--workers", "1"], 2,
+     "field 'simulation.reps' must be at least 2, got 1"),
+    ("law", ["--config", "{tmp}/score_reps_0.yaml"], 2,
+     "field 'score_cov.reps' must be at least 1, got 0"),
+    ("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
+     "field 'score_cov.reps' must be at least 1, got 0"),
+    ("law", ["--reps", "1"], 2, "--reps: must be at least 2, got 1"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

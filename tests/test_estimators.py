@@ -270,11 +270,13 @@ def test_named_estimators_coincidences():
     restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]])
     # no measurement error: the first two weights coincide
     es = estimate_all(X, Z, 0.0, restr)
-    assert np.linalg.norm(es.b2 - es.b3) <= 1e-12 * max(1.0, np.linalg.norm(es.b3))
+    assert (np.linalg.norm(es["B2"] - es["B3"])
+            <= 1e-12 * max(1.0, np.linalg.norm(es["B3"])))
     # scaled-orthonormal design (X'X = n I): the last two weights coincide
     Xo = _orthonormal_design(70, 2, seed=14) * np.sqrt(70)
     es = estimate_all(Xo, Z, 0.2, restr)
-    assert np.linalg.norm(es.b3 - es.b4) <= 1e-12 * max(1.0, np.linalg.norm(es.b4))
+    assert (np.linalg.norm(es["B3"] - es["B4"])
+            <= 1e-12 * max(1.0, np.linalg.norm(es["B4"])))
 
 
 def test_estimate_all_restriction_exactness():
@@ -284,8 +286,8 @@ def test_estimate_all_restriction_exactness():
                         theta=np.random.default_rng(18).standard_normal((2, 2)))
     es = estimate_all(X, Z, 0.05, restr, generic_weight=np.eye(3))
     tol = 1e-8 * (1.0 + np.linalg.norm(restr.theta))
-    for b in (es.b2, es.b3, es.b4, es.b_tilde):
-        assert restr.gap(b) <= tol
+    for lbl in ("B2", "B3", "B4", "generic"):
+        assert restr.gap(es[lbl]) <= tol
 
 
 @pytest.mark.parametrize("matrix, bad", [("X", np.inf), ("Z", np.nan)])
@@ -332,7 +334,7 @@ def test_constrained_minimum_feasible_directions():
                         theta=[[0.5]])
     att = build_kx(X, sd2)
     es = estimate_all(X, Z, sd2, restr)
-    base = _corrected_objective(es.b2, X, Z, att, es.b1).quadratic
+    base = _corrected_objective(es["B2"], X, Z, att, es["UE"]).quadratic
     # null-space directions of B -> R1 B R2 keep feasibility
     lift = np.kron(restr.R1, restr.R2.T)  # row-major flattening
     _, _, vt = np.linalg.svd(lift)
@@ -341,9 +343,9 @@ def test_constrained_minimum_feasible_directions():
         coef = g.standard_normal(null_basis.shape[0])
         direction = (coef @ null_basis).reshape(3, 2)
         for t in (0.1, -0.1, 0.5):
-            cand = es.b2 + t * direction
+            cand = es["B2"] + t * direction
             assert restr.gap(cand) <= 1e-8
-            val = _corrected_objective(cand, X, Z, att, es.b1).quadratic
+            val = _corrected_objective(cand, X, Z, att, es["UE"]).quadratic
             assert val >= base - 1e-9 * max(1.0, abs(base))
 
 

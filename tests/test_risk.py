@@ -2,18 +2,24 @@
 dominance thresholds, and efficiency sweeps."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eivreg import cli
 from eivreg.asymptotics import (PopulationModel, ScoreCov, joint_law,
-                                mean_shift, named_weight_limit, population)
+                                law_inputs, mean_shift, named_weight_limit,
+                                population)
+from eivreg.config import load_config
 from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction
 from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
                          adr_restricted, adr_unrestricted, bias_form,
                          dominance_report, efficiency_curve,
                          variance_gain_compact, variance_gain_terms)
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def _pd(k, g, ridge=0.3):
@@ -209,7 +215,8 @@ def test_risk_path_does_not_evaluate_the_compact_arrangement(monkeypatch):
 
     def outputs():
         return (dominance_report(w, pm, sc, restr, q0),
-                efficiency_curve(w, pm, sc, restr, q0, direction, scales))
+                efficiency_curve(adr_restricted(w, pm, sc, restr, q0),
+                                 direction, scales))
 
     report, rows = outputs()
 
@@ -225,22 +232,32 @@ def test_risk_path_does_not_evaluate_the_compact_arrangement(monkeypatch):
                                           getattr(want, field))
 
 
-def test_efficiency_curve_builds_the_drift_free_terms_once(monkeypatch):
-    _, pm, restr, sc, q0, w = _rand_setup(3)
-    direction = restr.theta0 / np.linalg.norm(restr.theta0)
-    scales = [0.0, 0.5, 1.0, 2.0]
-    calls = []
+def test_efficiency_curve_builds_the_drift_free_terms_once(monkeypatch, tmp_path):
+    run = load_config(CONFIG)
+    calls, curves = [], []
 
     def counted(*args):
         calls.append(args)
         return variance_gain_terms(*args)
 
+    def recorded(report, direction, scales):
+        rows = efficiency_curve(report, direction, scales)
+        curves.append((direction, scales, rows))
+        return rows
+
     monkeypatch.setattr("eivreg.risk.variance_gain_terms", counted)
-    rows = efficiency_curve(w, pm, sc, restr, q0, direction, scales)
+    monkeypatch.setattr("eivreg.cli.efficiency_curve", recorded)
+    assert cli.main(["efficiency", "--config", str(CONFIG), "--out",
+                     str(tmp_path / "eff"), "--workers", "1"]) == 0
     assert len(calls) == 1
+    (direction, scales, rows), = curves
+    assert len(rows) == run.risk.grid
     # each row is, bit for bit, the report at that drift computed on its own
+    pm, sc = law_inputs(run)
+    q0 = named_weight_limit(pm, run.risk.q0)
     for s, row in zip(scales, rows):
-        alone = dominance_report(w, pm, sc, restr.with_theta0(s * direction), q0)
+        alone = dominance_report(run.risk.weight, pm, sc,
+                                 run.restriction.with_theta0(s * direction), q0)
         for field in vars(alone):
             np.testing.assert_array_equal(getattr(row, field),
                                           getattr(alone, field))
@@ -266,7 +283,7 @@ def test_efficiency_curve_shape():
     direction = restr.theta0 / np.linalg.norm(restr.theta0)
     base = adr_restricted(w, pm, sc, restr, q0)
     scales = base.scale_grid(15)
-    rows = efficiency_curve(w, pm, sc, restr, q0, direction, scales)
+    rows = efficiency_curve(base, direction, scales)
     assert rows[0].relative_efficiency >= 1.0
     rel = [r.relative_efficiency for r in rows]
     assert all(b < a for a, b in zip(rel, rel[1:]))
@@ -284,7 +301,8 @@ def test_efficiency_curve_shape():
 def test_efficiency_curve_requires_unit_direction():
     _, pm, restr, sc, q0, w = _rand_setup(10)
     with pytest.raises(Exception):
-        efficiency_curve(w, pm, sc, restr, q0, 2.0 * restr.theta0, [0.0, 1.0])
+        efficiency_curve(adr_restricted(w, pm, sc, restr, q0),
+                         2.0 * restr.theta0, [0.0, 1.0])
 
 
 def test_dominance_with_model_population():

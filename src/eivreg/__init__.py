@@ -2,7 +2,7 @@
 restrictions: corrected and restricted estimators, their joint asymptotic laws,
 asymptotic risk comparisons, and a Monte Carlo verification harness."""
 
-from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
+from .asymptotics import (AsymptoticLaw, PopulationModel,
                           closed_form_score_cov, estimate_score_cov, joint_law,
                           law_inputs, limit_map, mean_shift,
                           named_weight_limit, population)
@@ -24,7 +24,7 @@ __all__ = [
     "ADRReport", "AffineTransform", "AsymptoticLaw", "Attenuation",
     "Dataset", "DesignRule", "DriftFreeReport", "EmpiricalSummary",
     "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
-    "RunConfig", "ScoreCov", "SimulationPlan", "adr_from_law",
+    "RunConfig", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
     "build_kx", "closed_form_score_cov", "compare_law",
     "dominance_report", "efficiency_curve", "eig_extremes",

@@ -1,18 +1,23 @@
 """Population limits and joint asymptotic laws of the corrected and restricted
 estimators, under the exact restriction and under local alternatives.
 
-All stacked laws use the row-major flattening convention from `linalg`: the
-limit of sqrt(n)(estimator - truth) is described through its flattened mean and
-pq-by-pq covariance blocks  block(i,j) = A_i @ score_cov @ A_j.T,  where A_i is
-the estimator's linear limit map acting on the flattened score limit and
-score_cov is the limiting covariance of the centered score
+A joint law is three things: the limiting covariance `lam` (a plain pq-by-pq
+array) of the centered score
 
-    h = n^{-1/2} X'(E - Delta B) + n^{1/2} sigma_delta^2 B .
+    h = n^{-1/2} X'(E - Delta B) + n^{1/2} sigma_delta^2 B ,
+
+each estimator's linear limit map A_i acting on the flattened score limit,
+and each estimator's mean matrix.  The limit of sqrt(n)(estimator - truth)
+is described, in `linalg`'s row-major flattening, by those means and the
+pq-by-pq covariance blocks  A_i @ lam @ A_j.T,  which `AsymptoticLaw.block`
+forms on demand.  Law and risk functions read q off `lam` through
+`score_q`, which rejects any shape other than (p*q)-by-(p*q).
 
 The score is a sum of independent row terms, so its covariance follows
 exactly from the design and the first four moments of the error family
 (`closed_form_score_cov`); `estimate_score_cov` estimates the same matrix by
-Monte Carlo averaging of flattened-score outer products and serves as its check.
+Monte Carlo averaging of flattened-score outer products and serves as its
+check, returning it with its standard error as a `ScoreCov`.
 Since Z - X B = E - Delta B, the score needs only the sufficient statistics,
 X'(E - Delta B) = X'Z - X'X B, so its draws come from the samplers that drive
 the replication studies (`model.stats_sampler`): exact under gaussian errors
@@ -90,20 +95,22 @@ def population(cfg: ModelConfig) -> PopulationModel:
 
 @dataclass(frozen=True)
 class ScoreCov:
-    """Limiting score covariance (pq-by-pq) at sample size `n_used`.
-
-    A Monte Carlo estimate carries its replication count and max-entry
-    standard error; the closed form has reps=0 and standard_error=0.0.
-    """
+    """Monte Carlo estimate of the score covariance and the largest standard
+    error of its entries."""
 
     cov: np.ndarray
-    reps: int
-    n_used: int
     standard_error: float
 
-    @property
-    def dim(self) -> int:
-        return self.cov.shape[0]
+
+def score_q(pm: PopulationModel, lam: np.ndarray) -> int:
+    """q of a score covariance at the model's p; ShapeMismatch unless `lam`
+    is (p*q)-by-(p*q) for some q >= 1."""
+    shape = np.shape(lam)
+    q = shape[0] // pm.p if shape else 0
+    if q < 1 or shape != (pm.p * q, pm.p * q):
+        raise ShapeMismatch(f"score covariance must be (p*q)x(p*q) at p={pm.p}, "
+                            f"got shape {shape}")
+    return q
 
 
 def _centered_score(cfg: ModelConfig, B: np.ndarray, xtx: np.ndarray,
@@ -142,11 +149,10 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
     # products at a time; the products are symmetric, so only j >= i
     var_max = np.max([np.var(draws[:, i, None] * draws[:, i:], axis=0,
                              ddof=1).max() for i in range(p * q)])
-    return ScoreCov(cov=cov, reps=reps, n_used=cfg.n,
-                    standard_error=float(np.sqrt(var_max / reps)))
+    return ScoreCov(cov=cov, standard_error=float(np.sqrt(var_max / reps)))
 
 
-def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> ScoreCov:
+def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
     """Exact covariance of the centered score at the model's sample size n.
 
     The score sums independent row terms x_i u_i' with u_i = e_i - B' delta_i,
@@ -179,8 +185,7 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> ScoreCov:
            + g1 * sd2 ** 1.5 * (skew + skew.transpose(2, 3, 0, 1))
            + g2 * sd2 ** 2 * np.einsum("ac,abd->abcd", np.eye(cfg.p), bb))
     k = cfg.p * cfg.q
-    return ScoreCov(cov=sym(cov.reshape(k, k)), reps=0, n_used=cfg.n,
-                    standard_error=0.0)
+    return sym(cov.reshape(k, k))
 
 
 def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
@@ -189,7 +194,7 @@ def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
     return cfg, make_restricted_b(cfg, run.restriction, run.b_truth_seed())
 
 
-def law_inputs(run: RunConfig) -> tuple[PopulationModel, ScoreCov]:
+def law_inputs(run: RunConfig) -> tuple[PopulationModel, np.ndarray]:
     """The population model at the run's design and the exact score covariance
     at the run's `score_cov.n`: the inputs of every law and risk computation
     of a run."""
@@ -247,13 +252,15 @@ def mean_shift(restr: Restriction, q0: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class AsymptoticLaw:
     """Joint limit law of a stack of estimators: labels, flattening shape,
-    per-estimator mean matrices, and the grid of covariance blocks."""
+    per-estimator mean matrices and limit maps, and the score covariance
+    `lam`; block (i, j) of the covariance is maps[i] @ lam @ maps[j].T."""
 
     labels: tuple[str, ...]
     p: int
     q: int
     means: tuple[np.ndarray, ...]
-    cov_blocks: dict[tuple[int, int], np.ndarray]
+    maps: tuple[np.ndarray, ...]
+    lam: np.ndarray
 
     def index(self, label: str) -> int:
         try:
@@ -266,36 +273,30 @@ class AsymptoticLaw:
             i = self.index(i)
         if isinstance(j, str):
             j = self.index(j)
-        return self.cov_blocks[(i, j)]
+        return self.maps[i] @ self.lam @ self.maps[j].T
 
     def mean(self, label: str) -> np.ndarray:
         return self.means[self.index(label)]
 
     def full_cov(self) -> np.ndarray:
-        k = self.p * self.q
-        m = len(self.labels)
-        out = np.empty((m * k, m * k))
-        for i in range(m):
-            for j in range(m):
-                out[i * k:(i + 1) * k, j * k:(j + 1) * k] = self.cov_blocks[(i, j)]
-        return out
+        return np.block([[self.block(i, j) for j in range(len(self.labels))]
+                         for i in range(len(self.labels))])
 
     def full_mean(self) -> np.ndarray:
         return np.concatenate([rvec(mu) for mu in self.means])
 
 
-def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
+def joint_law(pm: PopulationModel, lam: np.ndarray, restr: Restriction,
               estimators: tuple[str, ...] = LAW_LABELS,
               q0: np.ndarray | None = None) -> AsymptoticLaw:
     """Joint law of the requested estimators under the restriction's local
-    direction theta0 (zero means the exact restriction).
+    direction theta0 (zero means the exact restriction), given the score
+    covariance `lam`.
 
     `estimators` may contain "UE", the named restricted labels, and "generic"
     (which requires the explicit weight limit `q0`).
     """
-    q = score.dim // pm.p
-    if pm.p * q != score.dim:
-        raise ShapeMismatch("score covariance does not factor as p*q")
+    q = score_q(pm, lam)
     maps = []
     means = []
     for label in estimators:
@@ -309,9 +310,5 @@ def joint_law(pm: PopulationModel, score: ScoreCov, restr: Restriction,
             w0 = named_weight_limit(pm, label)
         maps.append(limit_map(pm, q, restr, w0))
         means.append(np.zeros((pm.p, q)) if w0 is None else mean_shift(restr, w0))
-    blocks = {}
-    for i, ai in enumerate(maps):
-        for j, aj in enumerate(maps):
-            blocks[(i, j)] = ai @ score.cov @ aj.T
-    return AsymptoticLaw(labels=tuple(estimators), p=pm.p, q=q,
-                         means=tuple(means), cov_blocks=blocks)
+    return AsymptoticLaw(labels=tuple(estimators), p=pm.p, q=q, means=tuple(means),
+                         maps=tuple(maps), lam=lam)

@@ -2,9 +2,11 @@
 
 Subcommands: estimate, simulate, law, adr, efficiency, verify.  One YAML
 configuration document drives every subcommand; command-line overrides are
-limited to the master seed, replication count, sample size, worker count, and
-output directory.  Every run writes a plain-text manifest with the
-configuration digest so outputs can be audited and reproduced.
+limited to the master seed, worker count and output directory, the sample
+size (not under `estimate`, which takes n from its data) and the replication
+count (under `simulate` and `verify`, the commands that replicate).  Every
+run writes a plain-text manifest with the configuration digest so outputs
+can be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -83,27 +85,26 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
 
 
 def cmd_law(run: RunConfig, out_dir: Path) -> int:
-    pm, score = law_inputs(run)
+    pm, lam = law_inputs(run)
     labels = tuple(l for l in run.simulation.estimators if l in LAW_LABELS)
     if not labels:
         raise ConfigError("no law-compatible estimators configured")
-    law = joint_law(pm, score, run.restriction, estimators=labels)
+    law = joint_law(pm, lam, run.restriction, estimators=labels)
     written = []
-    write_matrix_csv(out_dir / "score_cov.csv", score.cov)
+    write_matrix_csv(out_dir / "score_cov.csv", lam)
     written.append(out_dir / "score_cov.csv")
     for lbl in labels:
         path = out_dir / f"mean_{lbl}.csv"
         write_matrix_csv(path, law.mean(lbl))
         written.append(path)
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            path = out_dir / f"cov_{i + 1}_{j + 1}.csv"
-            write_matrix_csv(path, law.cov_blocks[(i, j)])
-            written.append(path)
+    pairs = [(i, j) for i in range(len(labels)) for j in range(len(labels))]
+    for i, j in pairs:  # one block in memory at a time
+        path = out_dir / f"cov_{i + 1}_{j + 1}.csv"
+        write_matrix_csv(path, law.block(i, j))
+        written.append(path)
     write_manifest(out_dir / "blocks.txt", {
         "labels": list(labels),
-        **{f"block_{i + 1}_{j + 1}": f"cov_{i + 1}_{j + 1}.csv"
-           for i in range(len(labels)) for j in range(len(labels))},
+        **{f"block_{i + 1}_{j + 1}": f"cov_{i + 1}_{j + 1}.csv" for i, j in pairs},
     })
     written.append(out_dir / "blocks.txt")
     _finish(out_dir, "law", run, written)
@@ -132,15 +133,13 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]
     if all(lbl in LAW_LABELS for lbl in summary.labels):
-        pm, score = law_inputs(run)
-        law = joint_law(pm, score, run.restriction, estimators=summary.labels)
+        pm, lam = law_inputs(run)
+        law = joint_law(pm, lam, run.restriction, estimators=summary.labels)
         cmp = compare_law(summary, law)
-        rows = [[i + 1, j + 1, cmp.cov_rel_fro[(i, j)]]
-                for i in range(len(summary.labels))
-                for j in range(len(summary.labels))]
         write_rows_csv(out_dir / "compare_cov.csv",
                        ["block_i", "block_j", "rel_frobenius"],
-                       [[str(a), str(b), float(c)] for a, b, c in rows])
+                       [[str(i + 1), str(j + 1), rel]
+                        for (i, j), rel in cmp.cov_rel_fro.items()])
         written.append(out_dir / "compare_cov.csv")
         write_rows_csv(out_dir / "compare_means.csv",
                        ["estimator", "max_abs_se"],
@@ -161,14 +160,14 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
 
 
 def cmd_adr(run: RunConfig, out_dir: Path) -> int:
-    pm, score = law_inputs(run)
+    pm, lam = law_inputs(run)
     w = run.risk.weight
     labels = [l for l in run.simulation.estimators if l in NAMED_WEIGHTS]
     if not labels:
         labels = [run.risk.q0]
     rows = []
     for lbl in labels:
-        rep = dominance_report(w, pm, score, run.restriction,
+        rep = dominance_report(w, pm, lam, run.restriction,
                                named_weight_limit(pm, lbl))
         rows.append([lbl, rep.adr_ue, rep.adr_re, rep.variance_gain,
                      rep.bias_form_min, rep.bias_form_max,
@@ -185,8 +184,8 @@ def cmd_adr(run: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
-    pm, score = law_inputs(run)
-    report = adr_restricted(run.risk.weight, pm, score, run.restriction,
+    pm, lam = law_inputs(run)
+    report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
     if run.risk.scale_max is not None:
         scales = np.linspace(0.0, run.risk.scale_max, run.risk.grid)
@@ -254,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML configuration")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=at_least(0), help="override master seed")
-        p.add_argument("--reps", type=at_least(2),
-                       help="override replication count")
-        p.add_argument("--n", type=int, help="override sample size")
         p.add_argument("--workers", type=at_least(1),
                        default=os.cpu_count() or 1,
                        help="worker processes (default: machine parallelism)")
@@ -270,7 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
                        ("adr", "risk comparison report"),
                        ("efficiency", "relative-efficiency sweep"),
                        ("verify", "full acceptance suite")):
-        common(sub.add_parser(name, help=desc))
+        p = sub.add_parser(name, help=desc)
+        common(p)
+        p.add_argument("--n", type=int, help="override sample size")
+        if name in ("simulate", "verify"):  # the commands that replicate
+            p.add_argument("--reps", type=at_least(2),
+                           help="override replication count")
     return parser
 
 

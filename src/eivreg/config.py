@@ -208,6 +208,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHTS)}, "
                           f"got {risk.q0!r}")
     for section, key, value, low in (("simulation", "reps", sim.reps, 2),
+                                     ("score_cov", "n", score.n, p + 1),
                                      ("score_cov", "reps", score.reps, 1),
                                      ("risk", "grid", risk.grid, 2)):
         if value < low:

@@ -126,9 +126,13 @@ class ModelConfig:
         return ERROR_FAMILIES[self.error_family]
 
     def design(self) -> np.ndarray:
-        """Materialize M, n x p with full column rank."""
+        """Materialize M, n x p with full column rank and a finite M'M."""
         m = (self.M.rows(self.n, self.p) if isinstance(self.M, DesignRule)
              else self.M)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(m.T @ m).all():
+                raise ConfigError("field 'model.M' is too large: M'M "
+                                  "overflows double precision")
         if np.linalg.matrix_rank(m) < self.p:
             raise RankDeficient("design M does not have full column rank")
         return m

@@ -148,22 +148,23 @@ class LawComparison:
         return self.worst_cov <= self.tol_cov and self.worst_mean <= self.tol_mean_se
 
 
+def _rel_fro(emp: np.ndarray, ref: np.ndarray) -> float:
+    """||emp - ref|| / ||ref|| in the Frobenius norm, / 1 when ref = 0."""
+    denom = np.linalg.norm(ref)
+    return float(np.linalg.norm(emp - ref) / (denom if denom > 0 else 1.0))
+
+
 def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
                 tol_cov: float = 0.15, tol_mean_se: float = 4.0) -> LawComparison:
     """Per-block relative Frobenius discrepancy of the covariance grid and
     per-estimator standardized mean discrepancies."""
     if summary.labels != law.labels or (summary.p, summary.q) != (law.p, law.q):
         raise ShapeMismatch("summary and law describe different estimator stacks")
-    k = summary.p * summary.q
+    k, m = summary.p * summary.q, len(summary.labels)
     cov = summary.cov_empirical
-    cov_rel = {}
-    for i in range(len(summary.labels)):
-        for j in range(len(summary.labels)):
-            ref = law.cov_blocks[(i, j)]
-            emp = cov[i * k:(i + 1) * k, j * k:(j + 1) * k]
-            denom = np.linalg.norm(ref)
-            cov_rel[(i, j)] = float(np.linalg.norm(emp - ref) /
-                                    (denom if denom > 0 else 1.0))
+    cov_rel = {(i, j): _rel_fro(cov[i * k:(i + 1) * k, j * k:(j + 1) * k],
+                                law.block(i, j))
+               for i in range(m) for j in range(m)}
     mean_se = {}
     for i, lbl in enumerate(summary.labels):
         cols = summary.errors[:, i * k:(i + 1) * k]
@@ -227,18 +228,12 @@ def affine_limit_suite(m: int, seed: int, p: int = 2, q: int = 2,
         alp = t.alpha + scale * g.standard_normal((draws, p, p))
         bet = t.beta + scale * g.standard_normal((draws, q, q))
         rho = t.rho + scale * g.standard_normal((draws, p, q))
-        val = np.einsum("rab,rbc,rcd->rad", kap, y, iot) \
-            + np.einsum("rab,rbc,rcd->rad", alp, y, bet) + rho
+        val = kap @ y @ iot + alp @ y @ bet + rho
         stacked[:, j * pq:(j + 1) * pq] = val.reshape(draws, pq)
     emp_cov = np.cov(stacked.T)
-    block_rel = {}
-    for i in range(m):
-        for j in range(m):
-            ref = transform_cov_block(transforms[i], transforms[j], lam)
-            emp = emp_cov[i * pq:(i + 1) * pq, j * pq:(j + 1) * pq]
-            denom = np.linalg.norm(ref)
-            block_rel[(i, j)] = float(np.linalg.norm(emp - ref) /
-                                      (denom if denom > 0 else 1.0))
+    block_rel = {(i, j): _rel_fro(emp_cov[i * pq:(i + 1) * pq, j * pq:(j + 1) * pq],
+                                  transform_cov_block(transforms[i], transforms[j], lam))
+                 for i in range(m) for j in range(m)}
     se = stacked.std(axis=0, ddof=1) / math.sqrt(draws)
     target = np.concatenate([rvec(t.rho) for t in transforms])
     mean_max = float(np.max(np.abs(stacked.mean(axis=0) - target) / se))
@@ -249,15 +244,13 @@ def affine_limit_suite(m: int, seed: int, p: int = 2, q: int = 2,
                              alpha=transforms[0].alpha, beta=transforms[0].beta,
                              rho=transforms[0].rho)
     base = y.reshape(draws, pq)
-    second = (y + np.einsum("ab,rbc,cd->rad", t_pair.alpha, y, t_pair.beta)
-              + t_pair.rho).reshape(draws, pq)
+    second = (y + t_pair.alpha @ y @ t_pair.beta + t_pair.rho).reshape(draws, pq)
     joint = np.cov(np.hstack([base, second]).T)
     lift2 = np.eye(pq) + np.kron(t_pair.alpha, t_pair.beta.T)
     v12_ref = lam + lam @ np.kron(t_pair.alpha.T, t_pair.beta)
     v22_ref = lift2 @ lam @ lift2.T
-    pair_rel = max(
-        float(np.linalg.norm(joint[:pq, pq:] - v12_ref) / np.linalg.norm(v12_ref)),
-        float(np.linalg.norm(joint[pq:, pq:] - v22_ref) / np.linalg.norm(v22_ref)))
+    pair_rel = max(_rel_fro(joint[:pq, pq:], v12_ref),
+                   _rel_fro(joint[pq:, pq:], v22_ref))
 
     passed = (max(block_rel.values()) <= tol_cov and mean_max <= tol_mean_se
               and pair_rel <= tol_cov)

@@ -19,6 +19,10 @@ every other term once per weight W and weight limit Q0, as a
 gives the `ADRReport` at one drift.  `dominance_report` is the report at the
 restriction's own theta0; `efficiency_curve` places a sweep of drifts against
 one `DriftFreeReport`.
+
+Every function that needs the score covariance takes it as the plain
+pq-by-pq array `lam` and reads q off it through `asymptotics.score_q`, so a
+`lam` of any other shape raises ShapeMismatch.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (AsymptoticLaw, PopulationModel, ScoreCov,
-                          constraint_gain, limit_map, restriction_correction)
+from .asymptotics import (AsymptoticLaw, PopulationModel, constraint_gain,
+                          limit_map, restriction_correction, score_q)
 from .exceptions import DegenerateF1, DimMismatch, NotPD
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
@@ -52,12 +56,12 @@ def _check_weight(w: np.ndarray, p: int) -> np.ndarray:
 
 
 def adr_unrestricted(weight: np.ndarray, pm: PopulationModel,
-                     score: ScoreCov) -> float:
+                     lam: np.ndarray) -> float:
     """tr((W x I_q) S11) for the corrected estimator's limit covariance."""
-    q = score.dim // pm.p
+    q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
     a1 = limit_map(pm, q)
-    s11 = a1 @ score.cov @ a1.T
+    s11 = a1 @ lam @ a1.T
     return float(np.trace(kron(w, np.eye(q)) @ s11))
 
 
@@ -70,20 +74,19 @@ def adr_from_law(weight: np.ndarray, law: AsymptoticLaw, label: str) -> float:
 
 
 def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
-                        score: ScoreCov, restr: Restriction,
+                        lam: np.ndarray, restr: Restriction,
                         q0: np.ndarray) -> tuple[float, float, float]:
     """The three traces whose signed sum is the restriction's variance gain.
 
     With K = `restriction_correction`, the Kronecker correction inside the
-    restricted limit map, the gain is tr(V A1 L K') + tr(V K L A1') -
-    tr(V K L K') with V = W x I_q and L the score covariance.
+    restricted limit map, the gain is tr(V A1 lam K') + tr(V K lam A1') -
+    tr(V K lam K') with V = W x I_q.
     """
-    q = score.dim // pm.p
+    q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
     v = kron(w, np.eye(q))
     a1 = limit_map(pm, q)
     kq = restriction_correction(pm, restr, q0)
-    lam = score.cov
     t1 = float(np.trace(v @ a1 @ lam @ kq.T))
     t2 = float(np.trace(v @ kq @ lam @ a1.T))
     t3 = float(np.trace(v @ kq @ lam @ kq.T))
@@ -91,16 +94,16 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
 
 
 def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
-                          score: ScoreCov, restr: Restriction,
+                          lam: np.ndarray, restr: Restriction,
                           q0: np.ndarray) -> float:
     """Single-trace Kronecker-lifted arrangement of the first gain term.
 
-    Evaluates rvec(score_cov)' kron(kron(J1' W, J), I) rvec(A1) with
+    Evaluates vec(lam)' kron(kron(J1' W, J), I) rvec(A1) with
     J1 = gain @ R1 @ sigma_d^{-1}; equals the first of the three gain traces.
     Tests use it to cross-check the lifted arrangement; the ADR functions do
     not call it, since it builds a (pq)^2-by-(pq)^2 matrix.
     """
-    q = score.dim // pm.p
+    q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
     a1 = limit_map(pm, q)
     gain = constraint_gain(q0, restr.R1)
@@ -108,7 +111,7 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
     j = restr.R2 @ restr.right
     pq = pm.p * q
     big = kron(kron(j1.T @ w, j), np.eye(pq))
-    lam_vec = score.cov.ravel(order="F")
+    lam_vec = lam.ravel(order="F")
     a1_vec = a1.ravel(order="F")
     return float(lam_vec @ big @ a1_vec)
 
@@ -176,29 +179,29 @@ class DriftFreeReport:
         return np.sqrt(np.linspace(0.0, 2.0 * top, points))
 
 
-def adr_restricted(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
+def adr_restricted(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
                    restr: Restriction, q0: np.ndarray) -> DriftFreeReport:
     """The restricted estimator's ADR against the corrected estimator's as a
     function of the drift: every term of the comparison except those of
     theta0, which `DriftFreeReport.at` adds."""
-    t1, t2, t3 = variance_gain_terms(weight, pm, score, restr, q0)
+    t1, t2, t3 = variance_gain_terms(weight, pm, lam, restr, q0)
     gain = t1 + t2 - t3
     f1 = bias_form(weight, restr, q0)
     ch_min, ch_max = eig_extremes(f1)
     if ch_min < -1e-10 * max(ch_max, 1.0):
         raise DegenerateF1(f"bias form has eigenvalue {ch_min:.3e} < 0")
     return DriftFreeReport(
-        adr_ue=adr_unrestricted(weight, pm, score), variance_gain=gain,
+        adr_ue=adr_unrestricted(weight, pm, lam), variance_gain=gain,
         bias_form=f1, bias_form_min=ch_min, bias_form_max=ch_max,
         lower_threshold=gain / ch_max if ch_max > 0 else math.inf,
         upper_threshold=gain / ch_min if ch_min > 0 else math.inf)
 
 
-def dominance_report(weight: np.ndarray, pm: PopulationModel, score: ScoreCov,
+def dominance_report(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
                      restr: Restriction, q0: np.ndarray) -> ADRReport:
     """Thresholds and verdict for the restricted-vs-unrestricted comparison
     at the restriction's theta0."""
-    return adr_restricted(weight, pm, score, restr, q0).at(restr.theta0)
+    return adr_restricted(weight, pm, lam, restr, q0).at(restr.theta0)
 
 
 def drift_direction(restr: Restriction) -> np.ndarray:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (PopulationModel, ScoreCov, estimate_score_cov,
-                          joint_law, law_inputs, mean_shift, named_weight_limit,
+from .asymptotics import (PopulationModel, estimate_score_cov, joint_law,
+                          law_inputs, mean_shift, named_weight_limit,
                           population, score_cov_model)
 from .config import RunConfig
 from .csvio import open_output, write_rows_csv
@@ -114,9 +114,9 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
 
 
 def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
-                            score: ScoreCov,
+                            lam: np.ndarray,
                             workers: int = 1) -> CriterionResult:
-    law = joint_law(pm, score, run.restriction, estimators=LAW_LABELS)
+    law = joint_law(pm, lam, run.restriction, estimators=LAW_LABELS)
     plan = SimulationPlan(cfg=run.model, restr=run.restriction,
                           b_seed=run.b_truth_seed(), reps=run.simulation.reps,
                           master_seed=seed + 7, estimators=LAW_LABELS)
@@ -126,7 +126,7 @@ def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
     # closed form the law is built from
     cfg, B = score_cov_model(run)
     mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps, seed=seed)
-    diff = float(np.max(np.abs(mc.cov - score.cov)))
+    diff = float(np.max(np.abs(mc.cov - lam)))
     score_gap = (diff / mc.standard_error if mc.standard_error > 0
                  else (math.inf if diff > 0 else 0.0))
     return CriterionResult(
@@ -143,7 +143,7 @@ def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
     for _ in range(100):
         p, q, restr = _rand_instance(g, max_p=4, max_q=3)
         pm = _rand_population(p, g)
-        lam = ScoreCov(cov=_rand_pd(p * q, g), reps=0, n_used=0, standard_error=0.0)
+        lam = _rand_pd(p * q, g)
         q0 = _rand_pd(p, g)
         w = _rand_pd(p, g)
         theta0 = g.standard_normal(restr.theta.shape)
@@ -171,7 +171,7 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
     for i in range(50):
         p, q, restr = _rand_instance(g, max_p=4, max_q=3)
         pm = _rand_population(p, g)
-        lam = ScoreCov(cov=_rand_pd(p * q, g), reps=0, n_used=0, standard_error=0.0)
+        lam = _rand_pd(p * q, g)
         q0 = _rand_pd(p, g)
         w = np.eye(p) if i % 2 == 0 else float(g.uniform(0.5, 2.0)) * q0
         direction = g.standard_normal(restr.theta.shape)
@@ -205,8 +205,8 @@ def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
 
 
 def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
-                               score: ScoreCov) -> CriterionResult:
-    base = adr_restricted(run.risk.weight, pm, score, run.restriction,
+                               lam: np.ndarray) -> CriterionResult:
+    base = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                           named_weight_limit(pm, run.risk.q0))
     rows = efficiency_curve(base, drift_direction(run.restriction),
                             base.scale_grid(max(run.risk.grid, 5)))
@@ -295,11 +295,11 @@ def run_acceptance(run: RunConfig, out_dir, workers: int = 1) -> list[CriterionR
         criterion_sqrt_n_rate(run, seed, workers=workers),
         criterion_naive_bias(run, seed),
     ]
-    pm, score = law_inputs(run)
-    results.append(criterion_law_agreement(run, seed, pm, score, workers=workers))
+    pm, lam = law_inputs(run)
+    results.append(criterion_law_agreement(run, seed, pm, lam, workers=workers))
     results.append(criterion_adr_identity(run, seed))
     results.append(criterion_dominance(run, seed))
-    results.append(criterion_efficiency_curve(run, pm, score))
+    results.append(criterion_efficiency_curve(run, pm, lam))
     results.append(criterion_affine_limits(run, seed))
     results.append(criterion_reproducibility(run, out_dir))
     write_rows_csv(out_dir / "criteria.csv",

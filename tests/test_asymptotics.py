@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eivreg import asymptotics, estimators
-from eivreg.asymptotics import (ScoreCov, closed_form_score_cov,
+from eivreg.asymptotics import (closed_form_score_cov,
                                 estimate_score_cov, joint_law, law_inputs,
                                 limit_map, mean_shift, named_weight_limit,
                                 population)
@@ -101,7 +101,7 @@ def test_score_cov_reports_standard_error():
     B = np.array([[1.0, 0.2], [-0.3, 0.8]])
     sc = estimate_score_cov(cfg, B, reps=500, seed=7)
     assert sc.standard_error > 0
-    assert sc.reps == 500 and sc.n_used == 300
+    assert sc.cov.shape == (4, 4)
 
 
 # p=3, q=2 so that a swapped index shows, and a design with nonzero column
@@ -144,12 +144,12 @@ def _formula_terms(cfg, B):
 def test_closed_form_score_cov_matches_formula_and_monte_carlo(family):
     cfg = _cfg_32(family)
     cf = closed_form_score_cov(cfg, B_32)
-    assert (cf.reps, cf.n_used, cf.standard_error) == (0, 200, 0.0)
-    np.testing.assert_array_equal(cf.cov, cf.cov.T)
+    assert isinstance(cf, np.ndarray) and cf.shape == (6, 6)
+    np.testing.assert_array_equal(cf, cf.T)
     expected = sum(_formula_terms(cfg, B_32).values())
-    np.testing.assert_allclose(cf.cov, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cf, expected, rtol=1e-12, atol=1e-12)
     mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
-    assert np.max(np.abs(cf.cov - mc.cov)) <= 4.0 * mc.standard_error
+    assert np.max(np.abs(cf - mc.cov)) <= 4.0 * mc.standard_error
 
 
 def test_monte_carlo_check_detects_each_moment_term():
@@ -160,7 +160,7 @@ def test_monte_carlo_check_detects_each_moment_term():
     mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
     terms = _formula_terms(cfg, B_32)
     for name in ("gamma1", "gamma2"):
-        dropped = cf.cov - terms[name]
+        dropped = cf - terms[name]
         assert np.max(np.abs(dropped - mc.cov)) > 8.0 * mc.standard_error, name
 
 
@@ -177,12 +177,10 @@ def test_law_inputs_use_the_closed_form(monkeypatch):
         raise AssertionError("law_inputs must not run the Monte Carlo")
 
     monkeypatch.setattr(asymptotics, "estimate_score_cov", forbidden)
-    pm, score = law_inputs(run)
+    pm, lam = law_inputs(run)
     cfg = run.model.at_n(500)
     B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
-    np.testing.assert_array_equal(score.cov,
-                                  closed_form_score_cov(cfg, B).cov)
-    assert score.n_used == 500 and score.reps == 0
+    np.testing.assert_array_equal(lam, closed_form_score_cov(cfg, B))
     np.testing.assert_array_equal(pm.sigma, population(run.model).sigma)
 
 
@@ -241,8 +239,7 @@ def _dummy_score(pm, q, seed=11):
     g = np.random.default_rng(seed)
     k = pm.p * q
     f = g.standard_normal((k, k))
-    return ScoreCov(cov=sym(f @ f.T) + np.eye(k), reps=0, n_used=0,
-                    standard_error=0.0)
+    return sym(f @ f.T) + np.eye(k)
 
 
 def test_joint_law_block_symmetry_and_psd():
@@ -252,8 +249,7 @@ def test_joint_law_block_symmetry_and_psd():
     m = len(law.labels)
     for i in range(m):
         for j in range(m):
-            assert np.linalg.norm(law.cov_blocks[(i, j)].T
-                                  - law.cov_blocks[(j, i)]) <= 1e-12
+            assert np.linalg.norm(law.block(i, j).T - law.block(j, i)) <= 1e-12
     lo, hi = eig_extremes(sym(law.full_cov()))
     assert lo >= -1e-8 * max(hi, 1.0)
 
@@ -273,7 +269,7 @@ def test_joint_law_pair_matches_full_grid():
     pair = joint_law(pm, sc, RESTR, estimators=("UE", "generic"), q0=pm.sigma)
     iu, ib3 = full.index("UE"), full.index("B3")
     np.testing.assert_allclose(pair.block("UE", "generic"),
-                               full.cov_blocks[(iu, ib3)], atol=1e-12)
+                               full.block(iu, ib3), atol=1e-12)
     np.testing.assert_allclose(pair.mean("generic"), full.mean("B3"),
                                atol=1e-12)
 

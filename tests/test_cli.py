@@ -271,8 +271,8 @@ def test_efficiency_scale_max_rows(tmp_path):
     assert [row[0] for row in rows] == [csvio.fmt(s) for s in scales]
     # each row is, bit for bit, the drift-free report at that drift
     run = parse_config(doc)
-    pm, score = law_inputs(run)
-    report = adr_restricted(run.risk.weight, pm, score, run.restriction,
+    pm, lam = law_inputs(run)
+    report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
     direction = drift_direction(run.restriction)
     for s, row in zip(scales, rows):
@@ -376,6 +376,9 @@ BAD_CONFIGS = {
     "scale_max_neg": ("risk", "scale_max", -1.0),
     "sim_reps_1": ("simulation", "reps", 1),
     "score_reps_0": ("score_cov", "reps", 0),
+    "score_n_2": ("score_cov", "n", 2),
+    "m_huge": ("model", "M", {"kind": "uniform", "low": -4.0, "high": 1.0e300,
+                              "seed": 1848}),
 }
 
 
@@ -466,7 +469,21 @@ def _exit_code(argv):
      "field 'score_cov.reps' must be at least 1, got 0"),
     ("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
      "field 'score_cov.reps' must be at least 1, got 0"),
-    ("law", ["--reps", "1"], 2, "--reps: must be at least 2, got 1"),
+    # options a command never reads are not accepted
+    ("law", ["--reps", "1"], 2, "unrecognized arguments: --reps 1"),
+    ("adr", ["--reps", "10"], 2, "unrecognized arguments: --reps 10"),
+    ("estimate", ["--n", "10", "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+     "unrecognized arguments: --n 10"),
+    ("law", ["--config", "{tmp}/score_n_2.yaml"], 2,
+     "field 'score_cov.n' must be at least 3, got 2"),
+    ("estimate", ["--config", "{tmp}/score_n_2.yaml",
+                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+     "field 'score_cov.n' must be at least 3, got 2"),
+    # a design whose M'M overflows is reported where it is materialized,
+    # with no numpy warning on the way
+    *[(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,
+       "field 'model.M' is too large: M'M overflows double precision")
+      for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

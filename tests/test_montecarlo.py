@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eivreg.asymptotics import (ScoreCov, estimate_score_cov, joint_law,
+from eivreg.asymptotics import (estimate_score_cov, joint_law,
                                 named_weight_limit, population)
 from eivreg.exceptions import NearSingular, ShapeMismatch
 from eivreg.linalg import psd_factor, sym
@@ -82,8 +82,7 @@ def test_compare_law_self_consistency():
     pm = population(cfg)
     g = np.random.default_rng(5)
     f = g.standard_normal((4, 4))
-    sc = ScoreCov(cov=sym(f @ f.T) + np.eye(4), reps=0, n_used=0,
-                  standard_error=0.0)
+    sc = sym(f @ f.T) + np.eye(4)
     law = joint_law(pm, sc, RESTR)
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(6))
     cmp = compare_law(summary, law, tol_cov=0.10, tol_mean_se=4.0)
@@ -95,11 +94,10 @@ def test_compare_law_negative_control():
     pm = population(cfg)
     g = np.random.default_rng(7)
     f = g.standard_normal((4, 4))
-    sc = ScoreCov(cov=sym(f @ f.T) + np.eye(4), reps=0, n_used=0,
-                  standard_error=0.0)
+    sc = sym(f @ f.T) + np.eye(4)
     law = joint_law(pm, sc, RESTR)
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(8))
-    wrong = ScoreCov(cov=2.0 * sc.cov, reps=0, n_used=0, standard_error=0.0)
+    wrong = 2.0 * sc
     wrong_law = joint_law(pm, wrong, RESTR)
     cmp = compare_law(summary, wrong_law, tol_cov=0.10, tol_mean_se=4.0)
     assert not cmp.passed
@@ -109,7 +107,7 @@ def test_compare_law_negative_control():
 def test_compare_law_label_mismatch():
     cfg = _cfg(n=1000)
     pm = population(cfg)
-    sc = ScoreCov(cov=np.eye(4), reps=0, n_used=0, standard_error=0.0)
+    sc = np.eye(4)
     law = joint_law(pm, sc, RESTR, estimators=("UE", "B2"))
     summary = _summary_from_law_draws(law, 100, np.random.default_rng(9))
     other = joint_law(pm, sc, RESTR, estimators=("UE", "B3"))
@@ -148,7 +146,7 @@ def test_zero_direction_plan_means_centered():
     summary = run_plan(plan, workers=4)
     pm = population(cfg)
     b_truth = make_restricted_b(cfg, restr, B_SEED)
-    sc = estimate_score_cov(cfg, b_truth, reps=800, seed=72)
+    sc = estimate_score_cov(cfg, b_truth, reps=800, seed=72).cov
     law = joint_law(pm, sc, restr)
     cmp = compare_law(summary, law, tol_cov=0.35, tol_mean_se=4.0)
     assert cmp.worst_mean <= 4.0
@@ -164,7 +162,7 @@ def test_law_agreement_under_skewed_errors():
     cfg_s = cfg.at_n(2000)
     b_s = make_restricted_b(cfg_s, RESTR, B_SEED)
     score = estimate_score_cov(cfg_s, b_s, reps=2000, seed=51)
-    law = joint_law(pm, score, RESTR)
+    law = joint_law(pm, score.cov, RESTR)
     plan = _plan(cfg=cfg, reps=2000, master_seed=52)
     summary = run_plan(plan, workers=4)
     cmp = compare_law(summary, law)
@@ -193,7 +191,7 @@ def test_empirical_adr_matches_theory():
     restr = RESTR
     pm = population(cfg)
     b_truth = make_restricted_b(cfg, restr, B_SEED)
-    sc = estimate_score_cov(cfg, b_truth, reps=2000, seed=10)
+    sc = estimate_score_cov(cfg, b_truth, reps=2000, seed=10).cov
     plan = _plan(cfg=cfg, reps=2000, master_seed=11)
     summary = run_plan(plan, workers=4)
     rep = dominance_report(np.eye(2), pm, sc, restr, named_weight_limit(pm, "B3"))

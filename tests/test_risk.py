@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from eivreg import cli
-from eivreg.asymptotics import (PopulationModel, ScoreCov, joint_law,
+from eivreg.asymptotics import (PopulationModel, joint_law,
                                 law_inputs, mean_shift, named_weight_limit,
                                 population)
 from eivreg.config import load_config
+from eivreg.exceptions import ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction
 from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
@@ -40,22 +41,38 @@ def _rand_setup(seed, p=3, q=2, r1=2, r2=1):
                         R2=g.standard_normal((q, r2)),
                         theta=np.zeros((r1, r2)),
                         theta0=g.standard_normal((r1, r2)))
-    sc = ScoreCov(cov=_pd(p * q, g), reps=0, n_used=0, standard_error=0.0)
+    sc = _pd(p * q, g)
     q0 = _pd(p, g)
     w = _pd(p, g)
     return g, pm, restr, sc, q0, w
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (6, 4), (6,), (2, 2), (0, 0)])
+def test_wrong_size_score_cov_is_a_shape_mismatch(shape):
+    # p = 3: no q makes any of these (p*q)x(p*q)
+    _, pm, restr, _, q0, w = _rand_setup(0)
+    lam = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+    calls = [lambda: joint_law(pm, lam, restr),
+             lambda: adr_unrestricted(w, pm, lam),
+             lambda: variance_gain_terms(w, pm, lam, restr, q0),
+             lambda: variance_gain_compact(w, pm, lam, restr, q0),
+             lambda: adr_restricted(w, pm, lam, restr, q0),
+             lambda: dominance_report(w, pm, lam, restr, q0)]
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match=r"\(p\*q\)x\(p\*q\) at p=3"):
+            call()
+
+
 def test_adr_zero_score_cov():
     _, pm, restr, _, q0, w = _rand_setup(0)
-    sc = ScoreCov(cov=np.zeros((6, 6)), reps=0, n_used=0, standard_error=0.0)
+    sc = np.zeros((6, 6))
     assert adr_unrestricted(w, pm, sc) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_adr_identity_case():
     # sigma_d = I and unit score covariance: ADR with W = I equals p*q
     pm = _pm_from_sigma(2 * np.eye(2), 1.0)
-    sc = ScoreCov(cov=np.eye(4), reps=0, n_used=0, standard_error=0.0)
+    sc = np.eye(4)
     assert adr_unrestricted(np.eye(2), pm, sc) == pytest.approx(4.0)
 
 
@@ -107,7 +124,7 @@ def test_full_restriction_identity_weights():
     pm = _pm_from_sigma(_pd(p, g) + p * np.eye(p), 0.1)
     restr = Restriction(R1=np.eye(p), R2=np.eye(q), theta=np.zeros((p, q)),
                         theta0=g.standard_normal((p, q)))
-    sc = ScoreCov(cov=_pd(p * q, g), reps=0, n_used=0, standard_error=0.0)
+    sc = _pd(p * q, g)
     f1 = bias_form(np.eye(p), restr, np.eye(p))
     np.testing.assert_allclose(f1, np.eye(p * q), atol=1e-12)
     res = dominance_report(np.eye(p), pm, sc, restr, np.eye(p))
@@ -142,7 +159,7 @@ def test_dominance_band_collapse_flips_verdict():
     restr = Restriction(R1=g.standard_normal((1, 3)), R2=g.standard_normal((2, 1)),
                         theta=np.zeros((1, 1)), theta0=np.ones((1, 1)))
     pm = _pm_from_sigma(_pd(3, g) + 3 * np.eye(3), 0.05)
-    sc = ScoreCov(cov=_pd(6, g), reps=0, n_used=0, standard_error=0.0)
+    sc = _pd(6, g)
     q0 = _pd(3, g)
     w = np.eye(3)
     base = adr_restricted(w, pm, sc, restr, q0)
@@ -186,7 +203,7 @@ def test_variance_gain_can_be_negative_for_misaligned_weight():
     restr = Restriction(R1=np.array([[1.0, 0.0]]), R2=np.eye(1),
                         theta=np.zeros((1, 1)), theta0=np.ones((1, 1)))
     q0 = np.linalg.inv(np.array([[1.0, 2.0], [2.0, 5.0]]))
-    lam = ScoreCov(cov=np.eye(p * q), reps=0, n_used=0, standard_error=0.0)
+    lam = np.eye(p * q)
     w = np.eye(p)
     t1, t2, t3 = variance_gain_terms(w, pm, lam, restr, q0)
     gain = t1 + t2 - t3
@@ -312,7 +329,7 @@ def test_dominance_with_model_population():
     restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                         theta0=[[0.9]])
     g = np.random.default_rng(11)
-    sc = ScoreCov(cov=_pd(4, g), reps=0, n_used=0, standard_error=0.0)
+    sc = _pd(4, g)
     for which in ("B2", "B3", "B4"):
         rep = adr_restricted(np.eye(2), pm, sc, restr,
                              named_weight_limit(pm, which)).at(np.zeros((1, 1)))

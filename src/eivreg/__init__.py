@@ -8,8 +8,7 @@ from .asymptotics import (AsymptoticLaw, PopulationModel,
                           named_weight_limit, population)
 from .config import RunConfig, load_config, parse_config
 from .estimators import Attenuation, build_kx, estimate_all, lse, restricted
-from .linalg import (AffineTransform, MatrixNormal, eig_extremes, kron, rvec,
-                     sample_matrix_normal, transform_cov_block, unrvec, vec)
+from .linalg import AffineTransform, eig_extremes, kron, rvec
 from .model import (Dataset, DesignRule, ModelConfig, Restriction, generate,
                     make_restricted_b)
 from .montecarlo import (EmpiricalSummary, SimulationPlan, affine_limit_suite,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ADRReport", "AffineTransform", "AsymptoticLaw", "Attenuation",
     "Dataset", "DesignRule", "DriftFreeReport", "EmpiricalSummary",
-    "MatrixNormal", "ModelConfig", "PopulationModel", "Restriction",
+    "ModelConfig", "PopulationModel", "Restriction",
     "RunConfig", "SimulationPlan", "adr_from_law",
     "adr_restricted", "adr_unrestricted", "affine_limit_suite", "bias_form",
     "build_kx", "closed_form_score_cov", "compare_law",
@@ -31,6 +30,5 @@ __all__ = [
     "estimate_all", "estimate_score_cov", "generate", "joint_law", "kron",
     "law_inputs", "limit_map", "load_config", "lse", "make_restricted_b", "mean_shift",
     "named_weight_limit", "parse_config",
-    "population", "restricted", "run_plan", "rvec", "sample_matrix_normal",
-    "transform_cov_block", "unrvec", "vec",
+    "population", "restricted", "run_plan", "rvec",
 ]

@@ -207,6 +207,8 @@ def cmd_verify(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number}: "
               f"{r.name} -- {r.detail}")
+    _finish(out_dir, "verify", run,
+            [out_dir / "criteria.csv", out_dir / "report.txt"])
     return 0 if all(r.passed for r in results) else 4
 
 

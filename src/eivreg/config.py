@@ -214,6 +214,9 @@ def parse_config(doc: dict) -> RunConfig:
         if value < low:
             raise ConfigError(f"field '{section}.{key}' must be at least {low}, "
                               f"got {value}")
+    if not isinstance(model.M, DesignRule) and score.n != model.n:
+        raise ConfigError(f"field 'score_cov.n' must equal model.n = {model.n} "
+                          f"when 'model.M' is an explicit matrix, got {score.n}")
     if risk.scale_max is not None and risk.scale_max <= 0:
         raise ConfigError(f"field 'risk.scale_max' must be positive, "
                           f"got {risk.scale_max}")

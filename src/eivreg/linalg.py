@@ -1,9 +1,11 @@
-"""Matrix utilities: vec/Kronecker algebra, eigenvalue extremes, matrix-normal
-sampling, and covariance blocks of affine transforms of a matrix-normal variable.
+"""Matrix utilities: row-major flattening and Kronecker products, eigenvalue
+extremes, PSD factors, and the lift of an affine transform of p-by-q matrices.
 
 Stacking convention used throughout the package: matrix-valued random variables
 are flattened row-major (`rvec`, equal to the classical column-stacking vec of
 the *transpose*).  All pq-by-pq covariance objects refer to that flattening.
+A transform's `lift()` is the map it induces on `rvec`; with lifts as maps, an
+`AsymptoticLaw` gives the covariance blocks of transforms of one normal law.
 """
 
 from __future__ import annotations
@@ -19,22 +21,9 @@ PSD_CLIP_RTOL = 1e-10
 COND_LIMIT = 1e12
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vec operator."""
-    return np.asarray(m, dtype=float).ravel(order="F")
-
-
 def rvec(m: np.ndarray) -> np.ndarray:
     """Row-major flattening; equals vec of the transposed matrix."""
     return np.asarray(m, dtype=float).ravel(order="C")
-
-
-def unrvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of `rvec` for a known shape."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise DimMismatch(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,56 +83,6 @@ def psd_factor(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MatrixNormal:
-    """Normal law on p-by-q matrices.
-
-    `cov` is the pq-by-pq covariance of `rvec(Y)` (row-major flattening).
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        k = mean.shape[0] * mean.shape[1]
-        if cov.shape != (k, k):
-            raise DimMismatch(
-                f"cov shape {cov.shape} does not match mean {mean.shape}"
-            )
-        if not is_symmetric(cov):
-            raise NonSymmetric("cov must be symmetric")
-
-    @property
-    def rows(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.mean.shape[1]
-
-
-def sample_matrix_normal(law: MatrixNormal, rng: np.random.Generator,
-                         size: int | None = None) -> np.ndarray:
-    """Draw from a matrix-normal law.
-
-    Returns a (rows, cols) array, or (size, rows, cols) when `size` is given.
-    Sampling goes through a symmetric PSD factorization of `cov`; a zero
-    covariance returns the mean exactly.
-    """
-    factor = psd_factor(law.cov)
-    p, q = law.rows, law.cols
-    if size is None:
-        z = rng.standard_normal(factor.shape[1])
-        return law.mean + unrvec(factor @ z, p, q)
-    z = rng.standard_normal((size, factor.shape[1]))
-    flat = z @ factor.T + rvec(law.mean)
-    return flat.reshape(size, p, q)
-
-
-@dataclass(frozen=True)
 class AffineTransform:
     """The map Y -> kappa @ Y @ iota + alpha @ Y @ beta + rho on p-by-q matrices."""
 
@@ -164,29 +103,7 @@ class AffineTransform:
         if self.rho.shape != (self.kappa.shape[0], self.iota.shape[1]):
             raise DimMismatch("rho does not conform to kappa @ Y @ iota")
 
-    @property
-    def in_shape(self) -> tuple[int, int]:
-        return self.kappa.shape[1], self.iota.shape[0]
-
     def lift(self) -> np.ndarray:
         """Linear map taking rvec(Y) to rvec(kappa Y iota + alpha Y beta)."""
         return kron(self.kappa, self.iota.T) + kron(self.alpha, self.beta.T)
 
-
-def transform_cov_block(ti: AffineTransform, tj: AffineTransform,
-                        lam: np.ndarray) -> np.ndarray:
-    """Cross-covariance of two affine transforms of one matrix-normal variable.
-
-    For Y with Cov(rvec Y) = lam, returns Cov(rvec ti(Y), rvec tj(Y)) =
-    L_i @ lam @ L_j.T where L_k is the transform's lift.  The block grid built
-    from a family of transforms is symmetric: block(j,i) = block(i,j).T.
-    """
-    if ti.in_shape != tj.in_shape:
-        raise DimMismatch("transforms act on different input shapes")
-    k = ti.in_shape[0] * ti.in_shape[1]
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (k, k):
-        raise DimMismatch(f"lam shape {lam.shape} does not match input size {k}")
-    li = ti.lift()
-    lj = tj.lift()
-    return li @ lam @ lj.T

@@ -233,12 +233,11 @@ def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
 
 
 def criterion_affine_limits(run: RunConfig, seed: int) -> CriterionResult:
-    report = affine_limit_suite(m=3, seed=seed, draws=100_000)
-    worst = max(report.block_rel_fro.values())
+    cmp, pair_rel = affine_limit_suite(seed, draws=100_000)
     return CriterionResult(
-        8, "affine limit closure", report.passed,
-        f"worst block {worst:.3f} rel-Frobenius (tol 0.10), means {report.mean_max_se:.2f} SE "
-        f"(tol 4), identity-pair cross block {report.pair_cross_rel:.3f}")
+        8, "affine limit closure", cmp.passed and pair_rel <= cmp.tol_cov,
+        f"worst block {cmp.worst_cov:.3f} rel-Frobenius (tol 0.10), means {cmp.worst_mean:.2f} SE "
+        f"(tol 4), identity-pair cross block {pair_rel:.3f}")
 
 
 def criterion_reproducibility(run: RunConfig, out_dir: Path) -> CriterionResult:

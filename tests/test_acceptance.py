@@ -63,3 +63,6 @@ def test_report_file_written(verify_run):
     report = (out / "report.txt").read_text()
     assert report.count("\n") == len(CRITERIA)
     assert "FAIL" not in report
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "command=verify" in manifest
+    assert "output_paths=criteria.csv;report.txt" in manifest

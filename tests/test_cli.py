@@ -379,6 +379,11 @@ BAD_CONFIGS = {
     "score_n_2": ("score_cov", "n", 2),
     "m_huge": ("model", "M", {"kind": "uniform", "low": -4.0, "high": 1.0e300,
                               "seed": 1848}),
+    # an explicit 50x2 M with score_cov.n left at 400
+    "m_explicit_50": (None, "model", {
+        "n": 50, "p": 2, "q": 2, "sigma_eps2": 2.0, "sigma_delta2": 0.5,
+        "sigma_psi2": 0.5, "error_family": "gaussian",
+        "M": np.random.default_rng(1848).uniform(-4.0, 4.0, (50, 2)).tolist()}),
 }
 
 
@@ -484,6 +489,15 @@ def _exit_code(argv):
     *[(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,
        "field 'model.M' is too large: M'M overflows double precision")
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
+    # an explicit design cannot be redrawn at score_cov.n
+    *[(cmd, ["--config", "{tmp}/m_explicit_50.yaml", "--workers", "1"], 2,
+       "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
+       "explicit matrix, got 400")
+      for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
+    ("estimate", ["--config", "{tmp}/m_explicit_50.yaml",
+                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+     "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
+     "explicit matrix, got 400"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

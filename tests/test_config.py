@@ -65,11 +65,16 @@ def test_roundtrip_through_yaml(tmp_path):
 
 
 def test_inline_design_matrix(tmp_path):
+    # an explicit M has model.n rows, so the score covariance is taken at n
     doc = {**DOC, "model": {**DOC["model"],
                             "M": np.random.default_rng(0)
-                            .uniform(-1, 1, (200, 2)).tolist()}}
+                            .uniform(-1, 1, (200, 2)).tolist()},
+           "score_cov": {**DOC["score_cov"], "n": 200}}
     run = parse_config(doc)
     assert run.model.design().shape == (200, 2)
+    with pytest.raises(ConfigError, match="'score_cov.n' must equal model.n "
+                                          "= 200 when 'model.M'"):
+        parse_config({**doc, "score_cov": DOC["score_cov"]})
 
 
 def test_missing_section():

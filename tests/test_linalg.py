@@ -1,48 +1,57 @@
-"""Vec/Kronecker algebra, eigenvalue extremes, matrix-normal sampling, and
-affine-transform covariance blocks."""
+"""Row-major flattening and Kronecker algebra, eigenvalue extremes, PSD
+factors, and the covariance blocks of affine transforms, formed by an
+`AsymptoticLaw` whose maps are the transforms' lifts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eivreg.asymptotics import AsymptoticLaw
 from eivreg.exceptions import DimMismatch, NonSymmetric, NotPSD
-from eivreg.linalg import (AffineTransform, MatrixNormal, eig_extremes, kron,
-                           psd_factor, rvec, sample_matrix_normal, sym,
-                           transform_cov_block, unrvec, vec)
+from eivreg.linalg import (AffineTransform, eig_extremes, kron, psd_factor,
+                           rvec, sym)
 
 RNG = np.random.default_rng(20260810)
 
 
 def test_vec_column_stacking():
-    assert vec(np.array([[1.0, 2.0], [3.0, 4.0]])).tolist() == [1.0, 3.0, 2.0, 4.0]
+    # the column-stacking vec of a matrix is rvec of its transpose
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert rvec(m).tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert rvec(m.T).tolist() == [1.0, 3.0, 2.0, 4.0]
 
 
 def test_vec_zero_matrix():
-    assert vec(np.zeros((2, 3))).tolist() == [0.0] * 6
+    assert rvec(np.zeros((2, 3)).T).tolist() == [0.0] * 6
 
 
 def test_vec_of_product_identity():
-    # vec(A X B) = (B' kron A) vec(X), checked against elementwise evaluation
+    # rvec(A X B) = (A kron B') rvec(X), checked against elementwise
+    # evaluation, and a transform's lift is that map summed over its terms
     g = np.random.default_rng(3)
     for _ in range(20):
         a, x, b = (g.standard_normal((2, 2)) for _ in range(3))
-        left = vec(a @ x @ b)
+        left = rvec(a @ x @ b)
         lift = np.zeros((4, 4))
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        lift[2 * j + i, 2 * l + k] = b[l, j] * a[i, k]
-        np.testing.assert_allclose(left, lift @ vec(x), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(left, kron(b.T, a) @ vec(x), rtol=1e-12,
+                        lift[2 * i + j, 2 * k + l] = a[i, k] * b[l, j]
+        np.testing.assert_allclose(left, lift @ rvec(x), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(left, kron(a, b.T) @ rvec(x), rtol=1e-12,
+                                   atol=1e-12)
+        zero = np.zeros((2, 2))
+        t = AffineTransform(kappa=a, iota=b, alpha=zero, beta=zero, rho=zero)
+        np.testing.assert_allclose(left, t.lift() @ rvec(x), rtol=1e-12,
                                    atol=1e-12)
 
 
 def test_rvec_is_vec_of_transpose():
     m = RNG.standard_normal((3, 4))
-    np.testing.assert_array_equal(rvec(m), vec(m.T))
-    np.testing.assert_array_equal(unrvec(rvec(m), 3, 4), m)
+    np.testing.assert_array_equal(rvec(m), m.T.ravel(order="F"))
+    np.testing.assert_array_equal(rvec(m).reshape(3, 4), m)
 
 
 def test_kron_identities():
@@ -109,28 +118,6 @@ def test_psd_factor_clips_tiny_negative():
     np.testing.assert_allclose(f @ f.T, np.diag([1.0, 0.0]), atol=1e-11)
 
 
-def test_sample_matrix_normal_degenerate():
-    mean = np.array([[1.0, -2.0], [0.5, 3.0]])
-    law = MatrixNormal(mean=mean, cov=np.zeros((4, 4)))
-    draw = sample_matrix_normal(law, np.random.default_rng(0))
-    np.testing.assert_array_equal(draw, mean)
-
-
-def test_sample_matrix_normal_moments():
-    law = MatrixNormal(mean=np.zeros((2, 2)), cov=np.eye(4))
-    draws = sample_matrix_normal(law, np.random.default_rng(7), size=100_000)
-    flat = draws.reshape(-1, 4)
-    emp = np.cov(flat.T)
-    assert np.linalg.norm(emp - np.eye(4)) / np.linalg.norm(np.eye(4)) < 0.05
-
-
-def test_sample_matrix_normal_seed_determinism():
-    law = MatrixNormal(mean=np.zeros((2, 3)), cov=np.eye(6) * 0.3)
-    a = sample_matrix_normal(law, np.random.default_rng(42))
-    b = sample_matrix_normal(law, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
-
-
 def _random_transform(g, p=2, q=2):
     return AffineTransform(kappa=g.standard_normal((p, p)),
                            iota=g.standard_normal((q, q)),
@@ -145,11 +132,19 @@ def _identity_transform(p=2, q=2):
                            rho=np.zeros((p, q)))
 
 
+def _law(transforms, lam):
+    """The joint law of the transforms of Y with Cov(rvec Y) = lam."""
+    p, q = transforms[0].rho.shape
+    return AsymptoticLaw(labels=tuple(f"T{i}" for i in range(len(transforms))),
+                         p=p, q=q, means=tuple(t.rho for t in transforms),
+                         maps=tuple(t.lift() for t in transforms), lam=lam)
+
+
 def test_transform_cov_block_identity():
     lam = sym(RNG.standard_normal((4, 4)))
     lam = lam @ lam.T + np.eye(4)
     t = _identity_transform()
-    np.testing.assert_allclose(transform_cov_block(t, t, lam), lam, rtol=1e-12)
+    np.testing.assert_allclose(_law([t], lam).block(0, 0), lam, rtol=1e-12)
 
 
 def test_transform_cov_block_vanishing_terms():
@@ -163,22 +158,22 @@ def test_transform_cov_block_vanishing_terms():
                          alpha=g.standard_normal((2, 2)), beta=g.standard_normal((2, 2)),
                          rho=zero)
     expected = kron(ti.kappa, ti.iota.T) @ lam @ kron(tj.alpha, tj.beta.T).T
-    np.testing.assert_allclose(transform_cov_block(ti, tj, lam), expected, rtol=1e-12)
+    np.testing.assert_allclose(_law([ti, tj], lam).block(0, 1), expected,
+                               rtol=1e-12)
 
 
 def test_transform_cov_block_monte_carlo_oracle():
     g = np.random.default_rng(99)
     ti, tj = _random_transform(g), _random_transform(g)
     lam = np.eye(4)
-    law = MatrixNormal(mean=np.zeros((2, 2)), cov=lam)
-    y = sample_matrix_normal(law, g, size=100_000)
+    y = (g.standard_normal((100_000, 4)) @ psd_factor(lam).T).reshape(-1, 2, 2)
     vi = np.einsum("ab,rbc,cd->rad", ti.kappa, y, ti.iota) \
         + np.einsum("ab,rbc,cd->rad", ti.alpha, y, ti.beta)
     vj = np.einsum("ab,rbc,cd->rad", tj.kappa, y, tj.iota) \
         + np.einsum("ab,rbc,cd->rad", tj.alpha, y, tj.beta)
     stacked = np.hstack([vi.reshape(-1, 4), vj.reshape(-1, 4)])
     emp = np.cov(stacked.T)[:4, 4:]
-    ref = transform_cov_block(ti, tj, lam)
+    ref = _law([ti, tj], lam).block(0, 1)
     assert np.linalg.norm(emp - ref) / np.linalg.norm(ref) < 0.10
 
 
@@ -189,8 +184,9 @@ def test_transform_cov_block_transpose_symmetry(seed):
     ti, tj = _random_transform(g), _random_transform(g)
     f = g.standard_normal((4, 4))
     lam = sym(f @ f.T)
-    bij = transform_cov_block(ti, tj, lam)
-    bji = transform_cov_block(tj, ti, lam)
+    law = _law([ti, tj], lam)
+    bij = law.block(0, 1)
+    bji = law.block(1, 0)
     assert np.linalg.norm(bij.T - bji) <= 1e-12 * max(1.0, np.linalg.norm(bij))
 
 
@@ -201,13 +197,37 @@ def test_transform_block_grid_psd(seed, m):
     transforms = [_random_transform(g) for _ in range(m)]
     f = g.standard_normal((4, 4))
     lam = sym(f @ f.T)
-    grid = np.block([[transform_cov_block(ti, tj, lam) for tj in transforms]
-                     for ti in transforms])
+    grid = _law(transforms, lam).full_cov()
     lo, hi = eig_extremes(sym(grid))
     assert lo >= -1e-8 * max(hi, 1.0)
 
 
 def test_transform_dim_mismatch():
-    t = _identity_transform()
-    with pytest.raises(DimMismatch):
-        transform_cov_block(t, t, np.eye(5))
+    good = dict(kappa=np.eye(2), iota=np.eye(3), alpha=np.eye(2),
+                beta=np.eye(3), rho=np.zeros((2, 3)))
+    assert _law([AffineTransform(**good)], np.eye(6)).block(0, 0).shape == (6, 6)
+    for key, bad in (("alpha", np.eye(3)), ("beta", np.eye(2)),
+                     ("rho", np.zeros((3, 2)))):
+        with pytest.raises(DimMismatch):
+            AffineTransform(**{**good, key: bad})
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31), p=st.integers(1, 4), q=st.integers(1, 4))
+def test_law_block_matches_elementwise_covariance(seed, p, q):
+    # exact oracle: Cov(T_i(Y)[a, b], T_j(Y)[c, d]) summed over the entries of
+    # Y from the definition T(Y) = kappa Y iota + alpha Y beta + rho, with no
+    # Kronecker product on the way
+    g = np.random.default_rng(seed)
+    transforms = [_random_transform(g, p, q) for _ in range(2)]
+    f = g.standard_normal((p * q, p * q))
+    lam = f @ f.T
+    law = _law(transforms, lam)
+    coef = [np.einsum("ae,fb->abef", t.kappa, t.iota)
+            + np.einsum("ae,fb->abef", t.alpha, t.beta) for t in transforms]
+    lam4 = lam.reshape(p, q, p, q)
+    for i in range(2):
+        for j in range(2):
+            ref = np.einsum("abef,efgh,cdgh->abcd", coef[i], lam4, coef[j])
+            np.testing.assert_allclose(law.block(i, j), ref.reshape(p * q, p * q),
+                                       rtol=1e-12, atol=1e-12)

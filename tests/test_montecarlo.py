@@ -42,8 +42,7 @@ def _summary_from_law_draws(law, ndraws, rng):
     draws = z @ factor.T + law.full_mean()
     losses = {lbl: np.zeros(ndraws) for lbl in law.labels}
     return EmpiricalSummary(labels=law.labels, p=law.p, q=law.q,
-                            rep_count=ndraws, errors=draws,
-                            per_rep_losses=losses)
+                            errors=draws, per_rep_losses=losses)
 
 
 def test_noiseless_plan_zero_errors():
@@ -233,23 +232,27 @@ def test_plan_validation():
 
 
 def test_affine_limit_suite_blocks_and_means():
-    report = affine_limit_suite(m=3, seed=123, draws=60_000)
-    assert report.passed
-    assert max(report.block_rel_fro.values()) <= 0.10
-    assert report.mean_max_se <= 4.0
-    assert report.pair_cross_rel <= 0.10
+    cmp, pair_rel = affine_limit_suite(seed=123, draws=60_000)
+    assert cmp.passed
+    assert len(cmp.cov_rel_fro) == 9
+    assert cmp.worst_cov <= 0.10
+    assert cmp.worst_mean <= 4.0
+    assert pair_rel <= 0.10
 
 
 def test_identity_transform_recovers_cov():
     # single identity transform: the empirical covariance is the law's own
-    from eivreg.linalg import (AffineTransform, MatrixNormal,
-                               sample_matrix_normal, transform_cov_block)
+    from eivreg.asymptotics import AsymptoticLaw
+    from eivreg.linalg import AffineTransform
     g = np.random.default_rng(12)
     f = g.standard_normal((4, 4))
     lam = sym(f @ f.T) + np.eye(4)
     t = AffineTransform(kappa=np.eye(2), iota=np.eye(2), alpha=np.zeros((2, 2)),
                         beta=np.zeros((2, 2)), rho=np.zeros((2, 2)))
-    np.testing.assert_allclose(transform_cov_block(t, t, lam), lam, atol=1e-12)
-    y = sample_matrix_normal(MatrixNormal(np.zeros((2, 2)), lam), g, size=50_000)
-    emp = np.cov(y.reshape(-1, 4).T)
+    law = AsymptoticLaw(labels=("T",), p=2, q=2, means=(t.rho,),
+                        maps=(t.lift(),), lam=lam)
+    np.testing.assert_allclose(law.block(0, 0), lam, atol=1e-12)
+    np.testing.assert_allclose(law.full_cov(), lam, atol=1e-12)
+    y = g.standard_normal((50_000, 4)) @ psd_factor(lam).T
+    emp = np.cov(y.T)
     assert np.linalg.norm(emp - lam) / np.linalg.norm(lam) <= 0.10

@@ -26,8 +26,8 @@ model's own n; another sample size is ``cfg.at_n(n)``.
 
 A label's limit weight Q0 comes from `estimators.NAMED_WEIGHTS`, the one
 place where an estimator label is defined, through `named_weight_limit`;
-"UE" has none and "generic" takes an explicit one.  `limit_map` and
-`mean_shift` see only Q0, never a label.
+"UE" has none.  `limit_map` and `mean_shift` see only Q0, never a label, so
+the law of a projection with any other weight limit is built from them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
-from .exceptions import DimMismatch, NotPD, ShapeMismatch
-from .linalg import eig_extremes, kron, rvec, sym
+from .exceptions import DimMismatch, ShapeMismatch
+from .linalg import kron, rvec, sym
 from .model import (ModelConfig, Restriction, make_restricted_b, replication_rngs,
                     stats_sampler)
 
@@ -76,21 +76,9 @@ class PopulationModel:
         return self.sigma_delta2 * np.linalg.inv(self.sigma)
 
 
-def _design_sigma(cfg: ModelConfig, m: np.ndarray) -> np.ndarray:
-    """Limit of X'X/n at the n-row design m: M'M/n + (sigma_psi^2 + sigma_delta^2) I."""
-    return sym(m.T @ m) / cfg.n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(cfg.p)
-
-
 def population(cfg: ModelConfig) -> PopulationModel:
-    """Population quantities at the configured design (finite-n M'M/n)."""
-    sigma = _design_sigma(cfg, cfg.design())
-    ch_min, ch_max = eig_extremes(sigma)
-    # same relative floor as the plug-in attenuation estimate
-    if ch_min - cfg.sigma_delta2 <= 1e-8 * ch_max:
-        raise NotPD(
-            f"sigma_delta2={cfg.sigma_delta2} reaches ch_min(sigma)={ch_min:.3e}; "
-            "the corrected estimator's limit scale is not positive definite")
-    return PopulationModel(sigma=sigma, sigma_delta2=cfg.sigma_delta2)
+    """Population quantities at the configured design (`ModelConfig.sigma`)."""
+    return PopulationModel(sigma=cfg.sigma(), sigma_delta2=cfg.sigma_delta2)
 
 
 @dataclass(frozen=True)
@@ -173,7 +161,7 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
     m = cfg.design()
-    sigma = _design_sigma(cfg, m)
+    sigma = cfg.design_sigma(m)
     su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
     mbar = m.mean(axis=0)
     g1, g2 = cfg.moments
@@ -287,27 +275,15 @@ class AsymptoticLaw:
 
 
 def joint_law(pm: PopulationModel, lam: np.ndarray, restr: Restriction,
-              estimators: tuple[str, ...] = LAW_LABELS,
-              q0: np.ndarray | None = None) -> AsymptoticLaw:
-    """Joint law of the requested estimators under the restriction's local
-    direction theta0 (zero means the exact restriction), given the score
-    covariance `lam`.
-
-    `estimators` may contain "UE", the named restricted labels, and "generic"
-    (which requires the explicit weight limit `q0`).
-    """
+              estimators: tuple[str, ...] = LAW_LABELS) -> AsymptoticLaw:
+    """Joint law of the requested estimators ("UE" and the named restricted
+    labels) under the restriction's local direction theta0 (zero means the
+    exact restriction), given the score covariance `lam`."""
     q = score_q(pm, lam)
     maps = []
     means = []
     for label in estimators:
-        if label == "UE":
-            w0 = None
-        elif label == "generic":
-            if q0 is None:
-                raise DimMismatch("generic limit map needs an explicit weight limit")
-            w0 = q0
-        else:
-            w0 = named_weight_limit(pm, label)
+        w0 = None if label == "UE" else named_weight_limit(pm, label)
         maps.append(limit_map(pm, q, restr, w0))
         means.append(np.zeros((pm.p, q)) if w0 is None else mean_shift(restr, w0))
     return AsymptoticLaw(labels=tuple(estimators), p=pm.p, q=q, means=tuple(means),

@@ -231,6 +231,7 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
                       score_cov=replace(run.score_cov, reps=args.reps))
     if getattr(args, "n", None) is not None:
         run = replace(run, model=run.model.at_n(args.n))
+        run.model.sigma()  # checked as parse_config checks model.n
     return run
 
 

@@ -177,8 +177,7 @@ def parse_config(doc: dict) -> RunConfig:
                     estimators=tuple(estimators))
     if sim.master_seed < 0:
         raise ConfigError("master_seed must be nonnegative")
-    allowed = [lbl for lbl in ESTIMATOR_LABELS if lbl != "generic"]
-    bad = [lbl for lbl in sim.estimators if lbl not in allowed]
+    bad = [lbl for lbl in sim.estimators if lbl not in ESTIMATOR_LABELS]
     if bad:
         raise ConfigError(f"unknown estimator labels in config: {bad}")
     if len(set(sim.estimators)) < len(sim.estimators):
@@ -220,6 +219,7 @@ def parse_config(doc: dict) -> RunConfig:
     if risk.scale_max is not None and risk.scale_max <= 0:
         raise ConfigError(f"field 'risk.scale_max' must be positive, "
                           f"got {risk.scale_max}")
+    model.sigma()  # the design, and sigma_delta2 below its ch_min
 
     return RunConfig(model=model, restriction=restriction, simulation=sim,
                      score_cov=score, risk=risk, digest=config_digest(doc))

@@ -10,7 +10,8 @@ configurable positive definite weight.
 named restricted estimators differ only in their projection weight.
 `estimate_batch` applies its rules to the sample moments,
 `asymptotics.named_weight_limit` to their limits, and every list of labels
-is derived from it.
+is derived from it.  Any other weight goes through `restricted`, the
+one-dataset reference, which checks the weight it is given.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ RESTRICTION_TOL = 1e-8
 NAMED_WEIGHTS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "B2": lambda sigma_x, sigma_d: sigma_d,
     "B3": lambda sigma_x, sigma_d: sigma_x,
-    "B4": lambda sigma_x, sigma_d: np.eye(sigma_x.shape[-1]),
+    "B4": lambda sigma_x, sigma_d: np.broadcast_to(np.eye(sigma_x.shape[-1]),
+                                                   sigma_x.shape),
 }
 LAW_LABELS = ("UE", *NAMED_WEIGHTS)  # the estimators with a limit law
-ESTIMATOR_LABELS = ("LSE", *LAW_LABELS, "generic")
+ESTIMATOR_LABELS = ("LSE", *LAW_LABELS)
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,9 @@ class _Guards:
         self.failures: list[tuple[type, Callable[[int], str]]] = []
 
     def check(self, fail, exc: type, message: Callable[[int], str]) -> None:
-        """Record `exc` for every replication where `fail` holds (a scalar
-        for a check shared by all); `message(r)` describes replication r."""
-        new = np.broadcast_to(fail, self.first.shape) & (self.first < 0)
+        """Record `exc` for every replication where `fail` holds;
+        `message(r)` describes replication r."""
+        new = fail & (self.first < 0)
         self.first[new] = len(self.failures)
         self.failures.append((exc, message))
 
@@ -140,15 +142,11 @@ class _Guards:
             raise self.failures[self.first[r]][0](self.message(r))
 
 
-def _solvable(mats: np.ndarray, bad) -> np.ndarray:
+def _solvable(mats: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """`mats` with the identity in place of each matrix a guard rejected, so
     that a stacked solve or eigensolve cannot raise for a replication that is
-    already failed.  A single matrix shared by all replications takes a
-    scalar `bad`."""
-    eye = np.eye(mats.shape[-1])
-    if mats.ndim == 2:
-        return eye if bad else mats
-    return np.where(bad[:, None, None], eye, mats)
+    already failed."""
+    return np.where(bad[:, None, None], np.eye(mats.shape[-1]), mats)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -165,23 +163,18 @@ def _asymmetry(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
              guards: _Guards) -> np.ndarray:
-    """`restricted` for a stack of corrected estimates, with its checks in its
-    order.  `weight` is (reps, p, p), or (p, p) when one weight serves every
-    replication, which is then validated once."""
-    _, symmetric = _asymmetry(weight)
-    guards.check(~symmetric, NotPD,
-                 lambda r: "weight must be symmetric positive definite")
-    w = np.linalg.eigvalsh(_solvable(weight, ~symmetric))
-    ch_min = np.broadcast_to(w[..., 0], guards.first.shape)
-    ill = _ratio(w[..., -1], w[..., 0]) > COND_LIMIT
-    guards.check(ch_min <= 0, NotPD, lambda r: "weight is not positive "
-                 f"definite (ch_min={ch_min[r]:.3e})")
-    guards.check(ill, NearSingular, lambda r: "weight matrix is too ill-conditioned")
-    bad = ~symmetric | (w[..., 0] <= 0) | ill
+    """`restricted` for a stack of corrected estimates and their named weights
+    (reps, p, p), with only its Gram check: its weight checks cannot fail
+    where the attenuation check passed.  sigma_x = sym(X'X)/n is exactly
+    symmetric, and so is sigma_d.  That check gives ch_min(sigma_d) >=
+    1e-8 ch_max(sigma_x), so with sigma_delta2 >= 0 B2's n sigma_d and B3's
+    n sigma_x are positive definite with condition number at most 1e8, and
+    B4's is n I.  A failed replication gets the identity, so no stacked
+    solve can raise for it."""
     # an explicit stack of right-hand sides: numpy < 2 reads a 2-d b against
     # a 3-d a as a stack of vectors
     r1t = np.broadcast_to(restr.R1.T, weight.shape[:-2] + restr.R1.T.shape)
-    sinv_r1t = np.linalg.solve(_solvable(weight, bad), r1t)
+    sinv_r1t = np.linalg.solve(_solvable(weight, guards.failed), r1t)
     gram = restr.R1 @ sinv_r1t
     gram_singular = np.linalg.cond(gram) > COND_LIMIT
     guards.check(gram_singular, RankDeficient,
@@ -207,20 +200,21 @@ class BatchEstimates:
 
 def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
                    sigma_delta2: float, restr: Restriction,
-                   labels: tuple[str, ...],
-                   generic_weight: np.ndarray | None = None) -> BatchEstimates:
+                   labels: tuple[str, ...]) -> BatchEstimates:
     """Every requested estimator for a stack of replications, from each
     replication's X'X (reps, p, p) and X'Z (reps, p, q) at sample size n.
 
     Replication r gets the same numbers, bit for bit, as `lse` (label "LSE"),
     `build_kx` with the corrected solve ("UE") and `restricted` with weight
     n times the `NAMED_WEIGHTS` rule of its sigma_x and sigma_d (a named
-    label) or `generic_weight` ("generic") run on its dataset, and it fails
-    the check they would fail first.  A NearSingular failure excludes the
-    replication.  Any other failure raises for the first replication that has
-    one.  Every check runs before the solve it protects, so an excluded
-    replication never makes a stacked solve raise.
+    label) run on its dataset, and it fails the check they would fail first.
+    A NearSingular failure excludes the replication.  Any other failure
+    raises for the first replication that has one.  Every check runs before
+    the solve it protects, so an excluded replication never makes a stacked
+    solve raise.
     """
+    if sigma_delta2 < 0:
+        raise ValueError("sigma_delta2 must be nonnegative")
     xtx = np.asarray(xtx, dtype=float)
     xtz = np.asarray(xtz, dtype=float)
     reps, p = xtx.shape[:2]
@@ -251,15 +245,11 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
             out[lbl] = np.linalg.solve(_solvable(xtx_s, guards.failed), xtz)
         elif lbl == "UE":
             out[lbl] = b1
+        elif lbl in NAMED_WEIGHTS:
+            out[lbl] = _project(b1, n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d),
+                                restr, guards)
         else:
-            if lbl in NAMED_WEIGHTS:
-                weight = n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d)
-            elif lbl == "generic" and generic_weight is not None:
-                weight = np.asarray(generic_weight, dtype=float)
-            else:
-                raise ValueError(f"unknown estimator label {lbl!r}, or "
-                                 "'generic' without generic_weight")
-            out[lbl] = _project(b1, weight, restr, guards)
+            raise ValueError(f"unknown estimator label {lbl!r}")
     guards.raise_first_hard()
     estimates = np.stack([out[lbl] for lbl in labels], axis=1)
     excluded = np.flatnonzero(guards.failed)
@@ -270,16 +260,12 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
 
 
 def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
-                 restr: Restriction,
-                 generic_weight: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Naive, corrected, and the named restricted estimators (and "generic"
-    when a generic weight is given), keyed by label.
+                 restr: Restriction) -> dict[str, np.ndarray]:
+    """Naive, corrected, and the named restricted estimators, keyed by label.
 
     One replication of `estimate_batch`; a NearSingular failure raises here.
     """
     X = np.asarray(X, dtype=float)
-    if sigma_delta2 < 0:
-        raise ValueError("sigma_delta2 must be nonnegative")
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise ValueError("X and Z must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,15 +274,13 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     if not (np.isfinite(xtx).all() and np.isfinite(xtz).all()):
         raise ValueError("X'X or X'Z overflows: the data are too large in "
                          "magnitude for double precision")
-    labels = ("LSE", *LAW_LABELS) + (("generic",) if generic_weight is not None
-                                     else ())
     batch = estimate_batch(xtx[None], xtz[None], X.shape[0], sigma_delta2, restr,
-                           labels, generic_weight)
+                           ESTIMATOR_LABELS)
     if batch.excluded:
         raise NearSingular(batch.reasons[0])
-    est = dict(zip(labels, batch.estimates[0]))
+    est = dict(zip(ESTIMATOR_LABELS, batch.estimates[0]))
     tol = RESTRICTION_TOL * (1.0 + np.linalg.norm(restr.theta))
-    for lbl in labels[2:]:  # the restricted estimators
+    for lbl in NAMED_WEIGHTS:  # the restricted estimators
         if restr.gap(est[lbl]) > tol:
             raise NearSingular("restricted estimate failed to satisfy the restriction")
     return est

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DimMismatch, RankDeficient
-from .linalg import COND_LIMIT, psd_factor
+from .linalg import COND_LIMIT, eig_extremes, psd_factor, sym
 
 # family -> (skewness gamma1, excess kurtosis gamma2) of the standardized draw
 ERROR_FAMILIES = {
@@ -134,14 +134,31 @@ class ModelConfig:
                 raise ConfigError("field 'model.M' is too large: M'M "
                                   "overflows double precision")
         if np.linalg.matrix_rank(m) < self.p:
-            raise RankDeficient("design M does not have full column rank")
+            raise ConfigError("field 'model.M' does not have full column rank")
         return m
+
+    def design_sigma(self, m: np.ndarray) -> np.ndarray:
+        """Limit of X'X/n at the n-row design m: M'M/n + (sigma_psi^2 + sigma_delta^2) I."""
+        return sym(m.T @ m) / self.n + (self.sigma_psi2 + self.sigma_delta2) * np.eye(self.p)
+
+    def sigma(self) -> np.ndarray:
+        """`design_sigma` at the materialized design; a ConfigError names
+        model.sigma_delta2 unless sigma - sigma_delta^2 I is positive definite."""
+        sigma = self.design_sigma(self.design())
+        ch_min, ch_max = eig_extremes(sigma)
+        # same relative floor as the plug-in attenuation estimate
+        if ch_min - self.sigma_delta2 <= 1e-8 * ch_max:
+            raise ConfigError(f"field 'model.sigma_delta2' = {self.sigma_delta2} reaches "
+                              f"ch_min(sigma) = {ch_min:.3e} of the design at n = {self.n}; "
+                              "the corrected estimator's limit scale is not PD")
+        return sigma
 
     def at_n(self, n: int) -> "ModelConfig":
         """The same model at sample size n, the one way to change it; an
         explicit M is fixed at its own number of rows."""
         if n != self.n and not isinstance(self.M, DesignRule):
-            raise ConfigError("explicit M cannot be resized to a different n")
+            raise ConfigError(f"field 'model.M' is an explicit matrix with "
+                              f"{self.n} rows and cannot be redrawn at n = {n}")
         return ModelConfig(n, self.p, self.q, self.sigma_eps2,
                            self.sigma_delta2, self.sigma_psi2,
                            self.error_family, self.M)

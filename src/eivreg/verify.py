@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (PopulationModel, estimate_score_cov, joint_law,
-                          law_inputs, mean_shift, named_weight_limit,
-                          population, score_cov_model)
+from .asymptotics import (AsymptoticLaw, PopulationModel, estimate_score_cov,
+                          joint_law, law_inputs, limit_map, mean_shift,
+                          named_weight_limit, population, score_cov_model)
 from .config import RunConfig
 from .csvio import open_output, write_rows_csv
-from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
+from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all, restricted
 from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
 from .montecarlo import SimulationPlan, affine_limit_suite, compare_law, run_plan
@@ -67,9 +67,10 @@ def criterion_restriction_exactness(run: RunConfig, seed: int) -> CriterionResul
         Z = g.standard_normal((n, q))
         xmin, _ = eig_extremes(sym(X.T @ X) / n)
         sd2 = 0.15 * xmin
-        est = estimate_all(X, Z, sd2, restr, generic_weight=_rand_pd(p, g))
+        est = estimate_all(X, Z, sd2, restr)
+        est["RE"] = restricted(est["UE"], _rand_pd(p, g), restr)  # any weight
         tol = 1e-8 * (1.0 + np.linalg.norm(restr.theta))
-        for lbl in (*NAMED_WEIGHTS, "generic"):
+        for lbl in (*NAMED_WEIGHTS, "RE"):
             worst = max(worst, restr.gap(est[lbl]) / tol)
     return CriterionResult(1, "restriction exactness", worst <= 1.0,
                            f"worst gap {worst:.3e} in units of 1e-8(1+||theta||)")
@@ -121,7 +122,7 @@ def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
                           b_seed=run.b_truth_seed(), reps=run.simulation.reps,
                           master_seed=seed + 7, estimators=LAW_LABELS)
     summary = run_plan(plan, workers=workers)
-    cmp = compare_law(summary, law, tol_cov=0.15, tol_mean_se=4.0)
+    cmp = compare_law(summary, law)
     # the Monte Carlo estimate of the same score covariance checks the
     # closed form the law is built from
     cfg, B = score_cov_model(run)
@@ -150,12 +151,13 @@ def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
         restr = restr.with_theta0(theta0)
         res = dominance_report(w, pm, lam, restr, q0)
         decomposition = res.adr_re
-        law = joint_law(pm, lam, restr, estimators=("UE", "generic"), q0=q0)
-        direct = adr_from_law(w, law, "generic")
+        mu = mean_shift(restr, q0)
+        law = AsymptoticLaw(labels=("RE",), p=p, q=q, means=(mu,),
+                            maps=(limit_map(pm, q, restr, q0),), lam=lam)
+        direct = adr_from_law(w, law, "RE")
         worst_adr = max(worst_adr,
                         abs(decomposition - direct) / (1.0 + abs(direct)))
         quad = float(rvec(theta0) @ res.bias_form @ rvec(theta0))
-        mu = mean_shift(restr, q0)
         mean_term = float(np.trace(mu.T @ w @ mu))
         worst_quad = max(worst_quad, abs(quad - mean_term) / (1.0 + abs(quad)))
     ok = worst_adr <= 1e-8 and worst_quad <= 1e-10

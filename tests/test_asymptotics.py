@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from eivreg import asymptotics, estimators
-from eivreg.asymptotics import (closed_form_score_cov,
+from eivreg.asymptotics import (AsymptoticLaw, closed_form_score_cov,
                                 estimate_score_cov, joint_law, law_inputs,
                                 limit_map, mean_shift, named_weight_limit,
                                 population)
 from eivreg.config import parse_config
-from eivreg.exceptions import NotPD, ShapeMismatch
+from eivreg.exceptions import ConfigError, ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, sym
 from eivreg.model import (DesignRule, ModelConfig, Restriction, generate,
                           make_restricted_b, replication_rngs, stats_sampler)
@@ -64,7 +64,7 @@ def test_population_rejects_degenerate_design_scale():
     m = np.column_stack([base, base + 1e-9 * g0.standard_normal(n)])
     cfg = ModelConfig(n=n, p=p, q=1, sigma_eps2=1.0, sigma_delta2=0.5,
                       sigma_psi2=0.0, M=m)
-    with pytest.raises(NotPD):
+    with pytest.raises(ConfigError, match="field 'model.sigma_delta2'"):
         population(cfg)
 
 
@@ -266,12 +266,20 @@ def test_joint_law_pair_matches_full_grid():
     pm = population(_cfg())
     sc = _dummy_score(pm, 2)
     full = joint_law(pm, sc, RESTR)
-    pair = joint_law(pm, sc, RESTR, estimators=("UE", "generic"), q0=pm.sigma)
+    pair = joint_law(pm, sc, RESTR, estimators=("UE", "B3"))
+    # the law of the projection with weight limit sigma, built from its
+    # limit map and mean shift as any other weight's law is
+    q0_law = AsymptoticLaw(labels=("UE", "RE"), p=2, q=2,
+                           means=(np.zeros((2, 2)), mean_shift(RESTR, pm.sigma)),
+                           maps=(limit_map(pm, 2), limit_map(pm, 2, RESTR, pm.sigma)),
+                           lam=sc)
     iu, ib3 = full.index("UE"), full.index("B3")
-    np.testing.assert_allclose(pair.block("UE", "generic"),
-                               full.block(iu, ib3), atol=1e-12)
-    np.testing.assert_allclose(pair.mean("generic"), full.mean("B3"),
-                               atol=1e-12)
+    for law, re in ((pair, "B3"), (q0_law, "RE")):
+        np.testing.assert_allclose(law.block("UE", re), full.block(iu, ib3),
+                                   atol=1e-12)
+        np.testing.assert_allclose(law.block(re, re), full.block(ib3, ib3),
+                                   atol=1e-12)
+        np.testing.assert_allclose(law.mean(re), full.mean("B3"), atol=1e-12)
 
 
 def test_joint_law_constraint_functional_degenerate():
@@ -355,9 +363,9 @@ def test_named_weight_limits(monkeypatch):
     g = np.random.default_rng(12)
     X, Z = g.standard_normal((50, 2)), g.standard_normal((50, 2))
     xtx, xtz = (X.T @ X)[None], (X.T @ Z)[None]
-    sigma_x = sym(xtx) / 50
+    sigma_x = sym(xtx[0]) / 50
     sigma_d = sigma_x - 0.1 * np.eye(2)
-    named = estimators.estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("B4",))
-    generic = estimators.estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("generic",),
-                                        50 * (sigma_x + sigma_d))
-    np.testing.assert_array_equal(named.estimates, generic.estimates)
+    named = estimators.estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("UE", "B4"))
+    b1, b4 = named.estimates[0]
+    np.testing.assert_array_equal(
+        b4, estimators.restricted(b1, 50 * (sigma_x + sigma_d), RESTR))

@@ -379,6 +379,12 @@ BAD_CONFIGS = {
     "score_n_2": ("score_cov", "n", 2),
     "m_huge": ("model", "M", {"kind": "uniform", "low": -4.0, "high": 1.0e300,
                               "seed": 1848}),
+    "delta_huge": ("model", "sigma_delta2", 1.0e12),
+    "m_rank_1": ("model", "M", {"kind": "uniform", "low": 1.0, "high": 1.0,
+                                "seed": 1848}),
+    # an explicit 400x2 M at model.n = score_cov.n = 400
+    "m_explicit_400": ("model", "M", np.random.default_rng(1848).uniform(
+        -4.0, 4.0, (400, 2)).tolist()),
     # an explicit 50x2 M with score_cov.n left at 400
     "m_explicit_50": (None, "model", {
         "n": 50, "p": 2, "q": 2, "sigma_eps2": 2.0, "sigma_delta2": 0.5,
@@ -484,8 +490,8 @@ def _exit_code(argv):
     ("estimate", ["--config", "{tmp}/score_n_2.yaml",
                   "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
      "field 'score_cov.n' must be at least 3, got 2"),
-    # a design whose M'M overflows is reported where it is materialized,
-    # with no numpy warning on the way
+    # the design and sigma_delta2 against it are checked when the
+    # configuration is read, with no numpy warning on the way
     *[(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,
        "field 'model.M' is too large: M'M overflows double precision")
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
@@ -498,6 +504,23 @@ def _exit_code(argv):
                   "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
      "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
      "explicit matrix, got 400"),
+    *[(cmd, ["--config", "{tmp}/delta_huge.yaml", "--workers", "1", *data], 2,
+       "field 'model.sigma_delta2' = 1000000000000.0 reaches ch_min(sigma)")
+      for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
+                        ("simulate", []), ("verify", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    ("law", ["--config", "{tmp}/m_rank_1.yaml"], 2,
+     "field 'model.M' does not have full column rank"),
+    ("estimate", ["--config", "{tmp}/m_rank_1.yaml",
+                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+     "field 'model.M' does not have full column rank"),
+    # an explicit design cannot be redrawn at another n
+    ("verify", ["--config", "{tmp}/m_explicit_400.yaml", "--workers", "1"], 2,
+     "field 'model.M' is an explicit matrix with 400 rows and cannot be "
+     "redrawn at n = 500"),
+    ("law", ["--config", "{tmp}/m_explicit_400.yaml", "--n", "60"], 2,
+     "field 'model.M' is an explicit matrix with 400 rows and cannot be "
+     "redrawn at n = 60"),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

@@ -284,9 +284,11 @@ def test_estimate_all_restriction_exactness():
     restr = Restriction(R1=np.random.default_rng(16).standard_normal((2, 3)),
                         R2=np.random.default_rng(17).standard_normal((3, 2)),
                         theta=np.random.default_rng(18).standard_normal((2, 2)))
-    es = estimate_all(X, Z, 0.05, restr, generic_weight=np.eye(3))
+    es = estimate_all(X, Z, 0.05, restr)
+    # any other weight goes through the reference projection
+    es["RE"] = restricted(es["UE"], np.eye(3), restr)
     tol = 1e-8 * (1.0 + np.linalg.norm(restr.theta))
-    for lbl in ("B2", "B3", "B4", "generic"):
+    for lbl in ("B2", "B3", "B4", "RE"):
         assert restr.gap(es[lbl]) <= tol
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from eivreg.asymptotics import estimate_score_cov, score_sample
-from eivreg.estimators import build_kx, estimate_batch, lse, restricted
-from eivreg.exceptions import NearSingular, NotPD
+from eivreg.estimators import (NAMED_WEIGHTS, build_kx, estimate_batch, lse,
+                               restricted)
+from eivreg.exceptions import NearSingular, SingularDesign
 from eivreg.linalg import rvec, sym
 from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
                           RowSampler, generate, make_restricted_b,
@@ -22,8 +23,7 @@ from eivreg.montecarlo import SimulationPlan, run_plan
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
 B_SEED = np.array([[1.6, 0.8], [-0.5, 1.3], [0.4, -0.7]])
-LABELS = ("LSE", "UE", "B2", "B3", "B4", "generic")
-GENERIC_WEIGHT = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+LABELS = ("LSE", "UE", "B2", "B3", "B4")
 LOSS_WEIGHT = np.diag([1.0, 2.0, 0.5])
 
 
@@ -36,8 +36,7 @@ def _cfg(**kw):
 
 def _plan(cfg, **kw):
     base = dict(cfg=cfg, restr=RESTR, b_seed=B_SEED, reps=24, master_seed=41,
-                estimators=LABELS, weight=LOSS_WEIGHT,
-                generic_weight=GENERIC_WEIGHT)
+                estimators=LABELS, weight=LOSS_WEIGHT)
     base.update(kw)
     return SimulationPlan(**base)
 
@@ -54,8 +53,7 @@ def _reference(plan):
             att = build_kx(ds.X, plan.cfg.sigma_delta2)
             b1 = np.linalg.solve(att.n * att.sigma_d, ds.X.T @ ds.Z)
             weights = {"B2": att.n * att.sigma_d, "B3": att.n * att.sigma_x,
-                       "B4": float(n) * np.eye(plan.cfg.p),
-                       "generic": plan.generic_weight}
+                       "B4": float(n) * np.eye(plan.cfg.p)}
             est = [lse(ds.X, ds.Z) if lbl == "LSE" else b1 if lbl == "UE"
                    else restricted(b1, weights[lbl], plan.restr)
                    for lbl in plan.estimators]
@@ -99,8 +97,7 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
     restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                         theta0=[[0.9]])
     plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=400, master_seed=11,
-                 estimators=("UE", "B2", "B3", "B4"), weight=None,
-                 generic_weight=None)
+                 estimators=("UE", "B2", "B3", "B4"), weight=None)
     errors, losses, excluded = _reference(plan)
     summary = run_plan(plan)
     assert 0 < len(excluded) <= 4
@@ -110,13 +107,45 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
 
 
 def test_hard_failure_propagates_like_reference():
-    # an indefinite generic weight fails every replication with NotPD
-    bad = np.diag([1.0, -1.0, 1.0])
-    plan = _plan(_cfg(), generic_weight=bad)
-    with pytest.raises(NotPD):
-        _reference(plan)
-    with pytest.raises(NotPD):
-        run_plan(plan)
+    # replication 1's X'X is singular: lse raises SingularDesign on its
+    # dataset, and so does the kernel for the stack
+    g = np.random.default_rng(4)
+    X = g.standard_normal((50, 3))
+    X_bad = np.column_stack([X[:, 0], X[:, 0], X[:, 2]])
+    Z = g.standard_normal((50, 2))
+    with pytest.raises(SingularDesign):
+        lse(X_bad, Z)
+    xtx = np.stack([X.T @ X, X_bad.T @ X_bad])
+    xtz = np.stack([X.T @ Z, X_bad.T @ Z])
+    with pytest.raises(SingularDesign):
+        estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("LSE",))
+
+
+def test_named_weights_pass_restricted_checks():
+    # `_project` skips `restricted`'s weight checks: every replication that
+    # passes the attenuation check must have named weights that are exactly
+    # symmetric and positive definite with condition number at most 1e8.
+    # ch_min(sigma_x) - sigma_delta2 is placed around 1e-8 ch_max(sigma_x),
+    # on both sides of the attenuation check's line.
+    g = np.random.default_rng(21)
+    n, p, reps, sd2 = 40, 3, 400, 1.0
+    top = 10.0 ** g.uniform(0.5, 4.0, reps)
+    low = sd2 + 10.0 ** g.uniform(-9.0, -7.0, reps) * top
+    eigs = np.column_stack([low, g.uniform(low, top), top])
+    q = np.linalg.qr(g.standard_normal((reps, p, p)))[0]
+    xtx = n * (q * eigs[:, None, :]) @ np.swapaxes(q, 1, 2)
+    xtz = g.standard_normal((reps, p, 2))
+    batch = estimate_batch(xtx, xtz, n, sd2, RESTR, ("UE", *NAMED_WEIGHTS))
+    assert 0.2 * reps < len(batch.excluded) < 0.8 * reps
+    kept = np.setdiff1d(np.arange(reps), batch.excluded)
+    sigma_x = sym(xtx[kept]) / n
+    sigma_d = sigma_x - sd2 * np.eye(p)
+    for rule in NAMED_WEIGHTS.values():
+        weight = n * rule(sigma_x, sigma_d)
+        np.testing.assert_array_equal(weight, np.swapaxes(weight, 1, 2))
+        w = np.linalg.eigvalsh(weight)
+        assert np.all(w[:, 0] > 0)
+        assert np.all(w[:, -1] <= 1e8 * w[:, 0])
 
 
 def test_guards_run_before_stacked_solves():
@@ -351,7 +380,7 @@ def test_gaussian_sampler_edge_cases(case):
                         theta=[[0.3]], theta0=[[0.9]])
     b_seed = np.array([[1.6, 0.8, -0.3], [-0.5, 1.3, 0.6]])
     plan = _plan(cfg, restr=restr, b_seed=b_seed, reps=4000,
-                 estimators=("UE", "B2"), weight=None, generic_weight=None)
+                 estimators=("UE", "B2"), weight=None)
     sampler, b_truth, exact = _sampler_and_exact_mean(plan)
     if case == "singular-omega":
         assert np.linalg.matrix_rank(_omega(cfg, b_truth)) < cfg.p + cfg.q

@@ -188,5 +188,5 @@ def test_explicit_design_matrix():
 def test_rank_deficient_design_rejected():
     m = np.ones((50, 2))
     cfg = _cfg(n=50, M=m)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ConfigError, match="field 'model.M' does not have full"):
         cfg.design()

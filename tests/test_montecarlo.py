@@ -84,7 +84,7 @@ def test_compare_law_self_consistency():
     sc = sym(f @ f.T) + np.eye(4)
     law = joint_law(pm, sc, RESTR)
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(6))
-    cmp = compare_law(summary, law, tol_cov=0.10, tol_mean_se=4.0)
+    cmp = compare_law(summary, law, tol_cov=0.10)
     assert cmp.passed
 
 
@@ -98,7 +98,7 @@ def test_compare_law_negative_control():
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(8))
     wrong = 2.0 * sc
     wrong_law = joint_law(pm, wrong, RESTR)
-    cmp = compare_law(summary, wrong_law, tol_cov=0.10, tol_mean_se=4.0)
+    cmp = compare_law(summary, wrong_law, tol_cov=0.10)
     assert not cmp.passed
     assert cmp.worst_cov > 0.3
 
@@ -147,7 +147,7 @@ def test_zero_direction_plan_means_centered():
     b_truth = make_restricted_b(cfg, restr, B_SEED)
     sc = estimate_score_cov(cfg, b_truth, reps=800, seed=72).cov
     law = joint_law(pm, sc, restr)
-    cmp = compare_law(summary, law, tol_cov=0.35, tol_mean_se=4.0)
+    cmp = compare_law(summary, law, tol_cov=0.35)
     assert cmp.worst_mean <= 4.0
     for mu in law.means:
         np.testing.assert_array_equal(mu, np.zeros((2, 2)))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from eivreg import cli
-from eivreg.asymptotics import (PopulationModel, joint_law,
-                                law_inputs, mean_shift, named_weight_limit,
-                                population)
+from eivreg.asymptotics import (AsymptoticLaw, PopulationModel, joint_law,
+                                law_inputs, limit_map, mean_shift,
+                                named_weight_limit, population)
 from eivreg.config import load_config
 from eivreg.exceptions import ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
@@ -94,8 +94,10 @@ def test_adr_decomposition_matches_direct_form():
     for seed in range(30):
         g, pm, restr, sc, q0, w = _rand_setup(seed)
         res = dominance_report(w, pm, sc, restr, q0)
-        law = joint_law(pm, sc, restr, estimators=("UE", "generic"), q0=q0)
-        direct = adr_from_law(w, law, "generic")
+        law = AsymptoticLaw(labels=("RE",), p=3, q=2,
+                            means=(mean_shift(restr, q0),),
+                            maps=(limit_map(pm, 2, restr, q0),), lam=sc)
+        direct = adr_from_law(w, law, "RE")
         assert res.adr_re == pytest.approx(direct, rel=1e-8)
 
 

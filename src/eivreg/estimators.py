@@ -12,6 +12,11 @@ named restricted estimators differ only in their projection weight.
 `asymptotics.named_weight_limit` to their limits, and every list of labels
 is derived from it.  Any other weight goes through `restricted`, the
 one-dataset reference, which checks the weight it is given.
+
+`estimate_batch` has one failure rule: a replication that fails a check is
+excluded with that check's message, and only input no replication could be
+estimated from (a non-finite X'X or X'Z, a negative sigma_delta2, an unknown
+label) raises.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DimMismatch, NearSingular, NonSymmetric, NotPD,
-                         RankDeficient, SingularDesign)
-from .linalg import COND_LIMIT, SYM_RTOL, eig_extremes, is_symmetric, sym
+from .exceptions import (DimMismatch, NearSingular, NotPD, RankDeficient,
+                         SingularDesign)
+from .linalg import COND_LIMIT, eig_extremes, is_symmetric, sym
 from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
@@ -73,7 +78,7 @@ def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
     sigma_d = sigma_x - sigma_delta2 * np.eye(X.shape[1])
     _, x_max = eig_extremes(sigma_x)
     d_min, _ = eig_extremes(sigma_d)
-    if d_min < 1e-8 * x_max:
+    if d_min <= 1e-8 * x_max:
         raise NearSingular(
             f"attenuation correction breaks down: ch_min(sigma_d)={d_min:.3e}")
     kx = np.linalg.solve(sigma_x, sigma_d)
@@ -105,82 +110,31 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
     return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ restr.right
 
 
-class _Guards:
-    """First failed check of each replication of a stack.
-
-    Checks are recorded in the order `lse`, `build_kx` and `restricted` run
-    them on one dataset; a replication's first failure is the one it would
-    raise there, and later checks cannot overwrite it.
-    """
-
-    def __init__(self, reps: int):
-        self.first = np.full(reps, -1)
-        self.failures: list[tuple[type, Callable[[int], str]]] = []
-
-    def check(self, fail, exc: type, message: Callable[[int], str]) -> None:
-        """Record `exc` for every replication where `fail` holds;
-        `message(r)` describes replication r."""
-        new = fail & (self.first < 0)
-        self.first[new] = len(self.failures)
-        self.failures.append((exc, message))
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.first >= 0
-
-    def message(self, r: int) -> str:
-        return self.failures[self.first[r]][1](r)
-
-    def raise_first_hard(self) -> None:
-        """Raise the failure of the first replication whose first failed
-        check is not NearSingular."""
-        # a trailing False maps "no failure" (-1) to not hard
-        hard = np.array([exc is not NearSingular for exc, _ in self.failures]
-                        + [False])[self.first]
-        if hard.any():
-            r = int(np.argmax(hard))
-            raise self.failures[self.first[r]][0](self.message(r))
-
-
 def _solvable(mats: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """`mats` with the identity in place of each matrix a guard rejected, so
-    that a stacked solve or eigensolve cannot raise for a replication that is
-    already failed."""
+    """`mats` with the identity in place of each matrix of an excluded
+    replication, so that a stacked solve cannot raise for it."""
     return np.where(bad[:, None, None], np.eye(mats.shape[-1]), mats)
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
-
-
-def _asymmetry(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||S - S'|| and the `is_symmetric` pass mask, matrix by matrix."""
-    asym = np.linalg.norm(s - np.swapaxes(s, -1, -2), axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
-    return asym, asym <= SYM_RTOL * scale
-
-
 def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
-             guards: _Guards) -> np.ndarray:
+             failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`restricted` for a stack of corrected estimates and their named weights
-    (reps, p, p), with only its Gram check: its weight checks cannot fail
-    where the attenuation check passed.  sigma_x = sym(X'X)/n is exactly
-    symmetric, and so is sigma_d.  That check gives ch_min(sigma_d) >=
-    1e-8 ch_max(sigma_x), so with sigma_delta2 >= 0 B2's n sigma_d and B3's
-    n sigma_x are positive definite with condition number at most 1e8, and
-    B4's is n I.  A failed replication gets the identity, so no stacked
-    solve can raise for it."""
+    (reps, p, p), with only its Gram check, whose failures it returns: its
+    weight checks cannot fail where the attenuation check passed.
+    sigma_x = sym(X'X)/n is exactly symmetric, and so is sigma_d.  That
+    check gives ch_min(sigma_d) > 1e-8 ch_max(sigma_x), so with
+    sigma_delta2 >= 0 B2's n sigma_d and B3's n sigma_x are positive
+    definite with condition number below 1e8, and B4's is n I.  A `failed`
+    replication gets the identity, so no stacked solve can raise for it."""
     # an explicit stack of right-hand sides: numpy < 2 reads a 2-d b against
     # a 3-d a as a stack of vectors
     r1t = np.broadcast_to(restr.R1.T, weight.shape[:-2] + restr.R1.T.shape)
-    sinv_r1t = np.linalg.solve(_solvable(weight, guards.failed), r1t)
+    sinv_r1t = np.linalg.solve(_solvable(weight, failed), r1t)
     gram = restr.R1 @ sinv_r1t
     gram_singular = np.linalg.cond(gram) > COND_LIMIT
-    guards.check(gram_singular, RankDeficient,
-                 lambda r: "R1 S^{-1} R1' is numerically singular")
     gap = restr.R1 @ b1 @ restr.R2 - restr.theta
-    return b1 - sinv_r1t @ np.linalg.solve(_solvable(gram, gram_singular), gap) @ restr.right
+    step = np.linalg.solve(_solvable(gram, gram_singular), gap)
+    return b1 - sinv_r1t @ step @ restr.right, gram_singular
 
 
 @dataclass(frozen=True)
@@ -188,8 +142,9 @@ class BatchEstimates:
     """Estimates for a stack of replications.
 
     `estimates[r, i]` is replication r's estimate for `labels[i]` (NaN for an
-    excluded replication); `excluded` lists the replications a NearSingular
-    check dropped, in order, and `reasons` says why, one entry each.
+    excluded replication); `excluded` lists the replications that failed a
+    check, in order, and `reasons` gives the message of the first check each
+    one failed.
     """
 
     labels: tuple[str, ...]
@@ -207,63 +162,68 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
     Replication r gets the same numbers, bit for bit, as `lse` (label "LSE"),
     `build_kx` with the corrected solve ("UE") and `restricted` with weight
     n times the `NAMED_WEIGHTS` rule of its sigma_x and sigma_d (a named
-    label) run on its dataset, and it fails the check they would fail first.
-    A NearSingular failure excludes the replication.  Any other failure
-    raises for the first replication that has one.  Every check runs before
-    the solve it protects, so an excluded replication never makes a stacked
-    solve raise.
+    label) run on its dataset.  A replication that fails one of their checks
+    is excluded, with the message of the first check it fails, where that
+    dataset would raise it; no check raises.  Every check runs before the
+    solve it protects, so an excluded replication never makes a stacked solve
+    raise.  A negative sigma_delta2, a non-finite X'X or X'Z entry and an
+    unknown label raise ValueError for the whole stack.
     """
     if sigma_delta2 < 0:
         raise ValueError("sigma_delta2 must be nonnegative")
     xtx = np.asarray(xtx, dtype=float)
     xtz = np.asarray(xtz, dtype=float)
+    if not (np.isfinite(xtx).all() and np.isfinite(xtz).all()):
+        raise ValueError("X'X or X'Z overflows: the data are too large in "
+                         "magnitude for double precision")
     reps, p = xtx.shape[:2]
-    guards = _Guards(reps)
+    failed = np.zeros(reps, dtype=bool)
+    reasons: dict[int, str] = {}
+
+    def exclude(fail: np.ndarray, message: Callable[[int], str]) -> None:
+        for r in np.flatnonzero(fail & ~failed):
+            reasons[int(r)] = message(r)
+        failed[fail] = True
+
     xtx_s = sym(xtx)
     out = {}
     if any(lbl != "LSE" for lbl in labels):
         sigma_x = xtx_s / n
         sigma_d = sigma_x - sigma_delta2 * np.eye(p)
-        asym_x, symmetric = _asymmetry(sigma_x)
-        guards.check(~symmetric, NonSymmetric,
-                     lambda r: f"asymmetry {asym_x[r]:.3e} exceeds tolerance")
-        x_max = np.linalg.eigvalsh(_solvable(sigma_x, guards.failed))[:, -1]
-        d_min = np.linalg.eigvalsh(_solvable(sigma_d, guards.failed))[:, 0]
-        guards.check(d_min < 1e-8 * x_max, NearSingular,
-                     lambda r: "attenuation correction breaks down: "
-                     f"ch_min(sigma_d)={d_min[r]:.3e}")
-        # the checks above bound the condition number of sigma_d
-        b1 = np.linalg.solve(_solvable(n * sigma_d, guards.failed), xtz)
+        x_max = np.linalg.eigvalsh(sigma_x)[:, -1]
+        d_min = np.linalg.eigvalsh(sigma_d)[:, 0]
+        exclude(d_min <= 1e-8 * x_max, lambda r: "attenuation correction "
+                f"breaks down: ch_min(sigma_d)={d_min[r]:.3e}")
+        # the check above bounds the condition number of sigma_d
+        b1 = np.linalg.solve(_solvable(n * sigma_d, failed), xtz)
     for lbl in labels:
         if lbl == "LSE":
-            asym_xtx, symmetric = _asymmetry(xtx_s)
-            guards.check(~symmetric, NonSymmetric,
-                         lambda r: f"asymmetry {asym_xtx[r]:.3e} exceeds tolerance")
-            w = np.linalg.eigvalsh(_solvable(xtx_s, guards.failed))
-            guards.check((w[:, 0] <= 0) | (_ratio(w[:, -1], w[:, 0]) > COND_LIMIT),
-                         SingularDesign, lambda r: "X'X is numerically singular")
-            out[lbl] = np.linalg.solve(_solvable(xtx_s, guards.failed), xtz)
+            w = np.linalg.eigvalsh(xtx_s)
+            exclude((w[:, 0] <= 0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
+                    lambda r: "X'X is numerically singular")
+            out[lbl] = np.linalg.solve(_solvable(xtx_s, failed), xtz)
         elif lbl == "UE":
             out[lbl] = b1
         elif lbl in NAMED_WEIGHTS:
-            out[lbl] = _project(b1, n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d),
-                                restr, guards)
+            out[lbl], gram_singular = _project(
+                b1, n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d), restr, failed)
+            exclude(gram_singular, lambda r: "R1 S^{-1} R1' is numerically singular")
         else:
             raise ValueError(f"unknown estimator label {lbl!r}")
-    guards.raise_first_hard()
     estimates = np.stack([out[lbl] for lbl in labels], axis=1)
-    excluded = np.flatnonzero(guards.failed)
-    estimates[excluded] = np.nan
+    excluded = tuple(sorted(reasons))
+    estimates[list(excluded)] = np.nan
     return BatchEstimates(labels=tuple(labels), estimates=estimates,
-                          excluded=tuple(int(r) for r in excluded),
-                          reasons=tuple(guards.message(r) for r in excluded))
+                          excluded=excluded,
+                          reasons=tuple(reasons[r] for r in excluded))
 
 
 def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
                  restr: Restriction) -> dict[str, np.ndarray]:
     """Naive, corrected, and the named restricted estimators, keyed by label.
 
-    One replication of `estimate_batch`; a NearSingular failure raises here.
+    One replication of `estimate_batch`; a failed check raises NearSingular
+    here with that check's message.
     """
     X = np.asarray(X, dtype=float)
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
@@ -271,9 +231,6 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     with np.errstate(over="ignore", invalid="ignore"):
         xtx = X.T @ X
         xtz = X.T @ Z
-    if not (np.isfinite(xtx).all() and np.isfinite(xtz).all()):
-        raise ValueError("X'X or X'Z overflows: the data are too large in "
-                         "magnitude for double precision")
     batch = estimate_batch(xtx[None], xtz[None], X.shape[0], sigma_delta2, restr,
                            ESTIMATOR_LABELS)
     if batch.excluded:

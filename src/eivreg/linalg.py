@@ -41,7 +41,13 @@ def is_symmetric(s: np.ndarray, rtol: float = SYM_RTOL) -> bool:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         return False
-    return np.linalg.norm(s - s.T) <= rtol * max(1.0, np.linalg.norm(s))
+    # ||S - S'|| <= rtol max(1, ||S||), both norms taken of S / max|S| so
+    # that entries near the top of double precision do not overflow them
+    top = float(np.abs(s).max(initial=0.0))
+    if not 0.0 < top < np.inf:  # zero, or not finite
+        return top == 0.0
+    t = s / top
+    return np.linalg.norm(t - t.T) <= rtol * max(1.0 / top, np.linalg.norm(t))
 
 
 def eig_extremes(s: np.ndarray, rtol: float = SYM_RTOL) -> tuple[float, float]:

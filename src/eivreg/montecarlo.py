@@ -10,9 +10,9 @@ workers are asked for; exact-sampler plans run in-process at any worker
 count, since a replication costs tens of microseconds there, less than
 shipping it to a worker.  `estimate_batch` then solves every replication and
 labelled estimator (restricted ones with their named weights) at once, as
-stacked p-by-p problems; its NearSingular checks exclude replications, other
-failures raise.  Results are independent of evaluation order and of the
-worker count, and reruns are bit-reproducible.
+stacked p-by-p problems; a replication that fails one of its checks is
+excluded with the reason.  Results are independent of evaluation order and
+of the worker count, and reruns are bit-reproducible.
 
 The affine-limit suite (stream tag 2) checks the block law A_i lam A_j' itself
 through `compare_law`, with the lifts of random affine transforms as the maps.
@@ -95,8 +95,8 @@ def _reduce_chunk(sampler: GaussianSampler | RowSampler, master_seed: int,
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """Run all replications; deterministic for a fixed plan at any worker count.
 
-    Replications hitting NearSingular are excluded; more than 1% excluded is an
-    error.
+    Replications that fail a check of `estimate_batch` are excluded; more than
+    1% excluded is an error that quotes the first one's reason.
     """
     n = plan.cfg.n
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
@@ -117,7 +117,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
                            plan.cfg.sigma_delta2, plan.restr, plan.estimators)
     if len(batch.excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
         raise NearSingular(
-            f"{len(batch.excluded)} of {plan.reps} replications were near-singular")
+            f"{len(batch.excluded)} of {plan.reps} replications were excluded "
+            f"(first: {batch.reasons[0]})")
     keep = np.ones(plan.reps, dtype=bool)
     keep[list(batch.excluded)] = False
     dev = batch.estimates[keep] - b_truth

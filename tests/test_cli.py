@@ -390,6 +390,10 @@ BAD_CONFIGS = {
         "n": 50, "p": 2, "q": 2, "sigma_eps2": 2.0, "sigma_delta2": 0.5,
         "sigma_psi2": 0.5, "error_family": "gaussian",
         "M": np.random.default_rng(1848).uniform(-4.0, 4.0, (50, 2)).tolist()}),
+    "delta_0": ("model", "sigma_delta2", 0.0),
+    # variances whose squares overflow double precision
+    "delta_1e300": ("model", "sigma_delta2", 1.0e300),
+    "psi_1e300": ("model", "sigma_psi2", 1.0e300),
 }
 
 
@@ -521,6 +525,23 @@ def _exit_code(argv):
     ("law", ["--config", "{tmp}/m_explicit_400.yaml", "--n", "60"], 2,
      "field 'model.M' is an explicit matrix with 400 rows and cannot be "
      "redrawn at n = 60"),
+    # an all-zero X without measurement error fails the attenuation check
+    ("estimate", ["--config", "{tmp}/delta_0.yaml",
+                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x_zero.csv"], 3,
+     "numerical failure: attenuation correction breaks down: ch_min(sigma_d)"),
+    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_huge.csv"], 2,
+     "X'X or X'Z overflows: the data are too large in magnitude for double "
+     "precision"),
+    # a variance near the top of double precision: no numpy warning on the way
+    *[(cmd, ["--config", "{tmp}/delta_1e300.yaml", "--workers", "1", *data], 2,
+       "field 'model.sigma_delta2' = 1e+300 reaches ch_min(sigma)")
+      for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
+                        ("simulate", []), ("verify", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    *[(cmd, ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1", *data], 0, "")
+      for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
+                        ("simulate", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
@@ -530,6 +551,8 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
     data = np.random.default_rng(0).standard_normal((10, 2))
     write_matrix_csv(tmp_path / "z.csv", data)
     write_matrix_csv(tmp_path / "x.csv", 3.0 * data)  # well above sigma_delta2
+    write_matrix_csv(tmp_path / "x_zero.csv", np.zeros_like(data))
+    write_matrix_csv(tmp_path / "x_huge.csv", 1e200 * data)  # X'X overflows
     for name, bad in (("z_inf.csv", np.inf), ("x_nan.csv", np.nan)):
         cells = data.copy()
         cells[1, 1] = bad
@@ -545,6 +568,10 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
     err = capsys.readouterr().err
     assert message.format(tmp=tmp_path) in err
     assert "Traceback" not in err
+    if code == 0:  # a success writes finite numbers only
+        for path in (tmp_path / "o").glob("*.csv"):
+            cells = path.read_text(encoding="utf-8").replace("\n", ",").split(",")
+            assert not {c.strip().lower() for c in cells} & {"nan", "inf", "-inf"}, path
 
 
 def test_estimate_reports_cross_product_overflow(tmp_path, config_path, capsys):

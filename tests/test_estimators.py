@@ -113,6 +113,14 @@ def test_build_kx_near_singular():
         build_kx(X, 1.0)
 
 
+def test_estimate_all_zero_design_without_measurement_error():
+    # sigma_x = sigma_d = 0 fails the attenuation check rather than the
+    # corrected solve
+    Z = np.random.default_rng(8).standard_normal((10, 2))
+    with pytest.raises(NearSingular, match=r"ch_min\(sigma_d\)"):
+        estimate_all(np.zeros((10, 2)), Z, 0.0, RESTR)
+
+
 def test_corrected_equals_naive_without_measurement_error():
     g = np.random.default_rng(6)
     X = g.standard_normal((80, 3))

@@ -12,7 +12,7 @@ import pytest
 from eivreg.asymptotics import estimate_score_cov, score_sample
 from eivreg.estimators import (NAMED_WEIGHTS, build_kx, estimate_batch, lse,
                                restricted)
-from eivreg.exceptions import NearSingular, SingularDesign
+from eivreg.exceptions import NearSingular, RankDeficient, SingularDesign
 from eivreg.linalg import rvec, sym
 from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
                           RowSampler, generate, make_restricted_b,
@@ -57,7 +57,7 @@ def _reference(plan):
             est = [lse(ds.X, ds.Z) if lbl == "LSE" else b1 if lbl == "UE"
                    else restricted(b1, weights[lbl], plan.restr)
                    for lbl in plan.estimators]
-        except NearSingular:
+        except (NearSingular, RankDeficient, SingularDesign):
             excluded.append(r)
             continue
         devs = [e - b_truth for e in est]
@@ -104,20 +104,74 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
     assert summary.excluded == excluded
     assert summary.rep_count == plan.reps - len(excluded)
     np.testing.assert_array_equal(summary.errors, errors)
+    # past the cap the plan aborts, quoting the first reason
+    monkeypatch.setattr(montecarlo, "MAX_EXCLUDED_FRACTION", 0.0)
+    with pytest.raises(NearSingular, match=r"of 400 replications were excluded "
+                       r"\(first: attenuation correction breaks down: ch_min"):
+        run_plan(plan)
 
 
-def test_hard_failure_propagates_like_reference():
+def test_singular_design_excluded_like_reference():
     # replication 1's X'X is singular: lse raises SingularDesign on its
-    # dataset, and so does the kernel for the stack
+    # dataset, and the kernel excludes it with that message
     g = np.random.default_rng(4)
     X = g.standard_normal((50, 3))
     X_bad = np.column_stack([X[:, 0], X[:, 0], X[:, 2]])
     Z = g.standard_normal((50, 2))
-    with pytest.raises(SingularDesign):
+    with pytest.raises(SingularDesign, match="X'X is numerically singular"):
         lse(X_bad, Z)
     xtx = np.stack([X.T @ X, X_bad.T @ X_bad])
     xtz = np.stack([X.T @ Z, X_bad.T @ Z])
-    with pytest.raises(SingularDesign):
+    batch = estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("LSE",))
+    assert batch.excluded == (1,)
+    assert batch.reasons == ("X'X is numerically singular",)
+    assert np.all(np.isnan(batch.estimates[1]))
+    np.testing.assert_array_equal(batch.estimates[0, 0], lse(X, Z))
+
+
+def test_singular_gram_excluded_like_reference():
+    # R1 R1' has condition number 1e8; replication 1's sigma_x stretches
+    # the second axis by 1e5, so R1 S^{-1} R1' has condition number about
+    # 1e13 for B2 and B3, while B4's n I keeps it at 1e8
+    restr = Restriction(R1=[[1.0, 0.0, 0.0], [0.0, 1e-4, 0.0]],
+                        R2=[[1.0], [0.8]], theta=[[0.3], [0.1]])
+    n, sd2 = 100, 0.1
+    g = np.random.default_rng(5)
+    X = g.standard_normal((n, 3)) + 2.0
+    Z = g.standard_normal((n, 2))
+    xtx = np.stack([X.T @ X, n * np.diag([1.0, 1e5, 1.0])])
+    xtz = np.stack([X.T @ Z, np.ones((3, 2))])
+    labels = ("UE", "B2", "B3", "B4")
+    batch = estimate_batch(xtx, xtz, n, sd2, restr, labels)
+    assert batch.excluded == (1,)
+    assert batch.reasons == ("R1 S^{-1} R1' is numerically singular",)
+    assert np.all(np.isnan(batch.estimates[1]))
+    att = build_kx(X, sd2)
+    b1 = np.linalg.solve(att.n * att.sigma_d, X.T @ Z)
+    weights = {"B2": att.n * att.sigma_d, "B3": att.n * att.sigma_x,
+               "B4": float(n) * np.eye(3)}
+    np.testing.assert_array_equal(batch.estimates[0, 0], b1)
+    for i, lbl in enumerate(labels[1:], start=1):
+        np.testing.assert_array_equal(batch.estimates[0, i],
+                                      restricted(b1, weights[lbl], restr))
+    # the reference raises on replication 1's moments
+    sigma_x = xtx[1] / n
+    b1_bad = np.linalg.solve(n * (sigma_x - sd2 * np.eye(3)), xtz[1])
+    with pytest.raises(RankDeficient):
+        restricted(b1_bad, n * sigma_x, restr)
+
+
+def test_non_finite_statistics_raise():
+    g = np.random.default_rng(6)
+    X = g.standard_normal((50, 3))
+    xtx = np.stack([X.T @ X] * 2)
+    xtz = np.stack([X.T @ g.standard_normal((50, 2))] * 2)
+    xtz[1, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="X'X or X'Z overflows"):
+        estimate_batch(xtx, xtz, 50, 0.1, RESTR, LABELS)
+    xtz[1, 0, 1] = 1.0
+    xtx[0, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="X'X or X'Z overflows"):
         estimate_batch(xtx, xtz, 50, 0.1, RESTR, ("LSE",))
 
 
@@ -166,6 +220,30 @@ def test_guards_run_before_stacked_solves():
     np.testing.assert_array_equal(batch.estimates[0, 0], b1)
     np.testing.assert_array_equal(batch.estimates[0, 1],
                                   restricted(b1, att.n * att.sigma_d, RESTR))
+
+
+def test_zero_cross_products_excluded_at_zero_measurement_error():
+    # X'X = 0 at sigma_delta2 = 0 sits on the attenuation check's line
+    # ch_min(sigma_d) = 1e-8 ch_max(sigma_x) = 0, and is excluded there
+    n = 100
+    g = np.random.default_rng(7)
+    X = g.standard_normal((n, 3)) + 2.0
+    Z = g.standard_normal((n, 2))
+    with pytest.raises(NearSingular, match=r"ch_min\(sigma_d\)"):
+        build_kx(np.zeros((n, 3)), 0.0)
+    xtx = np.stack([X.T @ X, np.zeros((3, 3))])
+    xtz = np.stack([X.T @ Z, np.zeros((3, 2))])
+    batch = estimate_batch(xtx, xtz, n, 0.0, RESTR, ("UE", "B2", "B3", "B4"))
+    assert batch.excluded == (1,)
+    assert "ch_min(sigma_d)" in batch.reasons[0]
+    assert np.all(np.isnan(batch.estimates[1]))
+    att = build_kx(X, 0.0)
+    b1 = np.linalg.solve(att.n * att.sigma_d, X.T @ Z)
+    np.testing.assert_array_equal(batch.estimates[0, 0], b1)
+    for i, weight in enumerate((att.n * att.sigma_d, att.n * att.sigma_x,
+                                float(n) * np.eye(3)), start=1):
+        np.testing.assert_array_equal(batch.estimates[0, i],
+                                      restricted(b1, weight, RESTR))
 
 
 def test_score_cov_matches_score_sample_loop():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from eivreg.asymptotics import AsymptoticLaw
 from eivreg.exceptions import DimMismatch, NonSymmetric, NotPSD
-from eivreg.linalg import (AffineTransform, eig_extremes, kron, psd_factor,
-                           rvec, sym)
+from eivreg.linalg import (AffineTransform, eig_extremes, is_symmetric, kron,
+                           psd_factor, rvec, sym)
 
 RNG = np.random.default_rng(20260810)
 
@@ -95,6 +95,25 @@ def test_eig_extremes_rayleigh_bracket():
 def test_eig_extremes_rejects_asymmetric():
     with pytest.raises(NonSymmetric):
         eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 1e300])
+def test_is_symmetric_at_extreme_scales(scale):
+    # the norms are taken after scaling by the largest entry: no overflow
+    # warning at 1e200 or 1e300, where ||S||^2 exceeds double precision
+    s = np.array([[2.0, 1.0, -0.5], [1.0, 3.0, 0.25], [-0.5, 0.25, 1.0]])
+    asym = s + np.array([[0.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert is_symmetric(scale * s)
+    # ||S - S'|| is measured against max(1, ||S||): at 1e-200 the asymmetry
+    # is far below the absolute floor of 1e-10
+    assert is_symmetric(scale * asym) == (scale < 1.0)
+
+
+def test_is_symmetric_degenerate_inputs():
+    assert is_symmetric(np.zeros((2, 2)))
+    assert not is_symmetric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    assert not is_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert not is_symmetric(np.ones((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -41,7 +41,7 @@ from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import DimMismatch, ShapeMismatch
 from .linalg import kron, rvec, sym
-from .model import (ModelConfig, Restriction, make_restricted_b, replication_rngs,
+from .model import (ModelConfig, Restriction, block_rngs, make_restricted_b,
                     stats_sampler)
 
 
@@ -120,24 +120,30 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
                        seed: int) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
-    Replication r draws from stream tag 1 of the seeding contract in `model`,
-    so results do not depend on evaluation order.  The sampler reduces each
-    draw to X'X and X'Z; the scores are then formed for all replications
-    together, with the same arithmetic as `score_sample`.
+    The replications draw from stream tag 1 of the seeding contract in
+    `model`, so results do not depend on evaluation order.  The sampler
+    reduces each draw to X'X and X'Z; the scores are then formed for all
+    replications together, with the same arithmetic as `score_sample`, and
+    scaled by an exact power of two for the products: that changes no bit,
+    and only a result beyond double precision comes back as inf.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     B = np.asarray(B, dtype=float)
     xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw(
-        replication_rngs(seed, 1, 0, reps), reps)
+        block_rngs(seed, 1, 0, reps), reps)
     p, q = cfg.p, cfg.q
     draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
+    e = int(np.frexp(np.max(np.abs(draws)))[1])
+    draws = np.ldexp(draws, -e)
     cov = sym(draws.T @ draws) / reps
     # entrywise Monte Carlo SE of the averaged outer products, one column of
     # products at a time; the products are symmetric, so only j >= i
     var_max = np.max([np.var(draws[:, i, None] * draws[:, i:], axis=0,
                              ddof=1).max() for i in range(p * q)])
-    return ScoreCov(cov=cov, standard_error=float(np.sqrt(var_max / reps)))
+    with np.errstate(over="ignore"):
+        return ScoreCov(cov=np.ldexp(cov, 2 * e),
+                        standard_error=float(np.ldexp(np.sqrt(var_max / reps), 2 * e)))
 
 
 def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:

@@ -125,10 +125,8 @@ def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
         written.append(path)
     write_matrix_csv(out_dir / "cov_empirical.csv", summary.cov_empirical)
     written.append(out_dir / "cov_empirical.csv")
-    loss_rows = np.column_stack([summary.per_rep_losses[lbl]
-                                 for lbl in summary.labels])
-    write_rows_csv(out_dir / "losses.csv", list(summary.labels),
-                   [list(map(float, row)) for row in loss_rows])
+    write_matrix_csv(out_dir / "losses.csv", np.column_stack(
+        [summary.per_rep_losses[lbl] for lbl in summary.labels]), summary.labels)
     written.append(out_dir / "losses.csv")
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]

@@ -30,12 +30,14 @@ def open_output(path, newline: str | None = None):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_matrix_csv(path, arr: np.ndarray) -> None:
+def write_matrix_csv(path, arr: np.ndarray, header=None) -> None:
+    """`arr` under `header` (col_1, ... if None), each number as `fmt` writes it."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    header = header or [f"col_{j + 1}" for j in range(arr.shape[1])]
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open_output(path, newline="") as fh:
-        fh.write(",".join(f"col_{j + 1}" for j in range(arr.shape[1])) + "\n")
-        for row in arr:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(r) for r in arr.tolist())
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -15,18 +15,20 @@ decides how they are drawn: from their exact law under gaussian errors
 M = QR), at a cost that does not depend on n, and from datasets drawn as
 `generate` draws them otherwise (`RowSampler`).
 
-Seeding contract: replication r of stream `tag` draws from
-``numpy.random.default_rng([master_seed, tag, r])`` (`replication_rngs`).
-Replication studies use tag 0, score-covariance estimation tag 1 and the
-affine-limit suite tag 2.  Under gaussian errors, with k = p + q, the
-generator of each replication of tags 0 and 1 yields in order: p*k standard
-normals (the rows of Q'G before the factor F), k(k-1)/2 standard normals
-filling the strictly lower triangle of A row by row, and k chi-squares with
-n-p, n-p-1, ..., n-p-k+1 degrees of freedom whose square roots form A's
-diagonal.  When n - p < k the Bartlett form does not exist, and the last two
-draws are replaced by (n-p)*k standard normals Y, with A = Y'.  Results are
-therefore independent of evaluation order and of the worker count, and
-reruns are bit-reproducible.
+Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
+(BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
+(`block_rngs`).  Replication studies use tag 0, score-covariance estimation
+tag 1 and the affine-limit suite tag 2.  Under gaussian errors, with
+k = p + q, the generator of a block of m replications of tags 0 and 1 yields
+in order, replication by replication within each draw: m*p*k standard
+normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard normals
+(the strictly lower triangle of A, row by row), and m*k chi-squares with
+n-p, ..., n-p-k+1 degrees of freedom whose square roots form A's diagonal.
+When n - p < k the last two draws are replaced by m*(n-p)*k standard
+normals Y, with A = Y'.  Otherwise a block's datasets draw one after another
+as `generate` draws them.  Pool chunks are whole blocks, of a size that does
+not depend on the worker count, so results are independent of evaluation
+order and of the worker count, and reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -276,11 +278,17 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     return Dataset(Z=Z, X=X, latent=Latent(D, E, Delta, Psi) if keep_latent else None)
 
 
-def replication_rngs(seed: int, tag: int, start: int,
-                     stop: int) -> Iterator[np.random.Generator]:
-    """The generators of replications start, ..., stop - 1 of stream `tag`
-    under the seeding contract, each made when it is drawn from."""
-    return (np.random.default_rng([seed, tag, r]) for r in range(start, stop))
+BLOCK = 64  # replications per generator of the seeding contract
+
+
+def block_rngs(seed: int, tag: int, start: int,
+               stop: int) -> Iterator[np.random.Generator]:
+    """The generators of the blocks covering replications start, ...,
+    stop - 1 of stream `tag`, each made when it is drawn from."""
+    if start % BLOCK:
+        raise ValueError(f"replication {start} is not on a block boundary")
+    return (np.random.default_rng([seed, tag, b])
+            for b in range(start // BLOCK, -(-stop // BLOCK)))
 
 
 @dataclass(frozen=True)
@@ -299,23 +307,24 @@ class RowSampler:
 
     def draw(self, rngs: Iterable[np.random.Generator], reps: int
              ) -> tuple[np.ndarray, np.ndarray]:
-        """X'X and X'Z, stacked, of `reps` datasets, one from each of `rngs`."""
+        """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`."""
         cfg = self.cfg
         n, p = self.design.shape
         e, delta, psi, z = (np.empty((n, k)) for k in (cfg.q, p, p, cfg.q))
         xtx, xtz = np.empty((reps, p, p)), np.empty((reps, p, cfg.q))
         scaled = ((e, cfg.sigma_eps2), (delta, cfg.sigma_delta2),
                   (psi, cfg.sigma_psi2))
-        for i, rng in zip(range(reps), rngs, strict=True):
-            for buf, var in scaled:  # E, then Delta, then Psi, as generate draws
-                standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
-                buf *= math.sqrt(var)
-            d = np.add(self.design, psi, out=psi)
-            np.matmul(d, self.B, out=z)
-            z += e
-            x = np.add(d, delta, out=delta)
-            np.matmul(x.T, x, out=xtx[i])
-            np.matmul(x.T, z, out=xtz[i])
+        for lo, rng in zip(range(0, reps, BLOCK), rngs, strict=True):
+            for i in range(lo, min(lo + BLOCK, reps)):
+                for buf, var in scaled:  # E, Delta, Psi, as generate draws
+                    standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
+                    buf *= math.sqrt(var)
+                d = np.add(self.design, psi, out=psi)
+                np.matmul(d, self.B, out=z)
+                z += e
+                x = np.add(d, delta, out=delta)
+                np.matmul(x.T, x, out=xtx[i])
+                np.matmul(x.T, z, out=xtz[i])
         return xtx, xtz
 
 
@@ -336,23 +345,23 @@ class GaussianSampler:
 
     def draw(self, rngs: Iterable[np.random.Generator], reps: int
              ) -> tuple[np.ndarray, np.ndarray]:
-        """X'X and X'Z, stacked, of `reps` datasets, one from each of `rngs`
+        """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`
         in the draw order of the seeding contract."""
         p, k = self.root.shape
         dof = self.n - p
         bartlett = dof >= k
         low = np.tril_indices(k, -1)
-        chi_df = dof - np.arange(k, dtype=float)
         normals = np.empty((reps, p, k))
         # Bartlett: off-diagonal normals, then chi-squares; else Y, (n-p) x k
         tail = np.empty((reps, len(low[0]) + k if bartlett else dof * k))
-        for i, rng in zip(range(reps), rngs, strict=True):
-            normals[i] = rng.standard_normal((p, k))
+        for lo, rng in zip(range(0, reps, BLOCK), rngs, strict=True):
+            m = min(BLOCK, reps - lo)
+            rng.standard_normal(out=normals[lo:lo + m])
             if bartlett:
-                tail[i, :-k] = rng.standard_normal(len(low[0]))
-                tail[i, -k:] = rng.chisquare(chi_df)
+                tail[lo:lo + m, :-k] = rng.standard_normal((m, len(low[0])))
+                tail[lo:lo + m, -k:] = rng.chisquare(dof - np.arange(k), (m, k))
             else:
-                tail[i] = rng.standard_normal(dof * k)
+                tail[lo:lo + m] = rng.standard_normal((m, dof * k))
         if bartlett:
             a = np.zeros((reps, k, k))
             a[:, low[0], low[1]] = tail[:, :-k]

@@ -208,6 +208,26 @@ def test_read_matrix_csv_memory_is_a_few_file_sizes(tmp_path):
     assert peak <= 4 * size, (peak, size)
 
 
+def test_matrix_csv_row_template_matches_fmt(tmp_path):
+    # the row template writes each number exactly as fmt, cell by cell,
+    # and a header row as the csv module would
+    arr = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                    [0.1, 3.0, -2.0], [1e16, 0.0, -1.7976931348623157e308],
+                    [2.5e-308, 1 / 3, 123456789.0]])
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, arr, header=("UE", "B2", "B3"))
+    lines = ["UE,B2,B3", *(",".join(format(x, ".17g") for x in row)
+                           for row in arr.tolist())]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    plain = tmp_path / "plain.csv"
+    write_matrix_csv(plain, arr)
+    assert plain.read_bytes() == ("\n".join(["col_1,col_2,col_3", *lines[1:]])
+                                  + "\n").encode()
+    rows = tmp_path / "rows.csv"
+    csvio.write_rows_csv(rows, ["UE", "B2", "B3"], arr.tolist())
+    assert rows.read_bytes() == path.read_bytes()
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only a run with more than one chunk needs concurrent.futures
     code = ("import sys, eivreg.cli; "
@@ -542,6 +562,8 @@ def _exit_code(argv):
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    # the checks run without a warning there, and criteria 2 to 4 fail
+    ("verify", ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1"], 4, ""),
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

@@ -14,9 +14,9 @@ from eivreg.estimators import (NAMED_WEIGHTS, build_kx, estimate_batch, lse,
                                restricted)
 from eivreg.exceptions import NearSingular, RankDeficient, SingularDesign
 from eivreg.linalg import rvec, sym
-from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
-                          RowSampler, generate, make_restricted_b,
-                          replication_rngs)
+from eivreg.model import (BLOCK, ERROR_FAMILIES, DesignRule, ModelConfig,
+                          Restriction, RowSampler, block_rngs, generate,
+                          make_restricted_b)
 from eivreg import asymptotics, model, montecarlo
 from eivreg.montecarlo import SimulationPlan, run_plan
 
@@ -41,14 +41,21 @@ def _plan(cfg, **kw):
     return SimulationPlan(**base)
 
 
+def _rep_rngs(seed, tag, reps):
+    """The generator of each of replications 0, ..., reps - 1: its block's,
+    drawn on by the block's replications in turn."""
+    return [rng for rng in block_rngs(seed, tag, 0, reps)
+            for _ in range(BLOCK)][:reps]
+
+
 def _reference(plan):
     """One dataset at a time: generate, then lse / build_kx / restricted."""
     n = plan.cfg.n
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
     errors, losses, excluded = [], [], []
-    for r in range(plan.reps):
-        ds = generate(plan.cfg, b_truth, np.random.default_rng([plan.master_seed, 0, r]))
+    for r, rng in enumerate(_rep_rngs(plan.master_seed, 0, plan.reps)):
+        ds = generate(plan.cfg, b_truth, rng)
         try:
             att = build_kx(ds.X, plan.cfg.sigma_delta2)
             b1 = np.linalg.solve(att.n * att.sigma_d, ds.X.T @ ds.Z)
@@ -77,7 +84,8 @@ def _row_sampler_only(monkeypatch):
 def test_run_plan_matches_reference_loop(family, monkeypatch):
     if family == "gaussian":
         _row_sampler_only(monkeypatch)
-    plan = _plan(_cfg(error_family=family))
+    # three blocks, the last one partial; two workers get one block per chunk
+    plan = _plan(_cfg(error_family=family), reps=2 * BLOCK + 5)
     errors, losses, excluded = _reference(plan)
     for workers in (1, 2):
         summary = run_plan(plan, workers=workers)
@@ -249,9 +257,9 @@ def test_zero_cross_products_excluded_at_zero_measurement_error():
 def test_score_cov_matches_score_sample_loop():
     cfg = _cfg(p=2, error_family="shifted-exponential").at_n(300)
     B = B_SEED[:2]
-    reps, seed = 60, 17
-    draws = np.array([score_sample(cfg, B, np.random.default_rng([seed, 1, r]))
-                      for r in range(reps)])
+    reps, seed = BLOCK + 5, 17
+    draws = np.array([score_sample(cfg, B, rng)
+                      for rng in _rep_rngs(seed, 1, reps)])
     sc = estimate_score_cov(cfg, B, reps=reps, seed=seed)
     np.testing.assert_array_equal(sc.cov, sym(draws.T @ draws) / reps)
     prods = draws[:, :, None] * draws[:, None, :]
@@ -262,15 +270,18 @@ def test_score_cov_matches_score_sample_loop():
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
 def test_score_from_sufficient_statistics_matches_latent_form(family):
     # Z - X B = E - Delta B, so X'Z - X'X B is the score's X'(E - Delta B)
+    # a block's replications draw one after another from its generator
     cfg = _cfg(n=2000, error_family=family)
-    ds = generate(cfg, B_SEED, np.random.default_rng(8), keep_latent=True)
-    xtu = ds.X.T @ (ds.latent.E - ds.latent.Delta @ B_SEED)
+    rng = np.random.default_rng(8)
+    datasets = [generate(cfg, B_SEED, rng, keep_latent=True) for _ in range(2)]
     xtx, xtz = RowSampler(cfg, B_SEED, cfg.design()).draw(
-        [np.random.default_rng(8)], 1)
-    np.testing.assert_array_equal(xtx[0], ds.X.T @ ds.X)
-    np.testing.assert_array_equal(xtz[0], ds.X.T @ ds.Z)
-    gap = np.linalg.norm(xtz[0] - xtx[0] @ B_SEED - xtu) / np.linalg.norm(xtu)
-    assert gap <= 1e-12
+        [np.random.default_rng(8)], 2)
+    for i, ds in enumerate(datasets):
+        xtu = ds.X.T @ (ds.latent.E - ds.latent.Delta @ B_SEED)
+        np.testing.assert_array_equal(xtx[i], ds.X.T @ ds.X)
+        np.testing.assert_array_equal(xtz[i], ds.X.T @ ds.Z)
+        gap = np.linalg.norm(xtz[i] - xtx[i] @ B_SEED - xtu) / np.linalg.norm(xtu)
+        assert gap <= 1e-12
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -299,7 +310,9 @@ def test_pool_only_for_row_sampler_plans(family, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    plan = _plan(_cfg(error_family=family), reps=37)
+    # two workers split a row-sampler plan into four block-aligned chunks,
+    # the last one partial
+    plan = _plan(_cfg(error_family=family), reps=3 * BLOCK + 7)
     s1 = run_plan(plan, workers=1)
     s2 = run_plan(plan, workers=2)
     assert opened == ([] if family == "gaussian" else [2])
@@ -350,7 +363,7 @@ def _sampler_and_exact_mean(plan):
 
 def _draw(sampler, seed, start, stop):
     """X'X and X'Z of replications start, ..., stop - 1 of stream tag 0."""
-    return sampler.draw(replication_rngs(seed, 0, start, stop), stop - start)
+    return sampler.draw(block_rngs(seed, 0, start, stop), stop - start)
 
 
 def _pieces_mean(sampler):
@@ -376,34 +389,50 @@ def _mean_gap_se(draws, ww, p):
 
 def test_gaussian_sampler_mean_is_exact():
     plan = _plan(_cfg())
-    sampler, _, exact = _sampler_and_exact_mean(plan)
+    sampler, b_truth, exact = _sampler_and_exact_mean(plan)
     assert sampler.root.shape == (3, 5)
     np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
                                atol=1e-12 * np.abs(exact).max())
+    # draws over replications that straddle block boundaries, both samplers
+    reps = 2 * BLOCK + 5
+    rows = RowSampler(plan.cfg, b_truth, plan.cfg.design())
+    for drawn in (sampler, rows):
+        draws = _stats(*_draw(drawn, plan.master_seed, 0, reps))
+        assert _mean_gap_se(draws, exact, 3) <= 4.0
 
 
 @pytest.mark.parametrize("n", [200, 4])
 def test_gaussian_sampler_follows_documented_draw_order(n):
-    # replays the seeding contract of the model docstring one
-    # replication at a time: Q'G, Bartlett off-diagonals, chi-squares
-    # (or, when n - p < p + q, the (n-p) x k normals Y)
-    plan = _plan(_cfg(n=n), reps=5)
+    # replays the seeding contract of the model docstring over a full and a
+    # partial block, one replication at a time within each draw: every
+    # replication's Q'G, then every one's Bartlett off-diagonals, then every
+    # one's chi-squares one by one (or, when n - p < p + q, every one's
+    # (n-p) x k normals Y)
+    plan = _plan(_cfg(n=n), reps=BLOCK + 5)
     sampler, _, _ = _sampler_and_exact_mean(plan)
     p, k = sampler.root.shape
     dof = n - p
     xtx, xtz = _draw(sampler, plan.master_seed, 0, plan.reps)
-    for r in range(plan.reps):
-        rng = np.random.default_rng([plan.master_seed, 0, r])
-        h = sampler.root + rng.standard_normal((p, k)) @ sampler.factor.T
+    for b, lo in enumerate(range(0, plan.reps, BLOCK)):
+        m = min(BLOCK, plan.reps - lo)
+        rng = np.random.default_rng([plan.master_seed, 0, b])
+        g = [rng.standard_normal((p, k)) for _ in range(m)]
         if dof >= k:
-            a = np.zeros((k, k))
-            a[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
-            a[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
+            off = [rng.standard_normal(k * (k - 1) // 2) for _ in range(m)]
+            chi = [[rng.chisquare(dof - j) for j in range(k)] for _ in range(m)]
         else:
-            a = rng.standard_normal((dof, k)).T
-        ww = h.T @ h + sampler.factor @ a @ a.T @ sampler.factor.T
-        np.testing.assert_allclose(xtx[r], ww[:p, :p], rtol=1e-12)
-        np.testing.assert_allclose(xtz[r], ww[:p, p:], rtol=1e-12)
+            y = [rng.standard_normal((dof, k)) for _ in range(m)]
+        for i in range(m):
+            h = sampler.root + g[i] @ sampler.factor.T
+            if dof >= k:
+                a = np.zeros((k, k))
+                a[np.tril_indices(k, -1)] = off[i]
+                a[np.diag_indices(k)] = np.sqrt(chi[i])
+            else:
+                a = y[i].T
+            ww = h.T @ h + sampler.factor @ a @ a.T @ sampler.factor.T
+            np.testing.assert_allclose(xtx[lo + i], ww[:p, :p], rtol=1e-12)
+            np.testing.assert_allclose(xtz[lo + i], ww[:p, p:], rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -424,12 +453,12 @@ def test_gaussian_sampler_matches_row_sampler(seed):
 
 
 def test_gaussian_sampler_is_chunk_and_worker_invariant():
-    plan = _plan(_cfg(), reps=37)
+    plan = _plan(_cfg(), reps=2 * BLOCK + 5)
     sampler, _, _ = _sampler_and_exact_mean(plan)
     full = _draw(sampler, plan.master_seed, 0, plan.reps)
-    part = _draw(sampler, plan.master_seed, 17, 30)
+    part = _draw(sampler, plan.master_seed, BLOCK, plan.reps)
     for whole, piece in zip(full, part):
-        np.testing.assert_array_equal(whole[17:30], piece)
+        np.testing.assert_array_equal(whole[BLOCK:], piece)
     s1 = run_plan(plan, workers=1)
     s2 = run_plan(plan, workers=2)
     np.testing.assert_array_equal(s1.errors, s2.errors)
@@ -437,6 +466,28 @@ def test_gaussian_sampler_is_chunk_and_worker_invariant():
     for lbl in plan.estimators:
         np.testing.assert_array_equal(s1.per_rep_losses[lbl],
                                       s2.per_rep_losses[lbl])
+
+
+def test_chunk_off_a_block_boundary_is_refused():
+    plan = _plan(_cfg(error_family="shifted-exponential"))
+    sampler = model.stats_sampler(plan.cfg, B_SEED, plan.cfg.design())
+    with pytest.raises(ValueError, match="block boundary"):
+        montecarlo._reduce_chunk(sampler, plan.master_seed, 5, BLOCK + 5)
+
+
+def test_one_generator_per_block(monkeypatch):
+    plan = _plan(_cfg(), reps=5000)
+    seeded = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        if isinstance(seed, list) and seed[:2] == [plan.master_seed, 0]:
+            seeded.append(seed[2])
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    run_plan(plan)
+    assert seeded == list(range(79))  # ceil(5000 / 64)
 
 
 @pytest.mark.parametrize("case", ["singular-omega", "n-p-below-p+q",

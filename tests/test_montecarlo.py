@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from eivreg.asymptotics import (estimate_score_cov, joint_law,
-                                named_weight_limit, population)
+from eivreg.asymptotics import (closed_form_score_cov, estimate_score_cov,
+                                joint_law, named_weight_limit, population)
 from eivreg.exceptions import NearSingular, ShapeMismatch
 from eivreg.linalg import psd_factor, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction, make_restricted_b
@@ -166,10 +166,15 @@ def test_law_agreement_under_skewed_errors():
     summary = run_plan(plan, workers=4)
     cmp = compare_law(summary, law)
     assert cmp.passed, (cmp.worst_cov, cmp.worst_mean)
+    # the exact gap is 0.11, so two Monte Carlo estimates of it cannot be
+    # held to the line; each is held to its own closed form instead
     cfg_g = _cfg(n=2000, error_family="gaussian")
-    score_g = estimate_score_cov(cfg_g, b_s, reps=2000, seed=53)
-    rel = np.linalg.norm(score.cov - score_g.cov) / np.linalg.norm(score_g.cov)
+    exact, exact_g = (closed_form_score_cov(c, b_s) for c in (cfg_s, cfg_g))
+    rel = np.linalg.norm(exact - exact_g) / np.linalg.norm(exact_g)
     assert rel > 0.10
+    score_g = estimate_score_cov(cfg_g, b_s, reps=2000, seed=53)
+    for sc, ref in ((score, exact), (score_g, exact_g)):
+        assert np.max(np.abs(sc.cov - ref)) <= 4.0 * sc.standard_error
 
 
 def test_restricted_risk_ordering_at_restriction():

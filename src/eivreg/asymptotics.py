@@ -19,9 +19,8 @@ exactly from the design and the first four moments of the error family
 Monte Carlo averaging of flattened-score outer products and serves as its
 check, returning it with its standard error as a `ScoreCov`.
 Since Z - X B = E - Delta B, the score needs only the sufficient statistics,
-X'(E - Delta B) = X'Z - X'X B, so its draws come from the samplers that drive
-the replication studies (`model.stats_sampler`): exact under gaussian errors
-whatever n is, row by row otherwise.  Every function here works at the
+X'(E - Delta B) = X'Z - X'X B, so its draws come from `model.draw_stats`,
+which also drives the replication studies.  Every function here works at the
 model's own n; another sample size is ``cfg.at_n(n)``.
 
 A label's limit weight Q0 comes from `estimators.NAMED_WEIGHTS`, the one
@@ -41,7 +40,7 @@ from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import DimMismatch, ShapeMismatch
 from .linalg import kron, rvec, sym
-from .model import (ModelConfig, Restriction, block_rngs, make_restricted_b,
+from .model import (ModelConfig, Restriction, draw_stats, make_restricted_b,
                     stats_sampler)
 
 
@@ -112,7 +111,7 @@ def score_sample(cfg: ModelConfig, B: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """One flattened draw of the centered score at the model's n."""
     B = np.asarray(B, dtype=float)
-    xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw([rng], 1)
+    xtx, xtz = stats_sampler(cfg, B).draw([rng], 1)
     return rvec(_centered_score(cfg, B, xtx, xtz)[0])
 
 
@@ -120,18 +119,16 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
                        seed: int) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
-    The replications draw from stream tag 1 of the seeding contract in
-    `model`, so results do not depend on evaluation order.  The sampler
-    reduces each draw to X'X and X'Z; the scores are then formed for all
-    replications together, with the same arithmetic as `score_sample`, and
-    scaled by an exact power of two for the products: that changes no bit,
-    and only a result beyond double precision comes back as inf.
+    The replications are stream tag 1 of `model.draw_stats`.  The scores
+    are formed for all of them together, with the same arithmetic as
+    `score_sample`, and scaled by an exact power of two for the products:
+    that changes no bit, and only a result beyond double precision comes
+    back as inf.  The standard error needs at least two replications.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    if reps < 2:
+        raise ValueError("reps must be at least 2")
     B = np.asarray(B, dtype=float)
-    xtx, xtz = stats_sampler(cfg, B, cfg.design()).draw(
-        block_rngs(seed, 1, 0, reps), reps)
+    xtx, xtz = draw_stats(cfg, B, seed, 1, reps)
     p, q = cfg.p, cfg.q
     draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
     e = int(np.frexp(np.max(np.abs(draws)))[1])

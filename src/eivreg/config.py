@@ -208,7 +208,7 @@ def parse_config(doc: dict) -> RunConfig:
                           f"got {risk.q0!r}")
     for section, key, value, low in (("simulation", "reps", sim.reps, 2),
                                      ("score_cov", "n", score.n, p + 1),
-                                     ("score_cov", "reps", score.reps, 1),
+                                     ("score_cov", "reps", score.reps, 2),
                                      ("risk", "grid", risk.grid, 2)):
         if value < low:
             raise ConfigError(f"field '{section}.{key}' must be at least {low}, "

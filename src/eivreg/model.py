@@ -9,11 +9,11 @@ Everything that depends on the sample size n reads it from the `ModelConfig`;
 the same model at another sample size is ``cfg.at_n(n)``.
 
 Replication studies and the score-covariance Monte Carlo check need only the
-sufficient statistics X'X and X'Z of each dataset, and `stats_sampler` alone
-decides how they are drawn: from their exact law under gaussian errors
-(`GaussianSampler`, (R [I, B] + Q'G)'(R [I, B] + Q'G) + F A A' F' with
-M = QR), at a cost that does not depend on n, and from datasets drawn as
-`generate` draws them otherwise (`RowSampler`).
+sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`,
+which holds the pool policy.  `stats_sampler` draws them from their exact law
+under gaussian errors (`GaussianSampler`, (R [I, B] + Q'G)'(R [I, B] + Q'G)
++ F A A' F' with M = QR), at a cost that does not depend on n, and from
+datasets drawn as `generate` draws them otherwise (`RowSampler`).
 
 Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
 (BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
@@ -26,9 +26,8 @@ normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard normals
 n-p, ..., n-p-k+1 degrees of freedom whose square roots form A's diagonal.
 When n - p < k the last two draws are replaced by m*(n-p)*k standard
 normals Y, with A = Y'.  Otherwise a block's datasets draw one after another
-as `generate` draws them.  Pool chunks are whole blocks, of a size that does
-not depend on the worker count, so results are independent of evaluation
-order and of the worker count, and reruns are bit-reproducible.
+as `generate` draws them.  Results are independent of evaluation order and
+of the worker count, and reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -379,11 +378,11 @@ class GaussianSampler:
         return top[:, :, :p], top[:, :, p:]
 
 
-def stats_sampler(cfg: ModelConfig, B: np.ndarray,
-                  design: np.ndarray) -> GaussianSampler | RowSampler:
+def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampler:
     """The sampler of X'X and X'Z for datasets of `cfg` with coefficients B
-    on the materialized n-row `design`: exact under gaussian errors, row by
-    row otherwise, where X'X is not Wishart."""
+    at the materialized design: exact under gaussian errors, row by row
+    otherwise, where X'X is not Wishart."""
+    design = cfg.design()
     if cfg.error_family != "gaussian":
         return RowSampler(cfg, B, design)
     p, q = cfg.p, cfg.q
@@ -394,3 +393,28 @@ def stats_sampler(cfg: ModelConfig, B: np.ndarray,
     r = np.linalg.qr(design, mode="r")
     return GaussianSampler(root=r @ np.hstack([np.eye(p), B]),
                            factor=psd_factor(omega), n=len(design))
+
+
+def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
+               workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Z, stacked, of replications 0, ..., reps - 1 of stream `tag`
+    for datasets of `cfg` with coefficients B.
+
+    Pool policy: with several workers, a row-sampler draw of more than one
+    block is split into ranges of whole blocks, about four per worker, one
+    pool task each.  Exact-sampler draws, whose replications cost less than
+    shipping them to a worker, and single blocks run in-process.  Ranges
+    start on block boundaries, so the draws do not depend on the workers.
+    """
+    sampler = stats_sampler(cfg, B)
+    if workers <= 1 or reps <= BLOCK or isinstance(sampler, GaussianSampler):
+        return sampler.draw(block_rngs(seed, tag, 0, reps), reps)
+    step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
+    bounds = [(s, min(s + step, reps)) for s in range(0, reps, step)]
+    # imported here: only a pooled draw pays for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(sampler.draw, list(block_rngs(seed, tag, lo, hi)),
+                               hi - lo) for lo, hi in bounds]
+        parts = [f.result() for f in futures]
+    return tuple(map(np.concatenate, zip(*parts)))

@@ -1,18 +1,13 @@
-"""Replication engine: generate datasets, estimate, accumulate scaled errors
+"""Replication studies: estimate every replication, accumulate scaled errors
 and losses, and compare empirical moments against the theoretical limit laws.
 
 A plan materializes and rank-checks the fixed design M once, projects the
 true coefficient matrix onto the drifting restriction, and draws the X'X and
-X'Z of its replications through `model.stats_sampler` from stream tag 0 of
-the seeding contract in `model`.  Row-sampler plans (the non-gaussian
-families) of more than one block are split into ranges of whole blocks, one
-pool task each, when several workers are asked for; exact-sampler plans run
-in-process at any worker count, since a replication costs tens of
-microseconds there, less than shipping it to a worker.  `estimate_batch`
-then solves every replication and labelled estimator (restricted ones with
-their named weights) at once, as stacked p-by-p problems; a replication that
-fails one of its checks is excluded with the reason.  Results are independent
-of evaluation order and of the worker count, and reruns are bit-reproducible.
+X'Z of its replications from stream tag 0 through `model.draw_stats`, which
+holds the seeding contract and the pool policy.  `estimate_batch` then
+solves every replication and labelled estimator (restricted ones with their
+named weights) at once, as stacked p-by-p problems; a replication that fails
+one of its checks is excluded with the reason.
 
 The affine-limit suite (stream tag 2) checks the block law A_i lam A_j' itself
 through `compare_law`, with the lifts of random affine transforms as the maps.
@@ -29,8 +24,7 @@ from .asymptotics import AsymptoticLaw
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
 from .linalg import AffineTransform, psd_factor, rvec, sym
-from .model import (BLOCK, GaussianSampler, ModelConfig, Restriction, RowSampler,
-                    block_rngs, make_restricted_b, stats_sampler)
+from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
 
 MAX_EXCLUDED_FRACTION = 0.01
 MEAN_TOL_SE = 4.0  # `compare_law`'s bound on a mean discrepancy, in SEs
@@ -85,12 +79,6 @@ class EmpiricalSummary:
         return np.atleast_2d(np.cov(self.errors.T))
 
 
-def _reduce_chunk(sampler: GaussianSampler | RowSampler, master_seed: int,
-                  start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z of replications start (a block boundary), ..., stop - 1."""
-    return sampler.draw(block_rngs(master_seed, 0, start, stop), stop - start)
-
-
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """Run all replications; deterministic for a fixed plan at any worker count.
 
@@ -99,21 +87,10 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """
     n = plan.cfg.n
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
-    sampler = stats_sampler(plan.cfg, b_truth, plan.cfg.design())
-    if workers <= 1 or plan.reps <= BLOCK or isinstance(sampler, GaussianSampler):
-        parts = [_reduce_chunk(sampler, plan.master_seed, 0, plan.reps)]
-    else:
-        step = BLOCK * math.ceil(plan.reps / (4 * workers * BLOCK))
-        # imported here: only a pooled run pays for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_reduce_chunk, sampler, plan.master_seed, s,
-                                   min(s + step, plan.reps))
-                       for s in range(0, plan.reps, step)]
-            parts = [f.result() for f in futures]
-    batch = estimate_batch(np.concatenate([xtx for xtx, _ in parts]),
-                           np.concatenate([xtz for _, xtz in parts]), n,
-                           plan.cfg.sigma_delta2, plan.restr, plan.estimators)
+    xtx, xtz = draw_stats(plan.cfg, b_truth, plan.master_seed, 0, plan.reps,
+                          workers)
+    batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
+                           plan.estimators)
     if len(batch.excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
         raise NearSingular(
             f"{len(batch.excluded)} of {plan.reps} replications were excluded "

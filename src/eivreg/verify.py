@@ -130,11 +130,13 @@ def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
     diff = float(np.max(np.abs(mc.cov - lam)))
     score_gap = (diff / mc.standard_error if mc.standard_error > 0
                  else (math.inf if diff > 0 else 0.0))
+    overflow = not (np.isfinite(mc.cov).all() and math.isfinite(mc.standard_error))
     return CriterionResult(
-        4, "joint law agreement", cmp.passed and score_gap <= 4.0,
+        4, "joint law agreement", cmp.passed and score_gap <= 4.0 and not overflow,
         f"worst covariance block {cmp.worst_cov:.3f} rel-Frobenius (tol 0.15), "
-        f"worst mean {cmp.worst_mean:.2f} SE (tol 4), "
-        f"score covariance vs Monte Carlo {score_gap:.2f} SE (tol 4)")
+        f"worst mean {cmp.worst_mean:.2f} SE (tol 4), score covariance vs Monte Carlo "
+        + ("not compared: the Monte Carlo score covariance overflows double precision"
+           if overflow else f"{score_gap:.2f} SE (tol 4)"))
 
 
 def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:

@@ -2,15 +2,20 @@
 
 The whole suite is executed once through the `verify` subcommand on the
 default desk-scale configuration; each test then asserts one criterion from
-the written report and prints its pass/fail line.
+the written report and prints its pass/fail line.  Criterion 4's message on
+an overflowing Monte Carlo score covariance is checked in-process.
 """
 
 import csv
 from pathlib import Path
 
 import pytest
+import yaml
 
 from eivreg import cli
+from eivreg.asymptotics import law_inputs
+from eivreg.config import parse_config
+from eivreg.verify import criterion_law_agreement
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
@@ -66,3 +71,19 @@ def test_report_file_written(verify_run):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "command=verify" in manifest
     assert "output_paths=criteria.csv;report.txt" in manifest
+
+
+def test_law_agreement_names_an_overflowing_score_covariance():
+    # at sigma_psi2 = 1e300 the Monte Carlo score covariance and its standard
+    # error are inf, and their ratio would read "nan SE"
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    doc["model"]["sigma_psi2"] = 1.0e300
+    doc["simulation"]["reps"] = 200
+    doc["score_cov"]["reps"] = 100
+    run = parse_config(doc)
+    pm, lam = law_inputs(run)
+    result = criterion_law_agreement(run, run.simulation.master_seed, pm, lam)
+    assert not result.passed
+    assert "nan" not in result.detail
+    assert ("the Monte Carlo score covariance overflows double precision"
+            in result.detail)

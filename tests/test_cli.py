@@ -396,6 +396,7 @@ BAD_CONFIGS = {
     "scale_max_neg": ("risk", "scale_max", -1.0),
     "sim_reps_1": ("simulation", "reps", 1),
     "score_reps_0": ("score_cov", "reps", 0),
+    "score_reps_1": ("score_cov", "reps", 1),
     "score_n_2": ("score_cov", "n", 2),
     "m_huge": ("model", "M", {"kind": "uniform", "low": -4.0, "high": 1.0e300,
                               "seed": 1848}),
@@ -501,9 +502,9 @@ def _exit_code(argv):
     ("simulate", ["--config", "{tmp}/sim_reps_1.yaml", "--workers", "1"], 2,
      "field 'simulation.reps' must be at least 2, got 1"),
     ("law", ["--config", "{tmp}/score_reps_0.yaml"], 2,
-     "field 'score_cov.reps' must be at least 1, got 0"),
+     "field 'score_cov.reps' must be at least 2, got 0"),
     ("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
-     "field 'score_cov.reps' must be at least 1, got 0"),
+     "field 'score_cov.reps' must be at least 2, got 0"),
     # options a command never reads are not accepted
     ("law", ["--reps", "1"], 2, "unrecognized arguments: --reps 1"),
     ("adr", ["--reps", "10"], 2, "unrecognized arguments: --reps 10"),
@@ -564,6 +565,10 @@ def _exit_code(argv):
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
     # the checks run without a warning there, and criteria 2 to 4 fail
     ("verify", ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1"], 4, ""),
+    # one draw has no standard error for criterion 4 to measure against
+    *[(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
+       "field 'score_cov.reps' must be at least 2, got 1")
+      for cmd in ("law", "verify")],
 ])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):

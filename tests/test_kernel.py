@@ -77,7 +77,8 @@ def _row_sampler_only(monkeypatch):
     """Draw gaussian plans through the row sampler too.  The reference loop
     replays those draws, so they test the batched estimate and reduction
     bit for bit; the exact sampler's draws are tested by their law below."""
-    monkeypatch.setattr(montecarlo, "stats_sampler", RowSampler)
+    monkeypatch.setattr(model, "stats_sampler",
+                        lambda cfg, B: RowSampler(cfg, B, cfg.design()))
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -355,9 +356,8 @@ def _sampler_and_exact_mean(plan):
     from the design and the latent structure."""
     cfg = plan.cfg
     b_truth = make_restricted_b(cfg, plan.restr, plan.b_seed)
-    design = cfg.design()
-    mu = design @ np.hstack([np.eye(cfg.p), b_truth])
-    sampler = model.stats_sampler(cfg, b_truth, design)
+    mu = cfg.design() @ np.hstack([np.eye(cfg.p), b_truth])
+    sampler = model.stats_sampler(cfg, b_truth)
     return sampler, b_truth, mu.T @ mu + cfg.n * _omega(cfg, b_truth)
 
 
@@ -469,10 +469,8 @@ def test_gaussian_sampler_is_chunk_and_worker_invariant():
 
 
 def test_chunk_off_a_block_boundary_is_refused():
-    plan = _plan(_cfg(error_family="shifted-exponential"))
-    sampler = model.stats_sampler(plan.cfg, B_SEED, plan.cfg.design())
     with pytest.raises(ValueError, match="block boundary"):
-        montecarlo._reduce_chunk(sampler, plan.master_seed, 5, BLOCK + 5)
+        block_rngs(41, 0, 5, BLOCK + 5)
 
 
 def test_one_generator_per_block(monkeypatch):

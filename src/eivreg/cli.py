@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .asymptotics import joint_law, law_inputs, named_weight_limit
 from .config import RunConfig, load_config
 from .csvio import (open_output, read_matrix_csv, write_manifest,
@@ -36,34 +37,41 @@ EFFICIENCY_HEADER = ["scale", "theta0_norm2", "adr_ue", "adr_re",
                      "relative_efficiency", "verdict"]
 
 
-def _version() -> str:
-    from . import __version__
+class Outputs:
+    """A command's output directory and the files written to it, each
+    recorded as it is written, for the manifest to list."""
 
-    return __version__
+    def __init__(self, out_dir):
+        """Create the directory; a path that cannot be one is a bad option."""
+        self.dir, self.names = Path(out_dir), []
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.dir}: "
+                              f"{exc.strerror or exc}") from exc
+
+    def write(self, writer, name: str, *args) -> None:
+        """`writer(path, *args)` for the file `name` in the directory."""
+        writer(self.dir / name, *args)
+        self.names.append(name)
 
 
-def _make_out_dir(out) -> Path:
-    """Create the output directory; a path that cannot be one is a bad option."""
-    out_dir = Path(out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: "
-                          f"{exc.strerror or exc}") from exc
-    return out_dir
+def _write_lines(path, lines: list[str]) -> None:
+    with open_output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
-def _finish(out_dir: Path, command: str, run: RunConfig, written: list[Path]) -> None:
-    write_manifest(out_dir / "manifest.txt", {
+def _finish(out: Outputs, command: str, run: RunConfig) -> None:
+    write_manifest(out.dir / "manifest.txt", {
         "command": command,
         "config_digest": run.digest,
         "master_seed": run.simulation.master_seed,
-        "artifact_version": _version(),
-        "output_paths": sorted(p.name for p in written),
+        "artifact_version": __version__,
+        "output_paths": sorted(out.names),
     })
 
 
-def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
+def cmd_estimate(run: RunConfig, z_csv, x_csv, out: Outputs) -> int:
     Z = read_matrix_csv(z_csv)
     X = read_matrix_csv(x_csv)
     if Z.shape[0] != X.shape[0]:
@@ -74,90 +82,70 @@ def cmd_estimate(run: RunConfig, z_csv, x_csv, out_dir: Path) -> int:
             f"expected X with {run.model.p} and Z with {run.model.q} columns, "
             f"got {X.shape[1]} and {Z.shape[1]}")
     est = estimate_all(X, Z, run.model.sigma_delta2, run.restriction)
-    written = []
     for label, name in ESTIMATE_FILES.items():
-        write_matrix_csv(out_dir / name, est[label])
-        written.append(out_dir / name)
-    write_manifest(out_dir / "estimators.txt", ESTIMATE_FILES)
-    written.append(out_dir / "estimators.txt")
-    _finish(out_dir, "estimate", run, written)
+        out.write(write_matrix_csv, name, est[label])
+    out.write(write_manifest, "estimators.txt", ESTIMATE_FILES)
+    _finish(out, "estimate", run)
     return 0
 
 
-def cmd_law(run: RunConfig, out_dir: Path) -> int:
+def cmd_law(run: RunConfig, out: Outputs) -> int:
     pm, lam = law_inputs(run)
     labels = tuple(l for l in run.simulation.estimators if l in LAW_LABELS)
     if not labels:
         raise ConfigError("no law-compatible estimators configured")
     law = joint_law(pm, lam, run.restriction, estimators=labels)
-    written = []
-    write_matrix_csv(out_dir / "score_cov.csv", lam)
-    written.append(out_dir / "score_cov.csv")
+    out.write(write_matrix_csv, "score_cov.csv", lam)
     for lbl in labels:
-        path = out_dir / f"mean_{lbl}.csv"
-        write_matrix_csv(path, law.mean(lbl))
-        written.append(path)
+        out.write(write_matrix_csv, f"mean_{lbl}.csv", law.mean(lbl))
     pairs = [(i, j) for i in range(len(labels)) for j in range(len(labels))]
     for i, j in pairs:  # one block in memory at a time
-        path = out_dir / f"cov_{i + 1}_{j + 1}.csv"
-        write_matrix_csv(path, law.block(i, j))
-        written.append(path)
-    write_manifest(out_dir / "blocks.txt", {
+        out.write(write_matrix_csv, f"cov_{i + 1}_{j + 1}.csv", law.block(i, j))
+    out.write(write_manifest, "blocks.txt", {
         "labels": list(labels),
         **{f"block_{i + 1}_{j + 1}": f"cov_{i + 1}_{j + 1}.csv" for i, j in pairs},
     })
-    written.append(out_dir / "blocks.txt")
-    _finish(out_dir, "law", run, written)
+    _finish(out, "law", run)
     return 0
 
 
-def cmd_simulate(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
+def cmd_simulate(run: RunConfig, out: Outputs, workers: int = 1) -> int:
     plan = SimulationPlan(cfg=run.model, restr=run.restriction,
                           b_seed=run.b_truth_seed(), reps=run.simulation.reps,
                           master_seed=run.simulation.master_seed + 7,
                           estimators=run.simulation.estimators,
                           weight=run.risk.weight)
     summary = run_plan(plan, workers=workers)
-    written = []
     for lbl, mat in summary.mean_errors.items():
-        path = out_dir / f"mean_error_{lbl}.csv"
-        write_matrix_csv(path, mat)
-        written.append(path)
-    write_matrix_csv(out_dir / "cov_empirical.csv", summary.cov_empirical)
-    written.append(out_dir / "cov_empirical.csv")
-    write_matrix_csv(out_dir / "losses.csv", np.column_stack(
+        out.write(write_matrix_csv, f"mean_error_{lbl}.csv", mat)
+    out.write(write_matrix_csv, "cov_empirical.csv", summary.cov_empirical)
+    out.write(write_matrix_csv, "losses.csv", np.column_stack(
         [summary.per_rep_losses[lbl] for lbl in summary.labels]), summary.labels)
-    written.append(out_dir / "losses.csv")
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]
     if all(lbl in LAW_LABELS for lbl in summary.labels):
         pm, lam = law_inputs(run)
         law = joint_law(pm, lam, run.restriction, estimators=summary.labels)
         cmp = compare_law(summary, law)
-        write_rows_csv(out_dir / "compare_cov.csv",
-                       ["block_i", "block_j", "rel_frobenius"],
-                       [[str(i + 1), str(j + 1), rel]
-                        for (i, j), rel in cmp.cov_rel_fro.items()])
-        written.append(out_dir / "compare_cov.csv")
-        write_rows_csv(out_dir / "compare_means.csv",
-                       ["estimator", "max_abs_se"],
-                       [[lbl, float(cmp.mean_max_se[lbl])]
-                        for lbl in summary.labels])
-        written.append(out_dir / "compare_means.csv")
+        out.write(write_rows_csv, "compare_cov.csv",
+                  ["block_i", "block_j", "rel_frobenius"],
+                  [[str(i + 1), str(j + 1), rel]
+                   for (i, j), rel in cmp.cov_rel_fro.items()])
+        out.write(write_rows_csv, "compare_means.csv",
+                  ["estimator", "max_abs_se"],
+                  [[lbl, float(cmp.mean_max_se[lbl])] for lbl in summary.labels])
         verdict_lines.append(
             f"law_agreement={'PASS' if cmp.passed else 'FAIL'}")
         verdict_lines.append(f"worst_cov_block={cmp.worst_cov:.6f}")
         verdict_lines.append(f"worst_mean_se={cmp.worst_mean:.6f}")
     else:
         verdict_lines.append("law_agreement=SKIPPED (non-limit estimators present)")
-    with open_output(out_dir / "verdict.txt") as fh:
-        fh.write("\n".join(verdict_lines) + "\n")
-    written.append(out_dir / "verdict.txt")
-    _finish(out_dir, "simulate", run, written)
+    out.write(_write_lines, "verdict.txt", verdict_lines)
+    _finish(out, "simulate", run)
     return 0
 
 
-def cmd_adr(run: RunConfig, out_dir: Path) -> int:
+def cmd_adr(run: RunConfig, out: Outputs) -> int:
     pm, lam = law_inputs(run)
     w = run.risk.weight
     labels = [l for l in run.simulation.estimators if l in NAMED_WEIGHTS]
@@ -171,17 +159,17 @@ def cmd_adr(run: RunConfig, out_dir: Path) -> int:
                      rep.bias_form_min, rep.bias_form_max,
                      rep.lower_threshold, rep.upper_threshold,
                      rep.theta0_norm2, rep.relative_efficiency, rep.verdict])
-    write_rows_csv(out_dir / "adr.csv",
-                   ["estimator", "adr_ue", "adr_re", "variance_gain",
-                    "bias_form_min", "bias_form_max", "lower_threshold",
-                    "upper_threshold", "theta0_norm2", "relative_efficiency",
-                    "verdict"],
-                   rows)
-    _finish(out_dir, "adr", run, [out_dir / "adr.csv"])
+    out.write(write_rows_csv, "adr.csv",
+              ["estimator", "adr_ue", "adr_re", "variance_gain",
+               "bias_form_min", "bias_form_max", "lower_threshold",
+               "upper_threshold", "theta0_norm2", "relative_efficiency",
+               "verdict"],
+              rows)
+    _finish(out, "adr", run)
     return 0
 
 
-def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
+def cmd_efficiency(run: RunConfig, out: Outputs) -> int:
     pm, lam = law_inputs(run)
     report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
@@ -190,34 +178,37 @@ def cmd_efficiency(run: RunConfig, out_dir: Path) -> int:
     else:
         scales = report.scale_grid(run.risk.grid)
     rows = efficiency_curve(report, drift_direction(run.restriction), scales)
-    write_rows_csv(out_dir / "efficiency.csv", EFFICIENCY_HEADER,
-                   [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
-                     r.relative_efficiency, r.verdict]
-                    for s, r in zip(scales, rows)])
-    _finish(out_dir, "efficiency", run, [out_dir / "efficiency.csv"])
+    out.write(write_rows_csv, "efficiency.csv", EFFICIENCY_HEADER,
+              [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
+                r.relative_efficiency, r.verdict]
+               for s, r in zip(scales, rows)])
+    _finish(out, "efficiency", run)
     return 0
 
 
-def cmd_verify(run: RunConfig, out_dir: Path, workers: int = 1) -> int:
+def cmd_verify(run: RunConfig, out: Outputs, workers: int = 1) -> int:
     from .verify import run_acceptance
 
-    results = run_acceptance(run, out_dir, workers=workers)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number}: "
-              f"{r.name} -- {r.detail}")
-    _finish(out_dir, "verify", run,
-            [out_dir / "criteria.csv", out_dir / "report.txt"])
+    results = run_acceptance(run, out.dir, workers=workers)
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number}: "
+             f"{r.name} -- {r.detail}" for r in results]
+    out.write(write_rows_csv, "criteria.csv",
+              ["number", "name", "passed", "detail"],
+              [[r.number, r.name, r.passed, r.detail] for r in results])
+    out.write(_write_lines, "report.txt", lines)
+    print("\n".join(lines))
+    _finish(out, "verify", run)
     return 0 if all(r.passed for r in results) else 4
 
 
 def run_command(command: str, run: RunConfig, out_dir, workers: int = 1) -> int:
     """Programmatic dispatcher for the config-driven subcommands."""
-    out_dir = _make_out_dir(out_dir)
+    out = Outputs(out_dir)
     with_workers = {"simulate": cmd_simulate, "verify": cmd_verify}
     if command in with_workers:
-        return with_workers[command](run, out_dir, workers=workers)
+        return with_workers[command](run, out, workers=workers)
     dispatch = {"law": cmd_law, "adr": cmd_adr, "efficiency": cmd_efficiency}
-    return dispatch[command](run, out_dir)
+    return dispatch[command](run, out)
 
 
 def _apply_overrides(run: RunConfig, args) -> RunConfig:
@@ -282,7 +273,7 @@ def main(argv=None) -> int:
         run = load_config(args.config)
         run = _apply_overrides(run, args)
         if args.command == "estimate":
-            return cmd_estimate(run, args.z, args.x, _make_out_dir(args.out))
+            return cmd_estimate(run, args.z, args.x, Outputs(args.out))
         return run_command(args.command, run, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,29 +37,29 @@ def sym(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
-def is_symmetric(s: np.ndarray, rtol: float = SYM_RTOL) -> bool:
+def is_symmetric(s: np.ndarray) -> bool:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         return False
-    # ||S - S'|| <= rtol max(1, ||S||), both norms taken of S / max|S| so
-    # that entries near the top of double precision do not overflow them
+    # ||S - S'|| <= SYM_RTOL max(1, ||S||), both norms taken of S / max|S|
+    # so that entries near the top of double precision do not overflow them
     top = float(np.abs(s).max(initial=0.0))
     if not 0.0 < top < np.inf:  # zero, or not finite
         return top == 0.0
     t = s / top
-    return np.linalg.norm(t - t.T) <= rtol * max(1.0 / top, np.linalg.norm(t))
+    return np.linalg.norm(t - t.T) <= SYM_RTOL * max(1.0 / top, np.linalg.norm(t))
 
 
-def eig_extremes(s: np.ndarray, rtol: float = SYM_RTOL) -> tuple[float, float]:
+def eig_extremes(s: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     The input is symmetrized before the eigensolve; asymmetry beyond
-    ``rtol * ||s||`` raises NonSymmetric.
+    ``SYM_RTOL * ||s||`` raises NonSymmetric.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {s.shape}")
-    if not is_symmetric(s, rtol):
+    if not is_symmetric(s):
         raise NonSymmetric(
             f"asymmetry {np.linalg.norm(s - s.T):.3e} exceeds tolerance"
         )
@@ -67,19 +67,19 @@ def eig_extremes(s: np.ndarray, rtol: float = SYM_RTOL) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def psd_factor(cov: np.ndarray, rtol: float = PSD_CLIP_RTOL) -> np.ndarray:
+def psd_factor(cov: np.ndarray) -> np.ndarray:
     """Symmetric factor F with F @ F.T = cov for a PSD matrix.
 
-    Eigenvalues in [-rtol * ch_max, 0) are clipped to zero (covariances
-    estimated by Monte Carlo can be slightly indefinite); anything more
-    negative raises NotPSD.
+    Eigenvalues in [-PSD_CLIP_RTOL * ch_max, 0) are clipped to zero
+    (covariances estimated by Monte Carlo can be slightly indefinite);
+    anything more negative raises NotPSD.
     """
     cov = np.asarray(cov, dtype=float)
     if not is_symmetric(cov):
         raise NonSymmetric("covariance must be symmetric")
     w, v = np.linalg.eigh(sym(cov))
     ch_max = max(float(w[-1]), 0.0)
-    floor = -rtol * ch_max
+    floor = -PSD_CLIP_RTOL * ch_max
     if np.any(w < floor):
         raise NotPSD(
             f"smallest eigenvalue {w[0]:.3e} below PSD tolerance {floor:.3e}"

@@ -204,14 +204,6 @@ class Restriction:
         if not np.all(np.isfinite(t0)):
             raise ConfigError("theta0 must be finite")
 
-    @property
-    def r1(self) -> int:
-        return self.R1.shape[0]
-
-    @property
-    def r2(self) -> int:
-        return self.R2.shape[1]
-
     def with_theta0(self, theta0: np.ndarray) -> "Restriction":
         return Restriction(self.R1, self.R2, self.theta, theta0)
 
@@ -225,20 +217,9 @@ class Restriction:
 
 
 @dataclass(frozen=True)
-class Latent:
-    """Latent pieces retained for diagnostics."""
-
-    D: np.ndarray
-    E: np.ndarray
-    Delta: np.ndarray
-    Psi: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
     Z: np.ndarray
     X: np.ndarray
-    latent: Latent | None = None
 
 
 def make_restricted_b(cfg: ModelConfig, restr: Restriction,
@@ -256,8 +237,7 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
     return seed_b - left @ restr.right
 
 
-def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
-             keep_latent: bool = False) -> Dataset:
+def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Dataset:
     """Draw one dataset of n rows: Z = (M + Psi) B + E and X = M + Psi + Delta.
 
     E, Delta, Psi have iid entries from the configured family, scaled to the
@@ -274,7 +254,7 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator,
     D = m + Psi
     Z = D @ B + E
     X = D + Delta
-    return Dataset(Z=Z, X=X, latent=Latent(D, E, Delta, Psi) if keep_latent else None)
+    return Dataset(Z=Z, X=X)
 
 
 BLOCK = 64  # replications per generator of the seeding contract

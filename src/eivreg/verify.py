@@ -17,7 +17,6 @@ from .asymptotics import (AsymptoticLaw, PopulationModel, estimate_score_cov,
                           joint_law, law_inputs, limit_map, mean_shift,
                           named_weight_limit, population, score_cov_model)
 from .config import RunConfig
-from .csvio import open_output, write_rows_csv
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all, restricted
 from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
@@ -305,11 +304,4 @@ def run_acceptance(run: RunConfig, out_dir, workers: int = 1) -> list[CriterionR
     results.append(criterion_efficiency_curve(run, pm, lam))
     results.append(criterion_affine_limits(run, seed))
     results.append(criterion_reproducibility(run, out_dir))
-    write_rows_csv(out_dir / "criteria.csv",
-                   ["number", "name", "passed", "detail"],
-                   [[r.number, r.name, r.passed, r.detail] for r in results])
-    with open_output(out_dir / "report.txt") as fh:
-        for r in results:
-            fh.write(f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number}: "
-                     f"{r.name} -- {r.detail}\n")
     return results

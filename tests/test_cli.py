@@ -356,6 +356,30 @@ def test_seed_override_changes_outputs(tmp_path, config_path):
     assert same != (out_c / "cov_empirical.csv").read_bytes()
 
 
+# every subcommand, simulate at both worker counts perfbench/run.py uses
+@pytest.mark.parametrize("command, workers", [
+    ("simulate", 1), ("simulate", 2), ("law", 1), ("adr", 1),
+    ("efficiency", 1), ("estimate", 1), ("verify", 1)])
+def test_benchmark_arguments_are_accepted(tmp_path, command, workers):
+    # the arguments perfbench/run.py passes to every command it runs
+    run = load_config(CONFIG)
+    argv = [command, "--config", str(CONFIG), "--out", str(tmp_path / "o"),
+            "--seed", str(run.simulation.master_seed), "--workers", str(workers)]
+    if command == "estimate":
+        cfg = run.model.at_n(50)
+        B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+        ds = generate(cfg, B, np.random.default_rng(0))
+        write_matrix_csv(tmp_path / "x.csv", ds.X)
+        write_matrix_csv(tmp_path / "z.csv", ds.Z)
+        argv += ["--x", str(tmp_path / "x.csv"), "--z", str(tmp_path / "z.csv")]
+    assert cli.main(argv) == 0
+    # the manifest lists every file the command wrote, and nothing else
+    written = sorted(p.name for p in (tmp_path / "o").iterdir()
+                     if p.is_file() and p.name != "manifest.txt")
+    manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert f"output_paths={';'.join(written)}" in manifest
+
+
 def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     out = tmp_path / "law"
     code = cli.main(["law", "--config", str(config_path), "--out", str(out),
@@ -425,7 +449,8 @@ def _exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("command, extra, code, message", [
+# (command, extra arguments, exit code, message on stderr)
+EXIT_CASES = [
     ("simulate", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--workers", "-3"], 2, "--workers"),
     ("law", ["--workers", "0"], 2, "--workers"),
@@ -569,7 +594,34 @@ def _exit_code(argv):
     *[(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
        "field 'score_cov.reps' must be at least 2, got 1")
       for cmd in ("law", "verify")],
-])
+]
+
+# the arguments a case shares with most others, left out of its id
+_COMMON_ARGS = {("--workers", "1"), ("--z", "{tmp}/z.csv"), ("--x", "{tmp}/x.csv")}
+
+
+def _case_id(command, extra):
+    """The command, then each config by name and each other option as
+    name=value, so an id does not move when cases are added or reworded."""
+    parts = [command]
+    for opt, value in zip(extra[::2], extra[1::2]):
+        if (opt, value) in _COMMON_ARGS:
+            continue
+        value = value.removeprefix("{tmp}/")
+        parts.append(value.removesuffix(".yaml") if opt == "--config"
+                     else f"{opt[2:]}={value}")
+    return "-".join(parts)
+
+
+EXIT_CASE_IDS = [_case_id(command, extra) for command, extra, _, _ in EXIT_CASES]
+
+
+def test_option_exit_case_ids_are_unique():
+    assert len(set(EXIT_CASE_IDS)) == len(EXIT_CASE_IDS)
+
+
+@pytest.mark.parametrize("command, extra, code, message", EXIT_CASES,
+                         ids=EXIT_CASE_IDS)
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
     (tmp_path / "file").write_text("", encoding="utf-8")

@@ -25,7 +25,7 @@ DOC = {
 def test_parse_fields():
     run = parse_config(DOC)
     assert run.model.n == 200 and run.model.sigma_delta2 == 0.4
-    assert run.restriction.r1 == 1 and run.restriction.r2 == 1
+    assert run.restriction.R1.shape[0] == 1 and run.restriction.R2.shape[1] == 1
     assert run.simulation.estimators == ("UE", "B2")
     assert run.score_cov.n == 300
     assert run.risk.q0 == "B3"

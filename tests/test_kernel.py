@@ -16,7 +16,7 @@ from eivreg.exceptions import NearSingular, RankDeficient, SingularDesign
 from eivreg.linalg import rvec, sym
 from eivreg.model import (BLOCK, ERROR_FAMILIES, DesignRule, ModelConfig,
                           Restriction, RowSampler, block_rngs, generate,
-                          make_restricted_b)
+                          make_restricted_b, standardized_draw)
 from eivreg import asymptotics, model, montecarlo
 from eivreg.montecarlo import SimulationPlan, run_plan
 
@@ -273,12 +273,18 @@ def test_score_from_sufficient_statistics_matches_latent_form(family):
     # Z - X B = E - Delta B, so X'Z - X'X B is the score's X'(E - Delta B)
     # a block's replications draw one after another from its generator
     cfg = _cfg(n=2000, error_family=family)
-    rng = np.random.default_rng(8)
-    datasets = [generate(cfg, B_SEED, rng, keep_latent=True) for _ in range(2)]
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    datasets = [generate(cfg, B_SEED, rng) for _ in range(2)]
     xtx, xtz = RowSampler(cfg, B_SEED, cfg.design()).draw(
         [np.random.default_rng(8)], 2)
     for i, ds in enumerate(datasets):
-        xtu = ds.X.T @ (ds.latent.E - ds.latent.Delta @ B_SEED)
+        # E, Delta, Psi replayed in the order generate draws them
+        E, Delta, Psi = (math.sqrt(var) * standardized_draw(family, (cfg.n, k), replay)
+                         for var, k in ((cfg.sigma_eps2, cfg.q),
+                                        (cfg.sigma_delta2, cfg.p),
+                                        (cfg.sigma_psi2, cfg.p)))
+        np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
+        xtu = ds.X.T @ (E - Delta @ B_SEED)
         np.testing.assert_array_equal(xtx[i], ds.X.T @ ds.X)
         np.testing.assert_array_equal(xtz[i], ds.X.T @ ds.Z)
         gap = np.linalg.norm(xtz[i] - xtx[i] @ B_SEED - xtu) / np.linalg.norm(xtu)

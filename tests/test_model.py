@@ -31,15 +31,24 @@ def test_noiseless_generation_is_exact():
     np.testing.assert_array_equal(ds.Z, m @ B)
 
 
+def _latent(cfg, rng):
+    """E, Delta and Psi replayed from `rng` in the order `generate` draws them."""
+    return [math.sqrt(var) * standardized_draw(cfg.error_family, (cfg.n, k), rng)
+            for var, k in ((cfg.sigma_eps2, cfg.q), (cfg.sigma_delta2, cfg.p),
+                           (cfg.sigma_psi2, cfg.p))]
+
+
 def test_latent_identities():
     cfg = _cfg()
     B = np.array([[1.0, 0.5], [-0.2, 0.8]])
-    ds = generate(cfg, B, np.random.default_rng(1), keep_latent=True)
-    np.testing.assert_allclose(ds.X - ds.latent.D, ds.latent.Delta,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ds.Z - ds.latent.D @ B, ds.latent.E,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(ds.latent.D, cfg.design() + ds.latent.Psi)
+    ds = generate(cfg, B, np.random.default_rng(1))
+    E, Delta, Psi = _latent(cfg, np.random.default_rng(1))
+    D = cfg.design() + Psi
+    np.testing.assert_allclose(ds.X - D, Delta, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ds.Z - D @ B, E, rtol=0, atol=1e-12)
+    # bit for bit: the replayed order is the one generate draws in
+    np.testing.assert_array_equal(ds.X, D + Delta)
+    np.testing.assert_array_equal(ds.Z, D @ B + E)
 
 
 def test_gaussian_measurement_error_moments():
@@ -88,12 +97,13 @@ def test_standardized_draw_in_place_matches_plain_numpy(family):
 def test_error_components_uncorrelated():
     cfg = _cfg(n=10_000)
     B = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ds = generate(cfg, B, np.random.default_rng(5), keep_latent=True)
+    ds = generate(cfg, B, np.random.default_rng(5))
+    E, Delta, Psi = _latent(cfg, np.random.default_rng(5))
+    np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
     n = cfg.n
     se = 3.0 / math.sqrt(n * cfg.p)
-    pairs = [(ds.latent.E[:, 0], ds.latent.Delta[:, 0]),
-             (ds.latent.E[:, 1], ds.latent.Psi[:, 1]),
-             (ds.latent.Delta[:, 0], ds.latent.Psi[:, 0])]
+    pairs = [(E[:, 0], Delta[:, 0]), (E[:, 1], Psi[:, 1]),
+             (Delta[:, 0], Psi[:, 0])]
     for a, b in pairs:
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(len(a))

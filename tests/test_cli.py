@@ -449,7 +449,8 @@ def _exit_code(argv):
         return exc.code
 
 
-# (command, extra arguments, exit code, message on stderr)
+# (command, extra arguments, exit code, message on stderr); append new rows
+# at the end, since the first _INDEXED_ROWS are named by their position
 EXIT_CASES = [
     ("simulate", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--workers", "-3"], 2, "--workers"),
@@ -613,7 +614,18 @@ def _case_id(command, extra):
     return "-".join(parts)
 
 
-EXIT_CASE_IDS = [_case_id(command, extra) for command, extra, _, _ in EXIT_CASES]
+# the rows that were in the list while pytest named each case by its list
+# index and message; they keep those names, so appending a row renames none
+_INDEXED_ROWS = 82
+
+
+def _exit_case_id(index, command, extra, code, message):
+    if index < _INDEXED_ROWS:
+        return f"{command}-extra{index}-{code}-{message}"
+    return _case_id(command, extra)
+
+
+EXIT_CASE_IDS = [_exit_case_id(i, *case) for i, case in enumerate(EXIT_CASES)]
 
 
 def test_option_exit_case_ids_are_unique():

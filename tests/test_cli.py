@@ -449,9 +449,9 @@ def _exit_code(argv):
         return exc.code
 
 
-# (command, extra arguments, exit code, message on stderr); append new rows
-# at the end, since the first _INDEXED_ROWS are named by their position
-EXIT_CASES = [
+# pytest names each case by its position and its message, so a new case goes
+# at the end and a reworded message renames only its own case
+@pytest.mark.parametrize("command, extra, code, message", [
     ("simulate", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--workers", "-3"], 2, "--workers"),
     ("law", ["--workers", "0"], 2, "--workers"),
@@ -595,45 +595,7 @@ EXIT_CASES = [
     *[(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
        "field 'score_cov.reps' must be at least 2, got 1")
       for cmd in ("law", "verify")],
-]
-
-# the arguments a case shares with most others, left out of its id
-_COMMON_ARGS = {("--workers", "1"), ("--z", "{tmp}/z.csv"), ("--x", "{tmp}/x.csv")}
-
-
-def _case_id(command, extra):
-    """The command, then each config by name and each other option as
-    name=value, so an id does not move when cases are added or reworded."""
-    parts = [command]
-    for opt, value in zip(extra[::2], extra[1::2]):
-        if (opt, value) in _COMMON_ARGS:
-            continue
-        value = value.removeprefix("{tmp}/")
-        parts.append(value.removesuffix(".yaml") if opt == "--config"
-                     else f"{opt[2:]}={value}")
-    return "-".join(parts)
-
-
-# the rows that were in the list while pytest named each case by its list
-# index and message; they keep those names, so appending a row renames none
-_INDEXED_ROWS = 82
-
-
-def _exit_case_id(index, command, extra, code, message):
-    if index < _INDEXED_ROWS:
-        return f"{command}-extra{index}-{code}-{message}"
-    return _case_id(command, extra)
-
-
-EXIT_CASE_IDS = [_exit_case_id(i, *case) for i, case in enumerate(EXIT_CASES)]
-
-
-def test_option_exit_case_ids_are_unique():
-    assert len(set(EXIT_CASE_IDS)) == len(EXIT_CASE_IDS)
-
-
-@pytest.mark.parametrize("command, extra, code, message", EXIT_CASES,
-                         ids=EXIT_CASE_IDS)
+])
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
     (tmp_path / "file").write_text("", encoding="utf-8")

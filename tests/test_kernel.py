@@ -16,9 +16,10 @@ from eivreg.exceptions import NearSingular, RankDeficient, SingularDesign
 from eivreg.linalg import rvec, sym
 from eivreg.model import (BLOCK, ERROR_FAMILIES, DesignRule, ModelConfig,
                           Restriction, RowSampler, block_rngs, generate,
-                          make_restricted_b, standardized_draw)
+                          make_restricted_b)
 from eivreg import asymptotics, model, montecarlo
 from eivreg.montecarlo import SimulationPlan, run_plan
+from test_model import replay_latent
 
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -278,11 +279,7 @@ def test_score_from_sufficient_statistics_matches_latent_form(family):
     xtx, xtz = RowSampler(cfg, B_SEED, cfg.design()).draw(
         [np.random.default_rng(8)], 2)
     for i, ds in enumerate(datasets):
-        # E, Delta, Psi replayed in the order generate draws them
-        E, Delta, Psi = (math.sqrt(var) * standardized_draw(family, (cfg.n, k), replay)
-                         for var, k in ((cfg.sigma_eps2, cfg.q),
-                                        (cfg.sigma_delta2, cfg.p),
-                                        (cfg.sigma_psi2, cfg.p)))
+        E, Delta, Psi = replay_latent(cfg, replay)
         np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
         xtu = ds.X.T @ (E - Delta @ B_SEED)
         np.testing.assert_array_equal(xtx[i], ds.X.T @ ds.X)

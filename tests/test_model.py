@@ -31,7 +31,7 @@ def test_noiseless_generation_is_exact():
     np.testing.assert_array_equal(ds.Z, m @ B)
 
 
-def _latent(cfg, rng):
+def replay_latent(cfg, rng):
     """E, Delta and Psi replayed from `rng` in the order `generate` draws them."""
     return [math.sqrt(var) * standardized_draw(cfg.error_family, (cfg.n, k), rng)
             for var, k in ((cfg.sigma_eps2, cfg.q), (cfg.sigma_delta2, cfg.p),
@@ -42,7 +42,7 @@ def test_latent_identities():
     cfg = _cfg()
     B = np.array([[1.0, 0.5], [-0.2, 0.8]])
     ds = generate(cfg, B, np.random.default_rng(1))
-    E, Delta, Psi = _latent(cfg, np.random.default_rng(1))
+    E, Delta, Psi = replay_latent(cfg, np.random.default_rng(1))
     D = cfg.design() + Psi
     np.testing.assert_allclose(ds.X - D, Delta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ds.Z - D @ B, E, rtol=0, atol=1e-12)
@@ -98,7 +98,7 @@ def test_error_components_uncorrelated():
     cfg = _cfg(n=10_000)
     B = np.array([[1.0, 0.0], [0.0, 1.0]])
     ds = generate(cfg, B, np.random.default_rng(5))
-    E, Delta, Psi = _latent(cfg, np.random.default_rng(5))
+    E, Delta, Psi = replay_latent(cfg, np.random.default_rng(5))
     np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
     n = cfg.n
     se = 3.0 / math.sqrt(n * cfg.p)

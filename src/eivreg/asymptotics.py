@@ -40,8 +40,8 @@ from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import DimMismatch, ShapeMismatch
 from .linalg import kron, rvec, sym
-from .model import (ModelConfig, Restriction, draw_stats, make_restricted_b,
-                    stats_sampler)
+from .model import (ERROR_FAMILIES, ModelConfig, Restriction, draw_stats,
+                    make_restricted_b, stats_sampler)
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class PopulationModel:
 
 
 def population(cfg: ModelConfig) -> PopulationModel:
-    """Population quantities at the configured design (`ModelConfig.sigma`)."""
-    return PopulationModel(sigma=cfg.sigma(), sigma_delta2=cfg.sigma_delta2)
+    """Population quantities at the model's design: its `sigma`, checked when
+    the model was made."""
+    return PopulationModel(sigma=cfg.sigma, sigma_delta2=cfg.sigma_delta2)
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
                          + g1 sd^3 (mbar_a B_cb B_cd + mbar_c B_ab B_ad)
                          + [a=c] g2 sd^4 B_ab B_ad
 
-    with Sigma = M'M/n + (sigma_psi^2 + sigma_delta^2) I,
-    Su = sigma_eps^2 I + sigma_delta^2 B'B, mbar the column means of M,
+    with the model's sigma (Sigma) and mbar, the column means of M,
+    Su = sigma_eps^2 I + sigma_delta^2 B'B,
     sd = sigma_delta and (g1, g2) the family's skewness and excess kurtosis.
     This is the quantity `estimate_score_cov` averages, not an approximation
     of it.  Another sample size is ``closed_form_score_cov(cfg.at_n(n), B)``.
@@ -163,15 +164,12 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
         raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
-    m = cfg.design()
-    sigma = cfg.design_sigma(m)
     su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
-    mbar = m.mean(axis=0)
-    g1, g2 = cfg.moments
+    g1, g2 = ERROR_FAMILIES[cfg.error_family]
     sd2 = cfg.sigma_delta2
     bb = B[:, :, None] * B[:, None, :]  # bb[a, b, d] = B_ab B_ad
-    skew = np.einsum("a,cbd->abcd", mbar, bb)
-    cov = (np.einsum("ac,bd->abcd", sigma, su)
+    skew = np.einsum("a,cbd->abcd", cfg.mbar, bb)
+    cov = (np.einsum("ac,bd->abcd", cfg.sigma, su)
            + sd2 ** 2 * np.einsum("ad,cb->abcd", B, B)
            + g1 * sd2 ** 1.5 * (skew + skew.transpose(2, 3, 0, 1))
            + g2 * sd2 ** 2 * np.einsum("ac,abd->abcd", np.eye(cfg.p), bb))

@@ -26,7 +26,7 @@ from .csvio import (open_output, read_matrix_csv, write_manifest,
                     write_matrix_csv, write_rows_csv)
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
 from .exceptions import ConfigError, EivregError
-from .montecarlo import SimulationPlan, compare_law, run_plan
+from .montecarlo import compare_law, replication_plan, run_plan
 from .risk import (adr_restricted, dominance_report, drift_direction,
                    efficiency_curve)
 
@@ -110,12 +110,8 @@ def cmd_law(run: RunConfig, out: Outputs) -> int:
 
 
 def cmd_simulate(run: RunConfig, out: Outputs, workers: int = 1) -> int:
-    plan = SimulationPlan(cfg=run.model, restr=run.restriction,
-                          b_seed=run.b_truth_seed(), reps=run.simulation.reps,
-                          master_seed=run.simulation.master_seed + 7,
-                          estimators=run.simulation.estimators,
-                          weight=run.risk.weight)
-    summary = run_plan(plan, workers=workers)
+    summary = run_plan(replication_plan(run, run.simulation.estimators),
+                       workers=workers)
     for lbl, mat in summary.mean_errors.items():
         out.write(write_matrix_csv, f"mean_error_{lbl}.csv", mat)
     out.write(write_matrix_csv, "cov_empirical.csv", summary.cov_empirical)
@@ -220,7 +216,6 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
                       score_cov=replace(run.score_cov, reps=args.reps))
     if getattr(args, "n", None) is not None:
         run = replace(run, model=run.model.at_n(args.n))
-        run.model.sigma()  # checked as parse_config checks model.n
     return run
 
 

@@ -61,12 +61,12 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
 
 def _settings(cls, sec: dict, section: str, **resolved):
     """The dataclass `cls` built from a section: the fields in `resolved` as
-    given, every other one converted by `_scalar` to its annotated type, or
-    left at its default when the section omits it."""
+    given, every other init field converted by `_scalar` to its annotated
+    type, or left at its default when the section omits it."""
     kinds = get_type_hints(cls)
     values = dict(resolved)
     for f in fields(cls):
-        if f.name in values:
+        if not f.init or f.name in values:
             continue
         if f.name in sec:
             values[f.name] = _scalar(section, f.name, sec.pop(f.name), kinds[f.name])
@@ -219,7 +219,6 @@ def parse_config(doc: dict) -> RunConfig:
     if risk.scale_max is not None and risk.scale_max <= 0:
         raise ConfigError(f"field 'risk.scale_max' must be positive, "
                           f"got {risk.scale_max}")
-    model.sigma()  # the design, and sigma_delta2 below its ch_min
 
     return RunConfig(model=model, restriction=restriction, simulation=sim,
                      score_cov=score, risk=risk, digest=config_digest(doc))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,14 +86,16 @@ class DesignRule:
 
     def rows(self, n: int, p: int) -> np.ndarray:
         if self.kind != "uniform":
-            raise ConfigError(f"unknown design rule {self.kind!r}")
+            raise ConfigError(f"field 'M.kind' must be 'uniform', got {self.kind!r}")
         g = np.random.default_rng(self.seed)
         return g.uniform(self.low, self.high, size=(n, p))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions, variance components, error family, and fixed design."""
+    """Dimensions, variance components, error family and fixed design M, checked
+    when the model is made: M'M is finite, M has full column rank and sigma_delta^2
+    < ch_min(sigma), for `sigma` the limit of X'X/n and `mbar` M's column means."""
 
     n: int
     p: int
@@ -103,6 +105,8 @@ class ModelConfig:
     sigma_psi2: float
     error_family: str = "gaussian"
     M: np.ndarray | DesignRule = field(default_factory=DesignRule)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    mbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= self.p:
@@ -113,46 +117,36 @@ class ModelConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.error_family not in ERROR_FAMILIES:
-            raise ConfigError(f"unknown error family {self.error_family!r}")
+            raise ConfigError(f"field 'model.error_family' must be one of "
+                              f"{', '.join(ERROR_FAMILIES)}, got {self.error_family!r}")
         if not isinstance(self.M, DesignRule):
             m = np.asarray(self.M, dtype=float)
             if m.shape != (self.n, self.p):
                 raise ConfigError(
                     f"explicit M must be {self.n}x{self.p}, got {m.shape}")
             object.__setattr__(self, "M", m)
-
-    @property
-    def moments(self) -> tuple[float, float]:
-        """(gamma1, gamma2) of the configured family."""
-        return ERROR_FAMILIES[self.error_family]
-
-    def design(self) -> np.ndarray:
-        """Materialize M, n x p with full column rank and a finite M'M."""
-        m = (self.M.rows(self.n, self.p) if isinstance(self.M, DesignRule)
-             else self.M)
+        m = self.design()
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(m.T @ m).all():
+            mtm = sym(m.T @ m)
+            if not np.isfinite(mtm).all():
                 raise ConfigError("field 'model.M' is too large: M'M "
                                   "overflows double precision")
         if np.linalg.matrix_rank(m) < self.p:
             raise ConfigError("field 'model.M' does not have full column rank")
-        return m
-
-    def design_sigma(self, m: np.ndarray) -> np.ndarray:
-        """Limit of X'X/n at the n-row design m: M'M/n + (sigma_psi^2 + sigma_delta^2) I."""
-        return sym(m.T @ m) / self.n + (self.sigma_psi2 + self.sigma_delta2) * np.eye(self.p)
-
-    def sigma(self) -> np.ndarray:
-        """`design_sigma` at the materialized design; a ConfigError names
-        model.sigma_delta2 unless sigma - sigma_delta^2 I is positive definite."""
-        sigma = self.design_sigma(self.design())
+        sigma = mtm / self.n + (self.sigma_psi2 + self.sigma_delta2) * np.eye(self.p)
         ch_min, ch_max = eig_extremes(sigma)
         # same relative floor as the plug-in attenuation estimate
         if ch_min - self.sigma_delta2 <= 1e-8 * ch_max:
             raise ConfigError(f"field 'model.sigma_delta2' = {self.sigma_delta2} reaches "
                               f"ch_min(sigma) = {ch_min:.3e} of the design at n = {self.n}; "
                               "the corrected estimator's limit scale is not PD")
-        return sigma
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mbar", m.mean(axis=0))
+
+    def design(self) -> np.ndarray:
+        """Materialize M, n x p."""
+        return (self.M.rows(self.n, self.p) if isinstance(self.M, DesignRule)
+                else self.M)
 
     def at_n(self, n: int) -> "ModelConfig":
         """The same model at sample size n, the one way to change it; an
@@ -160,9 +154,7 @@ class ModelConfig:
         if n != self.n and not isinstance(self.M, DesignRule):
             raise ConfigError(f"field 'model.M' is an explicit matrix with "
                               f"{self.n} rows and cannot be redrawn at n = {n}")
-        return ModelConfig(n, self.p, self.q, self.sigma_eps2,
-                           self.sigma_delta2, self.sigma_psi2,
-                           self.error_family, self.M)
+        return replace(self, n=n)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Replication studies: estimate every replication, accumulate scaled errors
 and losses, and compare empirical moments against the theoretical limit laws.
 
-A plan materializes and rank-checks the fixed design M once, projects the
-true coefficient matrix onto the drifting restriction, and draws the X'X and
-X'Z of its replications from stream tag 0 through `model.draw_stats`, which
-holds the seeding contract and the pool policy.  `estimate_batch` then
+A plan projects the true coefficient matrix onto the drifting restriction
+and draws the X'X and X'Z of its replications from stream tag 0 through
+`model.draw_stats`, which holds the seeding contract and the pool policy;
+its model was checked when it was made.  `estimate_batch` then
 solves every replication and labelled estimator (restricted ones with their
 named weights) at once, as stacked p-by-p problems; a replication that fails
 one of its checks is excluded with the reason.
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticLaw
+from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import NearSingular, ShapeMismatch
 from .linalg import AffineTransform, psd_factor, rvec, sym
@@ -49,6 +50,14 @@ class SimulationPlan:
             if lbl not in ESTIMATOR_LABELS:
                 raise ValueError(f"unknown estimator label {lbl!r}")
         object.__setattr__(self, "b_seed", np.asarray(self.b_seed, dtype=float))
+
+
+def replication_plan(run: RunConfig, estimators: tuple[str, ...]) -> SimulationPlan:
+    """The run's replication study of `estimators`, seeded master seed + 7."""
+    return SimulationPlan(cfg=run.model, restr=run.restriction,
+                          b_seed=run.b_truth_seed(), reps=run.simulation.reps,
+                          master_seed=run.simulation.master_seed + 7,
+                          estimators=estimators, weight=run.risk.weight)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all, restricted
 from .linalg import eig_extremes, rvec, sym
 from .model import Restriction, generate, make_restricted_b
-from .montecarlo import SimulationPlan, affine_limit_suite, compare_law, run_plan
+from .montecarlo import (SimulationPlan, affine_limit_suite, compare_law,
+                         replication_plan, run_plan)
 from .risk import (adr_from_law, adr_restricted, dominance_report,
                    drift_direction, efficiency_curve)
 
@@ -56,7 +57,7 @@ def _rand_population(p: int, g: np.random.Generator) -> PopulationModel:
     return PopulationModel(sigma=sigma, sigma_delta2=sd2)
 
 
-def criterion_restriction_exactness(run: RunConfig, seed: int) -> CriterionResult:
+def criterion_restriction_exactness(seed: int) -> CriterionResult:
     g = np.random.default_rng([seed, 11])
     worst = 0.0
     for _ in range(100):
@@ -113,19 +114,16 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
                            f"median ||lse - B||={gap_b:.4f} (>10x)")
 
 
-def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
-                            lam: np.ndarray,
+def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray,
                             workers: int = 1) -> CriterionResult:
     law = joint_law(pm, lam, run.restriction, estimators=LAW_LABELS)
-    plan = SimulationPlan(cfg=run.model, restr=run.restriction,
-                          b_seed=run.b_truth_seed(), reps=run.simulation.reps,
-                          master_seed=seed + 7, estimators=LAW_LABELS)
-    summary = run_plan(plan, workers=workers)
+    summary = run_plan(replication_plan(run, LAW_LABELS), workers=workers)
     cmp = compare_law(summary, law)
     # the Monte Carlo estimate of the same score covariance checks the
     # closed form the law is built from
     cfg, B = score_cov_model(run)
-    mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps, seed=seed)
+    mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps,
+                            seed=run.simulation.master_seed)
     diff = float(np.max(np.abs(mc.cov - lam)))
     score_gap = (diff / mc.standard_error if mc.standard_error > 0
                  else (math.inf if diff > 0 else 0.0))
@@ -138,7 +136,7 @@ def criterion_law_agreement(run: RunConfig, seed: int, pm: PopulationModel,
            if overflow else f"{score_gap:.2f} SE (tol 4)"))
 
 
-def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
+def criterion_adr_identity(seed: int) -> CriterionResult:
     g = np.random.default_rng([seed, 51])
     worst_adr = 0.0
     worst_quad = 0.0
@@ -167,7 +165,7 @@ def criterion_adr_identity(run: RunConfig, seed: int) -> CriterionResult:
                            f"worst quadratic-term diff {worst_quad:.2e} (tol 1e-10)")
 
 
-def criterion_dominance(run: RunConfig, seed: int) -> CriterionResult:
+def criterion_dominance(seed: int) -> CriterionResult:
     g = np.random.default_rng([seed, 61])
     violations = 0
     worst_f1 = 0.0
@@ -235,7 +233,7 @@ def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
         f"{crossing_ok}")
 
 
-def criterion_affine_limits(run: RunConfig, seed: int) -> CriterionResult:
+def criterion_affine_limits(seed: int) -> CriterionResult:
     cmp, pair_rel = affine_limit_suite(seed, draws=100_000)
     return CriterionResult(
         8, "affine limit closure", cmp.passed and pair_rel <= cmp.tol_cov,
@@ -292,16 +290,15 @@ def run_acceptance(run: RunConfig, out_dir, workers: int = 1) -> list[CriterionR
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = run.simulation.master_seed
-    results = [
-        criterion_restriction_exactness(run, seed),
+    pm, lam = law_inputs(run)
+    return [
+        criterion_restriction_exactness(seed),
         criterion_sqrt_n_rate(run, seed, workers=workers),
         criterion_naive_bias(run, seed),
+        criterion_law_agreement(run, pm, lam, workers=workers),
+        criterion_adr_identity(seed),
+        criterion_dominance(seed),
+        criterion_efficiency_curve(run, pm, lam),
+        criterion_affine_limits(seed),
+        criterion_reproducibility(run, out_dir),
     ]
-    pm, lam = law_inputs(run)
-    results.append(criterion_law_agreement(run, seed, pm, lam, workers=workers))
-    results.append(criterion_adr_identity(run, seed))
-    results.append(criterion_dominance(run, seed))
-    results.append(criterion_efficiency_curve(run, pm, lam))
-    results.append(criterion_affine_limits(run, seed))
-    results.append(criterion_reproducibility(run, out_dir))
-    return results

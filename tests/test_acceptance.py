@@ -82,7 +82,7 @@ def test_law_agreement_names_an_overflowing_score_covariance():
     doc["score_cov"]["reps"] = 100
     run = parse_config(doc)
     pm, lam = law_inputs(run)
-    result = criterion_law_agreement(run, run.simulation.master_seed, pm, lam)
+    result = criterion_law_agreement(run, pm, lam)
     assert not result.passed
     assert "nan" not in result.detail
     assert ("the Monte Carlo score covariance overflows double precision"

@@ -15,8 +15,8 @@ from eivreg.asymptotics import (AsymptoticLaw, closed_form_score_cov,
 from eivreg.config import parse_config
 from eivreg.exceptions import ConfigError, ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, sym
-from eivreg.model import (DesignRule, ModelConfig, Restriction, draw_stats,
-                          generate, make_restricted_b)
+from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
+                          draw_stats, generate, make_restricted_b)
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -62,10 +62,9 @@ def test_population_rejects_degenerate_design_scale():
     g0 = np.random.default_rng(0)
     base = g0.standard_normal(n)
     m = np.column_stack([base, base + 1e-9 * g0.standard_normal(n)])
-    cfg = ModelConfig(n=n, p=p, q=1, sigma_eps2=1.0, sigma_delta2=0.5,
-                      sigma_psi2=0.0, M=m)
     with pytest.raises(ConfigError, match="field 'model.sigma_delta2'"):
-        population(cfg)
+        ModelConfig(n=n, p=p, q=1, sigma_eps2=1.0, sigma_delta2=0.5,
+                    sigma_psi2=0.0, M=m)
 
 
 def test_score_cov_degenerate_model_is_zero():
@@ -122,7 +121,7 @@ def _formula_terms(cfg, B):
     sigma = m.T @ m / cfg.n + (cfg.sigma_psi2 + cfg.sigma_delta2) * np.eye(p)
     su = cfg.sigma_eps2 * np.eye(q) + cfg.sigma_delta2 * B.T @ B
     mbar = m.mean(axis=0)
-    g1, g2 = cfg.moments
+    g1, g2 = ERROR_FAMILIES[cfg.error_family]
     sd = math.sqrt(cfg.sigma_delta2)
     terms = {name: np.zeros((p * q, p * q))
              for name in ("base", "cross", "gamma1", "gamma2")}

@@ -439,6 +439,8 @@ BAD_CONFIGS = {
     # variances whose squares overflow double precision
     "delta_1e300": ("model", "sigma_delta2", 1.0e300),
     "psi_1e300": ("model", "sigma_psi2", 1.0e300),
+    "family_cauchy": ("model", "error_family", "cauchy"),
+    "m_normal": ("model", "M", {"kind": "normal"}),
 }
 
 
@@ -449,9 +451,10 @@ def _exit_code(argv):
         return exc.code
 
 
-# pytest names each case by its position and its message, so a new case goes
-# at the end and a reworded message renames only its own case
-@pytest.mark.parametrize("command, extra, code, message", [
+# (command, options, exit code, a part of stderr); pytest names each case by
+# its position and its message, so a new case goes at the end and a reworded
+# message renames only its own case
+EXIT_CASES = [
     ("simulate", ["--workers", "0"], 2, "--workers"),
     ("simulate", ["--workers", "-3"], 2, "--workers"),
     ("law", ["--workers", "0"], 2, "--workers"),
@@ -595,7 +598,17 @@ def _exit_code(argv):
     *[(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
        "field 'score_cov.reps' must be at least 2, got 1")
       for cmd in ("law", "verify")],
-])
+    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+      for name, message in (
+          ("family_cauchy", "field 'model.error_family' must be one of gaussian, "
+                            "shifted-exponential, scaled-t, got 'cauchy'"),
+          ("m_normal", "field 'M.kind' must be 'uniform', got 'normal'"))
+      for cmd, data in (("law", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+]
+
+
+@pytest.mark.parametrize("command, extra, code, message", EXIT_CASES)
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
     (tmp_path / "file").write_text("", encoding="utf-8")
@@ -625,6 +638,18 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
         for path in (tmp_path / "o").glob("*.csv"):
             cells = path.read_text(encoding="utf-8").replace("\n", ",").split(",")
             assert not {c.strip().lower() for c in cells} & {"nan", "inf", "-inf"}, path
+
+
+@pytest.mark.parametrize("command", ["law", "simulate"])
+def test_design_rank_checked_once_per_model(tmp_path, monkeypatch, command):
+    # one check for each model made: at model.n and at score_cov.n
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        lambda *a, **kw: calls.append(a) or matrix_rank(*a, **kw))
+    assert cli.main([command, "--config", str(CONFIG), "--out", str(tmp_path),
+                     "--workers", "1"]) == 0
+    assert len(calls) == 2
 
 
 def test_estimate_reports_cross_product_overflow(tmp_path, config_path, capsys):

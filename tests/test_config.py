@@ -1,5 +1,7 @@
 """Configuration document parsing, round trips, and digest stability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -147,3 +149,19 @@ def test_default_b_truth_seed_is_deterministic():
     b = run.b_truth_seed()
     np.testing.assert_array_equal(a, b)
     assert a.shape == (2, 2)
+
+
+@pytest.mark.parametrize("high, change, remake", [
+    (1.0, {"sigma_delta2": 1.0e12}, lambda m: replace(m, sigma_delta2=1.0e12)),
+    (1.0e153, {"n": 2000}, lambda m: m.at_n(2000)),  # M'M finite only at n=200
+], ids=["replace-sigma_delta2", "at_n-m_overflow"])
+def test_remade_model_fails_as_parse_config_fails(high, change, remake):
+    doc = yaml.safe_load(yaml.safe_dump(DOC))
+    doc["model"]["M"]["high"] = high
+    model = parse_config(doc).model
+    doc["model"].update(change)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(doc)
+    with pytest.raises(ConfigError) as remade:
+        remake(model)
+    assert str(remade.value) == str(parsed.value)

@@ -1,6 +1,7 @@
 """Data generation moments, restriction projection, and model validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,8 +196,15 @@ def test_explicit_design_matrix():
         _cfg(n=50, M=np.zeros((40, 2)))
 
 
+def test_design_whose_symmetrized_cross_product_overflows_rejected():
+    # M'M is finite, but sym(M'M) adds it to its transpose and overflows
+    m = np.array([[1.1e154, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match="field 'model.M' is too large"):
+            _cfg(n=3, M=m)
+
+
 def test_rank_deficient_design_rejected():
-    m = np.ones((50, 2))
-    cfg = _cfg(n=50, M=m)
     with pytest.raises(ConfigError, match="field 'model.M' does not have full"):
-        cfg.design()
+        _cfg(n=50, M=np.ones((50, 2)))

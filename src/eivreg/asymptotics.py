@@ -1,15 +1,16 @@
 """Population limits and joint asymptotic laws of the corrected and restricted
 estimators, under the exact restriction and under local alternatives.
 
-A joint law is three things: the limiting covariance `lam` (a plain pq-by-pq
-array) of the centered score
+A joint law is the limiting covariance `lam` (a plain pq-by-pq array) of
+the centered score
 
-    h = n^{-1/2} X'(E - Delta B) + n^{1/2} sigma_delta^2 B ,
+    h = n^{-1/2} X'(E - Delta B) + n^{1/2} sigma_delta^2 B
 
-each estimator's linear limit map A_i acting on the flattened score limit,
-and each estimator's mean matrix.  The limit of sqrt(n)(estimator - truth)
-is described, in `linalg`'s row-major flattening, by those means and the
-pq-by-pq covariance blocks  A_i @ lam @ A_j.T,  which `AsymptoticLaw.block`
+and each estimator's limit as an affine transform kappa Y iota + alpha Y
+beta + rho of the score limit Y (`limit_transform`).  The limit of
+sqrt(n)(estimator - truth) is described, in `linalg`'s row-major
+flattening, by the offsets rho as means and the covariance blocks
+A_i @ lam @ A_j.T of the transforms' lifts A_i, which `AsymptoticLaw.block`
 forms on demand.  Law and risk functions read q off `lam` through
 `score_q`, which rejects any shape other than (p*q)-by-(p*q).
 
@@ -25,21 +26,21 @@ model's own n; another sample size is ``cfg.at_n(n)``.
 
 A label's limit weight Q0 comes from `estimators.NAMED_WEIGHTS`, the one
 place where an estimator label is defined, through `named_weight_limit`;
-"UE" has none.  `limit_map` and `mean_shift` see only Q0, never a label, so
-the law of a projection with any other weight limit is built from them.
+"UE" has none.  `limit_transform` sees only Q0, never a label, so the law of
+a projection with any other weight limit is built from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import DimMismatch, ShapeMismatch
-from .linalg import kron, rvec, sym
+from .linalg import AffineTransform, rvec, sym
 from .model import (ERROR_FAMILIES, ModelConfig, Restriction, draw_stats,
                     make_restricted_b, stats_sampler)
 
@@ -205,51 +206,47 @@ def named_weight_limit(pm: PopulationModel, label: str) -> np.ndarray:
     return NAMED_WEIGHTS[label](pm.sigma, pm.sigma_d)
 
 
-def limit_map(pm: PopulationModel, q: int, restr: Restriction | None = None,
-              q0: np.ndarray | None = None) -> np.ndarray:
-    """Linear map from the flattened score limit to a flattened estimator limit.
+def limit_transform(pm: PopulationModel, q: int, restr: Restriction | None = None,
+                    q0: np.ndarray | None = None) -> AffineTransform:
+    """An estimator's limit as an affine transform of the score limit Y.
 
-    Without `q0` it is the corrected estimator's kron(sigma_d^{-1}, I_q); with
-    the weight limit `q0` of a restricted estimator it subtracts
-    `restriction_correction` at Q0.
+    The corrected estimator's is sigma_d^{-1} Y.  The projection with weight
+    limit `q0` subtracts gain(Q0) R1 sigma_d^{-1} Y R2 (R2'R2)^{-1} R2' and
+    has the offset -gain(Q0) theta0 (R2'R2)^{-1} R2', so R1 rho R2 = -theta0.
     """
-    a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
+    kappa, iota = np.linalg.inv(pm.sigma_d), np.eye(q)
     if q0 is None:
-        return a1
+        return AffineTransform(kappa, iota, np.zeros_like(kappa),
+                               np.zeros_like(iota), np.zeros((pm.p, q)))
     if restr is None:
-        raise DimMismatch("restricted limit maps need the restriction")
-    return a1 - restriction_correction(pm, restr, q0)
-
-
-def restriction_correction(pm: PopulationModel, restr: Restriction,
-                           q0: np.ndarray) -> np.ndarray:
-    """kron(gain(Q0) @ R1 @ sigma_d^{-1}, R2 (R2'R2)^{-1} R2'), the part of the
-    corrected estimator's limit map that the projection with weight limit Q0
-    removes."""
+        raise DimMismatch("restricted limit transforms need the restriction")
     gain = constraint_gain(q0, restr.R1)
-    return kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d), restr.R2 @ restr.right)
-
-
-def mean_shift(restr: Restriction, q0: np.ndarray) -> np.ndarray:
-    """Limit mean of a restricted estimator under the drifting restriction.
-
-    -gain(Q0) @ theta0 @ (R2'R2)^{-1} R2'; satisfies R1 @ mu @ R2 = -theta0.
-    """
-    return -constraint_gain(q0, restr.R1) @ restr.theta0 @ restr.right
+    return AffineTransform(kappa, iota, alpha=-gain @ restr.R1 @ kappa,
+                           beta=(restr.R2 @ restr.right).T,
+                           rho=-gain @ restr.theta0 @ restr.right)
 
 
 @dataclass(frozen=True)
 class AsymptoticLaw:
-    """Joint limit law of a stack of estimators: labels, flattening shape,
-    per-estimator mean matrices and limit maps, and the score covariance
-    `lam`; block (i, j) of the covariance is maps[i] @ lam @ maps[j].T."""
+    """Joint limit law of a stack of estimators: labels, each one's limit
+    transform of the score limit, and the score covariance `lam`.  Block
+    (i, j) is maps[i] @ lam @ maps[j].T for the transforms' lifts `maps`."""
 
     labels: tuple[str, ...]
-    p: int
-    q: int
-    means: tuple[np.ndarray, ...]
-    maps: tuple[np.ndarray, ...]
+    transforms: tuple[AffineTransform, ...]
     lam: np.ndarray
+    maps: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "maps", tuple(t.lift() for t in self.transforms))
+
+    @property
+    def p(self) -> int:
+        return self.transforms[0].rho.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.transforms[0].rho.shape[1]
 
     def index(self, label: str) -> int:
         try:
@@ -258,21 +255,18 @@ class AsymptoticLaw:
             raise ShapeMismatch(f"law has no estimator {label!r}") from exc
 
     def block(self, i: int | str, j: int | str) -> np.ndarray:
-        if isinstance(i, str):
-            i = self.index(i)
-        if isinstance(j, str):
-            j = self.index(j)
+        i, j = (self.index(k) if isinstance(k, str) else k for k in (i, j))
         return self.maps[i] @ self.lam @ self.maps[j].T
 
     def mean(self, label: str) -> np.ndarray:
-        return self.means[self.index(label)]
+        return self.transforms[self.index(label)].rho
 
     def full_cov(self) -> np.ndarray:
         return np.block([[self.block(i, j) for j in range(len(self.labels))]
                          for i in range(len(self.labels))])
 
     def full_mean(self) -> np.ndarray:
-        return np.concatenate([rvec(mu) for mu in self.means])
+        return np.concatenate([rvec(t.rho) for t in self.transforms])
 
 
 def joint_law(pm: PopulationModel, lam: np.ndarray, restr: Restriction,
@@ -281,11 +275,8 @@ def joint_law(pm: PopulationModel, lam: np.ndarray, restr: Restriction,
     labels) under the restriction's local direction theta0 (zero means the
     exact restriction), given the score covariance `lam`."""
     q = score_q(pm, lam)
-    maps = []
-    means = []
-    for label in estimators:
-        w0 = None if label == "UE" else named_weight_limit(pm, label)
-        maps.append(limit_map(pm, q, restr, w0))
-        means.append(np.zeros((pm.p, q)) if w0 is None else mean_shift(restr, w0))
-    return AsymptoticLaw(labels=tuple(estimators), p=pm.p, q=q, means=tuple(means),
-                         maps=tuple(maps), lam=lam)
+    transforms = [limit_transform(pm, q, restr, None if label == "UE"
+                                  else named_weight_limit(pm, label))
+                  for label in estimators]
+    return AsymptoticLaw(labels=tuple(estimators), transforms=tuple(transforms),
+                         lam=lam)

@@ -4,8 +4,8 @@ extremes, PSD factors, and the lift of an affine transform of p-by-q matrices.
 Stacking convention used throughout the package: matrix-valued random variables
 are flattened row-major (`rvec`, equal to the classical column-stacking vec of
 the *transpose*).  All pq-by-pq covariance objects refer to that flattening.
-A transform's `lift()` is the map it induces on `rvec`; with lifts as maps, an
-`AsymptoticLaw` gives the covariance blocks of transforms of one normal law.
+A transform's `lift()` is the map it induces on `rvec`; every `AsymptoticLaw`,
+the estimators' joint laws included, forms its covariance blocks from lifts.
 """
 
 from __future__ import annotations

@@ -157,7 +157,7 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     for i, lbl in enumerate(summary.labels):
         cols = summary.errors[:, i * k:(i + 1) * k]
         se = cols.std(axis=0, ddof=1) / math.sqrt(summary.rep_count)
-        diff = np.abs(cols.mean(axis=0) - rvec(law.means[i]))
+        diff = np.abs(cols.mean(axis=0) - rvec(law.mean(lbl)))
         mean_se[lbl] = float(np.max(diff / np.where(se > 0, se, 1.0)))
     return LawComparison(labels=summary.labels, cov_rel_fro=cov_rel,
                          mean_max_se=mean_se, tol_cov=tol_cov)
@@ -181,7 +181,7 @@ def affine_limit_suite(seed: int,
                        draws: int = 100_000) -> tuple[LawComparison, float]:
     """Push a converging matrix-normal sequence through AFFINE_M random affine
     transforms with converging coefficients, and `compare_law` the draws with
-    the `AsymptoticLaw` whose maps are the lifts and whose means the offsets.
+    the `AsymptoticLaw` of the transforms.
 
     Also checks the two-transform specialization with an identity first
     component: the cross block must equal lam @ (I + kron(alpha2.T, beta2)).
@@ -206,9 +206,7 @@ def affine_limit_suite(seed: int,
         val = kap @ y @ iot + alp @ y @ bet + rho
         stacked[:, j * pq:(j + 1) * pq] = val.reshape(draws, pq)
     labels = tuple(f"T{j + 1}" for j in range(m))
-    law = AsymptoticLaw(labels=labels, p=p, q=q,
-                        means=tuple(t.rho for t in transforms),
-                        maps=tuple(t.lift() for t in transforms), lam=lam)
+    law = AsymptoticLaw(labels=labels, transforms=tuple(transforms), lam=lam)
     summary = EmpiricalSummary(labels=labels, p=p, q=q, errors=stacked,
                                per_rep_losses={})
     cmp = compare_law(summary, law, tol_cov=AFFINE_TOL_COV)
@@ -221,7 +219,7 @@ def affine_limit_suite(seed: int,
     base = y.reshape(draws, pq)
     second = (y + t_pair.alpha @ y @ t_pair.beta + t_pair.rho).reshape(draws, pq)
     joint = np.cov(np.hstack([base, second]).T)
-    lift2 = np.eye(pq) + np.kron(t_pair.alpha, t_pair.beta.T)
+    lift2 = t_pair.lift()
     v12_ref = lam + lam @ np.kron(t_pair.alpha.T, t_pair.beta)
     v22_ref = lift2 @ lam @ lift2.T
     pair_rel = max(_rel_fro(joint[:pq, pq:], v12_ref),

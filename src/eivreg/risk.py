@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, constraint_gain,
-                          limit_map, restriction_correction, score_q)
+                          limit_transform, score_q)
 from .exceptions import DegenerateF1, DimMismatch, NotPD
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
@@ -60,7 +60,7 @@ def adr_unrestricted(weight: np.ndarray, pm: PopulationModel,
     """tr((W x I_q) S11) for the corrected estimator's limit covariance."""
     q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
-    a1 = limit_map(pm, q)
+    a1 = limit_transform(pm, q).lift()
     s11 = a1 @ lam @ a1.T
     return float(np.trace(kron(w, np.eye(q)) @ s11))
 
@@ -78,15 +78,16 @@ def variance_gain_terms(weight: np.ndarray, pm: PopulationModel,
                         q0: np.ndarray) -> tuple[float, float, float]:
     """The three traces whose signed sum is the restriction's variance gain.
 
-    With K = `restriction_correction`, the Kronecker correction inside the
-    restricted limit map, the gain is tr(V A1 lam K') + tr(V K lam A1') -
-    tr(V K lam K') with V = W x I_q.
+    With A1 - K the restricted limit transform's lift, A1 = kron(kappa,
+    iota') and K = kron(-alpha, beta'), the gain is tr(V A1 lam K') +
+    tr(V K lam A1') - tr(V K lam K') with V = W x I_q.
     """
     q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
     v = kron(w, np.eye(q))
-    a1 = limit_map(pm, q)
-    kq = restriction_correction(pm, restr, q0)
+    t = limit_transform(pm, q, restr, q0)
+    a1 = kron(t.kappa, t.iota.T)
+    kq = kron(-t.alpha, t.beta.T)
     t1 = float(np.trace(v @ a1 @ lam @ kq.T))
     t2 = float(np.trace(v @ kq @ lam @ a1.T))
     t3 = float(np.trace(v @ kq @ lam @ kq.T))
@@ -98,17 +99,16 @@ def variance_gain_compact(weight: np.ndarray, pm: PopulationModel,
                           q0: np.ndarray) -> float:
     """Single-trace Kronecker-lifted arrangement of the first gain term.
 
-    Evaluates vec(lam)' kron(kron(J1' W, J), I) rvec(A1) with
-    J1 = gain @ R1 @ sigma_d^{-1}; equals the first of the three gain traces.
-    Tests use it to cross-check the lifted arrangement; the ADR functions do
-    not call it, since it builds a (pq)^2-by-(pq)^2 matrix.
+    Evaluates vec(lam)' kron(kron(J1' W, J), I) rvec(A1) with J1 = -alpha
+    and J = beta' of the restricted limit transform; equals the first of the
+    three gain traces.  Tests use it to cross-check the lifted arrangement;
+    the ADR functions do not call it: it builds a (pq)^2-by-(pq)^2 matrix.
     """
     q = score_q(pm, lam)
     w = _check_weight(weight, pm.p)
-    a1 = limit_map(pm, q)
-    gain = constraint_gain(q0, restr.R1)
-    j1 = gain @ restr.R1 @ np.linalg.inv(pm.sigma_d)
-    j = restr.R2 @ restr.right
+    t = limit_transform(pm, q, restr, q0)
+    a1 = kron(t.kappa, t.iota.T)
+    j1, j = -t.alpha, t.beta.T
     pq = pm.p * q
     big = kron(kron(j1.T @ w, j), np.eye(pq))
     lam_vec = lam.ravel(order="F")

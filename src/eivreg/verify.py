@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, estimate_score_cov,
-                          joint_law, law_inputs, limit_map, mean_shift,
+                          joint_law, law_inputs, limit_transform,
                           named_weight_limit, population, score_cov_model)
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all, restricted
@@ -150,9 +150,9 @@ def criterion_adr_identity(seed: int) -> CriterionResult:
         restr = restr.with_theta0(theta0)
         res = dominance_report(w, pm, lam, restr, q0)
         decomposition = res.adr_re
-        mu = mean_shift(restr, q0)
-        law = AsymptoticLaw(labels=("RE",), p=p, q=q, means=(mu,),
-                            maps=(limit_map(pm, q, restr, q0),), lam=lam)
+        t = limit_transform(pm, q, restr, q0)
+        law = AsymptoticLaw(labels=("RE",), transforms=(t,), lam=lam)
+        mu = t.rho
         direct = adr_from_law(w, law, "RE")
         worst_adr = max(worst_adr,
                         abs(decomposition - direct) / (1.0 + abs(direct)))

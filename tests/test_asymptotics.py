@@ -1,5 +1,5 @@
-"""Population limits, score-covariance estimation, limit maps, mean shifts,
-and the joint law — including the Monte Carlo validation of the stacking and
+"""Population limits, score-covariance estimation, limit transforms, and the
+joint law — including the Monte Carlo validation of the stacking and
 score conventions."""
 
 import math
@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from eivreg import asymptotics, estimators
-from eivreg.asymptotics import (AsymptoticLaw, closed_form_score_cov,
+from eivreg.asymptotics import (AsymptoticLaw, PopulationModel,
+                                closed_form_score_cov, constraint_gain,
                                 estimate_score_cov, joint_law, law_inputs,
-                                limit_map, mean_shift, named_weight_limit,
-                                population)
+                                limit_transform, named_weight_limit, population)
 from eivreg.config import parse_config
 from eivreg.exceptions import ConfigError, ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, sym
@@ -185,15 +185,14 @@ def test_law_inputs_use_the_closed_form(monkeypatch):
 
 def test_limit_map_identity_scale():
     # sigma_d = I makes the unrestricted limit map the identity
-    from eivreg.asymptotics import PopulationModel
     pm = PopulationModel(sigma=2 * np.eye(2), sigma_delta2=1.0)
-    np.testing.assert_allclose(limit_map(pm, 2), np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(limit_transform(pm, 2).lift(), np.eye(4), atol=1e-14)
 
 
 def test_limit_map_named_equals_generic():
     pm = population(_cfg())
-    a_named = limit_map(pm, 2, RESTR, q0=named_weight_limit(pm, "B3"))
-    a_generic = limit_map(pm, 2, RESTR, q0=pm.sigma)
+    a_named = limit_transform(pm, 2, RESTR, q0=named_weight_limit(pm, "B3")).lift()
+    a_generic = limit_transform(pm, 2, RESTR, q0=pm.sigma).lift()
     assert np.linalg.norm(a_named - a_generic) <= 1e-12 * np.linalg.norm(a_named)
 
 
@@ -207,9 +206,42 @@ def test_limit_map_annihilates_constraint_direction():
             q0 = f @ f.T + 2 * np.eye(2)
         else:
             q0 = named_weight_limit(pm, which)
-        a = limit_map(pm, 2, RESTR, q0=q0)
+        a = limit_transform(pm, 2, RESTR, q0=q0).lift()
         lift = kron(RESTR.R1, RESTR.R2.T)
         assert np.linalg.norm(lift @ a) <= 1e-12
+
+
+def _reference_map_and_mean(pm, q, restr, q0):
+    """The limit map kron(sigma_d^{-1}, I) - kron(gain R1 sigma_d^{-1}, R2 right)
+    and the mean -gain theta0 right, each as one formula."""
+    a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
+    if q0 is None:
+        return a1, np.zeros((pm.p, q))
+    gain = constraint_gain(q0, restr.R1)
+    correction = kron(gain @ restr.R1 @ np.linalg.inv(pm.sigma_d),
+                      restr.R2 @ restr.right)
+    return a1 - correction, -gain @ restr.theta0 @ restr.right
+
+
+def test_limit_transform_lift_equals_reference_formulas():
+    # bit for bit, at a nonzero drift, for every law label and a generic Q0
+    pm = population(_cfg())
+    law = joint_law(pm, _dummy_score(pm, 2), RESTR)
+    assert law.labels == ("UE", "B2", "B3", "B4")
+    assert np.any(RESTR.theta0 != 0)
+    f = np.random.default_rng(12).standard_normal((2, 2))
+    generic = f @ f.T + 2 * np.eye(2)
+    cases = [(lbl, None if lbl == "UE" else named_weight_limit(pm, lbl))
+             for lbl in law.labels] + [("generic", generic)]
+    for lbl, q0 in cases:
+        a_ref, mu_ref = _reference_map_and_mean(pm, 2, RESTR, q0)
+        if lbl == "generic":
+            t = limit_transform(pm, 2, RESTR, q0)
+            a, mu = t.lift(), t.rho
+        else:
+            a, mu = law.maps[law.index(lbl)], law.mean(lbl)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(mu, mu_ref)
 
 
 def test_mean_shift_restriction_identity():
@@ -222,7 +254,7 @@ def test_mean_shift_restriction_identity():
                             theta0=g.standard_normal((r1, r2)))
         f = g.standard_normal((p, p))
         q0 = f @ f.T + p * np.eye(p)
-        mu = mean_shift(restr, q0)
+        mu = limit_transform(PopulationModel(np.eye(p), 0.5), q, restr, q0).rho
         np.testing.assert_allclose(restr.R1 @ mu @ restr.R2, -restr.theta0,
                                    atol=1e-10)
 
@@ -230,7 +262,7 @@ def test_mean_shift_restriction_identity():
 def test_mean_shift_full_restriction_is_negated_direction():
     restr = Restriction(R1=np.eye(3), R2=np.eye(2), theta=np.zeros((3, 2)),
                         theta0=np.random.default_rng(10).standard_normal((3, 2)))
-    mu = mean_shift(restr, np.eye(3))
+    mu = limit_transform(PopulationModel(np.eye(3), 0.5), 2, restr, np.eye(3)).rho
     np.testing.assert_allclose(mu, -restr.theta0, atol=1e-12)
 
 
@@ -257,8 +289,8 @@ def test_joint_law_zero_direction_zero_means():
     pm = population(_cfg())
     sc = _dummy_score(pm, 2)
     law = joint_law(pm, sc, RESTR.with_theta0(np.zeros((1, 1))))
-    for mu in law.means:
-        np.testing.assert_array_equal(mu, np.zeros((2, 2)))
+    for label in law.labels:
+        np.testing.assert_array_equal(law.mean(label), np.zeros((2, 2)))
 
 
 def test_joint_law_pair_matches_full_grid():
@@ -267,10 +299,10 @@ def test_joint_law_pair_matches_full_grid():
     full = joint_law(pm, sc, RESTR)
     pair = joint_law(pm, sc, RESTR, estimators=("UE", "B3"))
     # the law of the projection with weight limit sigma, built from its
-    # limit map and mean shift as any other weight's law is
-    q0_law = AsymptoticLaw(labels=("UE", "RE"), p=2, q=2,
-                           means=(np.zeros((2, 2)), mean_shift(RESTR, pm.sigma)),
-                           maps=(limit_map(pm, 2), limit_map(pm, 2, RESTR, pm.sigma)),
+    # limit transform as any other weight's law is
+    q0_law = AsymptoticLaw(labels=("UE", "RE"),
+                           transforms=(limit_transform(pm, 2),
+                                       limit_transform(pm, 2, RESTR, pm.sigma)),
                            lam=sc)
     iu, ib3 = full.index("UE"), full.index("B3")
     for law, re in ((pair, "B3"), (q0_law, "RE")):
@@ -322,7 +354,7 @@ def test_score_convention_matches_feasible_estimator():
     cov_design = sym(draws.T @ draws) / reps
     assert sc_plain.cov[0, 0] > 2.0 * cov_design[0, 0]
 
-    a1 = limit_map(pm, 1)
+    a1 = limit_transform(pm, 1).lift()
     var_plain = (a1 @ sc_plain.cov @ a1.T).item()
     var_design = (a1 @ cov_design @ a1.T).item()
 

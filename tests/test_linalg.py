@@ -153,10 +153,8 @@ def _identity_transform(p=2, q=2):
 
 def _law(transforms, lam):
     """The joint law of the transforms of Y with Cov(rvec Y) = lam."""
-    p, q = transforms[0].rho.shape
     return AsymptoticLaw(labels=tuple(f"T{i}" for i in range(len(transforms))),
-                         p=p, q=q, means=tuple(t.rho for t in transforms),
-                         maps=tuple(t.lift() for t in transforms), lam=lam)
+                         transforms=tuple(transforms), lam=lam)
 
 
 def test_transform_cov_block_identity():

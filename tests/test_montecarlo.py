@@ -149,8 +149,8 @@ def test_zero_direction_plan_means_centered():
     law = joint_law(pm, sc, restr)
     cmp = compare_law(summary, law, tol_cov=0.35)
     assert cmp.worst_mean <= 4.0
-    for mu in law.means:
-        np.testing.assert_array_equal(mu, np.zeros((2, 2)))
+    for label in law.labels:
+        np.testing.assert_array_equal(law.mean(label), np.zeros((2, 2)))
 
 
 def test_law_agreement_under_skewed_errors():
@@ -254,8 +254,7 @@ def test_identity_transform_recovers_cov():
     lam = sym(f @ f.T) + np.eye(4)
     t = AffineTransform(kappa=np.eye(2), iota=np.eye(2), alpha=np.zeros((2, 2)),
                         beta=np.zeros((2, 2)), rho=np.zeros((2, 2)))
-    law = AsymptoticLaw(labels=("T",), p=2, q=2, means=(t.rho,),
-                        maps=(t.lift(),), lam=lam)
+    law = AsymptoticLaw(labels=("T",), transforms=(t,), lam=lam)
     np.testing.assert_allclose(law.block(0, 0), lam, atol=1e-12)
     np.testing.assert_allclose(law.full_cov(), lam, atol=1e-12)
     y = g.standard_normal((50_000, 4)) @ psd_factor(lam).T

@@ -9,7 +9,7 @@ import pytest
 
 from eivreg import cli
 from eivreg.asymptotics import (AsymptoticLaw, PopulationModel, joint_law,
-                                law_inputs, limit_map, mean_shift,
+                                law_inputs, limit_transform,
                                 named_weight_limit, population)
 from eivreg.config import load_config
 from eivreg.exceptions import ShapeMismatch
@@ -94,9 +94,8 @@ def test_adr_decomposition_matches_direct_form():
     for seed in range(30):
         g, pm, restr, sc, q0, w = _rand_setup(seed)
         res = dominance_report(w, pm, sc, restr, q0)
-        law = AsymptoticLaw(labels=("RE",), p=3, q=2,
-                            means=(mean_shift(restr, q0),),
-                            maps=(limit_map(pm, 2, restr, q0),), lam=sc)
+        law = AsymptoticLaw(labels=("RE",),
+                            transforms=(limit_transform(pm, 2, restr, q0),), lam=sc)
         direct = adr_from_law(w, law, "RE")
         assert res.adr_re == pytest.approx(direct, rel=1e-8)
 
@@ -106,7 +105,7 @@ def test_quadratic_term_identity():
         g, pm, restr, sc, q0, w = _rand_setup(seed)
         f1 = bias_form(w, restr, q0)
         quad = float(rvec(restr.theta0) @ f1 @ rvec(restr.theta0))
-        mu = mean_shift(restr, q0)
+        mu = limit_transform(pm, 2, restr, q0).rho
         assert quad == pytest.approx(float(np.trace(mu.T @ w @ mu)), rel=1e-10,
                                      abs=1e-12)
 

@@ -175,8 +175,6 @@ def parse_config(doc: dict) -> RunConfig:
                           f"labels, got {estimators!r}")
     sim = _settings(SimSettings, ssec, "simulation", B_seed=b_seed,
                     estimators=tuple(estimators))
-    if sim.master_seed < 0:
-        raise ConfigError("master_seed must be nonnegative")
     bad = [lbl for lbl in sim.estimators if lbl not in ESTIMATOR_LABELS]
     if bad:
         raise ConfigError(f"unknown estimator labels in config: {bad}")
@@ -206,7 +204,8 @@ def parse_config(doc: dict) -> RunConfig:
     if risk.q0 not in NAMED_WEIGHTS:
         raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHTS)}, "
                           f"got {risk.q0!r}")
-    for section, key, value, low in (("simulation", "reps", sim.reps, 2),
+    for section, key, value, low in (("simulation", "master_seed", sim.master_seed, 0),
+                                     ("simulation", "reps", sim.reps, 2),
                                      ("score_cov", "n", score.n, p + 1),
                                      ("score_cov", "reps", score.reps, 2),
                                      ("risk", "grid", risk.grid, 2)):

@@ -109,21 +109,19 @@ class ModelConfig:
     mbar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n <= self.p:
-            raise ConfigError(f"need n > p, got n={self.n}, p={self.p}")
-        if min(self.p, self.q) < 1:
-            raise ConfigError("p and q must be at least 1")
-        for name in ("sigma_eps2", "sigma_delta2", "sigma_psi2"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        for name, low in (("p", 1), ("q", 1), ("n", self.p + 1), ("sigma_eps2", 0),
+                          ("sigma_delta2", 0), ("sigma_psi2", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"field 'model.{name}' must be at least {low}, "
+                                  f"got {getattr(self, name)}")
         if self.error_family not in ERROR_FAMILIES:
             raise ConfigError(f"field 'model.error_family' must be one of "
                               f"{', '.join(ERROR_FAMILIES)}, got {self.error_family!r}")
         if not isinstance(self.M, DesignRule):
             m = np.asarray(self.M, dtype=float)
             if m.shape != (self.n, self.p):
-                raise ConfigError(
-                    f"explicit M must be {self.n}x{self.p}, got {m.shape}")
+                raise ConfigError(f"field 'model.M' must be {self.n}x{self.p}, "
+                                  f"got {m.shape}")
             object.__setattr__(self, "M", m)
         m = self.design()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -358,13 +356,15 @@ def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampl
     if cfg.error_family != "gaussian":
         return RowSampler(cfg, B, design)
     p, q = cfg.p, cfg.q
-    s_psi = cfg.sigma_psi2
-    omega = np.block([
-        [(s_psi + cfg.sigma_delta2) * np.eye(p), s_psi * B],
-        [s_psi * B.T, s_psi * (B.T @ B) + cfg.sigma_eps2 * np.eye(q)]])
+    s_psi, s = cfg.sigma_psi2, cfg.sigma_psi2 + cfg.sigma_delta2
+    # Omega's block Cholesky factor: F F' has the X block s I at any Z scale
+    lower = s_psi / math.sqrt(s) * B.T if s > 0 else np.zeros((q, p))
+    cond = (s_psi / s * cfg.sigma_delta2 if s > 0 else 0.0) * (B.T @ B)
+    factor = np.block([[math.sqrt(s) * np.eye(p), np.zeros((p, q))],
+                       [lower, psd_factor(cond + cfg.sigma_eps2 * np.eye(q))]])
     r = np.linalg.qr(design, mode="r")
     return GaussianSampler(root=r @ np.hstack([np.eye(p), B]),
-                           factor=psd_factor(omega), n=len(design))
+                           factor=factor, n=len(design))
 
 
 def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,

@@ -136,10 +136,20 @@ class LawComparison:
         return self.worst_cov <= self.tol_cov and self.worst_mean <= MEAN_TOL_SE
 
 
+def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
+    """(f, e) with ||a|| = f 2^e in the Frobenius norm: f is the norm of a
+    scaled by 2^-e, e from max|a|, so it cannot overflow."""
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    return float(np.linalg.norm(np.ldexp(a, -e))), e
+
+
 def _rel_fro(emp: np.ndarray, ref: np.ndarray) -> float:
-    """||emp - ref|| / ||ref|| in the Frobenius norm, / 1 when ref = 0."""
-    denom = np.linalg.norm(ref)
-    return float(np.linalg.norm(emp - ref) / (denom if denom > 0 else 1.0))
+    """||emp - ref|| / ||ref|| in the Frobenius norm, / 1 when ref = 0, from
+    `_scaled_norm`s: a ratio within double precision keeps every bit of the
+    unscaled one, and a larger one is inf."""
+    (num, e_num), (den, e_den) = _scaled_norm(emp - ref), _scaled_norm(ref)
+    with np.errstate(over="ignore"):  # ref = 0 has e_den = 0
+        return float(np.ldexp(num / (den if den > 0 else 1.0), e_num - e_den))
 
 
 def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,

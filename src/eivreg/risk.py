@@ -58,11 +58,8 @@ def _check_weight(w: np.ndarray, p: int) -> np.ndarray:
 def adr_unrestricted(weight: np.ndarray, pm: PopulationModel,
                      lam: np.ndarray) -> float:
     """tr((W x I_q) S11) for the corrected estimator's limit covariance."""
-    q = score_q(pm, lam)
-    w = _check_weight(weight, pm.p)
-    a1 = limit_transform(pm, q).lift()
-    s11 = a1 @ lam @ a1.T
-    return float(np.trace(kron(w, np.eye(q)) @ s11))
+    law = AsymptoticLaw(("UE",), (limit_transform(pm, score_q(pm, lam)),), lam)
+    return adr_from_law(weight, law, "UE")
 
 
 def adr_from_law(weight: np.ndarray, law: AsymptoticLaw, label: str) -> float:

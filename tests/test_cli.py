@@ -441,6 +441,12 @@ BAD_CONFIGS = {
     "psi_1e300": ("model", "sigma_psi2", 1.0e300),
     "family_cauchy": ("model", "error_family", "cauchy"),
     "m_normal": ("model", "M", {"kind": "normal"}),
+    "eps_1e300": ("model", "sigma_eps2", 1.0e300),
+    "eps_neg": ("model", "sigma_eps2", -1.0),
+    "p_0": ("model", "p", 0),
+    "n_2": ("model", "n", 2),
+    "m_explicit_2x2": ("model", "M", [[1.0, 0.0], [0.0, 1.0]]),
+    "master_seed_neg": ("simulation", "master_seed", -1),
 }
 
 
@@ -603,6 +609,22 @@ EXIT_CASES = [
           ("family_cauchy", "field 'model.error_family' must be one of gaussian, "
                             "shifted-exponential, scaled-t, got 'cauchy'"),
           ("m_normal", "field 'M.kind' must be 'uniform', got 'normal'"))
+      for cmd, data in (("law", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    # Z alone near the top of double precision: the exact sampler keeps X's
+    # block exact and the law comparison's norms do not overflow
+    *[(cmd, ["--config", "{tmp}/eps_1e300.yaml", "--workers", "1", *data], 0, "")
+      for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
+                        ("simulate", []),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+      for name, message in (
+          ("eps_neg", "field 'model.sigma_eps2' must be at least 0, got -1.0"),
+          ("p_0", "field 'model.p' must be at least 1, got 0"),
+          ("n_2", "field 'model.n' must be at least 3, got 2"),
+          ("m_explicit_2x2", "field 'model.M' must be 400x2, got (2, 2)"),
+          ("master_seed_neg",
+           "field 'simulation.master_seed' must be at least 0, got -1"))
       for cmd, data in (("law", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
 ]

@@ -2,22 +2,29 @@
 affine-limit suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from eivreg.asymptotics import (closed_form_score_cov, estimate_score_cov,
-                                joint_law, named_weight_limit, population)
+                                joint_law, law_inputs, named_weight_limit,
+                                population)
+from eivreg.config import parse_config
+from eivreg.estimators import LAW_LABELS
 from eivreg.exceptions import NearSingular, ShapeMismatch
 from eivreg.linalg import psd_factor, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction, make_restricted_b
-from eivreg.montecarlo import (EmpiricalSummary, SimulationPlan,
-                               affine_limit_suite, compare_law, run_plan)
+from eivreg.montecarlo import (EmpiricalSummary, SimulationPlan, _rel_fro,
+                               affine_limit_suite, compare_law,
+                               replication_plan, run_plan)
 from eivreg.risk import dominance_report
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
 B_SEED = np.array([[1.6, 0.8], [-0.5, 1.3]])
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def _cfg(**kw):
@@ -175,6 +182,48 @@ def test_law_agreement_under_skewed_errors():
     score_g = estimate_score_cov(cfg_g, b_s, reps=2000, seed=53)
     for sc, ref in ((score, exact), (score_g, exact_g)):
         assert np.max(np.abs(sc.cov - ref)) <= 4.0 * sc.standard_error
+
+
+def _z_scaled_comparison(j, reps=300):
+    """`compare_law` of a replication study on the default config with Z
+    alone scaled by 2^j: sigma_eps2 by 4^j, and B_seed, theta and theta0 by
+    2^j.  X does not change, so neither should any ratio of the comparison."""
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    doc["model"]["sigma_eps2"] *= 4.0 ** j
+    for sec, key in (("simulation", "B_seed"), ("restriction", "theta"),
+                     ("restriction", "theta0")):
+        doc[sec][key] = np.ldexp(np.asarray(doc[sec][key], dtype=float), j).tolist()
+    doc["simulation"]["reps"] = reps
+    run = parse_config(doc)
+    summary = run_plan(replication_plan(run, LAW_LABELS))
+    pm, lam = law_inputs(run)
+    return compare_law(summary, joint_law(pm, lam, run.restriction, LAW_LABELS))
+
+
+def test_gaussian_sampler_invariant_to_z_scale():
+    # the exact sampler's factor keeps X's block exact when Z's scale is
+    # 2^20 times X's
+    base, scaled = _z_scaled_comparison(0), _z_scaled_comparison(20)
+    for got, want in ((scaled.cov_rel_fro, base.cov_rel_fro),
+                      (scaled.mean_max_se, base.mean_max_se)):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12)
+
+
+def test_rel_fro_at_any_power_of_two_scale():
+    # a normal-range ratio keeps every bit at any exact scale of its
+    # operands, and one beyond double precision is inf, with no warning
+    g = np.random.default_rng(5)
+    ref = g.standard_normal((4, 4))
+    emp = ref + 1e-3 * g.standard_normal((4, 4))
+    base = float(np.linalg.norm(emp - ref) / np.linalg.norm(ref))
+    for k in (-1000, -3, 0, 3, 1000):
+        assert _rel_fro(np.ldexp(emp, k), np.ldexp(ref, k)) == base
+    assert _rel_fro(emp, np.zeros((4, 4))) == np.linalg.norm(emp)
+    tiny = np.full((2, 2), 1e-300)
+    assert _rel_fro(np.full((2, 2), 1e-29), tiny) == pytest.approx(1e271)
+    assert _rel_fro(np.full((2, 2), 1e300), tiny) == math.inf
 
 
 def test_restricted_risk_ordering_at_restriction():

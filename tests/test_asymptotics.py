@@ -213,7 +213,8 @@ def test_limit_map_annihilates_constraint_direction():
 
 def _reference_map_and_mean(pm, q, restr, q0):
     """The limit map kron(sigma_d^{-1}, I) - kron(gain R1 sigma_d^{-1}, R2 right)
-    and the mean -gain theta0 right, each as one formula."""
+    and the mean -gain theta0 right written out directly: the reference that
+    a limit transform's lift and offset must equal bit for bit."""
     a1 = kron(np.linalg.inv(pm.sigma_d), np.eye(q))
     if q0 is None:
         return a1, np.zeros((pm.p, q))

@@ -39,7 +39,6 @@ import numpy as np
 
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
-from .exceptions import DimMismatch, ShapeMismatch
 from .linalg import AffineTransform, rvec, sym
 from .model import (ERROR_FAMILIES, ModelConfig, Restriction, draw_stats,
                     make_restricted_b, stats_sampler)
@@ -92,13 +91,13 @@ class ScoreCov:
 
 
 def score_q(pm: PopulationModel, lam: np.ndarray) -> int:
-    """q of a score covariance at the model's p; ShapeMismatch unless `lam`
+    """q of a score covariance at the model's p; ValueError unless `lam`
     is (p*q)-by-(p*q) for some q >= 1."""
     shape = np.shape(lam)
     q = shape[0] // pm.p if shape else 0
     if q < 1 or shape != (pm.p * q, pm.p * q):
-        raise ShapeMismatch(f"score covariance must be (p*q)x(p*q) at p={pm.p}, "
-                            f"got shape {shape}")
+        raise ValueError(f"score covariance must be (p*q)x(p*q) at p={pm.p}, "
+                         f"got shape {shape}")
     return q
 
 
@@ -164,7 +163,7 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
     """
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
-        raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
+        raise ValueError(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
     su = cfg.sigma_eps2 * np.eye(cfg.q) + cfg.sigma_delta2 * (B.T @ B)
     g1, g2 = ERROR_FAMILIES[cfg.error_family]
     sd2 = cfg.sigma_delta2
@@ -202,7 +201,7 @@ def named_weight_limit(pm: PopulationModel, label: str) -> np.ndarray:
     """Limit of weight/n of a named restricted estimator: its `NAMED_WEIGHTS`
     rule at (sigma, sigma_d)."""
     if label not in NAMED_WEIGHTS:
-        raise ShapeMismatch(f"unknown named weight limit {label!r}")
+        raise ValueError(f"unknown named weight limit {label!r}")
     return NAMED_WEIGHTS[label](pm.sigma, pm.sigma_d)
 
 
@@ -219,7 +218,7 @@ def limit_transform(pm: PopulationModel, q: int, restr: Restriction | None = Non
         return AffineTransform(kappa, iota, np.zeros_like(kappa),
                                np.zeros_like(iota), np.zeros((pm.p, q)))
     if restr is None:
-        raise DimMismatch("restricted limit transforms need the restriction")
+        raise ValueError("restricted limit transforms need the restriction")
     gain = constraint_gain(q0, restr.R1)
     return AffineTransform(kappa, iota, alpha=-gain @ restr.R1 @ kappa,
                            beta=(restr.R2 @ restr.right).T,
@@ -252,7 +251,7 @@ class AsymptoticLaw:
         try:
             return self.labels.index(label)
         except ValueError as exc:
-            raise ShapeMismatch(f"law has no estimator {label!r}") from exc
+            raise ValueError(f"law has no estimator {label!r}") from exc
 
     def block(self, i: int | str, j: int | str) -> np.ndarray:
         i, j = (self.index(k) if isinstance(k, str) else k for k in (i, j))

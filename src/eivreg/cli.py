@@ -270,14 +270,11 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return cmd_estimate(run, args.z, args.x, Outputs(args.out))
         return run_command(args.command, run, args.out, workers=args.workers)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # first: a LinAlgError is a ValueError
     except (EivregError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # input data out of range, e.g. X'X overflowing double precision
+    except ValueError as exc:  # a ConfigError, or input data out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

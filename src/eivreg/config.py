@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, NAMED_WEIGHTS
-from .exceptions import ConfigError, DimMismatch, RankDeficient
+from .exceptions import ConfigError
 from .linalg import eig_extremes, is_symmetric
 from .model import DesignRule, ModelConfig, Restriction
 
@@ -147,15 +147,13 @@ def parse_config(doc: dict) -> RunConfig:
     p, q = model.p, model.q
 
     try:
-        restriction = Restriction(
-            R1=_matrix(rsec.pop("R1"), "R1"),
-            R2=_matrix(rsec.pop("R2"), "R2"),
-            theta=_matrix(rsec.pop("theta"), "theta"),
-            theta0=_matrix(rsec.pop("theta0"), "theta0") if "theta0" in rsec else None,
-        )
+        r1, r2, theta = (_matrix(rsec.pop(k), k) for k in ("R1", "R2", "theta"))
     except KeyError as exc:
         raise ConfigError(f"restriction section missing field {exc.args[0]!r}") from exc
-    except (DimMismatch, RankDeficient) as exc:
+    theta0 = _matrix(rsec.pop("theta0"), "theta0") if "theta0" in rsec else None
+    try:  # built from checked matrices: any error is the restriction's own
+        restriction = Restriction(R1=r1, R2=r2, theta=theta, theta0=theta0)
+    except ValueError as exc:
         raise ConfigError(f"restriction: {exc}") from exc
     if rsec:
         raise ConfigError(f"unknown restriction fields: {sorted(rsec)}")

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DimMismatch, NearSingular, NotPD, RankDeficient,
-                         SingularDesign)
+from .exceptions import EivregError
 from .linalg import COND_LIMIT, eig_extremes, is_symmetric, sym
 from .model import Restriction
 
@@ -60,11 +59,11 @@ def lse(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.shape[0] != Z.shape[0]:
-        raise DimMismatch("X and Z must have the same number of rows")
+        raise ValueError("X and Z must have the same number of rows")
     xtx = sym(X.T @ X)
     ch_min, ch_max = eig_extremes(xtx)
     if ch_min <= 0 or ch_max / ch_min > COND_LIMIT:
-        raise SingularDesign("X'X is numerically singular")
+        raise EivregError("X'X is numerically singular")
     return np.linalg.solve(xtx, X.T @ Z)
 
 
@@ -79,7 +78,7 @@ def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
     _, x_max = eig_extremes(sigma_x)
     d_min, _ = eig_extremes(sigma_d)
     if d_min <= 1e-8 * x_max:
-        raise NearSingular(
+        raise EivregError(
             f"attenuation correction breaks down: ch_min(sigma_d)={d_min:.3e}")
     kx = np.linalg.solve(sigma_x, sigma_d)
     return Attenuation(sigma_x=sigma_x, sigma_d=sigma_d, kx=kx, n=n)
@@ -96,16 +95,16 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
     b1 = np.asarray(b1, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if not is_symmetric(sigma_hat):
-        raise NotPD("weight must be symmetric positive definite")
+        raise ValueError("weight must be symmetric positive definite")
     ch_min, ch_max = eig_extremes(sigma_hat)
     if ch_min <= 0:
-        raise NotPD(f"weight is not positive definite (ch_min={ch_min:.3e})")
+        raise ValueError(f"weight is not positive definite (ch_min={ch_min:.3e})")
     if ch_max / ch_min > COND_LIMIT:
-        raise NearSingular("weight matrix is too ill-conditioned")
+        raise ValueError("weight matrix is too ill-conditioned")
     sinv_r1t = np.linalg.solve(sigma_hat, restr.R1.T)
     gram = restr.R1 @ sinv_r1t
     if np.linalg.cond(gram) > COND_LIMIT:
-        raise RankDeficient("R1 S^{-1} R1' is numerically singular")
+        raise EivregError("R1 S^{-1} R1' is numerically singular")
     gap = restr.R1 @ b1 @ restr.R2 - restr.theta
     return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ restr.right
 
@@ -222,7 +221,7 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
                  restr: Restriction) -> dict[str, np.ndarray]:
     """Naive, corrected, and the named restricted estimators, keyed by label.
 
-    One replication of `estimate_batch`; a failed check raises NearSingular
+    One replication of `estimate_batch`; a failed check raises EivregError
     here with that check's message.
     """
     X = np.asarray(X, dtype=float)
@@ -234,10 +233,13 @@ def estimate_all(X: np.ndarray, Z: np.ndarray, sigma_delta2: float,
     batch = estimate_batch(xtx[None], xtz[None], X.shape[0], sigma_delta2, restr,
                            ESTIMATOR_LABELS)
     if batch.excluded:
-        raise NearSingular(batch.reasons[0])
+        raise EivregError(batch.reasons[0])
     est = dict(zip(ESTIMATOR_LABELS, batch.estimates[0]))
-    tol = RESTRICTION_TOL * (1.0 + np.linalg.norm(restr.theta))
+    # relative to the terms whose rounding the gap carries: theta, and those
+    # of R1 b R2, of about the size ||R1|| ||b1|| ||R2||
+    size = np.linalg.norm(restr.R1) * np.linalg.norm(restr.R2) * np.linalg.norm(est["UE"])
+    tol = RESTRICTION_TOL * max(1.0 + np.linalg.norm(restr.theta), size)
     for lbl in NAMED_WEIGHTS:  # the restricted estimators
         if restr.gap(est[lbl]) > tol:
-            raise NearSingular("restricted estimate failed to satisfy the restriction")
+            raise EivregError("restricted estimate failed to satisfy the restriction")
     return est

@@ -1,45 +1,11 @@
-"""Exception types raised by the estimation and analysis routines."""
+"""Exception types, one per exit code of the CLI.  A check of a caller's
+argument raises ValueError; a check of a computation on data raises
+EivregError."""
+
+
+class ConfigError(ValueError):
+    """A configuration document, option or input file is invalid (exit 2)."""
 
 
 class EivregError(Exception):
-    """Base class for all package errors."""
-
-
-class DimMismatch(EivregError):
-    """Operands do not conform."""
-
-
-class ShapeMismatch(EivregError):
-    """Containers (laws, summaries) do not line up."""
-
-
-class NonSymmetric(EivregError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
-class NotPSD(EivregError):
-    """A matrix required to be positive semidefinite is not."""
-
-
-class NotPD(EivregError):
-    """A matrix required to be positive definite is not."""
-
-
-class RankDeficient(EivregError):
-    """A restriction or projection matrix does not have full rank."""
-
-
-class SingularDesign(EivregError):
-    """X'X is numerically singular."""
-
-
-class NearSingular(EivregError):
-    """A solve is too ill-conditioned to trust (cond > 1e12)."""
-
-
-class DegenerateF1(EivregError):
-    """The bias quadratic form has a nonpositive smallest eigenvalue."""
-
-
-class ConfigError(EivregError):
-    """A configuration document or CSV input failed to parse or validate."""
+    """A numerical failure of a computation on data (exit 3)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimMismatch, NonSymmetric, NotPSD
+from .exceptions import EivregError
 
 SYM_RTOL = 1e-10
 PSD_CLIP_RTOL = 1e-10
@@ -54,13 +54,13 @@ def eig_extremes(s: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     The input is symmetrized before the eigensolve; asymmetry beyond
-    ``SYM_RTOL * ||s||`` raises NonSymmetric.
+    ``SYM_RTOL * ||s||`` raises EivregError.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {s.shape}")
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
     if not is_symmetric(s):
-        raise NonSymmetric(
+        raise EivregError(
             f"asymmetry {np.linalg.norm(s - s.T):.3e} exceeds tolerance"
         )
     w = np.linalg.eigvalsh(sym(s))
@@ -72,16 +72,16 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-PSD_CLIP_RTOL * ch_max, 0) are clipped to zero
     (covariances estimated by Monte Carlo can be slightly indefinite);
-    anything more negative raises NotPSD.
+    anything more negative raises EivregError.
     """
     cov = np.asarray(cov, dtype=float)
     if not is_symmetric(cov):
-        raise NonSymmetric("covariance must be symmetric")
+        raise EivregError("covariance must be symmetric")
     w, v = np.linalg.eigh(sym(cov))
     ch_max = max(float(w[-1]), 0.0)
     floor = -PSD_CLIP_RTOL * ch_max
     if np.any(w < floor):
-        raise NotPSD(
+        raise EivregError(
             f"smallest eigenvalue {w[0]:.3e} below PSD tolerance {floor:.3e}"
         )
     w = np.clip(w, 0.0, None)
@@ -103,11 +103,11 @@ class AffineTransform:
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         if self.kappa.shape != self.alpha.shape:
-            raise DimMismatch("kappa and alpha must have the same shape")
+            raise ValueError("kappa and alpha must have the same shape")
         if self.iota.shape != self.beta.shape:
-            raise DimMismatch("iota and beta must have the same shape")
+            raise ValueError("iota and beta must have the same shape")
         if self.rho.shape != (self.kappa.shape[0], self.iota.shape[1]):
-            raise DimMismatch("rho does not conform to kappa @ Y @ iota")
+            raise ValueError("rho does not conform to kappa @ Y @ iota")
 
     def lift(self) -> np.ndarray:
         """Linear map taking rvec(Y) to rvec(kappa Y iota + alpha Y beta)."""

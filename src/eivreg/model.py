@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import ConfigError, DimMismatch, RankDeficient
+from .exceptions import ConfigError
 from .linalg import COND_LIMIT, eig_extremes, psd_factor, sym
 
 # family -> (skewness gamma1, excess kurtosis gamma2) of the standardized draw
@@ -181,18 +181,18 @@ class Restriction:
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "theta0", t0)
         if th.shape != (r1.shape[0], r2.shape[1]):
-            raise DimMismatch(
+            raise ValueError(
                 f"theta must be {r1.shape[0]}x{r2.shape[1]}, got {th.shape}")
         if t0.shape != th.shape:
-            raise DimMismatch("theta0 must have the same shape as theta")
+            raise ValueError("theta0 must have the same shape as theta")
         if np.linalg.cond(r1 @ r1.T) > COND_LIMIT:
-            raise RankDeficient("R1 must have full row rank")
+            raise ValueError("R1 must have full row rank")
         r2tr2 = r2.T @ r2
         if np.linalg.cond(r2tr2) > COND_LIMIT:
-            raise RankDeficient("R2 must have full column rank")
+            raise ValueError("R2 must have full column rank")
         object.__setattr__(self, "right", np.linalg.solve(r2tr2, r2.T))
         if not np.all(np.isfinite(t0)):
-            raise ConfigError("theta0 must be finite")
+            raise ValueError("theta0 must be finite")
 
     def with_theta0(self, theta0: np.ndarray) -> "Restriction":
         return Restriction(self.R1, self.R2, self.theta, theta0)
@@ -221,7 +221,7 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
     """
     seed_b = np.asarray(seed_b, dtype=float)
     if seed_b.shape != (cfg.p, cfg.q):
-        raise DimMismatch(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
+        raise ValueError(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
     gap = restr.R1 @ seed_b @ restr.R2 - restr.target(cfg.n)
     left = restr.R1.T @ np.linalg.solve(restr.R1 @ restr.R1.T, gap)
     return seed_b - left @ restr.right
@@ -236,7 +236,7 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Datas
     n = cfg.n
     B = np.asarray(B, dtype=float)
     if B.shape != (cfg.p, cfg.q):
-        raise DimMismatch(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
+        raise ValueError(f"B must be {cfg.p}x{cfg.q}, got {B.shape}")
     m = cfg.design()
     E = math.sqrt(cfg.sigma_eps2) * standardized_draw(cfg.error_family, (n, cfg.q), rng)
     Delta = math.sqrt(cfg.sigma_delta2) * standardized_draw(cfg.error_family, (n, cfg.p), rng)

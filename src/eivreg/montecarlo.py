@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
-from .exceptions import NearSingular, ShapeMismatch
+from .exceptions import EivregError
 from .linalg import AffineTransform, psd_factor, rvec, sym
 from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
 
@@ -101,7 +101,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
                            plan.estimators)
     if len(batch.excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
-        raise NearSingular(
+        raise EivregError(
             f"{len(batch.excluded)} of {plan.reps} replications were excluded "
             f"(first: {batch.reasons[0]})")
     keep = np.ones(plan.reps, dtype=bool)
@@ -157,7 +157,7 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     """Per-block relative Frobenius discrepancy of the covariance grid and
     per-estimator standardized mean discrepancies."""
     if summary.labels != law.labels or (summary.p, summary.q) != (law.p, law.q):
-        raise ShapeMismatch("summary and law describe different estimator stacks")
+        raise ValueError("summary and law describe different estimator stacks")
     k, m = summary.p * summary.q, len(summary.labels)
     cov = summary.cov_empirical
     cov_rel = {(i, j): _rel_fro(cov[i * k:(i + 1) * k, j * k:(j + 1) * k],

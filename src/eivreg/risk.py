@@ -22,7 +22,7 @@ one `DriftFreeReport`.
 
 Every function that needs the score covariance takes it as the plain
 pq-by-pq array `lam` and reads q off it through `asymptotics.score_q`, so a
-`lam` of any other shape raises ShapeMismatch.
+`lam` of any other shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, constraint_gain,
                           limit_transform, score_q)
-from .exceptions import DegenerateF1, DimMismatch, NotPD
+from .exceptions import EivregError
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
 
@@ -46,12 +46,12 @@ VERDICT_BAND = "indeterminate-band"
 def _check_weight(w: np.ndarray, p: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (p, p):
-        raise DimMismatch(f"weight must be {p}x{p}, got {w.shape}")
+        raise ValueError(f"weight must be {p}x{p}, got {w.shape}")
     if not is_symmetric(w):
-        raise NotPD("weight must be symmetric")
+        raise ValueError("weight must be symmetric")
     ch_min, _ = eig_extremes(w)
     if ch_min <= 0:
-        raise NotPD("weight must be positive definite")
+        raise ValueError("weight must be positive definite")
     return w
 
 
@@ -186,7 +186,7 @@ def adr_restricted(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
     f1 = bias_form(weight, restr, q0)
     ch_min, ch_max = eig_extremes(f1)
     if ch_min < -1e-10 * max(ch_max, 1.0):
-        raise DegenerateF1(f"bias form has eigenvalue {ch_min:.3e} < 0")
+        raise EivregError(f"bias form has eigenvalue {ch_min:.3e} < 0")
     return DriftFreeReport(
         adr_ue=adr_unrestricted(weight, pm, lam), variance_gain=gain,
         bias_form=f1, bias_form_min=ch_min, bias_form_max=ch_max,
@@ -217,5 +217,5 @@ def efficiency_curve(report: DriftFreeReport, direction: np.ndarray,
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
     if not math.isclose(nrm, 1.0, rel_tol=1e-8):
-        raise DimMismatch(f"direction must have unit Frobenius norm, got {nrm}")
+        raise ValueError(f"direction must have unit Frobenius norm, got {nrm}")
     return [report.at(float(s) * direction) for s in scales]

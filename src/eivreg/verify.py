@@ -34,6 +34,12 @@ class CriterionResult:
     detail: str
 
 
+def _num(x: float, spec: str) -> str:
+    """`x` in the fixed-point format `spec` below 1e6 in magnitude, and in
+    `.3e` from there, where fixed point would print every digit."""
+    return format(x, spec if abs(x) < 1e6 else ".3e")
+
+
 def _rand_instance(g: np.random.Generator, max_p: int = 5, max_q: int = 4):
     """Random dimensions and a full-rank restriction for algebra checks."""
     p = int(g.integers(2, max_p + 1))
@@ -110,8 +116,8 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
     gap_b = float(np.median(gaps_b))
     ok = gap_kb < 0.05 and gap_b > 10.0 * gap_kb
     return CriterionResult(3, "naive-estimator attenuation bias", ok,
-                           f"median ||lse - K B||={gap_kb:.4f} (<0.05), "
-                           f"median ||lse - B||={gap_b:.4f} (>10x)")
+                           f"median ||lse - K B||={_num(gap_kb, '.4f')} (<0.05), "
+                           f"median ||lse - B||={_num(gap_b, '.4f')} (>10x)")
 
 
 def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray,
@@ -130,10 +136,10 @@ def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray
     overflow = not (np.isfinite(mc.cov).all() and math.isfinite(mc.standard_error))
     return CriterionResult(
         4, "joint law agreement", cmp.passed and score_gap <= 4.0 and not overflow,
-        f"worst covariance block {cmp.worst_cov:.3f} rel-Frobenius (tol 0.15), "
-        f"worst mean {cmp.worst_mean:.2f} SE (tol 4), score covariance vs Monte Carlo "
+        f"worst covariance block {_num(cmp.worst_cov, '.3f')} rel-Frobenius (tol 0.15), "
+        f"worst mean {_num(cmp.worst_mean, '.2f')} SE (tol 4), score covariance vs Monte Carlo "
         + ("not compared: the Monte Carlo score covariance overflows double precision"
-           if overflow else f"{score_gap:.2f} SE (tol 4)"))
+           if overflow else f"{_num(score_gap, '.2f')} SE (tol 4)"))
 
 
 def criterion_adr_identity(seed: int) -> CriterionResult:
@@ -228,9 +234,9 @@ def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
     ok = starts_above and decreasing and crossing_ok
     return CriterionResult(
         7, "efficiency curve shape", ok,
-        f"rel-eff at 0: {rel[0]:.3f} (>=1), strictly decreasing: {decreasing}, "
-        f"crossing inside band [{base.lower_threshold:.3f}, {base.upper_threshold:.3f}]: "
-        f"{crossing_ok}")
+        f"rel-eff at 0: {_num(rel[0], '.3f')} (>=1), strictly decreasing: {decreasing}, "
+        f"crossing inside band [{_num(base.lower_threshold, '.3f')}, "
+        f"{_num(base.upper_threshold, '.3f')}]: {crossing_ok}")
 
 
 def criterion_affine_limits(seed: int) -> CriterionResult:

@@ -3,10 +3,12 @@
 The whole suite is executed once through the `verify` subcommand on the
 default desk-scale configuration; each test then asserts one criterion from
 the written report and prints its pass/fail line.  Criterion 4's message on
-an overflowing Monte Carlo score covariance is checked in-process.
+an overflowing Monte Carlo score covariance, and the numbers the details
+print at variances near the top of double precision, are checked in-process.
 """
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ import yaml
 from eivreg import cli
 from eivreg.asymptotics import law_inputs
 from eivreg.config import parse_config
-from eivreg.verify import criterion_law_agreement
+from eivreg.verify import (criterion_efficiency_curve, criterion_law_agreement,
+                           criterion_naive_bias)
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
@@ -87,3 +90,25 @@ def test_law_agreement_names_an_overflowing_score_covariance():
     assert "nan" not in result.detail
     assert ("the Monte Carlo score covariance overflows double precision"
             in result.detail)
+    assert _longest_digit_run(result.detail) <= 12, result.detail
+
+
+def _longest_digit_run(detail: str) -> int:
+    """The most digits any number of `detail` prints in a row."""
+    return max(map(len, re.findall(r"\d+", detail)), default=0)
+
+
+def test_details_print_huge_numbers_in_scientific_notation():
+    # at sigma_eps2 = 1e300 the naive estimates' noise and the dominance band
+    # are of order 1e150 and 1e300; criterion 3's estimates satisfy their
+    # restriction to the precision of their own size
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    doc["model"]["sigma_eps2"] = 1.0e300
+    run = parse_config(doc)
+    pm, lam = law_inputs(run)
+    results = [criterion_naive_bias(run, run.simulation.master_seed),
+               criterion_efficiency_curve(run, pm, lam)]
+    assert not results[0].passed  # its 0.05 line is absolute
+    for result in results:
+        assert "e+" in result.detail
+        assert _longest_digit_run(result.detail) <= 12, result.detail

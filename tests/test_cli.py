@@ -15,7 +15,7 @@ from eivreg import cli, csvio
 from eivreg.asymptotics import law_inputs, named_weight_limit
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
 from eivreg.estimators import lse
-from eivreg.exceptions import ConfigError
+from eivreg.exceptions import ConfigError, EivregError
 from eivreg.model import generate, make_restricted_b
 from eivreg.config import load_config, parse_config
 from eivreg.risk import adr_restricted, drift_direction
@@ -265,6 +265,28 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(path), "--out",
                      str(tmp_path / "o"), "--reps", "60", "--workers", "1"])
     assert code == 3
+
+
+def test_exception_classes_are_exit_codes():
+    # a ConfigError is the ValueError of a document, option or input file
+    assert issubclass(ConfigError, ValueError)
+    assert not issubclass(EivregError, ValueError)
+
+
+@pytest.mark.parametrize("error, code", [
+    (EivregError("singular"), 3), (np.linalg.LinAlgError("singular"), 3),
+    (ValueError("out of range"), 2), (ConfigError("bad field"), 2)],
+    ids=["eivreg", "linalg", "value", "config"])
+def test_main_exit_code_per_exception(tmp_path, config_path, monkeypatch,
+                                      capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_command", fail)
+    assert cli.main(["law", "--config", str(config_path), "--out",
+                     str(tmp_path / "o")]) == code
+    prefix = "numerical failure: " if code == 3 else "error: "
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 def test_efficiency_grid_rows_and_header(tmp_path, config_path):
@@ -646,6 +668,8 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
         cells[1, 1] = bad
         write_matrix_csv(tmp_path / name, cells)
     for name, (section, key, value) in BAD_CONFIGS.items():
+        if f"{{tmp}}/{name}.yaml" not in extra:  # write only the one it reads
+            continue
         path = tmp_path / f"{name}.yaml"
         doc = _write_config(path)
         (doc if section is None else doc[section])[key] = value

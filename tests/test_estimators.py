@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eivreg import estimators
 from eivreg.estimators import Attenuation, build_kx, estimate_all, lse, restricted
-from eivreg.exceptions import NearSingular, NotPD, SingularDesign
+from eivreg.exceptions import EivregError
 from eivreg.model import DesignRule, ModelConfig, Restriction, generate, \
     make_restricted_b
 from eivreg.asymptotics import population
@@ -79,7 +80,7 @@ def test_lse_noiseless_interpolation():
 
 def test_lse_singular_design():
     X = np.ones((20, 2))
-    with pytest.raises(SingularDesign):
+    with pytest.raises(EivregError, match="X'X is numerically singular"):
         lse(X, np.zeros((20, 1)))
 
 
@@ -109,7 +110,7 @@ def test_build_kx_matches_population_limit():
 
 def test_build_kx_near_singular():
     X = _orthonormal_design(50, 2) * np.sqrt(50)  # X'X/n = I
-    with pytest.raises(NearSingular):
+    with pytest.raises(EivregError, match="attenuation correction breaks down"):
         build_kx(X, 1.0)
 
 
@@ -117,7 +118,7 @@ def test_estimate_all_zero_design_without_measurement_error():
     # sigma_x = sigma_d = 0 fails the attenuation check rather than the
     # corrected solve
     Z = np.random.default_rng(8).standard_normal((10, 2))
-    with pytest.raises(NearSingular, match=r"ch_min\(sigma_d\)"):
+    with pytest.raises(EivregError, match=r"ch_min\(sigma_d\)"):
         estimate_all(np.zeros((10, 2)), Z, 0.0, RESTR)
 
 
@@ -265,9 +266,9 @@ def test_fully_determined_restriction():
 def test_restricted_rejects_bad_weight():
     restr = Restriction(R1=[[1.0, 0.0]], R2=[[1.0], [0.0]], theta=[[0.0]])
     b1 = np.zeros((2, 2))
-    with pytest.raises(NotPD):
+    with pytest.raises(ValueError, match="weight must be symmetric positive definite"):
         restricted(b1, np.array([[1.0, 2.0], [0.0, 1.0]]), restr)
-    with pytest.raises(NotPD):
+    with pytest.raises(ValueError, match="weight is not positive definite"):
         restricted(b1, -np.eye(2), restr)
 
 
@@ -298,6 +299,29 @@ def test_estimate_all_restriction_exactness():
     tol = 1e-8 * (1.0 + np.linalg.norm(restr.theta))
     for lbl in ("B2", "B3", "B4", "RE"):
         assert restr.gap(es[lbl]) <= tol
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500], ids=["unscaled", "z_2^500"])
+def test_estimate_all_restriction_gap_relative_to_estimates(monkeypatch, scale):
+    # R1 b R2 carries rounding of the estimates' size, so Z scaled far above
+    # theta still passes, and an estimate moved off the restriction by 1e-6
+    # of that size is still refused
+    X, E = _random_problem(20, n=60, p=2, q=2)
+    Z = scale * (X @ np.array([[1.6, 0.8], [-0.5, 1.3]]) + E)
+    est = estimate_all(X, Z, 0.05, RESTR)
+    assert np.linalg.norm(est["UE"]) > scale
+    assert all(np.isfinite(b).all() for b in est.values())
+    project = estimators._project
+
+    def moved(b1, weight, restr, failed):
+        b, gram_singular = project(b1, weight, restr, failed)
+        step = restr.R1.T @ restr.R2.T  # R1 step R2 is nonzero
+        size = np.linalg.norm(b1, axis=(-2, -1))[:, None, None]
+        return b + 1e-6 * size * step / np.linalg.norm(step), gram_singular
+
+    monkeypatch.setattr(estimators, "_project", moved)
+    with pytest.raises(EivregError, match="failed to satisfy the restriction"):
+        estimate_all(X, Z, 0.05, RESTR)
 
 
 @pytest.mark.parametrize("matrix, bad", [("X", np.inf), ("Z", np.nan)])

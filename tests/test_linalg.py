@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eivreg.asymptotics import AsymptoticLaw
-from eivreg.exceptions import DimMismatch, NonSymmetric, NotPSD
+from eivreg.exceptions import EivregError
 from eivreg.linalg import (AffineTransform, eig_extremes, is_symmetric, kron,
                            psd_factor, rvec, sym)
 
@@ -93,7 +93,7 @@ def test_eig_extremes_rayleigh_bracket():
 
 
 def test_eig_extremes_rejects_asymmetric():
-    with pytest.raises(NonSymmetric):
+    with pytest.raises(EivregError, match="asymmetry .* exceeds tolerance"):
         eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
@@ -127,7 +127,7 @@ def test_eig_extremes_shift(seed, c):
 
 
 def test_psd_factor_rejects_indefinite():
-    with pytest.raises(NotPSD):
+    with pytest.raises(EivregError, match="below PSD tolerance"):
         psd_factor(np.diag([1.0, -0.5]))
 
 
@@ -223,9 +223,10 @@ def test_transform_dim_mismatch():
     good = dict(kappa=np.eye(2), iota=np.eye(3), alpha=np.eye(2),
                 beta=np.eye(3), rho=np.zeros((2, 3)))
     assert _law([AffineTransform(**good)], np.eye(6)).block(0, 0).shape == (6, 6)
-    for key, bad in (("alpha", np.eye(3)), ("beta", np.eye(2)),
-                     ("rho", np.zeros((3, 2)))):
-        with pytest.raises(DimMismatch):
+    for key, bad, message in (("alpha", np.eye(3), "kappa and alpha must"),
+                              ("beta", np.eye(2), "iota and beta must"),
+                              ("rho", np.zeros((3, 2)), "rho does not conform")):
+        with pytest.raises(ValueError, match=message):
             AffineTransform(**{**good, key: bad})
 
 

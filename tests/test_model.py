@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eivreg.exceptions import ConfigError, DimMismatch, RankDeficient
+from eivreg.exceptions import ConfigError
 from eivreg.model import (DesignRule, ModelConfig, Restriction, generate,
                           make_restricted_b, standardized_draw)
 
@@ -159,20 +159,20 @@ def test_make_restricted_b_axis_aligned_hand_expansion():
 
 
 def test_make_restricted_b_shape_check():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ValueError, match=r"seed_b must be 2x2, got \(3, 2\)"):
         make_restricted_b(_cfg(), RESTR, np.zeros((3, 2)))
 
 
 def test_restriction_rank_validation():
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match="R1 must have full row rank"):
         Restriction(R1=[[1.0, 0.0], [2.0, 0.0]], R2=[[1.0], [0.0]],
                     theta=[[0.0], [0.0]])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match="R2 must have full column rank"):
         Restriction(R1=[[1.0, 0.0]], R2=[[0.0], [0.0]], theta=[[0.0]])
 
 
 def test_restriction_theta_shape_validation():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ValueError, match=r"theta must be 1x1, got \(1, 2\)"):
         Restriction(R1=[[1.0, 0.0]], R2=[[1.0], [0.0]], theta=[[0.0, 1.0]])
 
 

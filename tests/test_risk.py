@@ -12,7 +12,6 @@ from eivreg.asymptotics import (AsymptoticLaw, PopulationModel, joint_law,
                                 law_inputs, limit_transform,
                                 named_weight_limit, population)
 from eivreg.config import load_config
-from eivreg.exceptions import ShapeMismatch
 from eivreg.linalg import eig_extremes, kron, psd_factor, rvec, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction
 from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
@@ -59,7 +58,7 @@ def test_wrong_size_score_cov_is_a_shape_mismatch(shape):
              lambda: adr_restricted(w, pm, lam, restr, q0),
              lambda: dominance_report(w, pm, lam, restr, q0)]
     for call in calls:
-        with pytest.raises(ShapeMismatch, match=r"\(p\*q\)x\(p\*q\) at p=3"):
+        with pytest.raises(ValueError, match=r"\(p\*q\)x\(p\*q\) at p=3"):
             call()
 
 

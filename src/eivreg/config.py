@@ -217,8 +217,18 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"field 'risk.scale_max' must be positive, "
                           f"got {risk.scale_max}")
 
-    return RunConfig(model=model, restriction=restriction, simulation=sim,
-                     score_cov=score, risk=risk, digest=config_digest(doc))
+    run = RunConfig(model=model, restriction=restriction, simulation=sim,
+                    score_cov=score, risk=risk, digest=config_digest(doc))
+    with np.errstate(over="ignore", invalid="ignore"):  # the truth B's scale
+        if not np.isfinite(np.sum(restriction.theta0 ** 2)):
+            raise ConfigError("field 'restriction.theta0' is too large: "
+                              "||theta0||^2 overflows double precision")
+        for n in (model.n, score.n):
+            b = restriction.project(run.b_truth_seed(), n)
+            if not np.isfinite(b.T @ b).all():
+                raise ConfigError(f"field 'simulation.B_seed' and the restriction give "
+                                  f"a truth B whose B'B overflows at n = {n}")
+    return run
 
 
 def load_config(path) -> RunConfig:

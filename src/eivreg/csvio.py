@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import re
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +42,21 @@ def write_matrix_csv(path, arr: np.ndarray, header=None) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Parse a numeric CSV matrix; a non-numeric first row is treated as a
-    header, and a leading UTF-8 byte-order mark is dropped.  Malformed and
-    non-finite cells report their row and column, a byte that is not UTF-8
-    its row.
-
-    The text is read once for the checks of `_parse_grid`, which then lets
-    `np.loadtxt` stream the rows from the file itself."""
+    """Parse a numeric CSV matrix; a non-numeric first row is a header, and a
+    leading UTF-8 byte-order mark is dropped.  The file is read once, with
+    `np.loadtxt` streaming its rows; only a file that is not a plain grid of
+    finite numbers is then read whole, for `_parse_cells` to accept or to
+    name its bad row, cell or byte.  Both round each cell correctly, so they
+    return the same array bit for bit."""
     path = Path(path)
     try:
         # utf-8-sig: a byte-order mark glued to the first cell makes a header
         with path.open("r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-        try:
-            return _parse_grid(path, text)
-        except ValueError:
-            pass
+            try:
+                return _stream_grid(fh)
+            except ValueError:  # a decode error too: read() raises it again
+                fh.seek(0)
+                text = fh.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole file at once: exc.start indexes exc.object
         row = exc.object.count(b"\n", 0, exc.start) + 1
@@ -67,36 +67,21 @@ def read_matrix_csv(path) -> np.ndarray:
     return _parse_cells(path, text)
 
 
-_NONBLANK = re.compile(r"\S")
-
-
-def _parse_grid(path: Path, text: str) -> np.ndarray:
-    """The whole body in one numpy call, streamed from the file at `path`
-    whose contents are `text`.  Raises ValueError for anything but a plain
-    grid of finite numbers under an optional header line; the cell parser
-    then names the problem.  Both convert each cell with correct rounding,
-    so they return the same array bit for bit."""
+def _stream_grid(fh) -> np.ndarray:
+    """The rows of the open file `fh` in one numpy call, the header decided
+    from the first line alone.  Raises ValueError for anything but a plain
+    grid of finite numbers under an optional header line."""
+    first = fh.readline()
+    cells = first.split(",")
     # quotes and bare carriage returns change how csv splits rows and cells
-    if '"' in text or ("\r" in text
-                       and text.count("\r") != text.count("\r\n")):
-        raise ValueError("quoted cells or bare carriage returns")
-    end = text.find("\n")
-    end = len(text) if end < 0 else end
-    cells = text[:end].split(",")
-    if not all(c.strip() for c in cells):
-        raise ValueError("blank cell in the first row")
-    try:
-        [float(c) for c in cells]
-        header = 0
-    except ValueError:
-        header = 1
-    if not _NONBLANK.search(text, end + 1 if header else 0):
-        raise ValueError("no data rows")
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        out = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                         skiprows=header)
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite cell")
+    if '"' in first or first.endswith("\r") or not all(c.strip() for c in cells):
+        raise ValueError("quoted cells, a bare carriage return or a blank cell")
+    rows = itertools.chain([first], fh) if _numeric(cells) else fh
+    with warnings.catch_warnings():  # a header alone: "no data" is raised below
+        warnings.simplefilter("ignore", UserWarning)
+        out = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if not out.size or not np.isfinite(out).all():
+        raise ValueError("no data rows or a non-finite cell")
     return out
 
 
@@ -105,14 +90,10 @@ def _parse_cells(path: Path, text: str) -> np.ndarray:
     numbered by csv record, blank records included."""
     records = csv.reader(io.StringIO(text, newline=""))
     rows = [(k, r) for k, r in enumerate(records, start=1)
-            if r and any(c.strip() for c in r)]
+            if any(c.strip() for c in r)]
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    start = 0
-    try:
-        [float(c) for c in rows[0][1]]
-    except ValueError:
-        start = 1
+    start = 0 if _numeric(rows[0][1]) else 1
     if start == len(rows):
         raise ConfigError(f"{path}: header but no data rows")
     width = len(rows[start][1])
@@ -125,16 +106,23 @@ def _parse_cells(path: Path, text: str) -> np.ndarray:
             try:
                 out[i, j] = float(cell)
             except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: row {k}, column {j + 1}: "
-                    f"could not parse {cell.strip()!r}") from exc
+                raise ConfigError(f"{path}: row {k}, column {j + 1}: "
+                                  f"could not parse {cell.strip()!r}") from exc
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
         k, row = rows[start + i]
-        raise ConfigError(
-            f"{path}: row {k}, column {j + 1}: "
-            f"non-finite value {row[j].strip()!r}")
+        raise ConfigError(f"{path}: row {k}, column {j + 1}: "
+                          f"non-finite value {row[j].strip()!r}")
     return out
+
+
+def _numeric(cells: list[str]) -> bool:
+    """Whether every cell is a number: a first row that is not is a header."""
+    try:
+        [float(c) for c in cells]
+    except ValueError:
+        return False
+    return True
 
 
 def write_manifest(path, entries: dict) -> None:

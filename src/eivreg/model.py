@@ -201,6 +201,12 @@ class Restriction:
         """theta + theta0 / sqrt(n), the drifting restriction value at size n."""
         return self.theta + self.theta0 / math.sqrt(n)
 
+    def project(self, b: np.ndarray, n: int) -> np.ndarray:
+        """b moved onto R1 B R2 = target(n) by the minimum-norm correction
+        R1'(R1 R1')^{-1} (R1 b R2 - target(n)) (R2'R2)^{-1} R2'."""
+        gap = self.R1 @ b @ self.R2 - self.target(n)
+        return b - self.R1.T @ np.linalg.solve(self.R1 @ self.R1.T, gap) @ self.right
+
     def gap(self, b: np.ndarray) -> float:
         """Frobenius distance of R1 @ b @ R2 from theta."""
         return float(np.linalg.norm(self.R1 @ b @ self.R2 - self.theta))
@@ -214,17 +220,12 @@ class Dataset:
 
 def make_restricted_b(cfg: ModelConfig, restr: Restriction,
                       seed_b: np.ndarray) -> np.ndarray:
-    """Project seed_b onto {B : R1 B R2 = theta + theta0/sqrt(n)}, n = cfg.n.
-
-    Minimum-norm correction: B = seed - R1'(R1 R1')^{-1} (R1 seed R2 - target)
-    (R2'R2)^{-1} R2'.  The returned B satisfies the drifting restriction exactly.
-    """
+    """seed_b projected onto the drifting restriction R1 B R2 = theta +
+    theta0/sqrt(n) at n = cfg.n, which the result satisfies exactly."""
     seed_b = np.asarray(seed_b, dtype=float)
     if seed_b.shape != (cfg.p, cfg.q):
         raise ValueError(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
-    gap = restr.R1 @ seed_b @ restr.R2 - restr.target(cfg.n)
-    left = restr.R1.T @ np.linalg.solve(restr.R1 @ restr.R1.T, gap)
-    return seed_b - left @ restr.right
+    return restr.project(seed_b, cfg.n)
 
 
 def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Dataset:

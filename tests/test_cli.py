@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eivreg import cli, csvio
 from eivreg.asymptotics import law_inputs, named_weight_limit
@@ -91,6 +93,30 @@ def test_estimate_outputs_byte_identical(tmp_path):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
 
 
+def test_estimate_outputs_identical_with_byte_order_mark(tmp_path):
+    run = load_config(CONFIG)
+    B = make_restricted_b(run.model, run.restriction, run.b_truth_seed())
+    ds = generate(run.model, B, np.random.default_rng(0))
+    for name, arr in (("x", ds.X), ("z", ds.Z)):
+        # headerless, so that a mark glued to the first cell would cost a row
+        plain, bom = (tmp_path / v / f"{name}.csv" for v in ("plain", "bom"))
+        plain.parent.mkdir(exist_ok=True)
+        bom.parent.mkdir(exist_ok=True)
+        np.savetxt(plain, arr, fmt="%.17g", delimiter=",")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for v in ("plain", "bom"):
+        assert cli.main(["estimate", "--config", str(CONFIG),
+                         "--x", str(tmp_path / v / "x.csv"),
+                         "--z", str(tmp_path / v / "z.csv"),
+                         "--out", str(tmp_path / f"est_{v}")]) == 0
+    names = sorted(p.name for p in (tmp_path / "est_plain").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "est_bom").glob("*.csv"))
+    assert names
+    for name in names:
+        assert ((tmp_path / "est_plain" / name).read_bytes()
+                == (tmp_path / "est_bom" / name).read_bytes()), name
+
+
 def test_estimate_malformed_csv_exit_2(tmp_path, capsys):
     cfg_path, z_csv, x_csv, _ = _noiseless_fixture(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -119,11 +145,20 @@ def _random_cells(rows, cols, seed):
     return cells
 
 
+@pytest.fixture()
+def text_reads(monkeypatch):
+    """The paths that `read_matrix_csv` has read through the text path."""
+    paths, parse = [], csvio._parse_cells
+    monkeypatch.setattr(csvio, "_parse_cells",
+                        lambda path, text: paths.append(path) or parse(path, text))
+    return paths
+
+
 @pytest.mark.parametrize("header, newline, blank_lines", [
     (True, "\n", False), (False, "\n", False), (True, "\r\n", True),
     (False, "\r\n", False), (True, "\n", True)])
-def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, header, newline,
-                                                  blank_lines):
+def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, text_reads, header,
+                                                  newline, blank_lines):
     cells = _random_cells(400, 3, seed=len(newline) + 2 * header)
     lines = [",".join(row) for row in cells]
     if blank_lines:
@@ -134,10 +169,10 @@ def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, header, newline,
     text = newline.join(lines) + newline
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
+    got = read_matrix_csv(path)
+    assert text_reads == []  # streamed by numpy
     loop = csvio._parse_cells(path, text)
     assert loop.shape == (400, 3)
-    np.testing.assert_array_equal(csvio._parse_grid(path, text), loop)
-    got = read_matrix_csv(path)
     assert got.tobytes() == loop.tobytes() and got.dtype == loop.dtype
 
 
@@ -148,12 +183,12 @@ def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, header, newline,
     (" , \n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),         # blank first row
     ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),           # Python float syntax
 ])
-def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text, expected):
+def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text_reads, text,
+                                                   expected):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode("utf-8"))
-    with pytest.raises(ValueError):
-        csvio._parse_grid(path, text)
     np.testing.assert_array_equal(read_matrix_csv(path), np.array(expected))
+    assert text_reads == [path]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -181,20 +216,99 @@ def test_read_matrix_csv_messages(tmp_path, text, message):
 
 @pytest.mark.parametrize("body", [b"1,2\n3,4\n", b"col_1,col_2\n1,2\n3,4\n"],
                          ids=["headerless", "header"])
-def test_read_matrix_csv_drops_byte_order_mark(tmp_path, body):
+def test_read_matrix_csv_drops_byte_order_mark(tmp_path, text_reads, body):
     # the mark must not glue itself to the first cell and make a header of
-    # the first data row; the one-call grid parse reads the file as well
+    # the first data row; numpy streams the file as well
     path = tmp_path / "m.csv"
     path.write_bytes(b"\xef\xbb\xbf" + body)
-    expected = [[1.0, 2.0], [3.0, 4.0]]
-    np.testing.assert_array_equal(read_matrix_csv(path), expected)
-    text = body.decode("utf-8")
-    np.testing.assert_array_equal(csvio._parse_grid(path, text), expected)
+    np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    assert text_reads == []
+
+
+NUMBERS = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.floats(allow_nan=False, allow_infinity=False).map(
+                        lambda x: format(x, ".17g")))
+ODD_CELLS = ["nan", "inf", "-inf", "1e999", "1_0", '"1.5"', '"1,5"', "abc",
+             "", "  ", " 2.5 ", "\t-3"]
+ODD_RECORDS = ["", "  ", "\t", " , ", ",", '"a",b', '"1.5",2', "x, ", "a b"]
+# departures from a plain grid, a file taking at most two of them
+TWISTS = ("odd cell", "odd record", "ragged", "mixed line breaks",
+          "no final line break", "byte-order mark", "not UTF-8", "long")
+
+
+@st.composite
+def matrix_files(draw):
+    """CSV files near the edge of what numpy streams: a header or none; LF,
+    CRLF and bare-CR rows; quoted, blank, non-finite and odd cells; blank,
+    whitespace-only and quoted records, also first; ragged rows; a
+    byte-order mark; a byte that is not UTF-8, also past the first 8 KiB."""
+    width = draw(st.integers(1, 3))
+    twists = draw(st.sets(st.sampled_from(TWISTS), max_size=2))
+    rows = [draw(st.lists(NUMBERS, min_size=width, max_size=width))
+            for _ in range(draw(st.integers(0, 4)))]
+    if "odd cell" in twists and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_CELLS))
+    if "ragged" in twists and rows:
+        draw(st.sampled_from(rows)).append("1")
+    lines = [",".join(row) for row in rows]
+    if "long" in twists:  # the rest of the file starts past the first 8 KiB
+        lines[:0] = [",".join(["0.125"] * width)] * 1400
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"col_{j + 1}" for j in range(width)))
+    if "odd record" in twists:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_RECORDS)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if "mixed line breaks" in twists
+            else newline for _ in lines]
+    if "no final line break" in twists and ends:
+        ends[-1] = ""
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if "byte-order mark" in twists:
+        data = b"\xef\xbb\xbf" + data
+    if "not UTF-8" in twists:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=matrix_files())
+@example(data=b'"1.5",2\n3,4\n')             # a quoted number in the first row
+@example(data=b"a,b\r1,2\r3,4\r")             # bare CR, in the first line too
+@example(data=b"1,2\r\n3,4\r5,6\n")           # bare CR in the body only
+@example(data=b"col_1,col_2\n")               # a header with no data rows
+@example(data=b"col_1,col_2\r\n\r\n  \r\n")   # and blank records after it
+@example(data=b"1,2\n" * 3000 + b"3,\xe94\n")  # not UTF-8 past the first 8 KiB
+def test_read_matrix_csv_stream_matches_text_path(tmp_path, data):
+    # the one-pass read returns what a whole-text read and the cell parser
+    # return, bit for bit, or raises the same message, and warns of nothing
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    try:
+        want = csvio._parse_cells(path, data.decode("utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        row = exc.object.count(b"\n", 0, exc.start) + 1
+        want = f"{path}: row {row}: byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+    except ConfigError as exc:
+        want = str(exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = read_matrix_csv(path)
+        except ConfigError as exc:
+            got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def test_read_matrix_csv_memory_is_a_few_file_sizes(tmp_path):
-    # the rows stream from the file into numpy: no in-memory copy of the
-    # text per parsing stage
+    # the rows stream from the file into numpy: no copy of the text is held
     path = tmp_path / "big.csv"
     write_matrix_csv(path, np.random.default_rng(7).standard_normal((20_000, 2)))
     size = path.stat().st_size
@@ -205,7 +319,33 @@ def test_read_matrix_csv_memory_is_a_few_file_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert got.shape == (20_000, 2)
-    assert peak <= 4 * size, (peak, size)
+    assert peak <= 0.75 * size, (peak, size)
+
+
+def _estimate_peak(tmp_path, n):
+    """tracemalloc's peak over `cmd_estimate` on an n-row X and Z of
+    configs/default.yaml, and the bytes of X and Z as arrays."""
+    run = load_config(CONFIG)
+    g = np.random.default_rng(n)
+    x = 3.0 * g.standard_normal((n, run.model.p))  # well above sigma_delta2
+    paths = tmp_path / f"x{n}.csv", tmp_path / f"z{n}.csv"
+    write_matrix_csv(paths[0], x)
+    write_matrix_csv(paths[1], x @ run.b_truth_seed() + g.standard_normal((n, run.model.q)))
+    out = cli.Outputs(tmp_path / f"o{n}")
+    tracemalloc.start()
+    try:
+        assert cli.cmd_estimate(run, paths[1], paths[0], out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, 8 * n * (run.model.p + run.model.q)
+
+
+def test_estimate_memory_is_linear_in_n(tmp_path):
+    # X and Z as arrays, and loadtxt's growth slack on the one being read
+    (peak, _), (peak2, data2) = (_estimate_peak(tmp_path, n) for n in (20_000, 40_000))
+    assert 1.8 <= peak2 / peak <= 2.2, (peak, peak2)
+    assert peak2 <= 1.25 * data2, (peak2, data2)
 
 
 def test_matrix_csv_row_template_matches_fmt(tmp_path):
@@ -469,6 +609,9 @@ BAD_CONFIGS = {
     "n_2": ("model", "n", 2),
     "m_explicit_2x2": ("model", "M", [[1.0, 0.0], [0.0, 1.0]]),
     "master_seed_neg": ("simulation", "master_seed", -1),
+    # a drift or a truth B whose squares overflow double precision
+    "theta0_1e300": ("restriction", "theta0", [[1.0e300]]),
+    "b_seed_1e300": ("simulation", "B_seed", [[1.0e300, 0.8], [-0.5, 1.3]]),
 }
 
 
@@ -649,6 +792,14 @@ EXIT_CASES = [
            "field 'simulation.master_seed' must be at least 0, got -1"))
       for cmd, data in (("law", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    # rejected when the configuration is read, with no numpy warning on the way
+    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", "--workers", "1"], 2, message)
+      for name, message in (
+          ("theta0_1e300", "field 'restriction.theta0' is too large: "
+                           "||theta0||^2 overflows double precision"),
+          ("b_seed_1e300", "field 'simulation.B_seed' and the restriction give "
+                           "a truth B whose B'B overflows at n = 400"))
+      for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
 ]
 
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS
+from .exceptions import ConfigError
 from .linalg import AffineTransform, rvec, sym
 from .model import (ERROR_FAMILIES, ModelConfig, Restriction, draw_stats,
                     make_restricted_b, stats_sampler)
@@ -186,9 +187,15 @@ def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
 def law_inputs(run: RunConfig) -> tuple[PopulationModel, np.ndarray]:
     """The population model at the run's design and the exact score covariance
     at the run's `score_cov.n`: the inputs of every law and risk computation
-    of a run."""
+    of a run.  A score covariance beyond double precision is a ConfigError."""
     cfg, B = score_cov_model(run)
-    return population(run.model), closed_form_score_cov(cfg, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = closed_form_score_cov(cfg, B)
+    if not np.isfinite(lam).all():
+        raise ConfigError("fields 'model.M', 'model.sigma_eps2', 'model.sigma_delta2', "
+                          "'model.sigma_psi2' and 'score_cov.n' give a score "
+                          "covariance that overflows double precision")
+    return population(run.model), lam
 
 
 def constraint_gain(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:

@@ -110,6 +110,7 @@ def cmd_law(run: RunConfig, out: Outputs) -> int:
 
 
 def cmd_simulate(run: RunConfig, out: Outputs, workers: int = 1) -> int:
+    pm, lam = law_inputs(run)  # before drawing: a bad config fails at once
     summary = run_plan(replication_plan(run, run.simulation.estimators),
                        workers=workers)
     for lbl, mat in summary.mean_errors.items():
@@ -120,7 +121,6 @@ def cmd_simulate(run: RunConfig, out: Outputs, workers: int = 1) -> int:
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]
     if all(lbl in LAW_LABELS for lbl in summary.labels):
-        pm, lam = law_inputs(run)
         law = joint_law(pm, lam, run.restriction, estimators=summary.labels)
         cmp = compare_law(summary, law)
         out.write(write_rows_csv, "compare_cov.csv",

@@ -73,7 +73,7 @@ def _settings(cls, sec: dict, section: str, **resolved):
         elif f.default is MISSING:
             raise ConfigError(f"{section} section missing field {f.name!r}")
     if sec:
-        raise ConfigError(f"unknown {section} fields: {sorted(sec)}")
+        raise ConfigError(f"unknown {section} fields: {sorted(map(str, sec))}")
     return cls(**values)
 
 
@@ -118,14 +118,8 @@ class RunConfig:
 
 def config_digest(doc: dict) -> str:
     """SHA-256 of the canonical (sorted-key) JSON form; key order independent."""
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_jsonable)
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot canonicalize {type(obj)!r}")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -133,6 +127,9 @@ def parse_config(doc: dict) -> RunConfig:
     resolved: every field of the result is in the form its users read."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a mapping")
+    unknown = set(doc) - {"model", "restriction", "simulation", "score_cov", "risk"}
+    if unknown:  # YAML keys need not be strings: a date, a number
+        raise ConfigError(f"unknown sections: {sorted(map(str, unknown))}")
     msec = _section(doc, "model", required=True)
     rsec = _section(doc, "restriction", required=True)
 
@@ -156,7 +153,7 @@ def parse_config(doc: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"restriction: {exc}") from exc
     if rsec:
-        raise ConfigError(f"unknown restriction fields: {sorted(rsec)}")
+        raise ConfigError(f"unknown restriction fields: {sorted(map(str, rsec))}")
     r1, r2 = restriction.R1.shape, restriction.R2.shape
     if r1[1] != p or r2[0] != q:
         raise ConfigError(f"fields 'R1' and 'R2' must be r1x{p} and {q}xr2 "

@@ -72,11 +72,9 @@ def _stream_grid(fh) -> np.ndarray:
     from the first line alone.  Raises ValueError for anything but a plain
     grid of finite numbers under an optional header line."""
     first = fh.readline()
-    cells = first.split(",")
-    # quotes and bare carriage returns change how csv splits rows and cells
-    if '"' in first or first.endswith("\r") or not all(c.strip() for c in cells):
-        raise ValueError("quoted cells, a bare carriage return or a blank cell")
-    rows = itertools.chain([first], fh) if _numeric(cells) else fh
+    if '"' in first:  # quotes change how csv splits cells
+        raise ValueError("quoted cells")
+    rows = itertools.chain([first], fh) if _numeric(first.split(",")) else fh
     with warnings.catch_warnings():  # a header alone: "no data" is raised below
         warnings.simplefilter("ignore", UserWarning)
         out = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
@@ -129,9 +127,7 @@ def write_manifest(path, entries: dict) -> None:
     """Plain key=value manifest; values stringified deterministically."""
     with open_output(path) as fh:
         for key, value in entries.items():
-            if isinstance(value, float):
-                value = fmt(value)
-            elif isinstance(value, (list, tuple)):
+            if isinstance(value, (list, tuple)):
                 value = ";".join(str(v) for v in value)
             fh.write(f"{key}={value}\n")
 

@@ -11,23 +11,23 @@ the same model at another sample size is ``cfg.at_n(n)``.
 Replication studies and the score-covariance Monte Carlo check need only the
 sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`,
 which holds the pool policy.  `stats_sampler` draws them from their exact law
-under gaussian errors (`GaussianSampler`, (R [I, B] + Q'G)'(R [I, B] + Q'G)
-+ F A A' F' with M = QR), at a cost that does not depend on n, and from
-datasets drawn as `generate` draws them otherwise (`RowSampler`).
+under gaussian errors at n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)'
+(R [I, B] + Q'G) + F A A' F' with M = QR and A Bartlett's factor), at a cost
+that does not depend on n, and from datasets drawn as `generate` draws them
+otherwise (`RowSampler`).
 
 Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
 (BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
 (`block_rngs`).  Replication studies use tag 0, score-covariance estimation
-tag 1 and the affine-limit suite tag 2.  Under gaussian errors, with
-k = p + q, the generator of a block of m replications of tags 0 and 1 yields
-in order, replication by replication within each draw: m*p*k standard
-normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard normals
-(the strictly lower triangle of A, row by row), and m*k chi-squares with
-n-p, ..., n-p-k+1 degrees of freedom whose square roots form A's diagonal.
-When n - p < k the last two draws are replaced by m*(n-p)*k standard
-normals Y, with A = Y'.  Otherwise a block's datasets draw one after another
-as `generate` draws them.  Results are independent of evaluation order and
-of the worker count, and reruns are bit-reproducible.
+tag 1 and the affine-limit suite tag 2.  Under gaussian errors at
+n - p >= k = p + q, the generator of a block of m replications of tags 0
+and 1 yields in order, replication by replication within each draw: m*p*k
+standard normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard
+normals (the strictly lower triangle of A, row by row), and m*k chi-squares
+with n-p, ..., n-p-k+1 degrees of freedom whose square roots form A's
+diagonal.  Otherwise a block's datasets draw one after another as
+`generate` draws them.  Results are independent of evaluation order and of
+the worker count, and reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -273,13 +273,13 @@ class RowSampler:
 
     cfg: ModelConfig
     B: np.ndarray
-    design: np.ndarray
 
     def draw(self, rngs: Iterable[np.random.Generator], reps: int
              ) -> tuple[np.ndarray, np.ndarray]:
         """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`."""
         cfg = self.cfg
-        n, p = self.design.shape
+        design = cfg.design()
+        n, p = design.shape
         e, delta, psi, z = (np.empty((n, k)) for k in (cfg.q, p, p, cfg.q))
         xtx, xtz = np.empty((reps, p, p)), np.empty((reps, p, cfg.q))
         scaled = ((e, cfg.sigma_eps2), (delta, cfg.sigma_delta2),
@@ -289,7 +289,7 @@ class RowSampler:
                 for buf, var in scaled:  # E, Delta, Psi, as generate draws
                     standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
                     buf *= math.sqrt(var)
-                d = np.add(self.design, psi, out=psi)
+                d = np.add(design, psi, out=psi)
                 np.matmul(d, self.B, out=z)
                 z += e
                 x = np.add(d, delta, out=delta)
@@ -300,13 +300,13 @@ class RowSampler:
 
 @dataclass(frozen=True)
 class GaussianSampler:
-    """Exact law of W'W for W = [X Z] under gaussian errors.
+    """Exact law of W'W for W = [X Z] under gaussian errors, at n - p >= p + q.
 
     The rows of W are independent N(mu_i, Omega), with mean mu = M [I, B] and
     Omega = [[(s_psi + s_delta) I, s_psi B], [s_psi B', s_psi B'B + s_eps I]].
     With M = QR, W'W splits into the independent parts (R [I, B] + Q'G)'(...)
-    and a Wishart(n - p, Omega) matrix (Anderson 2003, An Introduction to
-    Multivariate Statistical Analysis, section 7.2).
+    and a Wishart(n - p, Omega) matrix F A A' F', A by Bartlett's decomposition
+    (Anderson 2003, An Introduction to Multivariate Statistical Analysis, 7.2).
     """
 
     root: np.ndarray      # R [I, B], p x (p + q)
@@ -318,27 +318,16 @@ class GaussianSampler:
         """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`
         in the draw order of the seeding contract."""
         p, k = self.root.shape
-        dof = self.n - p
-        bartlett = dof >= k
-        low = np.tril_indices(k, -1)
+        low, diag = np.tril_indices(k, -1), np.diag_indices(k)
         normals = np.empty((reps, p, k))
-        # Bartlett: off-diagonal normals, then chi-squares; else Y, (n-p) x k
-        tail = np.empty((reps, len(low[0]) + k if bartlett else dof * k))
+        a = np.zeros((reps, k, k))
         for lo, rng in zip(range(0, reps, BLOCK), rngs, strict=True):
             m = min(BLOCK, reps - lo)
             rng.standard_normal(out=normals[lo:lo + m])
-            if bartlett:
-                tail[lo:lo + m, :-k] = rng.standard_normal((m, len(low[0])))
-                tail[lo:lo + m, -k:] = rng.chisquare(dof - np.arange(k), (m, k))
-            else:
-                tail[lo:lo + m] = rng.standard_normal((m, dof * k))
-        if bartlett:
-            a = np.zeros((reps, k, k))
-            a[:, low[0], low[1]] = tail[:, :-k]
-            a[:, range(k), range(k)] = np.sqrt(tail[:, -k:])
-        else:
-            a = np.swapaxes(tail.reshape(reps, dof, k), 1, 2)
-        del tail  # the stacks scale with reps: hold as few at once as we can
+            a[lo:lo + m, low[0], low[1]] = rng.standard_normal((m, len(low[0])))
+            a[lo:lo + m, diag[0], diag[1]] = np.sqrt(
+                rng.chisquare(self.n - p - np.arange(k), (m, k)))
+        # the stacks scale with reps: hold as few at once as we can
         h = normals @ self.factor.T
         del normals
         h += self.root
@@ -350,22 +339,21 @@ class GaussianSampler:
 
 
 def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampler:
-    """The sampler of X'X and X'Z for datasets of `cfg` with coefficients B
-    at the materialized design: exact under gaussian errors, row by row
-    otherwise, where X'X is not Wishart."""
-    design = cfg.design()
-    if cfg.error_family != "gaussian":
-        return RowSampler(cfg, B, design)
+    """The sampler of X'X and X'Z for datasets of `cfg` with coefficients B:
+    exact under gaussian errors where Bartlett's decomposition holds, row by
+    row otherwise."""
     p, q = cfg.p, cfg.q
+    if cfg.error_family != "gaussian" or cfg.n - p < p + q:
+        return RowSampler(cfg, B)
     s_psi, s = cfg.sigma_psi2, cfg.sigma_psi2 + cfg.sigma_delta2
     # Omega's block Cholesky factor: F F' has the X block s I at any Z scale
     lower = s_psi / math.sqrt(s) * B.T if s > 0 else np.zeros((q, p))
     cond = (s_psi / s * cfg.sigma_delta2 if s > 0 else 0.0) * (B.T @ B)
     factor = np.block([[math.sqrt(s) * np.eye(p), np.zeros((p, q))],
                        [lower, psd_factor(cond + cfg.sigma_eps2 * np.eye(q))]])
-    r = np.linalg.qr(design, mode="r")
+    r = np.linalg.qr(cfg.design(), mode="r")
     return GaussianSampler(root=r @ np.hstack([np.eye(p), B]),
-                           factor=factor, n=len(design))
+                           factor=factor, n=cfg.n)
 
 
 def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
@@ -373,14 +361,15 @@ def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
     """X'X and X'Z, stacked, of replications 0, ..., reps - 1 of stream `tag`
     for datasets of `cfg` with coefficients B.
 
-    Pool policy: with several workers, a row-sampler draw of more than one
+    Pool policy: with several workers, a non-gaussian draw of more than one
     block is split into ranges of whole blocks, about four per worker, one
-    pool task each.  Exact-sampler draws, whose replications cost less than
-    shipping them to a worker, and single blocks run in-process.  Ranges
-    start on block boundaries, so the draws do not depend on the workers.
+    pool task each.  Gaussian draws, exact or of a few rows at n < 2p + q,
+    cost less per replication than shipping it to a worker: they and single
+    blocks run in-process.  Ranges start on block boundaries, so the draws
+    do not depend on the workers.
     """
     sampler = stats_sampler(cfg, B)
-    if workers <= 1 or reps <= BLOCK or isinstance(sampler, GaussianSampler):
+    if workers <= 1 or reps <= BLOCK or cfg.error_family == "gaussian":
         return sampler.draw(block_rngs(seed, tag, 0, reps), reps)
     step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
     bounds = [(s, min(s + step, reps)) for s in range(0, reps, step)]

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: exit codes, CSV formats, manifests, determinism."""
 
+import datetime
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from eivreg.exceptions import ConfigError, EivregError
 from eivreg.model import generate, make_restricted_b
 from eivreg.config import load_config, parse_config
 from eivreg.risk import adr_restricted, drift_direction
+from test_kernel import record_pools
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
@@ -178,9 +181,9 @@ def test_read_matrix_csv_grid_matches_cell_parser(tmp_path, text_reads, header,
 
 @pytest.mark.parametrize("text, expected", [
     ('"1.5",2\n3,4\n', [[1.5, 2.0], [3.0, 4.0]]),          # quoted cells
-    ("a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),         # bare CR rows
+    ('1,2\n"3",4\n', [[1.0, 2.0], [3.0, 4.0]]),            # quoted later
     ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),          # blank row
-    (" , \n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),         # blank first row
+    ("1,2\n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),           # empty cells
     ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),           # Python float syntax
 ])
 def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text_reads, text,
@@ -189,6 +192,17 @@ def test_read_matrix_csv_falls_back_to_cell_parser(tmp_path, text_reads, text,
     path.write_bytes(text.encode("utf-8"))
     np.testing.assert_array_equal(read_matrix_csv(path), np.array(expected))
     assert text_reads == [path]
+
+
+@pytest.mark.parametrize("text", ["a,b\r1,2\r3,4\r", " , \n1,2\n3,4\n"],
+                         ids=["bare-cr-rows", "blank-first-row"])
+def test_read_matrix_csv_streams_unusual_first_lines(tmp_path, text_reads, text):
+    # readline and csv split bare CRs alike, and a blank first record is
+    # skipped as a header by the stream and as blank by the text path
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    assert text_reads == []
 
 
 @pytest.mark.parametrize("text, message", [
@@ -381,11 +395,16 @@ def test_cli_import_leaves_out_the_process_pool():
 
 def test_estimate_shape_mismatch_exit_2(tmp_path, capsys):
     cfg_path, z_csv, x_csv, _ = _noiseless_fixture(tmp_path)
-    short = tmp_path / "short.csv"
+    short, wide = tmp_path / "short.csv", tmp_path / "wide.csv"
     write_matrix_csv(short, np.zeros((10, 2)))
-    code = cli.main(["estimate", "--config", str(cfg_path), "--z", str(short),
-                     "--x", str(x_csv), "--out", str(tmp_path / "o")])
-    assert code == 2
+    write_matrix_csv(wide, np.ones((400, 3)))
+    for z, x, message in ((short, x_csv, "Z has 10 rows but X has 400"),
+                          (z_csv, wide, "expected X with 2 and Z with 2 "
+                                        "columns, got 3 and 2")):
+        code = cli.main(["estimate", "--config", str(cfg_path), "--z", str(z),
+                         "--x", str(x), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_error_exit_2(tmp_path, capsys):
@@ -439,29 +458,44 @@ def test_efficiency_grid_rows_and_header(tmp_path, config_path):
     assert len(lines) == 21  # header + exactly the configured 20 grid rows
 
 
-def test_efficiency_scale_max_rows(tmp_path):
+def _efficiency_rows(tmp_path, doc, direction):
+    """The rows `efficiency` writes for `doc`, each checked to be, bit for
+    bit, the drift-free report at its scale along `direction`."""
     path = tmp_path / "cfg.yaml"
-    doc = _write_config(path)
-    doc["risk"].update(scale_max=3.5, grid=8)
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     out = tmp_path / "eff"
     assert cli.main(["efficiency", "--config", str(path), "--out", str(out),
                      "--workers", "1"]) == 0
     rows = [line.split(",")
             for line in (out / "efficiency.csv").read_text().splitlines()[1:]]
-    scales = np.linspace(0.0, 3.5, 8)
-    assert [row[0] for row in rows] == [csvio.fmt(s) for s in scales]
-    # each row is, bit for bit, the drift-free report at that drift
     run = parse_config(doc)
     pm, lam = law_inputs(run)
     report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
-    direction = drift_direction(run.restriction)
-    for s, row in zip(scales, rows):
-        want = report.at(s * direction)
+    for row in rows:
+        want = report.at(float(row[0]) * direction)
         assert row[1:] == [*map(csvio.fmt, (want.theta0_norm2, want.adr_ue,
                                             want.adr_re, want.relative_efficiency)),
                            want.verdict]
+    return rows
+
+
+def test_efficiency_scale_max_rows(tmp_path):
+    doc = _write_config(tmp_path / "cfg.yaml")
+    doc["risk"].update(scale_max=3.5, grid=8)
+    rows = _efficiency_rows(tmp_path, doc,
+                            drift_direction(parse_config(doc).restriction))
+    scales = np.linspace(0.0, 3.5, 8)
+    assert [row[0] for row in rows] == [csvio.fmt(s) for s in scales]
+
+
+def test_efficiency_sweeps_all_ones_direction_at_zero_drift(tmp_path):
+    doc = _write_config(tmp_path / "cfg.yaml")
+    doc["restriction"].update(R2=[[1.0, 0.0], [0.0, 1.0]], theta=[[0.3, 0.1]],
+                              theta0=[[0.0, 0.0]])
+    ones = np.ones((1, 2))
+    rows = _efficiency_rows(tmp_path, doc, ones / np.linalg.norm(ones))
+    assert len(rows) == doc["risk"]["grid"]
 
 
 def test_estimate_naive_estimator_matches_lse(tmp_path):
@@ -503,6 +537,55 @@ def test_simulate_writes_comparison(tmp_path, config_path):
     assert (out / "cov_empirical.csv").exists()
     assert (out / "compare_cov.csv").exists()
     assert read_matrix_csv(out / "cov_empirical.csv").shape == (16, 16)
+
+
+@pytest.mark.parametrize("family, n", [("shifted-exponential", []),
+                                       ("gaussian", ["--n", "5"])],
+                         ids=["skewed", "gaussian-below-2p+q"])
+def test_simulate_outputs_identical_at_1_and_2_workers(tmp_path, monkeypatch,
+                                                       family, n):
+    # skewed errors draw through the process pool at 2 workers; gaussian
+    # errors at n = 5 < 2p + q draw through the row sampler, in-process
+    opened = record_pools(monkeypatch)
+    path = tmp_path / "c.yaml"
+    path.write_text(CONFIG.read_text(encoding="utf-8").replace(
+        "error_family: gaussian", f"error_family: {family}"), encoding="utf-8")
+    assert f"error_family: {family}" in path.read_text(encoding="utf-8")
+    for reps in ("400", "65"):  # 65: one block of the seeding contract plus one
+        outs = [tmp_path / reps / f"w{w}" for w in (1, 2)]
+        for w, out in enumerate(outs, start=1):
+            assert cli.main(["simulate", "--config", str(path), "--out", str(out),
+                             "--workers", str(w), "--reps", reps, *n]) == 0
+        names = sorted(f.name for f in outs[0].glob("*.csv"))
+        assert names and names == sorted(f.name for f in outs[1].glob("*.csv"))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert opened == ([] if family == "gaussian" else [2, 2])
+
+
+def test_simulate_skips_law_comparison_for_non_limit_estimators(tmp_path):
+    path = tmp_path / "c.yaml"
+    doc = _write_config(path)
+    doc["simulation"]["estimators"] = ["LSE", "UE"]
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out),
+                     "--reps", "20", "--workers", "1"]) == 0
+    verdict = (out / "verdict.txt").read_text().splitlines()
+    assert verdict[-1] == "law_agreement=SKIPPED (non-limit estimators present)"
+    assert not (out / "compare_cov.csv").exists()
+
+
+def test_adr_falls_back_to_q0_without_restricted_labels(tmp_path):
+    path = tmp_path / "c.yaml"
+    doc = _write_config(path)
+    doc["simulation"]["estimators"] = ["LSE", "UE"]
+    doc["risk"]["q0"] = "B3"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "adr"
+    assert cli.main(["adr", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "adr.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["B3"]
 
 
 def test_seed_override_changes_outputs(tmp_path, config_path):
@@ -612,6 +695,18 @@ BAD_CONFIGS = {
     # a drift or a truth B whose squares overflow double precision
     "theta0_1e300": ("restriction", "theta0", [[1.0e300]]),
     "b_seed_1e300": ("simulation", "B_seed", [[1.0e300, 0.8], [-0.5, 1.3]]),
+    # a misspelt section, and one whose YAML value is a date
+    "section_misspelt": (None, "simulaton", {"reps": 10}),
+    "section_date": (None, "notes", datetime.date(2026, 10, 20)),
+    "estimators_lse": ("simulation", "estimators", ["LSE"]),
+    # M by 2^k and the three variances by 4^k: the score covariance, which
+    # scales by 2^(4k), overflows from k = 255
+    **{f"scaled_{k}": (None, "model", {
+        "n": 400, "p": 2, "q": 2, "sigma_eps2": math.ldexp(2.0, 2 * k),
+        "sigma_delta2": math.ldexp(0.5, 2 * k),
+        "sigma_psi2": math.ldexp(0.5, 2 * k), "error_family": "gaussian",
+        "M": {"kind": "uniform", "low": math.ldexp(-4.0, k),
+              "high": math.ldexp(4.0, k), "seed": 1848}}) for k in (254, 255, 256)},
 }
 
 
@@ -799,6 +894,22 @@ EXIT_CASES = [
                            "||theta0||^2 overflows double precision"),
           ("b_seed_1e300", "field 'simulation.B_seed' and the restriction give "
                            "a truth B whose B'B overflows at n = 400"))
+      for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
+    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+      for name, message in (
+          ("section_misspelt", "unknown sections: ['simulaton']"),
+          ("section_date", "unknown sections: ['notes']"))
+      for cmd, data in (("law", []), ("simulate", ["--workers", "1"]),
+                        ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
+    ("law", ["--config", "{tmp}/estimators_lse.yaml"], 2,
+     "no law-compatible estimators configured"),
+    # the joint scale's edge: exit 0 with finite CSVs below, exit 2 above
+    *[(cmd, ["--config", f"{{tmp}}/scaled_{k}.yaml", "--workers", "1"], code,
+       "" if code == 0 else
+       "fields 'model.M', 'model.sigma_eps2', 'model.sigma_delta2', "
+       "'model.sigma_psi2' and 'score_cov.n' give a score covariance that "
+       "overflows double precision")
+      for k, code in ((254, 0), (255, 2), (256, 2))
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
 ]
 

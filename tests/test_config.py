@@ -94,6 +94,12 @@ def test_unknown_field_rejected():
     bad = {**DOC, "model": {**DOC["model"], "rho": 1.0}}
     with pytest.raises(ConfigError):
         parse_config(bad)
+    # YAML keys need not be strings, nor of one type: named as strings
+    for section in ("model", "restriction"):
+        bad = {**DOC, section: {**DOC[section], 1: 2.0, "rho": 1.0}}
+        with pytest.raises(ConfigError, match=rf"^unknown {section} fields: "
+                                              r"\['1', 'rho'\]$"):
+            parse_config(bad)
 
 
 @pytest.mark.parametrize("section, key, value, message", [

@@ -78,8 +78,7 @@ def _row_sampler_only(monkeypatch):
     """Draw gaussian plans through the row sampler too.  The reference loop
     replays those draws, so they test the batched estimate and reduction
     bit for bit; the exact sampler's draws are tested by their law below."""
-    monkeypatch.setattr(model, "stats_sampler",
-                        lambda cfg, B: RowSampler(cfg, B, cfg.design()))
+    monkeypatch.setattr(model, "stats_sampler", RowSampler)
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -276,8 +275,7 @@ def test_score_from_sufficient_statistics_matches_latent_form(family):
     cfg = _cfg(n=2000, error_family=family)
     rng, replay = np.random.default_rng(8), np.random.default_rng(8)
     datasets = [generate(cfg, B_SEED, rng) for _ in range(2)]
-    xtx, xtz = RowSampler(cfg, B_SEED, cfg.design()).draw(
-        [np.random.default_rng(8)], 2)
+    xtx, xtz = RowSampler(cfg, B_SEED).draw([np.random.default_rng(8)], 2)
     for i, ds in enumerate(datasets):
         E, Delta, Psi = replay_latent(cfg, replay)
         np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
@@ -302,9 +300,8 @@ def test_score_draws_come_from_the_samplers(family, monkeypatch):
     assert draw.shape == (4,) and np.all(np.isfinite(draw))
 
 
-@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
-def test_pool_only_for_row_sampler_plans(family, monkeypatch):
-    # an exact-sampler replication costs less than shipping it to a worker
+def record_pools(monkeypatch) -> list:
+    """The max_workers of each process pool opened from now on."""
     opened = []
     real = concurrent.futures.ProcessPoolExecutor
 
@@ -314,6 +311,13 @@ def test_pool_only_for_row_sampler_plans(family, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return opened
+
+
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+def test_pool_only_for_row_sampler_plans(family, monkeypatch):
+    # an exact-sampler replication costs less than shipping it to a worker
+    opened = record_pools(monkeypatch)
     # two workers split a row-sampler plan into four block-aligned chunks,
     # the last one partial
     plan = _plan(_cfg(error_family=family), reps=3 * BLOCK + 7)
@@ -398,41 +402,42 @@ def test_gaussian_sampler_mean_is_exact():
                                atol=1e-12 * np.abs(exact).max())
     # draws over replications that straddle block boundaries, both samplers
     reps = 2 * BLOCK + 5
-    rows = RowSampler(plan.cfg, b_truth, plan.cfg.design())
+    rows = RowSampler(plan.cfg, b_truth)
     for drawn in (sampler, rows):
         draws = _stats(*_draw(drawn, plan.master_seed, 0, reps))
         assert _mean_gap_se(draws, exact, 3) <= 4.0
 
 
-@pytest.mark.parametrize("n", [200, 4])
+@pytest.mark.parametrize("n", [200, 4, 8])
 def test_gaussian_sampler_follows_documented_draw_order(n):
     # replays the seeding contract of the model docstring over a full and a
-    # partial block, one replication at a time within each draw: every
-    # replication's Q'G, then every one's Bartlett off-diagonals, then every
-    # one's chi-squares one by one (or, when n - p < p + q, every one's
-    # (n-p) x k normals Y)
+    # partial block, one replication at a time within each draw.  At
+    # n - p >= p + q (n = 8 = 2p + q on the boundary): every replication's
+    # Q'G, then every one's Bartlett off-diagonals, then every one's
+    # chi-squares one by one.  Below it: `generate`'s datasets, bit for bit
     plan = _plan(_cfg(n=n), reps=BLOCK + 5)
-    sampler, _, _ = _sampler_and_exact_mean(plan)
-    p, k = sampler.root.shape
+    sampler, b_truth, _ = _sampler_and_exact_mean(plan)
+    p, k = plan.cfg.p, plan.cfg.p + plan.cfg.q
     dof = n - p
+    assert isinstance(sampler, RowSampler) == (dof < k)
     xtx, xtz = _draw(sampler, plan.master_seed, 0, plan.reps)
     for b, lo in enumerate(range(0, plan.reps, BLOCK)):
         m = min(BLOCK, plan.reps - lo)
         rng = np.random.default_rng([plan.master_seed, 0, b])
+        if dof < k:
+            for i in range(m):
+                ds = generate(plan.cfg, b_truth, rng)
+                np.testing.assert_array_equal(xtx[lo + i], ds.X.T @ ds.X)
+                np.testing.assert_array_equal(xtz[lo + i], ds.X.T @ ds.Z)
+            continue
         g = [rng.standard_normal((p, k)) for _ in range(m)]
-        if dof >= k:
-            off = [rng.standard_normal(k * (k - 1) // 2) for _ in range(m)]
-            chi = [[rng.chisquare(dof - j) for j in range(k)] for _ in range(m)]
-        else:
-            y = [rng.standard_normal((dof, k)) for _ in range(m)]
+        off = [rng.standard_normal(k * (k - 1) // 2) for _ in range(m)]
+        chi = [[rng.chisquare(dof - j) for j in range(k)] for _ in range(m)]
         for i in range(m):
             h = sampler.root + g[i] @ sampler.factor.T
-            if dof >= k:
-                a = np.zeros((k, k))
-                a[np.tril_indices(k, -1)] = off[i]
-                a[np.diag_indices(k)] = np.sqrt(chi[i])
-            else:
-                a = y[i].T
+            a = np.zeros((k, k))
+            a[np.tril_indices(k, -1)] = off[i]
+            a[np.diag_indices(k)] = np.sqrt(chi[i])
             ww = h.T @ h + sampler.factor @ a @ a.T @ sampler.factor.T
             np.testing.assert_allclose(xtx[lo + i], ww[:p, :p], rtol=1e-12)
             np.testing.assert_allclose(xtz[lo + i], ww[:p, p:], rtol=1e-12)
@@ -444,8 +449,7 @@ def test_gaussian_sampler_matches_row_sampler(seed):
     plan = _plan(_cfg(), reps=reps, master_seed=seed)
     sampler, b_truth, exact = _sampler_and_exact_mean(plan)
     wishart = _stats(*_draw(sampler, seed, 0, reps))
-    rows = _stats(*_draw(RowSampler(plan.cfg, b_truth, plan.cfg.design()),
-                         seed, 0, reps))
+    rows = _stats(*_draw(RowSampler(plan.cfg, b_truth), seed, 0, reps))
     gap = np.abs(wishart.mean(axis=0) - rows.mean(axis=0)) / np.sqrt(
         (wishart.var(axis=0, ddof=1) + rows.var(axis=0, ddof=1)) / reps)
     assert gap.max() <= 4.0
@@ -499,7 +503,7 @@ def test_gaussian_sampler_edge_cases(case):
         # no response noise and q > p: the z-block of Omega has rank <= p
         cfg = _cfg(p=2, q=3, sigma_eps2=0.0)
     elif case == "n-p-below-p+q":
-        # n - p = 2 < p + q = 5: no Bartlett form, Y'Y from (n-p) x k normals
+        # n - p = 2 < p + q = 5: no Bartlett form, so the row sampler
         cfg = _cfg(n=4, p=2, q=3, sigma_psi2=1.0, sigma_delta2=0.01,
                    M=DesignRule(low=-0.5, high=0.5, seed=1848))
     else:
@@ -515,9 +519,10 @@ def test_gaussian_sampler_edge_cases(case):
     if case == "singular-omega":
         assert np.linalg.matrix_rank(_omega(cfg, b_truth)) < cfg.p + cfg.q
     elif case == "n-p-below-p+q":
-        assert cfg.n - cfg.p < cfg.p + cfg.q
-    np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
-                               atol=1e-12 * np.abs(exact).max())
+        assert cfg.n - cfg.p < cfg.p + cfg.q and isinstance(sampler, RowSampler)
+    if not isinstance(sampler, RowSampler):
+        np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
+                                   atol=1e-12 * np.abs(exact).max())
     draws = _stats(*_draw(sampler, plan.master_seed, 0, plan.reps))
     assert _mean_gap_se(draws, exact, cfg.p) <= 4.0
     summary = run_plan(plan)

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: estimate, simulate, law, adr, efficiency, verify.  One YAML
-configuration document drives every subcommand; command-line overrides are
-limited to the master seed, worker count and output directory, the sample
-size (not under `estimate`, which takes n from its data) and the replication
-count (under `simulate` and `verify`, the commands that replicate).  Every
-run writes a plain-text manifest with the configuration digest so outputs
-can be audited and reproduced.
+configuration document drives every subcommand.  Besides the worker count
+and output directory, the options set fields of that document before it is
+parsed: `--seed` the master seed, `--n` the sample size (not under
+`estimate`, which takes n from its data) and `--reps` both replication
+counts (under `simulate` and `verify`, the commands that replicate).  Every
+run writes a plain-text manifest with the digest of the document as run, so
+outputs can be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,18 +207,6 @@ def run_command(command: str, run: RunConfig, out_dir, workers: int = 1) -> int:
     return dispatch[command](run, out)
 
 
-def _apply_overrides(run: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        run = replace(run, simulation=replace(run.simulation,
-                                              master_seed=args.seed))
-    if getattr(args, "reps", None) is not None:
-        run = replace(run, simulation=replace(run.simulation, reps=args.reps),
-                      score_cov=replace(run.score_cov, reps=args.reps))
-    if getattr(args, "n", None) is not None:
-        run = replace(run, model=run.model.at_n(args.n))
-    return run
-
-
 def at_least(k: int):
     """argparse type of an integer option whose value must be at least `k`."""
     def integer(text: str) -> int:
@@ -265,8 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        run = load_config(args.config)
-        run = _apply_overrides(run, args)
+        reps = getattr(args, "reps", None)
+        options = {"simulation.master_seed": args.seed, "simulation.reps": reps,
+                   "score_cov.reps": reps, "model.n": getattr(args, "n", None)}
+        run = load_config(args.config).with_fields(
+            {name: v for name, v in options.items() if v is not None})
         if args.command == "estimate":
             return cmd_estimate(run, args.z, args.x, Outputs(args.out))
         return run_command(args.command, run, args.out, workers=args.workers)

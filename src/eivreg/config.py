@@ -106,7 +106,20 @@ class RunConfig:
     simulation: SimSettings
     score_cov: ScoreCovSettings
     risk: RiskSettings
-    digest: str
+    doc: dict  # the document parsed, not copied: change it through `with_fields`
+
+    @property
+    def digest(self) -> str:
+        return config_digest(self.doc)
+
+    def with_fields(self, values: dict) -> "RunConfig":
+        """The run of the document with each `'section.field'` of `values`
+        set, parsed afresh, so checked and digested like a file's."""
+        doc = dict(self.doc)
+        for name, value in values.items():
+            section, key = name.split(".")
+            doc[section] = {**doc.get(section, {}), key: value}
+        return self if doc == self.doc else parse_config(doc)
 
     def b_truth_seed(self) -> np.ndarray:
         if self.simulation.B_seed is not None:
@@ -215,7 +228,7 @@ def parse_config(doc: dict) -> RunConfig:
                           f"got {risk.scale_max}")
 
     run = RunConfig(model=model, restriction=restriction, simulation=sim,
-                    score_cov=score, risk=risk, digest=config_digest(doc))
+                    score_cov=score, risk=risk, doc=doc)
     with np.errstate(over="ignore", invalid="ignore"):  # the truth B's scale
         if not np.isfinite(np.sum(restriction.theta0 ** 2)):
             raise ConfigError("field 'restriction.theta0' is too large: "

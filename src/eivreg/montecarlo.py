@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
-from .exceptions import EivregError
+from .exceptions import ConfigError, EivregError
 from .linalg import AffineTransform, psd_factor, rvec, sym
 from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
 
@@ -83,7 +84,7 @@ class EmpiricalSummary:
             out[lbl] = self.errors[:, i * k:(i + 1) * k].mean(axis=0).reshape(self.p, self.q)
         return out
 
-    @property
+    @cached_property  # checked for overflow by `run_plan`
     def cov_empirical(self) -> np.ndarray:
         return np.atleast_2d(np.cov(self.errors.T))
 
@@ -92,7 +93,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """Run all replications; deterministic for a fixed plan at any worker count.
 
     Replications that fail a check of `estimate_batch` are excluded; more than
-    1% excluded is an error that quotes the first one's reason.
+    1% excluded is an error that quotes the first one's reason.  Scaled errors
+    whose losses or covariance overflow are a ConfigError: the truth B is too large.
     """
     n = plan.cfg.n
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
@@ -109,11 +111,19 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     dev = batch.estimates[keep] - b_truth
     errors = math.sqrt(n) * dev.reshape(len(dev), -1)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
-    losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
-    per_label = {lbl: losses[:, i].copy() for i, lbl in enumerate(plan.estimators)}
-    return EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
-                            errors=errors, per_rep_losses=per_label,
-                            excluded=batch.excluded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
+        per_label = {lbl: losses[:, i].copy() for i, lbl in enumerate(plan.estimators)}
+        summary = EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
+                                   errors=errors, per_rep_losses=per_label,
+                                   excluded=batch.excluded)
+        if not (np.isfinite(losses).all() and np.isfinite(summary.cov_empirical).all()):
+            raise ConfigError(
+                "fields 'simulation.B_seed', 'restriction.R1', 'restriction.R2', "
+                "'restriction.theta', 'restriction.theta0' and 'model.n' give a truth B "
+                "whose scaled errors overflow double precision in their losses or "
+                f"covariance at n = {n}")
+    return summary
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ configuration's master seed through fixed offsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +250,8 @@ def criterion_affine_limits(seed: int) -> CriterionResult:
 def criterion_reproducibility(run: RunConfig, out_dir: Path) -> CriterionResult:
     from . import cli  # deferred: cli imports this module
 
-    reduced = _reduced_config(run)
+    reduced = run.with_fields({"model.n": 400, "simulation.reps": 400, "score_cov.n": 400,
+                               "score_cov.reps": 400, "risk.grid": 5})
     base = Path(out_dir) / "repro"
     mismatches = []
     for cmd in ("law", "simulate", "adr", "efficiency"):
@@ -260,8 +261,7 @@ def criterion_reproducibility(run: RunConfig, out_dir: Path) -> CriterionResult:
         mismatches += _diff_trees(d1, d2)
     # gaussian plans never start the pool, so worker invariance is tested
     # where the row sampler's chunks are spread over processes
-    skewed = replace(reduced, model=replace(reduced.model,
-                                            error_family="shifted-exponential"))
+    skewed = reduced.with_fields({"model.error_family": "shifted-exponential"})
     for workers in (1, 2):
         cli.run_command("simulate", skewed, base / f"skewed_w{workers}",
                         workers=workers)
@@ -271,16 +271,6 @@ def criterion_reproducibility(run: RunConfig, out_dir: Path) -> CriterionResult:
               "2 workers with shifted-exponential errors"
               if ok else f"mismatched files: {sorted(set(mismatches))}")
     return CriterionResult(9, "reproducibility", ok, detail)
-
-
-def _reduced_config(run: RunConfig) -> RunConfig:
-    return replace(
-        run,
-        model=run.model.at_n(400),
-        simulation=replace(run.simulation, reps=400),
-        score_cov=replace(run.score_cov, n=400, reps=400),
-        risk=replace(run.risk, grid=5),
-    )
 
 
 def _diff_trees(a: Path, b: Path) -> list[str]:

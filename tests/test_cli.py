@@ -1,12 +1,14 @@
 """End-to-end CLI behaviour: exit codes, CSV formats, manifests, determinism."""
 
 import datetime
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,14 @@ from eivreg.csvio import read_matrix_csv, write_matrix_csv
 from eivreg.estimators import lse
 from eivreg.exceptions import ConfigError, EivregError
 from eivreg.model import generate, make_restricted_b
-from eivreg.config import load_config, parse_config
+from eivreg.config import config_digest, load_config, parse_config
+from eivreg.montecarlo import run_plan
 from eivreg.risk import adr_restricted, drift_direction
 from test_kernel import record_pools
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "default.yaml"
+WORKLOADS = ROOT / "perfbench" / "workloads"
 
 
 def _write_config(path, **model_overrides):
@@ -556,11 +561,51 @@ def test_simulate_outputs_identical_at_1_and_2_workers(tmp_path, monkeypatch,
         for w, out in enumerate(outs, start=1):
             assert cli.main(["simulate", "--config", str(path), "--out", str(out),
                              "--workers", str(w), "--reps", reps, *n]) == 0
-        names = sorted(f.name for f in outs[0].glob("*.csv"))
-        assert names and names == sorted(f.name for f in outs[1].glob("*.csv"))
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        _assert_same_csvs(*outs)
     assert opened == ([] if family == "gaussian" else [2, 2])
+
+
+def _assert_same_csvs(a, b):
+    """Directories `a` and `b` hold the same CSV files, at least one, byte for byte."""
+    names = sorted(f.name for f in a.glob("*.csv"))
+    assert names and names == sorted(f.name for f in b.glob("*.csv"))
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", [CONFIG, WORKLOADS / "wide.yaml",
+                                    WORKLOADS / "tall.yaml"],
+                         ids=["default", "wide", "tall"])
+def test_law_adr_efficiency_identical_across_reruns(tmp_path, config):
+    for command in ("law", "adr", "efficiency"):
+        runs = [tmp_path / command / run for run in ("a", "b")]
+        for out in runs:
+            assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert all((out / "manifest.txt").is_file() for out in runs)
+        _assert_same_csvs(*runs)
+
+
+@pytest.mark.parametrize("config", [CONFIG, WORKLOADS / "tall.yaml"],
+                         ids=["default", "tall"])
+def test_simulate_identical_at_1_and_2_workers_on_shipped_configs(tmp_path, config):
+    # tall's skewed errors draw through the process pool at 2 workers
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in enumerate(outs, start=1):
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                         "--workers", str(w)]) == 0
+    _assert_same_csvs(*outs)
+
+
+def test_sigma_delta2_at_ch_min_exits_2_on_default_config(tmp_path, capsys):
+    path = tmp_path / "delta.yaml"
+    path.write_text(CONFIG.read_text(encoding="utf-8").replace(
+        "sigma_delta2: 0.5", "sigma_delta2: 1.0e12"), encoding="utf-8")
+    assert "sigma_delta2: 1.0e12" in path.read_text(encoding="utf-8")
+    for command in ("law", "adr", "efficiency", "simulate", "verify"):
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'model.sigma_delta2'" in err and "Traceback" not in err
 
 
 def test_simulate_skips_law_comparison_for_non_limit_estimators(tmp_path):
@@ -623,6 +668,102 @@ def test_benchmark_arguments_are_accepted(tmp_path, command, workers):
                      if p.is_file() and p.name != "manifest.txt")
     manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
     assert f"output_paths={';'.join(written)}" in manifest
+
+
+def _manifest(out) -> dict:
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
+def test_options_are_digested_with_the_document(tmp_path, config_path):
+    # --reps and --n set fields of the document: the manifest digests the
+    # document as run, not the file
+    outs = [tmp_path / "file", tmp_path / "options"]
+    for out, options in zip(outs, ([], ["--reps", "64", "--n", "4000"])):
+        assert cli.main(["simulate", "--config", str(config_path), "--out", str(out),
+                         "--workers", "1", *options]) == 0
+    doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    digest = config_digest(doc)
+    doc["model"]["n"] = 4000
+    doc["simulation"]["reps"] = doc["score_cov"]["reps"] = 64
+    assert [_manifest(out)["config_digest"] for out in outs] == [digest,
+                                                                 config_digest(doc)]
+
+
+def _bench_workloads() -> dict:
+    """perfbench/run.py's table of the commands each workload runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "tall"])
+def test_benchmark_command_lines_digest_the_file(tmp_path, monkeypatch, workload):
+    # --seed equal to the file's master_seed, as perfbench/run.py passes it,
+    # leaves the document, and so the digest, as the file has them
+    monkeypatch.setattr(cli, "run_plan", lambda plan, workers=1: run_plan(
+        replace(plan, reps=64), workers=workers))  # the digest does not see reps
+    config = WORKLOADS / f"{workload}.yaml"
+    doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+    p, q = doc["model"]["p"], doc["model"]["q"]
+    data = 3.0 * np.random.default_rng(0).standard_normal((50, p + q))
+    write_matrix_csv(tmp_path / "x.csv", data[:, :p])
+    write_matrix_csv(tmp_path / "z.csv", data[:, p:])
+    for i, cmd in enumerate(_bench_workloads()[workload]):
+        out = tmp_path / str(i)
+        argv = [cmd.sub, "--config", str(config), "--out", str(out),
+                "--seed", str(doc["simulation"]["master_seed"]),
+                "--workers", str(cmd.workers)]
+        if cmd.sub == "estimate":
+            argv += ["--x", str(tmp_path / "x.csv"), "--z", str(tmp_path / "z.csv")]
+        assert cli.main(argv) == 0
+        assert _manifest(out)["config_digest"] == config_digest(doc)
+
+
+def _amplifying_config(path, n):
+    """configs/default.yaml at model.n = n with a restriction that scales the
+    truth B by about 1e155 / sqrt(n): B'B overflows below n = 30 or so."""
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    doc["model"]["n"] = n
+    doc["restriction"] = {"R1": [[1e-5, 0.0]], "R2": [[1.0], [0.0]],
+                          "theta": [[0.3]], "theta0": [[1e150]]}
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_n_option_checks_the_truth_b_as_the_file_does(tmp_path, capsys):
+    # pytest turns a RuntimeWarning into an error
+    errs = []
+    for name, n, options in (("file", 20, []), ("option", 1000, ["--n", "20"])):
+        config = _amplifying_config(tmp_path / f"{name}.yaml", n)
+        assert cli.main(["simulate", "--config", str(config), "--out",
+                         str(tmp_path / name), "--reps", "64", "--workers", "1",
+                         *options]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs == ["error: field 'simulation.B_seed' and the restriction give a "
+                    "truth B whose B'B overflows at n = 20\n"] * 2
+
+
+@pytest.mark.parametrize("n", [1000, 100])
+def test_overflowing_scaled_errors_exit_2(tmp_path, capsys, n):
+    # the truth B passes the B'B check at n; the restricted estimators' losses
+    # overflow, and at n = 100 the empirical covariance too.  verify meets
+    # them in criterion 2's replications
+    config = _amplifying_config(tmp_path / "c.yaml", n)
+    for command in ("simulate", "verify"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(config), "--out", str(out),
+                         "--reps", "64", "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: fields 'simulation.B_seed', 'restriction.R1', 'restriction.R2', "
+            "'restriction.theta', 'restriction.theta0' and 'model.n' give a truth B "
+            "whose scaled errors overflow double precision")
+        assert len(err.splitlines()) == 1
+        assert not list(out.rglob("*.csv"))
 
 
 def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
@@ -717,16 +858,20 @@ def _exit_code(argv):
         return exc.code
 
 
-# (command, options, exit code, a part of stderr); pytest names each case by
-# its position and its message, so a new case goes at the end and a reworded
-# message renames only its own case
+# (command, options, exit code, a part of stderr); pytest names a case
+# without an explicit id by its position and its message, so such a case goes
+# at the end and a reworded message renames only its own case.  An explicit id
+# is the command and the option or config name.
 EXIT_CASES = [
-    ("simulate", ["--workers", "0"], 2, "--workers"),
-    ("simulate", ["--workers", "-3"], 2, "--workers"),
-    ("law", ["--workers", "0"], 2, "--workers"),
-    ("simulate", ["--reps", "1", "--workers", "1"], 2,
-     "--reps: must be at least 2, got 1"),
-    ("simulate", ["--reps", "4", "--workers", "1"], 0, ""),
+    pytest.param("simulate", ["--workers", "0"], 2, "--workers",
+                 id="simulate-workers-0"),
+    pytest.param("simulate", ["--workers", "-3"], 2, "--workers",
+                 id="simulate-workers-neg"),
+    pytest.param("law", ["--workers", "0"], 2, "--workers", id="law-workers-0"),
+    pytest.param("simulate", ["--reps", "1", "--workers", "1"], 2,
+                 "--reps: must be at least 2, got 1", id="simulate-reps-1"),
+    pytest.param("simulate", ["--reps", "4", "--workers", "1"], 0, "",
+                 id="simulate-reps-4"),
     ("law", ["--out", "{tmp}/file/o"], 2, "file/o"),
     ("estimate", ["--z", "{tmp}/z_inf.csv", "--x", "{tmp}/x.csv"], 2,
      "z_inf.csv: row 3, column 2: non-finite value 'inf'"),
@@ -749,8 +894,8 @@ EXIT_CASES = [
      "field 'weight' must be a symmetric positive definite 2x2 matrix"),
     ("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"], 2,
      "field 'weight' must be a symmetric positive definite 2x2 matrix"),
-    ("simulate", ["--seed", "-10", "--workers", "1"], 2,
-     "--seed: must be at least 0, got -10"),
+    pytest.param("simulate", ["--seed", "-10", "--workers", "1"], 2,
+                 "--seed: must be at least 0, got -10", id="simulate-seed-neg"),
     ("law", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
      "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
     ("adr", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
@@ -801,10 +946,12 @@ EXIT_CASES = [
     ("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
      "field 'score_cov.reps' must be at least 2, got 0"),
     # options a command never reads are not accepted
-    ("law", ["--reps", "1"], 2, "unrecognized arguments: --reps 1"),
-    ("adr", ["--reps", "10"], 2, "unrecognized arguments: --reps 10"),
-    ("estimate", ["--n", "10", "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
-     "unrecognized arguments: --n 10"),
+    pytest.param("law", ["--reps", "1"], 2, "unrecognized arguments: --reps 1",
+                 id="law-reps-unrecognized"),
+    pytest.param("adr", ["--reps", "10"], 2, "unrecognized arguments: --reps 10",
+                 id="adr-reps-unrecognized"),
+    pytest.param("estimate", ["--n", "10", "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"],
+                 2, "unrecognized arguments: --n 10", id="estimate-n-unrecognized"),
     ("law", ["--config", "{tmp}/score_n_2.yaml"], 2,
      "field 'score_cov.n' must be at least 3, got 2"),
     ("estimate", ["--config", "{tmp}/score_n_2.yaml",
@@ -816,14 +963,14 @@ EXIT_CASES = [
        "field 'model.M' is too large: M'M overflows double precision")
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
     # an explicit design cannot be redrawn at score_cov.n
-    *[(cmd, ["--config", "{tmp}/m_explicit_50.yaml", "--workers", "1"], 2,
-       "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
-       "explicit matrix, got 400")
+    *[pytest.param(cmd, ["--config", "{tmp}/m_explicit_50.yaml", "--workers", "1"], 2,
+                   "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
+                   "explicit matrix, got 400", id=f"{cmd}-m_explicit_50")
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
-    ("estimate", ["--config", "{tmp}/m_explicit_50.yaml",
-                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
-     "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
-     "explicit matrix, got 400"),
+    pytest.param("estimate", ["--config", "{tmp}/m_explicit_50.yaml",
+                              "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+                 "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
+                 "explicit matrix, got 400", id="estimate-m_explicit_50"),
     *[(cmd, ["--config", "{tmp}/delta_huge.yaml", "--workers", "1", *data], 2,
        "field 'model.sigma_delta2' = 1000000000000.0 reaches ch_min(sigma)")
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
@@ -834,13 +981,14 @@ EXIT_CASES = [
     ("estimate", ["--config", "{tmp}/m_rank_1.yaml",
                   "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
      "field 'model.M' does not have full column rank"),
-    # an explicit design cannot be redrawn at another n
-    ("verify", ["--config", "{tmp}/m_explicit_400.yaml", "--workers", "1"], 2,
-     "field 'model.M' is an explicit matrix with 400 rows and cannot be "
-     "redrawn at n = 500"),
-    ("law", ["--config", "{tmp}/m_explicit_400.yaml", "--n", "60"], 2,
-     "field 'model.M' is an explicit matrix with 400 rows and cannot be "
-     "redrawn at n = 60"),
+    # an explicit design cannot be redrawn at another n: verify's criteria
+    # move the model, and --n sets model.n, which M's rows no longer match
+    pytest.param("verify", ["--config", "{tmp}/m_explicit_400.yaml", "--workers", "1"],
+                 2, "field 'model.M' is an explicit matrix with 400 rows and cannot "
+                 "be redrawn at n = 500", id="verify-m_explicit_400"),
+    pytest.param("law", ["--config", "{tmp}/m_explicit_400.yaml", "--n", "60"], 2,
+                 "field 'model.M' must be 60x2, got (400, 2)",
+                 id="law-m_explicit_400-n-60"),
     # an all-zero X without measurement error fails the attenuation check
     ("estimate", ["--config", "{tmp}/delta_0.yaml",
                   "--z", "{tmp}/z.csv", "--x", "{tmp}/x_zero.csv"], 3,
@@ -946,6 +1094,13 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
         for path in (tmp_path / "o").glob("*.csv"):
             cells = path.read_text(encoding="utf-8").replace("\n", ",").split(",")
             assert not {c.strip().lower() for c in cells} & {"nan", "inf", "-inf"}, path
+
+
+def test_option_exit_case_ids_are_unique():
+    # pytest would silently suffix a repeated id; pytest's own ids hold "extra"
+    ids = [case.id for case in EXIT_CASES if hasattr(case, "id")]
+    assert len(set(ids)) == len(ids)
+    assert not [i for i in ids if "extra" in i]
 
 
 @pytest.mark.parametrize("command", ["law", "simulate"])

@@ -118,19 +118,19 @@ def score_sample(cfg: ModelConfig, B: np.ndarray,
 
 
 def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
-                       seed: int) -> ScoreCov:
+                       seed: int, workers: int = 1) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
-    The replications are stream tag 1 of `model.draw_stats`.  The scores
-    are formed for all of them together, with the same arithmetic as
-    `score_sample`, and scaled by an exact power of two for the products:
-    that changes no bit, and only a result beyond double precision comes
-    back as inf.  The standard error needs at least two replications.
+    The replications are stream tag 1 of `model.draw_stats` on `workers`
+    threads.  The scores are formed for all of them together, with the same
+    arithmetic as `score_sample`, and scaled by an exact power of two for the
+    products: that changes no bit, and only a result beyond double precision
+    comes back as inf.  The standard error needs at least two replications.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     B = np.asarray(B, dtype=float)
-    xtx, xtz = draw_stats(cfg, B, seed, 1, reps)
+    xtx, xtz = draw_stats(cfg, B, seed, 1, reps, workers)
     p, q = cfg.p, cfg.q
     draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
     e = int(np.frexp(np.max(np.abs(draws)))[1])
@@ -180,7 +180,7 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
 
 def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
     """The run's model at its `score_cov.n` and the restricted truth B there."""
-    cfg = run.model.at_n(run.score_cov.n)
+    cfg = run.model.at_n(run.score_cov.n, "score_cov.n")
     return cfg, make_restricted_b(cfg, run.restriction, run.b_truth_seed())
 
 

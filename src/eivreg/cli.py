@@ -169,10 +169,7 @@ def cmd_efficiency(run: RunConfig, out: Outputs) -> int:
     pm, lam = law_inputs(run)
     report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
-    if run.risk.scale_max is not None:
-        scales = np.linspace(0.0, run.risk.scale_max, run.risk.grid)
-    else:
-        scales = report.scale_grid(run.risk.grid)
+    scales = report.scale_grid(run.risk.grid)
     rows = efficiency_curve(report, drift_direction(run.restriction), scales)
     out.write(write_rows_csv, "efficiency.csv", EFFICIENCY_HEADER,
               [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=at_least(0), help="override master seed")
         p.add_argument("--workers", type=at_least(1),
                        default=os.cpu_count() or 1,
-                       help="worker processes (default: machine parallelism)")
+                       help="worker threads (default: machine parallelism)")
 
     p_est = sub.add_parser("estimate", help="estimate from CSV data")
     common(p_est)

@@ -96,7 +96,6 @@ class RiskSettings:
     weight: np.ndarray  # the p x p loss weight W; "identity" in a file
     q0: str = "B2"
     grid: int = 21
-    scale_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,7 @@ def parse_config(doc: dict) -> RunConfig:
                 or eig_extremes(weight)[0] <= 0):
             raise ConfigError(f"field 'weight' must be a symmetric positive "
                               f"definite {p}x{p} matrix")
-    scale_max = ksec.pop("scale_max", None)
-    if scale_max is not None:
-        scale_max = _scalar("risk", "scale_max", scale_max, float)
-    risk = _settings(RiskSettings, ksec, "risk", weight=weight, scale_max=scale_max)
+    risk = _settings(RiskSettings, ksec, "risk", weight=weight)
     if risk.q0 not in NAMED_WEIGHTS:
         raise ConfigError(f"field 'q0' must be one of {', '.join(NAMED_WEIGHTS)}, "
                           f"got {risk.q0!r}")
@@ -223,9 +219,6 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(model.M, DesignRule) and score.n != model.n:
         raise ConfigError(f"field 'score_cov.n' must equal model.n = {model.n} "
                           f"when 'model.M' is an explicit matrix, got {score.n}")
-    if risk.scale_max is not None and risk.scale_max <= 0:
-        raise ConfigError(f"field 'risk.scale_max' must be positive, "
-                          f"got {risk.scale_max}")
 
     run = RunConfig(model=model, restriction=restriction, simulation=sim,
                     score_cov=score, risk=risk, doc=doc)

@@ -10,11 +10,11 @@ the same model at another sample size is ``cfg.at_n(n)``.
 
 Replication studies and the score-covariance Monte Carlo check need only the
 sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`,
-which holds the pool policy.  `stats_sampler` draws them from their exact law
-under gaussian errors at n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)'
-(R [I, B] + Q'G) + F A A' F' with M = QR and A Bartlett's factor), at a cost
-that does not depend on n, and from datasets drawn as `generate` draws them
-otherwise (`RowSampler`).
+which decides when they are drawn on a pool of threads.  `stats_sampler`
+draws them from their exact law under gaussian errors at n >= 2p + q
+(`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G) + F A A' F' with
+M = QR and A Bartlett's factor), at a cost that does not depend on n, and
+from datasets drawn as `generate` draws them otherwise (`RowSampler`).
 
 Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
 (BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -105,10 +105,11 @@ class ModelConfig:
     sigma_psi2: float
     error_family: str = "gaussian"
     M: np.ndarray | DesignRule = field(default_factory=DesignRule)
+    n_field: InitVar[str] = "model.n"  # the setting n is read from
     sigma: np.ndarray = field(init=False, repr=False, compare=False)
     mbar: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, n_field: str):
         for name, low in (("p", 1), ("q", 1), ("n", self.p + 1), ("sigma_eps2", 0),
                           ("sigma_delta2", 0), ("sigma_psi2", 0)):
             if getattr(self, name) < low:
@@ -123,7 +124,13 @@ class ModelConfig:
                 raise ConfigError(f"field 'model.M' must be {self.n}x{self.p}, "
                                   f"got {m.shape}")
             object.__setattr__(self, "M", m)
-        m = self.design()
+        try:
+            m = self.design()
+        except ConfigError:
+            raise
+        except (MemoryError, ValueError):  # numpy's "array is too big"
+            raise ConfigError(f"field '{n_field}' = {self.n} needs a {self.n}x{self.p} "
+                              "design M, more than memory holds") from None
         with np.errstate(over="ignore", invalid="ignore"):
             mtm = sym(m.T @ m)
             if not np.isfinite(mtm).all():
@@ -146,13 +153,14 @@ class ModelConfig:
         return (self.M.rows(self.n, self.p) if isinstance(self.M, DesignRule)
                 else self.M)
 
-    def at_n(self, n: int) -> "ModelConfig":
-        """The same model at sample size n, the one way to change it; an
-        explicit M is fixed at its own number of rows."""
+    def at_n(self, n: int, n_field: str = "model.n") -> "ModelConfig":
+        """The same model at sample size n, the one way to change it, read
+        from the setting `n_field`; an explicit M is fixed at its own number
+        of rows."""
         if n != self.n and not isinstance(self.M, DesignRule):
             raise ConfigError(f"field 'model.M' is an explicit matrix with "
                               f"{self.n} rows and cannot be redrawn at n = {n}")
-        return replace(self, n=n)
+        return replace(self, n=n, n_field=n_field)
 
 
 @dataclass(frozen=True)
@@ -363,20 +371,20 @@ def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
 
     Pool policy: with several workers, a non-gaussian draw of more than one
     block is split into ranges of whole blocks, about four per worker, one
-    pool task each.  Gaussian draws, exact or of a few rows at n < 2p + q,
-    cost less per replication than shipping it to a worker: they and single
-    blocks run in-process.  Ranges start on block boundaries, so the draws
-    do not depend on the workers.
+    task each on a pool of threads, which numpy's fills and products let run
+    at once.  Gaussian draws, exact or of a few rows at n < 2p + q, cost
+    less than a pool's start: they and single blocks run in the calling
+    thread.  Ranges start on block boundaries, so the draws do not depend on
+    the workers.
     """
     sampler = stats_sampler(cfg, B)
     if workers <= 1 or reps <= BLOCK or cfg.error_family == "gaussian":
         return sampler.draw(block_rngs(seed, tag, 0, reps), reps)
     step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
-    bounds = [(s, min(s + step, reps)) for s in range(0, reps, step)]
-    # imported here: only a pooled draw pays for multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(sampler.draw, list(block_rngs(seed, tag, lo, hi)),
-                               hi - lo) for lo, hi in bounds]
-        parts = [f.result() for f in futures]
+    # imported here: only a pooled draw pays for the pool
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda lo: sampler.draw(
+            block_rngs(seed, tag, lo, min(lo + step, reps)), min(step, reps - lo)),
+            range(0, reps, step)))
     return tuple(map(np.concatenate, zip(*parts)))

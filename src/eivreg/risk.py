@@ -34,7 +34,7 @@ import numpy as np
 
 from .asymptotics import (AsymptoticLaw, PopulationModel, constraint_gain,
                           limit_transform, score_q)
-from .exceptions import EivregError
+from .exceptions import ConfigError, EivregError
 from .linalg import eig_extremes, is_symmetric, kron, rvec
 from .model import Restriction
 
@@ -156,8 +156,13 @@ class DriftFreeReport:
         """The comparison at drift theta0: its bias cost, the restricted ADR,
         ||theta0||^2 against the thresholds, and the relative efficiency."""
         theta0 = np.asarray(theta0, dtype=float)
-        quad = float(rvec(theta0) @ self.bias_form @ rvec(theta0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = float(rvec(theta0) @ self.bias_form @ rvec(theta0))
         adr_re = self.adr_ue - self.variance_gain + quad
+        if not math.isfinite(adr_re):
+            raise ConfigError("fields 'restriction.R1', 'restriction.R2', "
+                              "'restriction.theta0' and 'risk.weight' give a drift "
+                              "whose bias cost overflows double precision")
         norm2 = float(np.sum(theta0 * theta0))
         if norm2 < self.lower_threshold:
             verdict = VERDICT_RE

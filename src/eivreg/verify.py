@@ -129,7 +129,7 @@ def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray
     # closed form the law is built from
     cfg, B = score_cov_model(run)
     mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps,
-                            seed=run.simulation.master_seed)
+                            seed=run.simulation.master_seed, workers=workers)
     diff = float(np.max(np.abs(mc.cov - lam)))
     score_gap = (diff / mc.standard_error if mc.standard_error > 0
                  else (math.inf if diff > 0 else 0.0))
@@ -260,7 +260,7 @@ def criterion_reproducibility(run: RunConfig, out_dir: Path) -> CriterionResult:
         cli.run_command(cmd, reduced, d2, workers=1)
         mismatches += _diff_trees(d1, d2)
     # gaussian plans never start the pool, so worker invariance is tested
-    # where the row sampler's chunks are spread over processes
+    # where the row sampler's chunks are spread over threads
     skewed = reduced.with_fields({"model.error_family": "shifted-exponential"})
     for workers in (1, 2):
         cli.run_command("simulate", skewed, base / f"skewed_w{workers}",

@@ -11,14 +11,16 @@ import csv
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from eivreg import cli
-from eivreg.asymptotics import law_inputs
+from eivreg import cli, verify
+from eivreg.asymptotics import estimate_score_cov, law_inputs
 from eivreg.config import parse_config
 from eivreg.verify import (criterion_efficiency_curve, criterion_law_agreement,
                            criterion_naive_bias)
+from test_kernel import record_pools
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
@@ -91,6 +93,33 @@ def test_law_agreement_names_an_overflowing_score_covariance():
     assert ("the Monte Carlo score covariance overflows double precision"
             in result.detail)
     assert _longest_digit_run(result.detail) <= 12, result.detail
+
+
+def test_law_agreement_draws_the_score_check_on_the_workers(monkeypatch):
+    # criterion 4's Monte Carlo score covariance of the row sampler draws on
+    # a pool at 2 workers, bit for bit as in the calling thread at 1
+    opened = record_pools(monkeypatch)
+    draws = []
+
+    def recording(*args, **kwargs):
+        before = len(opened)
+        mc = estimate_score_cov(*args, **kwargs)
+        draws.append((mc, opened[before:]))
+        return mc
+
+    monkeypatch.setattr(verify, "estimate_score_cov", recording)
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    doc["model"]["error_family"] = "shifted-exponential"
+    doc["simulation"]["reps"] = 200
+    doc["score_cov"]["reps"] = 300
+    run = parse_config(doc)
+    pm, lam = law_inputs(run)
+    for workers in (1, 2):
+        criterion_law_agreement(run, pm, lam, workers=workers)
+    (mc1, pools1), (mc2, pools2) = draws
+    assert (pools1, pools2) == ([], [2])
+    np.testing.assert_array_equal(mc1.cov, mc2.cov)
+    assert mc1.standard_error == mc2.standard_error
 
 
 def _longest_digit_run(detail: str) -> int:

@@ -4,6 +4,7 @@ import datetime
 import importlib.util
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from eivreg.exceptions import ConfigError, EivregError
 from eivreg.model import generate, make_restricted_b
 from eivreg.config import config_digest, load_config, parse_config
 from eivreg.montecarlo import run_plan
-from eivreg.risk import adr_restricted, drift_direction
+from eivreg.risk import adr_restricted
 from test_kernel import record_pools
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -387,15 +388,50 @@ def test_matrix_csv_row_template_matches_fmt(tmp_path):
     assert rows.read_bytes() == path.read_bytes()
 
 
+def _python(args, env_extra=None, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `args`, eivreg importable and the
+    variables of `env_extra` set, its output captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]),
+        **(env_extra or {})}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, **kwargs)
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only a run with more than one chunk needs concurrent.futures
     code = ("import sys, eivreg.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _python(["-c", code], check=True).stdout.strip() == "[]"
+
+
+def test_pooled_simulate_leaves_out_multiprocessing(tmp_path):
+    # the pool's workers are threads: a pooled draw starts no process
+    path = tmp_path / "c.yaml"
+    _write_config(path, error_family="shifted-exponential")
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+            "--workers", "2", "--reps", "200"]
+    code = (f"import sys; from eivreg import cli; code = cli.main({argv!r}); "
+            "print(code, 'concurrent.futures.thread' in sys.modules, "
+            "'multiprocessing' in sys.modules)")
+    assert _python(["-c", code], check=True).stdout.split() == ["0", "True", "False"]
+
+
+def _cap_address_space():
+    """Cap the address space at 4 GiB: a larger allocation then fails at once,
+    whatever the machine's overcommit policy."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_n_beyond_memory_exits_2_naming_the_field(tmp_path):
+    # the 10**10 x 2 design takes 160 GB; one BLAS thread keeps the child small
+    proc = _python(["-m", "eivreg.cli", "law", "--config", str(CONFIG),
+                    "--out", str(tmp_path / "o"), "--n", "10000000000"],
+                   preexec_fn=_cap_address_space,
+                   env_extra={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: field 'model.n' = 10000000000 needs a "
+                           "10000000000x2 design M, more than memory holds\n")
 
 
 def test_estimate_shape_mismatch_exit_2(tmp_path, capsys):
@@ -485,15 +521,6 @@ def _efficiency_rows(tmp_path, doc, direction):
     return rows
 
 
-def test_efficiency_scale_max_rows(tmp_path):
-    doc = _write_config(tmp_path / "cfg.yaml")
-    doc["risk"].update(scale_max=3.5, grid=8)
-    rows = _efficiency_rows(tmp_path, doc,
-                            drift_direction(parse_config(doc).restriction))
-    scales = np.linspace(0.0, 3.5, 8)
-    assert [row[0] for row in rows] == [csvio.fmt(s) for s in scales]
-
-
 def test_efficiency_sweeps_all_ones_direction_at_zero_drift(tmp_path):
     doc = _write_config(tmp_path / "cfg.yaml")
     doc["restriction"].update(R2=[[1.0, 0.0], [0.0, 1.0]], theta=[[0.3, 0.1]],
@@ -549,7 +576,7 @@ def test_simulate_writes_comparison(tmp_path, config_path):
                          ids=["skewed", "gaussian-below-2p+q"])
 def test_simulate_outputs_identical_at_1_and_2_workers(tmp_path, monkeypatch,
                                                        family, n):
-    # skewed errors draw through the process pool at 2 workers; gaussian
+    # skewed errors draw through the thread pool at 2 workers; gaussian
     # errors at n = 5 < 2p + q draw through the row sampler, in-process
     opened = record_pools(monkeypatch)
     path = tmp_path / "c.yaml"
@@ -588,7 +615,7 @@ def test_law_adr_efficiency_identical_across_reruns(tmp_path, config):
 @pytest.mark.parametrize("config", [CONFIG, WORKLOADS / "tall.yaml"],
                          ids=["default", "tall"])
 def test_simulate_identical_at_1_and_2_workers_on_shipped_configs(tmp_path, config):
-    # tall's skewed errors draw through the process pool at 2 workers
+    # tall's skewed errors draw through the thread pool at 2 workers
     outs = [tmp_path / f"w{w}" for w in (1, 2)]
     for w, out in enumerate(outs, start=1):
         assert cli.main(["simulate", "--config", str(config), "--out", str(out),
@@ -646,10 +673,11 @@ def test_seed_override_changes_outputs(tmp_path, config_path):
     assert same != (out_c / "cov_empirical.csv").read_bytes()
 
 
-# every subcommand, simulate at both worker counts perfbench/run.py uses
+# every subcommand, simulate at both worker counts perfbench/run.py uses, and
+# verify, whose criteria draw on the pool, at both too
 @pytest.mark.parametrize("command, workers", [
     ("simulate", 1), ("simulate", 2), ("law", 1), ("adr", 1),
-    ("efficiency", 1), ("estimate", 1), ("verify", 1)])
+    ("efficiency", 1), ("estimate", 1), ("verify", 1), ("verify", 2)])
 def test_benchmark_arguments_are_accepted(tmp_path, command, workers):
     # the arguments perfbench/run.py passes to every command it runs
     run = load_config(CONFIG)
@@ -667,6 +695,7 @@ def test_benchmark_arguments_are_accepted(tmp_path, command, workers):
     written = sorted(p.name for p in (tmp_path / "o").iterdir()
                      if p.is_file() and p.name != "manifest.txt")
     manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert f"command={command}" in manifest
     assert f"output_paths={';'.join(written)}" in manifest
 
 
@@ -766,6 +795,24 @@ def test_overflowing_scaled_errors_exit_2(tmp_path, capsys, n):
         assert not list(out.rglob("*.csv"))
 
 
+def test_adr_exits_2_on_an_overflowing_bias_cost(tmp_path, capsys):
+    # theta0' F theta0 overflows at the restriction's own drift, with no numpy
+    # warning on the way; the efficiency sweep's drifts stay finite
+    config = _amplifying_config(tmp_path / "c.yaml", 1000)
+    assert cli.main(["adr", "--config", str(config), "--out",
+                     str(tmp_path / "adr")]) == 2
+    assert capsys.readouterr().err == (
+        "error: fields 'restriction.R1', 'restriction.R2', 'restriction.theta0' "
+        "and 'risk.weight' give a drift whose bias cost overflows double precision\n")
+    assert not (tmp_path / "adr" / "adr.csv").exists()
+    assert cli.main(["efficiency", "--config", str(config), "--out",
+                     str(tmp_path / "eff")]) == 0
+    rows = (tmp_path / "eff" / "efficiency.csv").read_text().splitlines()[1:]
+    assert len(rows) == 21
+    assert all(math.isfinite(float(cell)) for row in rows
+               for cell in row.split(",")[:-1])
+
+
 def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
     out = tmp_path / "law"
     code = cli.main(["law", "--config", str(config_path), "--out", str(out),
@@ -782,7 +829,8 @@ def test_law_outputs_blocks_and_manifest(tmp_path, config_path):
 
 
 # configs that the exit-code rows below name, each one field (or, for a
-# section of None, one section) off the default
+# section of None, one section) off `_write_config`'s, or off
+# configs/default.yaml's for those in SHIPPED_BASE
 BAD_CONFIGS = {
     "theta_1x2": ("restriction", "theta", [[0.3, 0.1]]),
     "r1_3cols": ("restriction", "R1", [[1.0, -0.5, 0.2]]),
@@ -803,7 +851,7 @@ BAD_CONFIGS = {
         "theta": [[0.3, 0.3]], "theta0": [[0.9, 0.9]]}),
     "grid_0": ("risk", "grid", 0),
     "grid_neg": ("risk", "grid", -4),
-    "scale_max_neg": ("risk", "scale_max", -1.0),
+    "scale_max": ("risk", "scale_max", 3.5),
     "sim_reps_1": ("simulation", "reps", 1),
     "score_reps_0": ("score_cov", "reps", 0),
     "score_reps_1": ("score_cov", "reps", 1),
@@ -840,6 +888,7 @@ BAD_CONFIGS = {
     "section_misspelt": (None, "simulaton", {"reps": 10}),
     "section_date": (None, "notes", datetime.date(2026, 10, 20)),
     "estimators_lse": ("simulation", "estimators", ["LSE"]),
+    "score_n_2pow61": ("score_cov", "n", 2 ** 61),
     # M by 2^k and the three variances by 4^k: the score covariance, which
     # scales by 2^(4k), overflows from k = 255
     **{f"scaled_{k}": (None, "model", {
@@ -849,6 +898,8 @@ BAD_CONFIGS = {
         "M": {"kind": "uniform", "low": math.ldexp(-4.0, k),
               "high": math.ldexp(4.0, k), "seed": 1848}}) for k in (254, 255, 256)},
 }
+# the shipped configuration's variances near the top of double precision
+SHIPPED_BASE = {"delta_1e300", "psi_1e300", "eps_1e300"}
 
 
 def _exit_code(argv):
@@ -933,10 +984,11 @@ EXIT_CASES = [
      "field 'risk.grid' must be at least 2, got -4"),
     ("efficiency", ["--config", "{tmp}/grid_neg.yaml"], 2,
      "field 'risk.grid' must be at least 2, got -4"),
-    ("law", ["--config", "{tmp}/scale_max_neg.yaml"], 2,
-     "field 'risk.scale_max' must be positive, got -1.0"),
-    ("efficiency", ["--config", "{tmp}/scale_max_neg.yaml"], 2,
-     "field 'risk.scale_max' must be positive, got -1.0"),
+    # a field the risk section no longer has
+    pytest.param("law", ["--config", "{tmp}/scale_max.yaml"], 2,
+                 "unknown risk fields: ['scale_max']", id="law-scale_max"),
+    pytest.param("efficiency", ["--config", "{tmp}/scale_max.yaml"], 2,
+                 "unknown risk fields: ['scale_max']", id="efficiency-scale_max"),
     ("law", ["--config", "{tmp}/sim_reps_1.yaml"], 2,
      "field 'simulation.reps' must be at least 2, got 1"),
     ("simulate", ["--config", "{tmp}/sim_reps_1.yaml", "--workers", "1"], 2,
@@ -1059,6 +1111,16 @@ EXIT_CASES = [
        "overflows double precision")
       for k, code in ((254, 0), (255, 2), (256, 2))
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
+    # criterion 3's absolute 0.05 line fails with Z near the top of double precision
+    pytest.param("verify", ["--config", "{tmp}/eps_1e300.yaml", "--workers", "1"], 4,
+                 "", id="verify-eps_1e300"),
+    # a sample size whose design numpy cannot even shape
+    pytest.param("law", ["--n", str(2 ** 61)], 2,
+                 f"field 'model.n' = {2 ** 61} needs a {2 ** 61}x2 design M, "
+                 "more than memory holds", id="law-n-2pow61"),
+    pytest.param("law", ["--config", "{tmp}/score_n_2pow61.yaml"], 2,
+                 f"field 'score_cov.n' = {2 ** 61} needs a {2 ** 61}x2 design M, "
+                 "more than memory holds", id="law-score_n_2pow61"),
 ]
 
 
@@ -1081,7 +1143,8 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
         if f"{{tmp}}/{name}.yaml" not in extra:  # write only the one it reads
             continue
         path = tmp_path / f"{name}.yaml"
-        doc = _write_config(path)
+        doc = (yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+               if name in SHIPPED_BASE else _write_config(path))
         (doc if section is None else doc[section])[key] = value
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "o"),

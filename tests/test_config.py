@@ -139,11 +139,10 @@ def test_invalid_yaml_reports_config_error(tmp_path):
         load_config(path)
 
 
-def test_scale_max_and_matrix_weight_roundtrip():
+def test_matrix_weight_roundtrip():
     doc = {**DOC, "risk": {"weight": [[2.0, 0.1], [0.1, 1.0]], "q0": "B4",
-                           "grid": 9, "scale_max": 3.5}}
+                           "grid": 9}}
     run = parse_config(doc)
-    assert run.risk.scale_max == 3.5
     np.testing.assert_array_equal(run.risk.weight,
                                   [[2.0, 0.1], [0.1, 1.0]])
     np.testing.assert_array_equal(parse_config(DOC).risk.weight, np.eye(2))

@@ -1,10 +1,11 @@
 """The batched replication kernel against per-replication reference loops built
 from the public one-dataset functions, the exact gaussian sampler of the
 sufficient statistics against the row sampler, the score drawn through both,
-and which plans use the process pool."""
+and which plans use the thread pool."""
 
 import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -301,16 +302,16 @@ def test_score_draws_come_from_the_samplers(family, monkeypatch):
 
 
 def record_pools(monkeypatch) -> list:
-    """The max_workers of each process pool opened from now on."""
+    """The max_workers of each thread pool opened from now on."""
     opened = []
-    real = concurrent.futures.ProcessPoolExecutor
+    real = concurrent.futures.ThreadPoolExecutor
 
     class Recording(real):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return opened
 
 
@@ -329,6 +330,23 @@ def test_pool_only_for_row_sampler_plans(family, monkeypatch):
     for lbl in plan.estimators:
         np.testing.assert_array_equal(s1.per_rep_losses[lbl],
                                       s2.per_rep_losses[lbl])
+
+
+def test_pooled_draw_identical_with_threads_switching_often():
+    # more threads than most test machines have cores, switched as often as
+    # the interpreter allows: a pool task shares only read-only state
+    cfg = _cfg(error_family="scaled-t")
+    B = make_restricted_b(cfg, RESTR, B_SEED)
+    reps = 16 * BLOCK + 5
+    want = model.draw_stats(cfg, B, 7, 0, reps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = model.draw_stats(cfg, B, 7, 0, reps, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(want, got, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_design_materialized_once_per_plan(monkeypatch):

@@ -27,14 +27,17 @@ from .csvio import (open_output, read_matrix_csv, write_manifest,
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
 from .exceptions import ConfigError, EivregError
 from .montecarlo import compare_law, replication_plan, run_plan
-from .risk import (adr_restricted, dominance_report, drift_direction,
-                   efficiency_curve)
+from .risk import adr_restricted, dominance_report, efficiency_curve
 
 # the file each estimator of `estimate` is written to
 ESTIMATE_FILES = {"LSE": "b_lse.csv", "UE": "b1.csv",
                   **{lbl: f"{lbl.lower()}.csv" for lbl in NAMED_WEIGHTS}}
-EFFICIENCY_HEADER = ["scale", "theta0_norm2", "adr_ue", "adr_re",
-                     "relative_efficiency", "verdict"]
+# the report fields each row of adr.csv and efficiency.csv lists, in order
+ADR_FIELDS = ("adr_ue", "adr_re", "variance_gain", "bias_form_min",
+              "bias_form_max", "lower_threshold", "upper_threshold",
+              "theta0_norm2", "relative_efficiency", "verdict")
+EFFICIENCY_FIELDS = ("theta0_norm2", "adr_ue", "adr_re", "relative_efficiency",
+                     "verdict")
 
 
 class Outputs:
@@ -151,16 +154,8 @@ def cmd_adr(run: RunConfig, out: Outputs) -> int:
     for lbl in labels:
         rep = dominance_report(w, pm, lam, run.restriction,
                                named_weight_limit(pm, lbl))
-        rows.append([lbl, rep.adr_ue, rep.adr_re, rep.variance_gain,
-                     rep.bias_form_min, rep.bias_form_max,
-                     rep.lower_threshold, rep.upper_threshold,
-                     rep.theta0_norm2, rep.relative_efficiency, rep.verdict])
-    out.write(write_rows_csv, "adr.csv",
-              ["estimator", "adr_ue", "adr_re", "variance_gain",
-               "bias_form_min", "bias_form_max", "lower_threshold",
-               "upper_threshold", "theta0_norm2", "relative_efficiency",
-               "verdict"],
-              rows)
+        rows.append([lbl, *(getattr(rep, f) for f in ADR_FIELDS)])
+    out.write(write_rows_csv, "adr.csv", ["estimator", *ADR_FIELDS], rows)
     _finish(out, "adr", run)
     return 0
 
@@ -169,12 +164,9 @@ def cmd_efficiency(run: RunConfig, out: Outputs) -> int:
     pm, lam = law_inputs(run)
     report = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                             named_weight_limit(pm, run.risk.q0))
-    scales = report.scale_grid(run.risk.grid)
-    rows = efficiency_curve(report, drift_direction(run.restriction), scales)
-    out.write(write_rows_csv, "efficiency.csv", EFFICIENCY_HEADER,
-              [[float(s), r.theta0_norm2, r.adr_ue, r.adr_re,
-                r.relative_efficiency, r.verdict]
-               for s, r in zip(scales, rows)])
+    out.write(write_rows_csv, "efficiency.csv", ["scale", *EFFICIENCY_FIELDS],
+              [[s, *(getattr(r, f) for f in EFFICIENCY_FIELDS)]
+               for s, r in efficiency_curve(report, run.restriction, run.risk.grid)])
     _finish(out, "efficiency", run)
     return 0
 

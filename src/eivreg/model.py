@@ -274,6 +274,7 @@ class RowSampler:
     """X'X and X'Z of datasets drawn exactly as `generate` draws them, bit for
     bit, for a caller that needs only the sufficient statistics of many.
 
+    M is drawn once, when the sampler is made, and every `draw` shares it.
     Each `draw` allocates one set of n-row arrays for E, Delta, Psi and Z and
     every dataset overwrites it: D = M + Psi takes Psi's place and
     X = D + Delta takes Delta's, so a dataset allocates nothing of size n.
@@ -281,12 +282,15 @@ class RowSampler:
 
     cfg: ModelConfig
     B: np.ndarray
+    design: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "design", self.cfg.design())
 
     def draw(self, rngs: Iterable[np.random.Generator], reps: int
              ) -> tuple[np.ndarray, np.ndarray]:
         """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`."""
-        cfg = self.cfg
-        design = cfg.design()
+        cfg, design = self.cfg, self.design
         n, p = design.shape
         e, delta, psi, z = (np.empty((n, k)) for k in (cfg.q, p, p, cfg.q))
         xtx, xtz = np.empty((reps, p, p)), np.empty((reps, p, cfg.q))

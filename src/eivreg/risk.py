@@ -16,9 +16,9 @@ is claimed.
 Only the last term depends on the drift theta0.  `adr_restricted` computes
 every other term once per weight W and weight limit Q0, as a
 `DriftFreeReport`, and theta0 enters only through its `at` method, which
-gives the `ADRReport` at one drift.  `dominance_report` is the report at the
-restriction's own theta0; `efficiency_curve` places a sweep of drifts against
-one `DriftFreeReport`.
+gives the `ADRReport` (those terms and the drift's) at one drift.
+`dominance_report` is the report at the restriction's own theta0;
+`efficiency_curve` sweeps the drift along it against one `DriftFreeReport`.
 
 Every function that needs the score covariance takes it as the plain
 pq-by-pq array `lam` and reads q off it through `asymptotics.score_q`, so a
@@ -28,7 +28,7 @@ pq-by-pq array `lam` and reads q off it through `asymptotics.score_q`, so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,24 +122,6 @@ def bias_form(weight: np.ndarray, restr: Restriction, q0: np.ndarray) -> np.ndar
 
 
 @dataclass(frozen=True)
-class ADRReport:
-    """Risk comparison of the corrected estimator against one restricted one
-    at one drift theta0."""
-
-    adr_ue: float
-    adr_re: float
-    variance_gain: float
-    bias_form: np.ndarray
-    bias_form_min: float
-    bias_form_max: float
-    lower_threshold: float
-    upper_threshold: float
-    theta0_norm2: float
-    verdict: str
-    relative_efficiency: float
-
-
-@dataclass(frozen=True)
 class DriftFreeReport:
     """The terms of the risk comparison that do not depend on the drift
     theta0, for one weight W and weight limit Q0."""
@@ -170,15 +152,21 @@ class DriftFreeReport:
             verdict = VERDICT_UE
         else:
             verdict = VERDICT_BAND
+        drift_free = {f.name: getattr(self, f.name) for f in fields(DriftFreeReport)}
         return ADRReport(
-            **vars(self), adr_re=adr_re, theta0_norm2=norm2, verdict=verdict,
+            **drift_free, adr_re=adr_re, theta0_norm2=norm2, verdict=verdict,
             relative_efficiency=(self.adr_ue / adr_re if adr_re > 0 else math.inf))
 
-    def scale_grid(self, points: int) -> np.ndarray:
-        """`points` drift scales whose squares are evenly spaced from 0 to
-        twice the upper threshold (to 2 when that threshold is infinite)."""
-        top = self.upper_threshold if math.isfinite(self.upper_threshold) else 1.0
-        return np.sqrt(np.linspace(0.0, 2.0 * top, points))
+
+@dataclass(frozen=True)
+class ADRReport(DriftFreeReport):
+    """Risk comparison of the corrected estimator against one restricted one
+    at one drift theta0."""
+
+    adr_re: float
+    theta0_norm2: float
+    verdict: str
+    relative_efficiency: float
 
 
 def adr_restricted(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
@@ -206,21 +194,21 @@ def dominance_report(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
     return adr_restricted(weight, pm, lam, restr, q0).at(restr.theta0)
 
 
-def drift_direction(restr: Restriction) -> np.ndarray:
-    """Unit-Frobenius direction of the restriction's theta0, or of a matrix of
-    ones when theta0 = 0, along which efficiency sweeps run."""
-    theta0 = restr.theta0
-    if np.linalg.norm(theta0) == 0:
-        theta0 = np.ones_like(restr.theta)
-    return theta0 / np.linalg.norm(theta0)
-
-
-def efficiency_curve(report: DriftFreeReport, direction: np.ndarray,
-                     scales) -> list[ADRReport]:
-    """The comparison at theta0 = scale * direction for each of `scales`,
-    along a unit-Frobenius direction, from one `DriftFreeReport`."""
-    direction = np.asarray(direction, dtype=float)
-    nrm = np.linalg.norm(direction)
-    if not math.isclose(nrm, 1.0, rel_tol=1e-8):
-        raise ValueError(f"direction must have unit Frobenius norm, got {nrm}")
-    return [report.at(float(s) * direction) for s in scales]
+def efficiency_curve(report: DriftFreeReport, restr: Restriction,
+                     points: int) -> list[tuple[float, ADRReport]]:
+    """Each of `points` drift scales with the comparison at theta0 = scale *
+    direction, from one `DriftFreeReport`.  The direction is the
+    restriction's theta0, or a matrix of ones when theta0 = 0, at unit
+    Frobenius norm.  The squared scales run evenly from 0 to twice the upper
+    threshold, or to 2 when that threshold is infinite or not positive (a
+    loss weight can make the variance gain negative)."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(restr.theta0)
+    if not math.isfinite(nrm):
+        raise ValueError("theta0 is too large: its Frobenius norm overflows "
+                         "double precision")
+    theta0 = restr.theta0 if nrm > 0 else np.ones_like(restr.theta)
+    direction = theta0 / np.linalg.norm(theta0)
+    top = report.upper_threshold if 0 < report.upper_threshold < math.inf else 1.0
+    return [(float(s), report.at(float(s) * direction))
+            for s in np.sqrt(np.linspace(0.0, 2.0 * top, points))]

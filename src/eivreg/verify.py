@@ -23,7 +23,7 @@ from .model import Restriction, generate, make_restricted_b
 from .montecarlo import (SimulationPlan, affine_limit_suite, compare_law,
                          replication_plan, run_plan)
 from .risk import (adr_from_law, adr_restricted, dominance_report,
-                   drift_direction, efficiency_curve)
+                   efficiency_curve)
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,18 @@ def criterion_efficiency_curve(run: RunConfig, pm: PopulationModel,
                                lam: np.ndarray) -> CriterionResult:
     base = adr_restricted(run.risk.weight, pm, lam, run.restriction,
                           named_weight_limit(pm, run.risk.q0))
-    rows = efficiency_curve(base, drift_direction(run.restriction),
-                            base.scale_grid(max(run.risk.grid, 5)))
-    rel = [r.relative_efficiency for r in rows]
-    norm2 = [r.theta0_norm2 for r in rows]
+    curve = efficiency_curve(base, run.restriction, max(run.risk.grid, 5))
+    rel = [r.relative_efficiency for _, r in curve]
+    norm2 = [r.theta0_norm2 for _, r in curve]
     starts_above = rel[0] >= 1.0
     decreasing = all(b < a for a, b in zip(rel, rel[1:]))
-    crossing_ok = False
-    for i in range(len(rows) - 1):
-        if (rel[i] - 1.0) >= 0.0 > (rel[i + 1] - 1.0):
-            lo, hi = norm2[i], norm2[i + 1]
-            # the band can degenerate to a point (rank-one bias form); allow
-            # float roundoff at the boundary
-            eps = 1e-9 * (1.0 + base.upper_threshold)
-            crossing_ok = (hi >= base.lower_threshold - eps
-                           and lo <= base.upper_threshold + eps)
-            break
+    # the first crossing of 1; the band can degenerate to a point (rank-one
+    # bias form), so allow float roundoff at the boundary
+    eps = 1e-9 * (1.0 + base.upper_threshold)
+    crossing_ok = next((norm2[i + 1] >= base.lower_threshold - eps
+                        and norm2[i] <= base.upper_threshold + eps
+                        for i in range(len(rel) - 1) if rel[i] >= 1.0 > rel[i + 1]),
+                       False)
     ok = starts_above and decreasing and crossing_ok
     return CriterionResult(
         7, "efficiency curve shape", ok,

@@ -2,6 +2,7 @@
 joint law — including the Monte Carlo validation of the stacking and
 score conventions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -161,6 +162,73 @@ def test_monte_carlo_check_detects_each_moment_term():
     for name in ("gamma1", "gamma2"):
         dropped = cf - terms[name]
         assert np.max(np.abs(dropped - mc.cov)) > 8.0 * mc.standard_error, name
+
+
+# the fifth moment of each family's standardized draw: with the first four it
+# fixes a three-point law, and L depends only on the first four
+FIFTH_MOMENT = {"gaussian": 0.0, "shifted-exponential": 44.0, "scaled-t": 0.0}
+
+
+def _three_point_law(family):
+    """Nodes and weights of the law on three points whose moments of order 0
+    to 5 are the family's 1, 0, 1, g1, 3 + g2 and mu5: the nodes are the
+    roots of the orthogonal cubic of those moments (Gauss quadrature)."""
+    g1, g2 = ERROR_FAMILIES[family]
+    mu = np.array([1.0, 0.0, 1.0, g1, 3.0 + g2, FIFTH_MOMENT[family]])
+    hankel = np.array([mu[k:k + 3] for k in range(3)])
+    c0, c1, c2 = np.linalg.solve(hankel, -mu[3:])
+    roots = np.roots([1.0, c2, c1, c0])
+    assert np.all(np.abs(roots.imag) < 1e-12)
+    nodes = np.sort(roots.real)
+    weights = np.linalg.solve(np.vander(nodes, increasing=True).T, mu[:3])
+    return nodes, weights
+
+
+def _enumerated_score_cov(cfg, B):
+    """(1/n) times the sum over design rows of the covariance of rvec(x_i'
+    u_i), u_i = e_i - B' delta_i, with each of the q + 2p standardized entries
+    of (e_i, delta_i, psi_i) drawn from the three-point law: all 3^(q+2p)
+    points enumerated, no sampling."""
+    p, q = cfg.p, cfg.q
+    nodes, weights = _three_point_law(cfg.error_family)
+    index = np.array(list(itertools.product(range(3), repeat=q + 2 * p)))
+    w = np.prod(weights[index], axis=1)
+    e, delta, psi = np.split(nodes[index], [q, q + p], axis=1)
+    u = math.sqrt(cfg.sigma_eps2) * e - math.sqrt(cfg.sigma_delta2) * delta @ B
+    x = cfg.design()[:, None, :] + (math.sqrt(cfg.sigma_psi2) * psi
+                                    + math.sqrt(cfg.sigma_delta2) * delta)
+    s = (x[:, :, :, None] * u[:, None, :]).reshape(cfg.n, len(w), p * q)
+    s -= np.einsum("k,nkj->nj", w, s)[:, None, :]
+    return np.einsum("k,nki,nkj->ij", w, s, s) / cfg.n
+
+
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+def test_three_point_law_has_the_family_moments(family):
+    nodes, weights = _three_point_law(family)
+    g1, g2 = ERROR_FAMILIES[family]
+    assert np.all(weights > 0)
+    np.testing.assert_allclose(
+        [weights @ nodes ** k for k in range(6)],
+        [1.0, 0.0, 1.0, g1, 3.0 + g2, FIFTH_MOMENT[family]], rtol=1e-12,
+        atol=1e-12)
+    if family == "gaussian":  # the Gauss-Hermite rule
+        np.testing.assert_allclose(nodes, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)],
+                                   atol=1e-15)
+        np.testing.assert_allclose(weights, [1 / 6, 2 / 3, 1 / 6], rtol=1e-14)
+
+
+@pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
+@pytest.mark.parametrize("low, high", [(-4.0, 4.0), (0.0, 8.0)])
+def test_closed_form_score_cov_matches_exact_enumeration(family, low, high):
+    # an exact oracle: every term of L, the skewness one on the uncentred
+    # design included, to rounding
+    cfg = ModelConfig(n=50, p=2, q=2, sigma_eps2=2.0, sigma_delta2=0.5,
+                      sigma_psi2=0.5, error_family=family,
+                      M=DesignRule(low=low, high=high, seed=1848))
+    B = np.array([[1.6, 0.8], [-0.5, 1.3]])
+    exact = _enumerated_score_cov(cfg, B)
+    gap = np.linalg.norm(closed_form_score_cov(cfg, B) - exact)
+    assert gap <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_law_inputs_use_the_closed_form(monkeypatch):

@@ -23,7 +23,7 @@ from eivreg.asymptotics import law_inputs, named_weight_limit
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
 from eivreg.estimators import lse
 from eivreg.exceptions import ConfigError, EivregError
-from eivreg.model import generate, make_restricted_b
+from eivreg.model import DesignRule, generate, make_restricted_b
 from eivreg.config import config_digest, load_config, parse_config
 from eivreg.montecarlo import run_plan
 from eivreg.risk import adr_restricted
@@ -415,6 +415,26 @@ def test_pooled_simulate_leaves_out_multiprocessing(tmp_path):
             "print(code, 'concurrent.futures.thread' in sys.modules, "
             "'multiprocessing' in sys.modules)")
     assert _python(["-c", code], check=True).stdout.split() == ["0", "True", "False"]
+
+
+def test_pooled_simulate_draws_the_design_as_often_as_one_worker(tmp_path,
+                                                                monkeypatch):
+    # the row sampler draws M once and its pool tasks share it
+    path = tmp_path / "c.yaml"
+    _write_config(path, error_family="shifted-exponential")
+    rows = DesignRule.rows
+    calls, opened = [], record_pools(monkeypatch)
+    monkeypatch.setattr(DesignRule, "rows",
+                        lambda self, n, p: calls.append(n) or rows(self, n, p))
+    counts = []
+    for workers in (1, 2):
+        calls.clear()
+        assert cli.main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / str(workers)), "--workers", str(workers),
+                         "--reps", "256"]) == 0
+        counts.append(len(calls))
+    assert opened == [2]
+    assert counts[0] == counts[1]
 
 
 def _cap_address_space():
@@ -939,8 +959,9 @@ EXIT_CASES = [
      "got (1, 3) and (2, 1)"),
     ("adr", ["--config", "{tmp}/r1_rank.yaml"], 2,
      "restriction: R1 must have full row rank"),
-    ("efficiency", ["--config", "{tmp}/q0_b9.yaml"], 2,
-     "field 'q0' must be one of B2, B3, B4, got 'B9'"),
+    pytest.param("efficiency", ["--config", "{tmp}/q0_b9.yaml"], 2,
+                 "field 'q0' must be one of B2, B3, B4, got 'B9'",
+                 id="efficiency-q0_b9"),
     ("adr", ["--config", "{tmp}/weight_asym.yaml"], 2,
      "field 'weight' must be a symmetric positive definite 2x2 matrix"),
     ("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"], 2,
@@ -1011,8 +1032,9 @@ EXIT_CASES = [
      "field 'score_cov.n' must be at least 3, got 2"),
     # the design and sigma_delta2 against it are checked when the
     # configuration is read, with no numpy warning on the way
-    *[(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,
-       "field 'model.M' is too large: M'M overflows double precision")
+    *[pytest.param(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,
+                   "field 'model.M' is too large: M'M overflows double precision",
+                   id=f"{cmd}-m_huge")
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
     # an explicit design cannot be redrawn at score_cov.n
     *[pytest.param(cmd, ["--config", "{tmp}/m_explicit_50.yaml", "--workers", "1"], 2,
@@ -1088,7 +1110,8 @@ EXIT_CASES = [
       for cmd, data in (("law", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
     # rejected when the configuration is read, with no numpy warning on the way
-    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", "--workers", "1"], 2, message)
+    *[pytest.param(cmd, ["--config", f"{{tmp}}/{name}.yaml", "--workers", "1"], 2,
+                   message, id=f"{cmd}-{name}")
       for name, message in (
           ("theta0_1e300", "field 'restriction.theta0' is too large: "
                            "||theta0||^2 overflows double precision"),
@@ -1101,14 +1124,14 @@ EXIT_CASES = [
           ("section_date", "unknown sections: ['notes']"))
       for cmd, data in (("law", []), ("simulate", ["--workers", "1"]),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
-    ("law", ["--config", "{tmp}/estimators_lse.yaml"], 2,
-     "no law-compatible estimators configured"),
+    pytest.param("law", ["--config", "{tmp}/estimators_lse.yaml"], 2,
+                 "no law-compatible estimators configured", id="law-estimators_lse"),
     # the joint scale's edge: exit 0 with finite CSVs below, exit 2 above
-    *[(cmd, ["--config", f"{{tmp}}/scaled_{k}.yaml", "--workers", "1"], code,
-       "" if code == 0 else
-       "fields 'model.M', 'model.sigma_eps2', 'model.sigma_delta2', "
-       "'model.sigma_psi2' and 'score_cov.n' give a score covariance that "
-       "overflows double precision")
+    *[pytest.param(cmd, ["--config", f"{{tmp}}/scaled_{k}.yaml", "--workers", "1"],
+                   code, "" if code == 0 else
+                   "fields 'model.M', 'model.sigma_eps2', 'model.sigma_delta2', "
+                   "'model.sigma_psi2' and 'score_cov.n' give a score covariance "
+                   "that overflows double precision", id=f"{cmd}-scaled_{k}")
       for k, code in ((254, 0), (255, 2), (256, 2))
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
     # criterion 3's absolute 0.05 line fails with Z near the top of double precision

@@ -1,11 +1,13 @@
 """Risk algebra: ADR values, the variance-gain / bias-cost decomposition,
 dominance thresholds, and efficiency sweeps."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from eivreg import cli
 from eivreg.asymptotics import (AsymptoticLaw, PopulationModel, joint_law,
@@ -18,8 +20,11 @@ from eivreg.risk import (VERDICT_BAND, VERDICT_RE, VERDICT_UE, adr_from_law,
                          adr_restricted, adr_unrestricted, bias_form,
                          dominance_report, efficiency_curve,
                          variance_gain_compact, variance_gain_terms)
+from eivreg.verify import criterion_efficiency_curve
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "default.yaml"
+WIDE = ROOT / "perfbench" / "workloads" / "wide.yaml"
 
 
 def _pd(k, g, ridge=0.3):
@@ -227,13 +232,11 @@ def test_compact_gain_arrangement_matches_first_trace():
 
 def test_risk_path_does_not_evaluate_the_compact_arrangement(monkeypatch):
     _, pm, restr, sc, q0, w = _rand_setup(3)
-    direction = restr.theta0 / np.linalg.norm(restr.theta0)
-    scales = [0.0, 0.5, 1.0, 2.0]
 
     def outputs():
         return (dominance_report(w, pm, sc, restr, q0),
-                efficiency_curve(adr_restricted(w, pm, sc, restr, q0),
-                                 direction, scales))
+                [r for _, r in efficiency_curve(
+                    adr_restricted(w, pm, sc, restr, q0), restr, 4)])
 
     report, rows = outputs()
 
@@ -257,9 +260,9 @@ def test_efficiency_curve_builds_the_drift_free_terms_once(monkeypatch, tmp_path
         calls.append(args)
         return variance_gain_terms(*args)
 
-    def recorded(report, direction, scales):
-        rows = efficiency_curve(report, direction, scales)
-        curves.append((direction, scales, rows))
+    def recorded(report, restr, points):
+        rows = efficiency_curve(report, restr, points)
+        curves.append(rows)
         return rows
 
     monkeypatch.setattr("eivreg.risk.variance_gain_terms", counted)
@@ -267,12 +270,13 @@ def test_efficiency_curve_builds_the_drift_free_terms_once(monkeypatch, tmp_path
     assert cli.main(["efficiency", "--config", str(CONFIG), "--out",
                      str(tmp_path / "eff"), "--workers", "1"]) == 0
     assert len(calls) == 1
-    (direction, scales, rows), = curves
+    rows, = curves
     assert len(rows) == run.risk.grid
     # each row is, bit for bit, the report at that drift computed on its own
     pm, sc = law_inputs(run)
     q0 = named_weight_limit(pm, run.risk.q0)
-    for s, row in zip(scales, rows):
+    direction = run.restriction.theta0 / np.linalg.norm(run.restriction.theta0)
+    for s, row in rows:
         alone = dominance_report(run.risk.weight, pm, sc,
                                  run.restriction.with_theta0(s * direction), q0)
         for field in vars(alone):
@@ -297,10 +301,8 @@ def test_weight_scale_equivariance():
 def test_efficiency_curve_shape():
     _, pm, restr, sc, q0, _ = _rand_setup(9)
     w = q0.copy()  # aligned weight keeps the gain positive
-    direction = restr.theta0 / np.linalg.norm(restr.theta0)
     base = adr_restricted(w, pm, sc, restr, q0)
-    scales = base.scale_grid(15)
-    rows = efficiency_curve(base, direction, scales)
+    rows = [r for _, r in efficiency_curve(base, restr, 15)]
     assert rows[0].relative_efficiency >= 1.0
     rel = [r.relative_efficiency for r in rows]
     assert all(b < a for a, b in zip(rel, rel[1:]))
@@ -315,11 +317,77 @@ def test_efficiency_curve_shape():
     assert rows[i].theta0_norm2 <= base.upper_threshold + eps
 
 
-def test_efficiency_curve_requires_unit_direction():
+def test_efficiency_curve_rejects_an_overflowing_theta0():
+    # parse_config rejects this theta0; a library caller gets a ValueError
+    # naming it, not a sweep of zero drifts
     _, pm, restr, sc, q0, w = _rand_setup(10)
-    with pytest.raises(Exception):
-        efficiency_curve(adr_restricted(w, pm, sc, restr, q0),
-                         2.0 * restr.theta0, [0.0, 1.0])
+    base = adr_restricted(w, pm, sc, restr, q0)
+    huge = restr.with_theta0(np.full(restr.theta.shape, 1e300))
+    with pytest.raises(ValueError, match="theta0"):
+        efficiency_curve(base, huge, 5)
+
+
+def test_efficiency_curve_grid_without_a_positive_upper_threshold():
+    # squared scales run to twice the upper threshold when it is positive
+    # and finite, and to 2 otherwise, along theta0 at unit norm
+    _, pm, restr, sc, q0, w = _rand_setup(9)
+    base = adr_restricted(w, pm, sc, restr, q0)
+    unit = restr.theta0 / np.linalg.norm(restr.theta0)
+    for upper, top in ((base.upper_threshold, 2 * base.upper_threshold),
+                       (math.inf, 2.0), (-0.5, 2.0), (0.0, 2.0)):
+        report = dataclasses.replace(base, upper_threshold=upper)
+        curve = efficiency_curve(report, restr, 5)
+        assert [s for s, _ in curve] == pytest.approx(
+            np.sqrt(np.linspace(0.0, top, 5)), rel=1e-15)
+        for s, row in curve:
+            assert row.theta0_norm2 == pytest.approx(s * s, rel=1e-12)
+            np.testing.assert_array_equal(row.adr_re, report.at(s * unit).adr_re)
+
+
+def _negative_gain_config(path):
+    """wide.yaml with the loss weight v v' + 1e-3 I, v the unit eigenvector
+    of the least eigenvalue of the q-partial trace of S_UE - S_B2, where every
+    restricted estimator's variance gain is negative."""
+    run = load_config(WIDE)
+    p, q = run.model.p, run.model.q
+    law = joint_law(*law_inputs(run), run.restriction)
+    diff = law.block("UE", "UE") - law.block("B2", "B2")
+    values, vectors = np.linalg.eigh(np.trace(diff.reshape(p, q, p, q),
+                                              axis1=1, axis2=3))
+    assert values[0] < 0
+    doc = yaml.safe_load(WIDE.read_text(encoding="utf-8"))
+    v = vectors[:, 0]
+    doc["risk"]["weight"] = (np.outer(v, v) + 1e-3 * np.eye(p)).tolist()
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_negative_variance_gain_sweeps_to_two(tmp_path):
+    # both thresholds are negative, so the grid cannot reach twice the upper
+    # one: it runs to 2, and the restricted estimator loses at every drift
+    config = _negative_gain_config(tmp_path / "c.yaml")
+    for command in ("adr", "efficiency"):
+        assert cli.main([command, "--config", str(config), "--out",
+                         str(tmp_path / command), "--workers", "1"]) == 0
+    adr = _csv_rows(tmp_path / "adr" / "adr.csv")
+    assert [r["estimator"] for r in adr] == ["B2", "B3", "B4"]
+    assert all(float(r["variance_gain"]) < 0 and float(r["upper_threshold"]) < 0
+               for r in adr)
+    curve = _csv_rows(tmp_path / "efficiency" / "efficiency.csv")
+    assert len(curve) == 41
+    assert float(curve[-1]["scale"]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert all(float(r["relative_efficiency"]) < 1.0 for r in curve)
+    assert {r["verdict"] for r in adr + curve} == {VERDICT_UE}
+    # criterion 7 fails on the curve rather than on the grid
+    run = load_config(config)
+    result = criterion_efficiency_curve(run, *law_inputs(run))
+    assert not result.passed
+    assert result.detail.startswith("rel-eff at 0: 0.998 (>=1)")
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
 def test_dominance_with_model_population():

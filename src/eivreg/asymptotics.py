@@ -181,7 +181,7 @@ def closed_form_score_cov(cfg: ModelConfig, B: np.ndarray) -> np.ndarray:
 def score_cov_model(run: RunConfig) -> tuple[ModelConfig, np.ndarray]:
     """The run's model at its `score_cov.n` and the restricted truth B there."""
     cfg = run.model.at_n(run.score_cov.n, "score_cov.n")
-    return cfg, make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+    return cfg, make_restricted_b(cfg, run.restriction, run.simulation.B_seed)
 
 
 def law_inputs(run: RunConfig) -> tuple[PopulationModel, np.ndarray]:

@@ -26,7 +26,6 @@ from .csvio import (open_output, read_matrix_csv, write_manifest,
                     write_matrix_csv, write_rows_csv)
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all
 from .exceptions import ConfigError, EivregError
-from .montecarlo import compare_law, replication_plan, run_plan
 from .risk import adr_restricted, dominance_report, efficiency_curve
 
 # the file each estimator of `estimate` is written to
@@ -113,14 +112,15 @@ def cmd_law(run: RunConfig, out: Outputs) -> int:
 
 
 def cmd_simulate(run: RunConfig, out: Outputs, workers: int = 1) -> int:
+    from .montecarlo import compare_law, replication_plan, run_plan
+
     pm, lam = law_inputs(run)  # before drawing: a bad config fails at once
     summary = run_plan(replication_plan(run, run.simulation.estimators),
                        workers=workers)
     for lbl, mat in summary.mean_errors.items():
         out.write(write_matrix_csv, f"mean_error_{lbl}.csv", mat)
     out.write(write_matrix_csv, "cov_empirical.csv", summary.cov_empirical)
-    out.write(write_matrix_csv, "losses.csv", np.column_stack(
-        [summary.per_rep_losses[lbl] for lbl in summary.labels]), summary.labels)
+    out.write(write_matrix_csv, "losses.csv", summary.losses, summary.labels)
     verdict_lines = [f"replications={summary.rep_count}",
                      f"excluded={len(summary.excluded)}"]
     if all(lbl in LAW_LABELS for lbl in summary.labels):

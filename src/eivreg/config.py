@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -81,7 +81,7 @@ def _settings(cls, sec: dict, section: str, **resolved):
 class SimSettings:
     master_seed: int = 20260810
     reps: int = 5000
-    B_seed: np.ndarray | None = None
+    B_seed: np.ndarray | None = None  # p x q: parse_config draws it when absent
     estimators: tuple[str, ...] = LAW_LABELS
 
 
@@ -119,13 +119,6 @@ class RunConfig:
             section, key = name.split(".")
             doc[section] = {**doc.get(section, {}), key: value}
         return self if doc == self.doc else parse_config(doc)
-
-    def b_truth_seed(self) -> np.ndarray:
-        if self.simulation.B_seed is not None:
-            return self.simulation.B_seed
-        p, q = self.model.p, self.model.q
-        g = np.random.default_rng(self.simulation.master_seed)
-        return g.uniform(-1.0, 1.0, size=(p, q))
 
 
 def config_digest(doc: dict) -> str:
@@ -216,6 +209,9 @@ def parse_config(doc: dict) -> RunConfig:
         if value < low:
             raise ConfigError(f"field '{section}.{key}' must be at least {low}, "
                               f"got {value}")
+    if sim.B_seed is None:  # the truth B's seed, drawn from a checked master seed
+        sim = replace(sim, B_seed=np.random.default_rng(sim.master_seed)
+                      .uniform(-1.0, 1.0, size=(p, q)))
     if not isinstance(model.M, DesignRule) and score.n != model.n:
         raise ConfigError(f"field 'score_cov.n' must equal model.n = {model.n} "
                           f"when 'model.M' is an explicit matrix, got {score.n}")
@@ -227,7 +223,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("field 'restriction.theta0' is too large: "
                               "||theta0||^2 overflows double precision")
         for n in (model.n, score.n):
-            b = restriction.project(run.b_truth_seed(), n)
+            b = restriction.project(sim.B_seed, n)
             if not np.isfinite(b.T @ b).all():
                 raise ConfigError(f"field 'simulation.B_seed' and the restriction give "
                                   f"a truth B whose B'B overflows at n = {n}")

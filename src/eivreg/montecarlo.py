@@ -25,7 +25,7 @@ from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import ConfigError, EivregError
-from .linalg import AffineTransform, psd_factor, rvec, sym
+from .linalg import AffineTransform, psd_factor, sym
 from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
 
 MAX_EXCLUDED_FRACTION = 0.01
@@ -56,7 +56,7 @@ class SimulationPlan:
 def replication_plan(run: RunConfig, estimators: tuple[str, ...]) -> SimulationPlan:
     """The run's replication study of `estimators`, seeded master seed + 7."""
     return SimulationPlan(cfg=run.model, restr=run.restriction,
-                          b_seed=run.b_truth_seed(), reps=run.simulation.reps,
+                          b_seed=run.simulation.B_seed, reps=run.simulation.reps,
                           master_seed=run.simulation.master_seed + 7,
                           estimators=estimators, weight=run.risk.weight)
 
@@ -69,7 +69,7 @@ class EmpiricalSummary:
     p: int
     q: int
     errors: np.ndarray                   # (kept reps, len(labels)*p*q), rvec rows
-    per_rep_losses: dict[str, np.ndarray]
+    losses: np.ndarray                   # (kept reps, len(labels)), n tr(D'WD)
     excluded: tuple[int, ...] = ()
 
     @property
@@ -78,11 +78,8 @@ class EmpiricalSummary:
 
     @property
     def mean_errors(self) -> dict[str, np.ndarray]:
-        k = self.p * self.q
-        out = {}
-        for i, lbl in enumerate(self.labels):
-            out[lbl] = self.errors[:, i * k:(i + 1) * k].mean(axis=0).reshape(self.p, self.q)
-        return out
+        means = self.errors.mean(axis=0).reshape(len(self.labels), self.p, self.q)
+        return dict(zip(self.labels, means))
 
     @cached_property  # checked for overflow by `run_plan`
     def cov_empirical(self) -> np.ndarray:
@@ -106,17 +103,13 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
         raise EivregError(
             f"{len(batch.excluded)} of {plan.reps} replications were excluded "
             f"(first: {batch.reasons[0]})")
-    keep = np.ones(plan.reps, dtype=bool)
-    keep[list(batch.excluded)] = False
-    dev = batch.estimates[keep] - b_truth
+    dev = np.delete(batch.estimates, batch.excluded, axis=0) - b_truth
     errors = math.sqrt(n) * dev.reshape(len(dev), -1)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
     with np.errstate(over="ignore", invalid="ignore"):
         losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
-        per_label = {lbl: losses[:, i].copy() for i, lbl in enumerate(plan.estimators)}
         summary = EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
-                                   errors=errors, per_rep_losses=per_label,
-                                   excluded=batch.excluded)
+                                   errors=errors, losses=losses, excluded=batch.excluded)
         if not (np.isfinite(losses).all() and np.isfinite(summary.cov_empirical).all()):
             raise ConfigError(
                 "fields 'simulation.B_seed', 'restriction.R1', 'restriction.R2', "
@@ -173,14 +166,12 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     cov_rel = {(i, j): _rel_fro(cov[i * k:(i + 1) * k, j * k:(j + 1) * k],
                                 law.block(i, j))
                for i in range(m) for j in range(m)}
-    mean_se = {}
-    for i, lbl in enumerate(summary.labels):
-        cols = summary.errors[:, i * k:(i + 1) * k]
-        se = cols.std(axis=0, ddof=1) / math.sqrt(summary.rep_count)
-        diff = np.abs(cols.mean(axis=0) - rvec(law.mean(lbl)))
-        mean_se[lbl] = float(np.max(diff / np.where(se > 0, se, 1.0)))
+    se = summary.errors.std(axis=0, ddof=1) / math.sqrt(summary.rep_count)
+    diff = np.abs(summary.errors.mean(axis=0) - law.full_mean())
+    z = (diff / np.where(se > 0, se, 1.0)).reshape(m, k)
     return LawComparison(labels=summary.labels, cov_rel_fro=cov_rel,
-                         mean_max_se=mean_se, tol_cov=tol_cov)
+                         mean_max_se=dict(zip(summary.labels, z.max(axis=1).tolist())),
+                         tol_cov=tol_cov)
 
 
 # affine-limit suite: AFFINE_M transforms of p-by-q matrices whose coefficients
@@ -228,7 +219,7 @@ def affine_limit_suite(seed: int,
     labels = tuple(f"T{j + 1}" for j in range(m))
     law = AsymptoticLaw(labels=labels, transforms=tuple(transforms), lam=lam)
     summary = EmpiricalSummary(labels=labels, p=p, q=q, errors=stacked,
-                               per_rep_losses={})
+                               losses=np.empty((draws, 0)))  # no estimates, no losses
     cmp = compare_law(summary, law, tol_cov=AFFINE_TOL_COV)
 
     # identity-first pair: the cross block gains the transposed-lift factor

@@ -11,7 +11,7 @@ with bias_form = (gain' W gain) x (R2'R2)^{-1} (Kronecker) and variance_gain
 the three-trace expansion of tr((W x I_q)(S11 - S22)).  The restricted
 estimator dominates when ||theta0||^2 is below variance_gain / ch_max(bias_form)
 and is dominated above variance_gain / ch_min(bias_form); in between no ordering
-is claimed.
+is claimed.  A negative variance gain makes variance_gain / ch_min the lower threshold.
 
 Only the last term depends on the drift theta0.  `adr_restricted` computes
 every other term once per weight W and weight limit Q0, as a
@@ -180,11 +180,12 @@ def adr_restricted(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,
     ch_min, ch_max = eig_extremes(f1)
     if ch_min < -1e-10 * max(ch_max, 1.0):
         raise EivregError(f"bias form has eigenvalue {ch_min:.3e} < 0")
+    # gain / ch_max is the lower threshold unless a negative gain reverses them
+    lower, upper = sorted(gain / ch if ch > 0 else math.inf for ch in (ch_max, ch_min))
     return DriftFreeReport(
         adr_ue=adr_unrestricted(weight, pm, lam), variance_gain=gain,
         bias_form=f1, bias_form_min=ch_min, bias_form_max=ch_max,
-        lower_threshold=gain / ch_max if ch_max > 0 else math.inf,
-        upper_threshold=gain / ch_min if ch_min > 0 else math.inf)
+        lower_threshold=lower, upper_threshold=upper)
 
 
 def dominance_report(weight: np.ndarray, pm: PopulationModel, lam: np.ndarray,

@@ -87,7 +87,7 @@ def criterion_sqrt_n_rate(run: RunConfig, seed: int,
     medians = []
     for i, n in enumerate((500, 2000, 8000)):
         plan = SimulationPlan(cfg=run.model.at_n(n), restr=run.restriction,
-                              b_seed=run.b_truth_seed(), reps=200,
+                              b_seed=run.simulation.B_seed, reps=200,
                               master_seed=seed + i, estimators=("UE",))
         summary = run_plan(plan, workers=workers)
         norms = np.linalg.norm(summary.errors, axis=1) / math.sqrt(n)
@@ -102,7 +102,7 @@ def criterion_sqrt_n_rate(run: RunConfig, seed: int,
 def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
     n = 8000
     cfg = run.model.at_n(n)
-    b_truth = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+    b_truth = make_restricted_b(cfg, run.restriction, run.simulation.B_seed)
     pm = population(cfg)
     # medians over a few datasets: the distance to K B is pure estimation
     # noise and a single draw of it is a lottery against the 10x line

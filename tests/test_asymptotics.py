@@ -246,7 +246,7 @@ def test_law_inputs_use_the_closed_form(monkeypatch):
     monkeypatch.setattr(asymptotics, "estimate_score_cov", forbidden)
     pm, lam = law_inputs(run)
     cfg = run.model.at_n(500)
-    B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+    B = make_restricted_b(cfg, run.restriction, run.simulation.B_seed)
     np.testing.assert_array_equal(lam, closed_form_score_cov(cfg, B))
     np.testing.assert_array_equal(pm.sigma, population(run.model).sigma)
 

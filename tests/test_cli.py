@@ -18,7 +18,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eivreg import cli, csvio
+from eivreg import cli, csvio, montecarlo
 from eivreg.asymptotics import law_inputs, named_weight_limit
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
 from eivreg.estimators import lse
@@ -70,7 +70,7 @@ def _noiseless_fixture(tmp_path):
     doc["restriction"]["theta0"] = [[0.0]]
     cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     run = parse_config(doc)
-    B = make_restricted_b(run.model, run.restriction, run.b_truth_seed())
+    B = make_restricted_b(run.model, run.restriction, run.simulation.B_seed)
     ds = generate(run.model, B, np.random.default_rng(0))
     write_matrix_csv(tmp_path / "z.csv", ds.Z)
     write_matrix_csv(tmp_path / "x.csv", ds.X)
@@ -104,7 +104,7 @@ def test_estimate_outputs_byte_identical(tmp_path):
 
 def test_estimate_outputs_identical_with_byte_order_mark(tmp_path):
     run = load_config(CONFIG)
-    B = make_restricted_b(run.model, run.restriction, run.b_truth_seed())
+    B = make_restricted_b(run.model, run.restriction, run.simulation.B_seed)
     ds = generate(run.model, B, np.random.default_rng(0))
     for name, arr in (("x", ds.X), ("z", ds.Z)):
         # headerless, so that a mark glued to the first cell would cost a row
@@ -350,7 +350,7 @@ def _estimate_peak(tmp_path, n):
     x = 3.0 * g.standard_normal((n, run.model.p))  # well above sigma_delta2
     paths = tmp_path / f"x{n}.csv", tmp_path / f"z{n}.csv"
     write_matrix_csv(paths[0], x)
-    write_matrix_csv(paths[1], x @ run.b_truth_seed() + g.standard_normal((n, run.model.q)))
+    write_matrix_csv(paths[1], x @ run.simulation.B_seed + g.standard_normal((n, run.model.q)))
     out = cli.Outputs(tmp_path / f"o{n}")
     tracemalloc.start()
     try:
@@ -552,7 +552,7 @@ def test_efficiency_sweeps_all_ones_direction_at_zero_drift(tmp_path):
 
 def test_estimate_naive_estimator_matches_lse(tmp_path):
     run = load_config(CONFIG)
-    B = make_restricted_b(run.model, run.restriction, run.b_truth_seed())
+    B = make_restricted_b(run.model, run.restriction, run.simulation.B_seed)
     ds = generate(run.model, B, np.random.default_rng(1))
     write_matrix_csv(tmp_path / "x.csv", ds.X)
     write_matrix_csv(tmp_path / "z.csv", ds.Z)
@@ -705,7 +705,7 @@ def test_benchmark_arguments_are_accepted(tmp_path, command, workers):
             "--seed", str(run.simulation.master_seed), "--workers", str(workers)]
     if command == "estimate":
         cfg = run.model.at_n(50)
-        B = make_restricted_b(cfg, run.restriction, run.b_truth_seed())
+        B = make_restricted_b(cfg, run.restriction, run.simulation.B_seed)
         ds = generate(cfg, B, np.random.default_rng(0))
         write_matrix_csv(tmp_path / "x.csv", ds.X)
         write_matrix_csv(tmp_path / "z.csv", ds.Z)
@@ -753,7 +753,7 @@ def _bench_workloads() -> dict:
 def test_benchmark_command_lines_digest_the_file(tmp_path, monkeypatch, workload):
     # --seed equal to the file's master_seed, as perfbench/run.py passes it,
     # leaves the document, and so the digest, as the file has them
-    monkeypatch.setattr(cli, "run_plan", lambda plan, workers=1: run_plan(
+    monkeypatch.setattr(montecarlo, "run_plan", lambda plan, workers=1: run_plan(
         replace(plan, reps=64), workers=workers))  # the digest does not see reps
     config = WORKLOADS / f"{workload}.yaml"
     doc = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -1045,16 +1045,18 @@ EXIT_CASES = [
                               "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
                  "field 'score_cov.n' must equal model.n = 50 when 'model.M' is an "
                  "explicit matrix, got 400", id="estimate-m_explicit_50"),
-    *[(cmd, ["--config", "{tmp}/delta_huge.yaml", "--workers", "1", *data], 2,
-       "field 'model.sigma_delta2' = 1000000000000.0 reaches ch_min(sigma)")
+    *[pytest.param(cmd, ["--config", "{tmp}/delta_huge.yaml", "--workers", "1", *data],
+                   2, "field 'model.sigma_delta2' = 1000000000000.0 reaches ch_min(sigma)",
+                   id=f"{cmd}-delta_huge")
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []), ("verify", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
-    ("law", ["--config", "{tmp}/m_rank_1.yaml"], 2,
-     "field 'model.M' does not have full column rank"),
-    ("estimate", ["--config", "{tmp}/m_rank_1.yaml",
-                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
-     "field 'model.M' does not have full column rank"),
+    pytest.param("law", ["--config", "{tmp}/m_rank_1.yaml"], 2,
+                 "field 'model.M' does not have full column rank", id="law-m_rank_1"),
+    pytest.param("estimate", ["--config", "{tmp}/m_rank_1.yaml",
+                              "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+                 "field 'model.M' does not have full column rank",
+                 id="estimate-m_rank_1"),
     # an explicit design cannot be redrawn at another n: verify's criteria
     # move the model, and --n sets model.n, which M's rows no longer match
     pytest.param("verify", ["--config", "{tmp}/m_explicit_400.yaml", "--workers", "1"],
@@ -1064,29 +1066,35 @@ EXIT_CASES = [
                  "field 'model.M' must be 60x2, got (400, 2)",
                  id="law-m_explicit_400-n-60"),
     # an all-zero X without measurement error fails the attenuation check
-    ("estimate", ["--config", "{tmp}/delta_0.yaml",
-                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x_zero.csv"], 3,
-     "numerical failure: attenuation correction breaks down: ch_min(sigma_d)"),
-    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_huge.csv"], 2,
-     "X'X or X'Z overflows: the data are too large in magnitude for double "
-     "precision"),
+    pytest.param("estimate", ["--config", "{tmp}/delta_0.yaml",
+                              "--z", "{tmp}/z.csv", "--x", "{tmp}/x_zero.csv"], 3,
+                 "numerical failure: attenuation correction breaks down: ch_min(sigma_d)",
+                 id="estimate-delta_0-x_zero"),
+    pytest.param("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_huge.csv"], 2,
+                 "X'X or X'Z overflows: the data are too large in magnitude for double "
+                 "precision", id="estimate-x_huge"),
     # a variance near the top of double precision: no numpy warning on the way
-    *[(cmd, ["--config", "{tmp}/delta_1e300.yaml", "--workers", "1", *data], 2,
-       "field 'model.sigma_delta2' = 1e+300 reaches ch_min(sigma)")
+    *[pytest.param(cmd, ["--config", "{tmp}/delta_1e300.yaml", "--workers", "1", *data],
+                   2, "field 'model.sigma_delta2' = 1e+300 reaches ch_min(sigma)",
+                   id=f"{cmd}-delta_1e300")
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []), ("verify", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
-    *[(cmd, ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1", *data], 0, "")
+    *[pytest.param(cmd, ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1", *data],
+                   0, "", id=f"{cmd}-psi_1e300")
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
     # the checks run without a warning there, and criteria 2 to 4 fail
-    ("verify", ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1"], 4, ""),
+    pytest.param("verify", ["--config", "{tmp}/psi_1e300.yaml", "--workers", "1"], 4, "",
+                 id="verify-psi_1e300"),
     # one draw has no standard error for criterion 4 to measure against
-    *[(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
-       "field 'score_cov.reps' must be at least 2, got 1")
+    *[pytest.param(cmd, ["--config", "{tmp}/score_reps_1.yaml", "--workers", "1"], 2,
+                   "field 'score_cov.reps' must be at least 2, got 1",
+                   id=f"{cmd}-score_reps_1")
       for cmd in ("law", "verify")],
-    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+    *[pytest.param(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message,
+                   id=f"{cmd}-{name}")
       for name, message in (
           ("family_cauchy", "field 'model.error_family' must be one of gaussian, "
                             "shifted-exponential, scaled-t, got 'cauchy'"),
@@ -1095,7 +1103,8 @@ EXIT_CASES = [
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
     # Z alone near the top of double precision: the exact sampler keeps X's
     # block exact and the law comparison's norms do not overflow
-    *[(cmd, ["--config", "{tmp}/eps_1e300.yaml", "--workers", "1", *data], 0, "")
+    *[pytest.param(cmd, ["--config", "{tmp}/eps_1e300.yaml", "--workers", "1", *data],
+                   0, "", id=f"{cmd}-eps_1e300")
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],

@@ -149,11 +149,18 @@ def test_matrix_weight_roundtrip():
 
 
 def test_default_b_truth_seed_is_deterministic():
-    run = parse_config({**DOC, "simulation": {"master_seed": 17, "reps": 50}})
-    a = run.b_truth_seed()
-    b = run.b_truth_seed()
-    np.testing.assert_array_equal(a, b)
+    # an absent B_seed is drawn from the master seed when the document is parsed
+    doc = {**DOC, "simulation": {"master_seed": 17, "reps": 50}}
+    a = parse_config(doc).simulation.B_seed
+    np.testing.assert_array_equal(a, parse_config(doc).simulation.B_seed)
     assert a.shape == (2, 2)
+    reseeded = parse_config(doc).with_fields({"simulation.master_seed": 18})
+    np.testing.assert_array_equal(reseeded.simulation.B_seed,
+                                  np.random.default_rng(18).uniform(-1.0, 1.0, (2, 2)))
+    assert not np.array_equal(reseeded.simulation.B_seed, a)
+    # a given one is kept as written, whatever the master seed
+    given = parse_config(DOC).with_fields({"simulation.master_seed": 18})
+    np.testing.assert_array_equal(given.simulation.B_seed, DOC["simulation"]["B_seed"])
 
 
 @pytest.mark.parametrize("high, change, remake", [

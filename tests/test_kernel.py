@@ -93,9 +93,7 @@ def test_run_plan_matches_reference_loop(family, monkeypatch):
         summary = run_plan(plan, workers=workers)
         np.testing.assert_array_equal(summary.errors, errors)
         assert summary.excluded == excluded == ()
-        for i, lbl in enumerate(LABELS):
-            np.testing.assert_allclose(summary.per_rep_losses[lbl], losses[:, i],
-                                       rtol=1e-12, atol=0)
+        np.testing.assert_allclose(summary.losses, losses, rtol=1e-12, atol=0)
 
 
 def test_excluded_replications_match_reference_loop(monkeypatch):
@@ -327,9 +325,7 @@ def test_pool_only_for_row_sampler_plans(family, monkeypatch):
     assert opened == ([] if family == "gaussian" else [2])
     np.testing.assert_array_equal(s1.errors, s2.errors)
     assert s1.excluded == s2.excluded
-    for lbl in plan.estimators:
-        np.testing.assert_array_equal(s1.per_rep_losses[lbl],
-                                      s2.per_rep_losses[lbl])
+    np.testing.assert_array_equal(s1.losses, s2.losses)
 
 
 def test_pooled_draw_identical_with_threads_switching_often():
@@ -488,9 +484,7 @@ def test_gaussian_sampler_is_chunk_and_worker_invariant():
     s2 = run_plan(plan, workers=2)
     np.testing.assert_array_equal(s1.errors, s2.errors)
     assert s1.excluded == s2.excluded
-    for lbl in plan.estimators:
-        np.testing.assert_array_equal(s1.per_rep_losses[lbl],
-                                      s2.per_rep_losses[lbl])
+    np.testing.assert_array_equal(s1.losses, s2.losses)
 
 
 def test_chunk_off_a_block_boundary_is_refused():

@@ -47,9 +47,9 @@ def _summary_from_law_draws(law, ndraws, rng):
     factor = psd_factor(sym(law.full_cov()))
     z = rng.standard_normal((ndraws, factor.shape[1]))
     draws = z @ factor.T + law.full_mean()
-    losses = {lbl: np.zeros(ndraws) for lbl in law.labels}
+    losses = np.zeros((ndraws, len(law.labels)))
     return EmpiricalSummary(labels=law.labels, p=law.p, q=law.q,
-                            errors=draws, per_rep_losses=losses)
+                            errors=draws, losses=losses)
 
 
 def test_noiseless_plan_zero_errors():
@@ -65,9 +65,7 @@ def test_worker_counts_agree_bitwise():
     s1 = run_plan(plan, workers=1)
     s8 = run_plan(plan, workers=8)
     np.testing.assert_array_equal(s1.errors, s8.errors)
-    for lbl in plan.estimators:
-        np.testing.assert_array_equal(s1.per_rep_losses[lbl],
-                                      s8.per_rep_losses[lbl])
+    np.testing.assert_array_equal(s1.losses, s8.losses)
 
 
 def test_reruns_agree_bitwise():
@@ -138,7 +136,7 @@ def test_loss_scale_constant_in_n():
         plan = _plan(cfg=_cfg(n=n), reps=100, estimators=("UE",),
                      master_seed=40 + n)
         summary = run_plan(plan, workers=4)
-        medians.append(float(np.median(summary.per_rep_losses["UE"])))
+        medians.append(float(np.median(summary.losses[:, 0])))
     for a, b in zip(medians, medians[1:]):
         assert 0.5 <= b / a <= 2.0
 
@@ -231,9 +229,9 @@ def test_restricted_risk_ordering_at_restriction():
                  restr=Restriction(R1=RESTR.R1, R2=RESTR.R2, theta=RESTR.theta),
                  reps=600)
     summary = run_plan(plan, workers=4)
-    ue = summary.per_rep_losses["UE"]
+    ue = summary.losses[:, summary.labels.index("UE")]
     for lbl in ("B2", "B3", "B4"):
-        re = summary.per_rep_losses[lbl]
+        re = summary.losses[:, summary.labels.index(lbl)]
         diff = re - ue
         se = diff.std(ddof=1) / math.sqrt(len(diff))
         assert diff.mean() <= 2.0 * se
@@ -251,7 +249,7 @@ def test_empirical_adr_matches_theory():
     theory_ue = rep.adr_ue
     theory_re = rep.adr_re
     # mean per-replication loss n ||b - B||_W^2, the empirical counterpart of ADR
-    empirical = {lbl: float(summary.per_rep_losses[lbl].mean())
+    empirical = {lbl: float(summary.losses[:, summary.labels.index(lbl)].mean())
                  for lbl in ("UE", "B3")}
     assert abs(empirical["UE"] - theory_ue) / theory_ue < 0.20
     assert abs(empirical["B3"] - theory_re) / theory_re < 0.20

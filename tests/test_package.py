@@ -38,3 +38,8 @@ def test_import_leaves_out_replication_and_acceptance():
                  .splitlines())
     assert "eivreg.model" in loaded
     assert not loaded & {"eivreg.montecarlo", "eivreg.verify", "eivreg.cli"}
+    # nor does the CLI's: only `simulate` and `verify` load them, as they run
+    loaded = set(_python("import sys, eivreg.cli; print(*sys.modules, sep='\\n')")
+                 .splitlines())
+    assert "eivreg.cli" in loaded
+    assert not loaded & {"eivreg.montecarlo", "eivreg.verify"}

@@ -373,6 +373,8 @@ def test_negative_variance_gain_sweeps_to_two(tmp_path):
     assert [r["estimator"] for r in adr] == ["B2", "B3", "B4"]
     assert all(float(r["variance_gain"]) < 0 and float(r["upper_threshold"]) < 0
                for r in adr)
+    # the band is reported low end first, though gain / ch_max is the higher
+    assert all(float(r["lower_threshold"]) <= float(r["upper_threshold"]) for r in adr)
     curve = _csv_rows(tmp_path / "efficiency" / "efficiency.csv")
     assert len(curve) == 41
     assert float(curve[-1]["scale"]) == pytest.approx(math.sqrt(2.0), rel=1e-15)

@@ -199,7 +199,8 @@ def law_inputs(run: RunConfig) -> tuple[PopulationModel, np.ndarray]:
 
 
 def constraint_gain(q0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """Q0^{-1} R1' (R1 Q0^{-1} R1')^{-1}, the weighted gain of the projection."""
+    """Q0^{-1} R1' (R1 Q0^{-1} R1')^{-1}, the projection's weighted gain as the
+    matrix the limit law needs (`Restriction.project` solves against one gap)."""
     q0_r1t = np.linalg.solve(q0, r1.T)
     return q0_r1t @ np.linalg.inv(r1 @ q0_r1t)
 

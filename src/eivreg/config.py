@@ -223,7 +223,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("field 'restriction.theta0' is too large: "
                               "||theta0||^2 overflows double precision")
         for n in (model.n, score.n):
-            b = restriction.project(sim.B_seed, n)
+            b = restriction.project(sim.B_seed, restriction.target(n))[0]
             if not np.isfinite(b.T @ b).all():
                 raise ConfigError(f"field 'simulation.B_seed' and the restriction give "
                                   f"a truth B whose B'B overflows at n = {n}")

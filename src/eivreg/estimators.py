@@ -4,7 +4,8 @@ The naive least-squares estimator is inconsistent under measurement error; the
 attenuation-corrected estimator divides it by the plug-in reliability matrix
 built from X'X/n and the known measurement-error variance.  Restricted
 estimators project the corrected estimator onto the constraint set with a
-configurable positive definite weight.
+configurable positive definite weight, through `model.Restriction.project`,
+the one implementation of that projection.
 
 `NAMED_WEIGHTS` is the one place where an estimator label is defined: the
 named restricted estimators differ only in their projection weight.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EivregError
-from .linalg import COND_LIMIT, eig_extremes, is_symmetric, sym
+from .linalg import COND_LIMIT, eig_extremes, is_symmetric, solvable, sym
 from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
@@ -85,12 +86,10 @@ def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
 
 
 def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.ndarray:
-    """Weighted projection of b1 onto {B : R1 B R2 = theta}.
-
-    b_tilde = b1 - S^{-1} R1' [R1 S^{-1} R1']^{-1} (R1 b1 R2 - theta)
-              (R2'R2)^{-1} R2', for a symmetric positive definite weight S.
-    The output satisfies the restriction exactly (up to solve roundoff) and is
-    invariant to rescaling the weight.
+    """`restr.project` of b1 onto {B : R1 B R2 = theta} with the weight S =
+    sigma_hat, which must be symmetric positive definite; a singular
+    R1 S^{-1} R1' raises.  The output satisfies the restriction exactly (up
+    to solve roundoff) and is invariant to rescaling the weight.
     """
     b1 = np.asarray(b1, dtype=float)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
@@ -101,39 +100,10 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
         raise ValueError(f"weight is not positive definite (ch_min={ch_min:.3e})")
     if ch_max / ch_min > COND_LIMIT:
         raise ValueError("weight matrix is too ill-conditioned")
-    sinv_r1t = np.linalg.solve(sigma_hat, restr.R1.T)
-    gram = restr.R1 @ sinv_r1t
-    if np.linalg.cond(gram) > COND_LIMIT:
+    b, gram_singular = restr.project(b1, restr.theta, sigma_hat)
+    if gram_singular:
         raise EivregError("R1 S^{-1} R1' is numerically singular")
-    gap = restr.R1 @ b1 @ restr.R2 - restr.theta
-    return b1 - sinv_r1t @ np.linalg.solve(gram, gap) @ restr.right
-
-
-def _solvable(mats: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """`mats` with the identity in place of each matrix of an excluded
-    replication, so that a stacked solve cannot raise for it."""
-    return np.where(bad[:, None, None], np.eye(mats.shape[-1]), mats)
-
-
-def _project(b1: np.ndarray, weight: np.ndarray, restr: Restriction,
-             failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`restricted` for a stack of corrected estimates and their named weights
-    (reps, p, p), with only its Gram check, whose failures it returns: its
-    weight checks cannot fail where the attenuation check passed.
-    sigma_x = sym(X'X)/n is exactly symmetric, and so is sigma_d.  That
-    check gives ch_min(sigma_d) > 1e-8 ch_max(sigma_x), so with
-    sigma_delta2 >= 0 B2's n sigma_d and B3's n sigma_x are positive
-    definite with condition number below 1e8, and B4's is n I.  A `failed`
-    replication gets the identity, so no stacked solve can raise for it."""
-    # an explicit stack of right-hand sides: numpy < 2 reads a 2-d b against
-    # a 3-d a as a stack of vectors
-    r1t = np.broadcast_to(restr.R1.T, weight.shape[:-2] + restr.R1.T.shape)
-    sinv_r1t = np.linalg.solve(_solvable(weight, failed), r1t)
-    gram = restr.R1 @ sinv_r1t
-    gram_singular = np.linalg.cond(gram) > COND_LIMIT
-    gap = restr.R1 @ b1 @ restr.R2 - restr.theta
-    step = np.linalg.solve(_solvable(gram, gram_singular), gap)
-    return b1 - sinv_r1t @ step @ restr.right, gram_singular
+    return b
 
 
 @dataclass(frozen=True)
@@ -194,18 +164,21 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
         exclude(d_min <= 1e-8 * x_max, lambda r: "attenuation correction "
                 f"breaks down: ch_min(sigma_d)={d_min[r]:.3e}")
         # the check above bounds the condition number of sigma_d
-        b1 = np.linalg.solve(_solvable(n * sigma_d, failed), xtz)
+        b1 = np.linalg.solve(solvable(n * sigma_d, failed), xtz)
     for lbl in labels:
         if lbl == "LSE":
             w = np.linalg.eigvalsh(xtx_s)
             exclude((w[:, 0] <= 0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
                     lambda r: "X'X is numerically singular")
-            out[lbl] = np.linalg.solve(_solvable(xtx_s, failed), xtz)
+            out[lbl] = np.linalg.solve(solvable(xtx_s, failed), xtz)
         elif lbl == "UE":
             out[lbl] = b1
         elif lbl in NAMED_WEIGHTS:
-            out[lbl], gram_singular = _project(
-                b1, n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d), restr, failed)
+            # `restricted`'s weight checks cannot fail here: the attenuation
+            # check bounds the condition numbers of the exactly symmetric
+            # n sigma_d and n sigma_x below 1e8, and B4's weight is n I
+            weight = solvable(n * NAMED_WEIGHTS[lbl](sigma_x, sigma_d), failed)
+            out[lbl], gram_singular = restr.project(b1, restr.theta, weight)
             exclude(gram_singular, lambda r: "R1 S^{-1} R1' is numerically singular")
         else:
             raise ValueError(f"unknown estimator label {lbl!r}")

@@ -37,6 +37,12 @@ def sym(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
+def solvable(mats: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """`mats` (..., k, k) with the identity in place of each matrix flagged
+    in `bad` (...), so that a stacked solve cannot raise for it."""
+    return np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
+
+
 def is_symmetric(s: np.ndarray) -> bool:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:

@@ -39,7 +39,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .exceptions import ConfigError
-from .linalg import COND_LIMIT, eig_extremes, psd_factor, sym
+from .linalg import COND_LIMIT, eig_extremes, psd_factor, solvable, sym
 
 # family -> (skewness gamma1, excess kurtosis gamma2) of the standardized draw
 ERROR_FAMILIES = {
@@ -168,8 +168,8 @@ class Restriction:
     """Linear restriction R1 @ B @ R2 = theta with local direction theta0.
 
     R1 R1' and R2'R2 must have condition numbers at most COND_LIMIT, and
-    `right` stores (R2'R2)^{-1} R2', which every projection onto the
-    restriction and every restricted limit law multiplies by.
+    `right` stores (R2'R2)^{-1} R2', which `project`, the one projection
+    onto the restriction, and every restricted limit law multiply by.
     """
 
     R1: np.ndarray
@@ -209,11 +209,26 @@ class Restriction:
         """theta + theta0 / sqrt(n), the drifting restriction value at size n."""
         return self.theta + self.theta0 / math.sqrt(n)
 
-    def project(self, b: np.ndarray, n: int) -> np.ndarray:
-        """b moved onto R1 B R2 = target(n) by the minimum-norm correction
-        R1'(R1 R1')^{-1} (R1 b R2 - target(n)) (R2'R2)^{-1} R2'."""
-        gap = self.R1 @ b @ self.R2 - self.target(n)
-        return b - self.R1.T @ np.linalg.solve(self.R1 @ self.R1.T, gap) @ self.right
+    def project(self, b: np.ndarray, target: np.ndarray,
+                weight: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """b (p x q, or a stack (..., p, q)) moved onto R1 B R2 = target by
+        S^{-1} R1' (R1 S^{-1} R1')^{-1} (R1 b R2 - target) (R2'R2)^{-1} R2',
+        for a positive definite weight S of matching shape, I by default.
+        Also returns whether each R1 S^{-1} R1' has condition number above
+        COND_LIMIT; the identity stands in for a flagged one, so a stacked
+        solve never raises."""
+        if weight is None:
+            sinv_r1t = self.R1.T  # not a solve against I, which moves bits
+        else:
+            # an explicit stack of right-hand sides: numpy < 2 reads a 2-d b
+            # against a 3-d a as a stack of vectors
+            sinv_r1t = np.linalg.solve(weight, np.broadcast_to(
+                self.R1.T, weight.shape[:-2] + self.R1.T.shape))
+        gram = self.R1 @ sinv_r1t
+        singular = np.linalg.cond(gram) > COND_LIMIT
+        gap = self.R1 @ b @ self.R2 - target
+        step = np.linalg.solve(solvable(gram, singular), gap)
+        return b - sinv_r1t @ step @ self.right, singular
 
     def gap(self, b: np.ndarray) -> float:
         """Frobenius distance of R1 @ b @ R2 from theta."""
@@ -233,7 +248,7 @@ def make_restricted_b(cfg: ModelConfig, restr: Restriction,
     seed_b = np.asarray(seed_b, dtype=float)
     if seed_b.shape != (cfg.p, cfg.q):
         raise ValueError(f"seed_b must be {cfg.p}x{cfg.q}, got {seed_b.shape}")
-    return restr.project(seed_b, cfg.n)
+    return restr.project(seed_b, restr.target(cfg.n))[0]
 
 
 def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Dataset:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eivreg import estimators
 from eivreg.estimators import Attenuation, build_kx, estimate_all, lse, restricted
 from eivreg.exceptions import EivregError
 from eivreg.model import DesignRule, ModelConfig, Restriction, generate, \
@@ -222,28 +221,74 @@ def test_restricted_change_of_basis(seed):
     right = restricted(b1 @ O.T, weight,
                        Restriction(R1=restr.R1, R2=O @ restr.R2,
                                    theta=restr.theta)) @ O
-    for got in (left, right):
+    # the same restriction written as (G R1, R2 H, G theta H) for invertible
+    # G and H is the same set, and so the same projection
+    G, H = _well_conditioned(g, r1), _well_conditioned(g, r2)
+    rewritten = restricted(b1, weight, Restriction(R1=G @ restr.R1, R2=restr.R2 @ H,
+                                                   theta=G @ restr.theta @ H))
+    for got in (left, right, rewritten):
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
+def _kkt_projection(b, weight, restr, target):
+    """Independent oracle: argmin tr((B - b)' S (B - b)) subject to
+    R1 B R2 = target, from the dense KKT system on row-major coordinates,
+    where the objective's Hessian is S (x) I and the constraint R1 (x) R2'."""
+    p, q = b.shape
+    hess = np.kron(weight, np.eye(q))
+    a = np.kron(restr.R1, restr.R2.T)
+    m = a.shape[0]
+    kkt = np.block([[hess, a.T], [a, np.zeros((m, m))]])
+    rhs = np.concatenate([hess @ b.ravel(), np.ravel(target)])
+    return np.linalg.solve(kkt, rhs)[:p * q].reshape(p, q)
+
+
 def test_restricted_identity_weight_is_min_norm_projection():
-    # independent KKT oracle for min ||B - b1||_F s.t. R1 B = theta (R2 = I)
+    # min ||B - b1||_F s.t. R1 B = theta (R2 = I)
     g = np.random.default_rng(12)
     p, q, r1 = 4, 3, 2
-    R1 = g.standard_normal((r1, p))
-    theta = g.standard_normal((r1, q))
-    restr = Restriction(R1=R1, R2=np.eye(q), theta=theta)
+    restr = Restriction(R1=g.standard_normal((r1, p)), R2=np.eye(q),
+                        theta=g.standard_normal((r1, q)))
     b1 = g.standard_normal((p, q))
     bt = restricted(b1, np.eye(p), restr)
+    np.testing.assert_allclose(
+        bt, _kkt_projection(b1, np.eye(p), restr, restr.theta), atol=1e-10)
 
-    # KKT system on column-stacked coordinates
-    A = np.kron(np.eye(q), R1)
-    k = p * q
-    kkt = np.block([[np.eye(k), A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
-    rhs = np.concatenate([b1.ravel(order="F"), theta.ravel(order="F")])
-    sol = np.linalg.solve(kkt, rhs)
-    oracle = sol[:k].reshape((q, p)).T
-    np.testing.assert_allclose(bt, oracle, atol=1e-10)
+
+# case -> (p, q, r1, r2 or None for R2 = I, stack size or None, weighted)
+KKT_CASES = {
+    "weight": (4, 3, 2, None, None, True),
+    "r2_below_q": (4, 4, 2, 2, None, True),
+    "p_ne_q": (6, 2, 3, 1, None, True),
+    "stack": (4, 3, 2, 2, 5, True),
+    "drift_no_weight": (5, 4, 2, 3, None, False),
+}
+
+
+@pytest.mark.parametrize("case", KKT_CASES)
+def test_projection_is_weighted_kkt_solution(case):
+    # where R2 != I, (R2'R2)^{-1} R2' differs from R2', and where S != I the
+    # Gram matrix is R1 S^{-1} R1': each case sees an error the other misses
+    p, q, r1, r2, reps, weighted = KKT_CASES[case]
+    g = np.random.default_rng(31)
+    restr = Restriction(R1=g.standard_normal((r1, p)),
+                        R2=np.eye(q) if r2 is None else g.standard_normal((q, r2)),
+                        theta=g.standard_normal((r1, r2 or q)),
+                        theta0=g.standard_normal((r1, r2 or q)))
+    stack = () if reps is None else (reps,)
+    b = g.standard_normal((*stack, p, q))
+    f = g.standard_normal((*stack, p, p))
+    weight = f @ np.swapaxes(f, -1, -2) + np.eye(p) if weighted else None
+    target = restr.theta if weighted else restr.target(400)
+    got, gram_singular = restr.project(b, target, weight)
+    assert not np.any(gram_singular)
+    if weight is not None and reps is None:
+        np.testing.assert_array_equal(restricted(b, weight, restr), got)
+    weights = np.broadcast_to(np.eye(p) if weight is None else weight,
+                              (*stack, p, p))
+    for k in np.ndindex(stack):
+        np.testing.assert_allclose(
+            got[k], _kkt_projection(b[k], weights[k], restr, target), atol=1e-10)
 
 
 def test_fully_determined_restriction():
@@ -311,15 +356,15 @@ def test_estimate_all_restriction_gap_relative_to_estimates(monkeypatch, scale):
     est = estimate_all(X, Z, 0.05, RESTR)
     assert np.linalg.norm(est["UE"]) > scale
     assert all(np.isfinite(b).all() for b in est.values())
-    project = estimators._project
+    project = Restriction.project
 
-    def moved(b1, weight, restr, failed):
-        b, gram_singular = project(b1, weight, restr, failed)
+    def moved(restr, b1, target, weight=None):
+        b, gram_singular = project(restr, b1, target, weight)
         step = restr.R1.T @ restr.R2.T  # R1 step R2 is nonzero
-        size = np.linalg.norm(b1, axis=(-2, -1))[:, None, None]
+        size = np.linalg.norm(b1, axis=(-2, -1))[..., None, None]
         return b + 1e-6 * size * step / np.linalg.norm(step), gram_singular
 
-    monkeypatch.setattr(estimators, "_project", moved)
+    monkeypatch.setattr(Restriction, "project", moved)
     with pytest.raises(EivregError, match="failed to satisfy the restriction"):
         estimate_all(X, Z, 0.05, RESTR)
 

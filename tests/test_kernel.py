@@ -184,7 +184,7 @@ def test_non_finite_statistics_raise():
 
 
 def test_named_weights_pass_restricted_checks():
-    # `_project` skips `restricted`'s weight checks: every replication that
+    # `estimate_batch` skips `restricted`'s weight checks: every replication that
     # passes the attenuation check must have named weights that are exactly
     # symmetric and positive definite with condition number at most 1e8.
     # ch_min(sigma_x) - sigma_delta2 is placed around 1e-8 ch_max(sigma_x),

@@ -2,13 +2,17 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eivreg.config import load_config
 from eivreg.exceptions import ConfigError
 from eivreg.model import (DesignRule, ModelConfig, Restriction, generate,
                           make_restricted_b, standardized_draw)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(**kw):
@@ -156,6 +160,41 @@ def test_make_restricted_b_axis_aligned_hand_expansion():
     assert b[0, 0] == pytest.approx(2.0 / math.sqrt(cfg.n), abs=1e-12)
     np.testing.assert_array_equal(b[:, 1], seed_b[:, 1])
     assert b[1, 0] == seed_b[1, 0]
+
+
+def _written_out_truth(cfg, restr, seed_b):
+    """b - R1' solve(R1 R1', R1 b R2 - target(n)) (R2'R2)^{-1} R2', term by term."""
+    r1, r2 = restr.R1, restr.R2
+    gap = r1 @ seed_b @ r2 - restr.target(cfg.n)
+    return seed_b - r1.T @ np.linalg.solve(r1 @ r1.T, gap) @ np.linalg.solve(
+        r2.T @ r2, r2.T)
+
+
+@pytest.mark.parametrize("config", ["configs/default.yaml",
+                                    "perfbench/workloads/wide.yaml"])
+def test_make_restricted_b_bits_on_shipped_configs(config):
+    # every output rests on the truth B: it must not move by a single bit
+    run = load_config(ROOT / config)
+    for n in (run.model.n, run.score_cov.n):
+        cfg = run.model.at_n(n)
+        np.testing.assert_array_equal(
+            make_restricted_b(cfg, run.restriction, run.simulation.B_seed),
+            _written_out_truth(cfg, run.restriction, run.simulation.B_seed))
+
+
+def test_make_restricted_b_bits_on_random_instances():
+    g = np.random.default_rng(36)
+    for _ in range(200):
+        p, q = (int(k) for k in g.integers(2, 33, 2))
+        r1, r2 = int(g.integers(1, p)), int(g.integers(1, q))
+        restr = Restriction(R1=g.standard_normal((r1, p)),
+                            R2=g.standard_normal((q, r2)),
+                            theta=g.standard_normal((r1, r2)),
+                            theta0=g.standard_normal((r1, r2)))
+        cfg = _cfg(n=int(g.integers(p + 1, 200)), p=p, q=q)
+        seed_b = g.standard_normal((p, q))
+        np.testing.assert_array_equal(make_restricted_b(cfg, restr, seed_b),
+                                      _written_out_truth(cfg, restr, seed_b))
 
 
 def test_make_restricted_b_shape_check():

@@ -43,3 +43,5 @@ def test_import_leaves_out_replication_and_acceptance():
                  .splitlines())
     assert "eivreg.cli" in loaded
     assert not loaded & {"eivreg.montecarlo", "eivreg.verify"}
+    # only a pooled draw pays for the thread pool's import
+    assert "concurrent.futures" not in loaded

@@ -19,7 +19,7 @@ from datasets drawn as `generate` draws them otherwise (`RowSampler`).
 Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
 (BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
 (`block_rngs`).  Replication studies use tag 0, score-covariance estimation
-tag 1 and the affine-limit suite tag 2.  Under gaussian errors at
+tag 1, and criterion 8's random instances tag 2.  Under gaussian errors at
 n - p >= k = p + q, the generator of a block of m replications of tags 0
 and 1 yields in order, replication by replication within each draw: m*p*k
 standard normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard

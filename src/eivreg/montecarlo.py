@@ -8,9 +8,6 @@ its model was checked when it was made.  `estimate_batch` then
 solves every replication and labelled estimator (restricted ones with their
 named weights) at once, as stacked p-by-p problems; a replication that fails
 one of its checks is excluded with the reason.
-
-The affine-limit suite (stream tag 2) checks the block law A_i lam A_j' itself
-through `compare_law`, with the lifts of random affine transforms as the maps.
 """
 
 from __future__ import annotations
@@ -25,11 +22,11 @@ from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import ConfigError, EivregError
-from .linalg import AffineTransform, psd_factor, sym
 from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
 
 MAX_EXCLUDED_FRACTION = 0.01
 MEAN_TOL_SE = 4.0  # `compare_law`'s bound on a mean discrepancy, in SEs
+COV_TOL_FRO = 0.15  # and on a covariance block's relative Frobenius gap
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ class LawComparison:
     labels: tuple[str, ...]
     cov_rel_fro: dict[tuple[int, int], float]
     mean_max_se: dict[str, float]
-    tol_cov: float
 
     @property
     def worst_cov(self) -> float:
@@ -136,7 +132,7 @@ class LawComparison:
 
     @property
     def passed(self) -> bool:
-        return self.worst_cov <= self.tol_cov and self.worst_mean <= MEAN_TOL_SE
+        return self.worst_cov <= COV_TOL_FRO and self.worst_mean <= MEAN_TOL_SE
 
 
 def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
@@ -155,8 +151,7 @@ def _rel_fro(emp: np.ndarray, ref: np.ndarray) -> float:
         return float(np.ldexp(num / (den if den > 0 else 1.0), e_num - e_den))
 
 
-def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
-                tol_cov: float = 0.15) -> LawComparison:
+def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw) -> LawComparison:
     """Per-block relative Frobenius discrepancy of the covariance grid and
     per-estimator standardized mean discrepancies."""
     if summary.labels != law.labels or (summary.p, summary.q) != (law.p, law.q):
@@ -170,69 +165,4 @@ def compare_law(summary: EmpiricalSummary, law: AsymptoticLaw,
     diff = np.abs(summary.errors.mean(axis=0) - law.full_mean())
     z = (diff / np.where(se > 0, se, 1.0)).reshape(m, k)
     return LawComparison(labels=summary.labels, cov_rel_fro=cov_rel,
-                         mean_max_se=dict(zip(summary.labels, z.max(axis=1).tolist())),
-                         tol_cov=tol_cov)
-
-
-# affine-limit suite: AFFINE_M transforms of p-by-q matrices whose coefficients
-# converge at rate AFFINE_N_CONV^{-1/2}, and its covariance tolerance
-AFFINE_M, AFFINE_P, AFFINE_Q, AFFINE_N_CONV = 3, 2, 2, 10_000
-AFFINE_TOL_COV = 0.10
-
-
-def _random_transform(p: int, q: int, g: np.random.Generator) -> AffineTransform:
-    return AffineTransform(kappa=g.uniform(-1, 1, (p, p)),
-                           iota=g.uniform(-1, 1, (q, q)),
-                           alpha=g.uniform(-1, 1, (p, p)),
-                           beta=g.uniform(-1, 1, (q, q)),
-                           rho=g.uniform(-1, 1, (p, q)))
-
-
-def affine_limit_suite(seed: int,
-                       draws: int = 100_000) -> tuple[LawComparison, float]:
-    """Push a converging matrix-normal sequence through AFFINE_M random affine
-    transforms with converging coefficients, and `compare_law` the draws with
-    the `AsymptoticLaw` of the transforms.
-
-    Also checks the two-transform specialization with an identity first
-    component: the cross block must equal lam @ (I + kron(alpha2.T, beta2)).
-    Returns the comparison and that pair's worst relative Frobenius gap.
-    """
-    m, p, q, n_conv = AFFINE_M, AFFINE_P, AFFINE_Q, AFFINE_N_CONV
-    g = np.random.default_rng([seed, 2, 0])
-    pq = p * q
-    f = g.standard_normal((pq, pq))
-    lam = sym(f @ f.T) / pq + 0.5 * np.eye(pq)
-    transforms = [_random_transform(p, q, g) for _ in range(m)]
-    y = (g.standard_normal((draws, pq)) @ psd_factor(lam).T).reshape(draws, p, q)
-    y = y + g.standard_normal(y.shape) / math.sqrt(n_conv)
-    scale = 1.0 / math.sqrt(n_conv)
-    stacked = np.empty((draws, m * pq))
-    for j, t in enumerate(transforms):
-        kap = t.kappa + scale * g.standard_normal((draws, p, p))
-        iot = t.iota + scale * g.standard_normal((draws, q, q))
-        alp = t.alpha + scale * g.standard_normal((draws, p, p))
-        bet = t.beta + scale * g.standard_normal((draws, q, q))
-        rho = t.rho + scale * g.standard_normal((draws, p, q))
-        val = kap @ y @ iot + alp @ y @ bet + rho
-        stacked[:, j * pq:(j + 1) * pq] = val.reshape(draws, pq)
-    labels = tuple(f"T{j + 1}" for j in range(m))
-    law = AsymptoticLaw(labels=labels, transforms=tuple(transforms), lam=lam)
-    summary = EmpiricalSummary(labels=labels, p=p, q=q, errors=stacked,
-                               losses=np.empty((draws, 0)))  # no estimates, no losses
-    cmp = compare_law(summary, law, tol_cov=AFFINE_TOL_COV)
-
-    # identity-first pair: the cross block gains the transposed-lift factor
-    # and the second diagonal block is the two-sided lift of the score cov
-    t_pair = AffineTransform(kappa=np.eye(p), iota=np.eye(q),
-                             alpha=transforms[0].alpha, beta=transforms[0].beta,
-                             rho=transforms[0].rho)
-    base = y.reshape(draws, pq)
-    second = (y + t_pair.alpha @ y @ t_pair.beta + t_pair.rho).reshape(draws, pq)
-    joint = np.cov(np.hstack([base, second]).T)
-    lift2 = t_pair.lift()
-    v12_ref = lam + lam @ np.kron(t_pair.alpha.T, t_pair.beta)
-    v22_ref = lift2 @ lam @ lift2.T
-    pair_rel = max(_rel_fro(joint[:pq, pq:], v12_ref),
-                   _rel_fro(joint[pq:, pq:], v22_ref))
-    return cmp, pair_rel
+                         mean_max_se=dict(zip(summary.labels, z.max(axis=1).tolist())))

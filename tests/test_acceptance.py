@@ -16,8 +16,9 @@ import pytest
 import yaml
 
 from eivreg import cli, verify
-from eivreg.asymptotics import estimate_score_cov, law_inputs
+from eivreg.asymptotics import AsymptoticLaw, estimate_score_cov, law_inputs
 from eivreg.config import parse_config
+from eivreg.linalg import AffineTransform, kron, rvec
 from eivreg.verify import (criterion_efficiency_curve, criterion_law_agreement,
                            criterion_naive_bias)
 from test_kernel import record_pools
@@ -141,3 +142,33 @@ def test_details_print_huge_numbers_in_scientific_notation():
     for result in results:
         assert "e+" in result.detail
         assert _longest_digit_run(result.detail) <= 12, result.detail
+
+
+DEFAULT_SEED = yaml.safe_load(
+    CONFIG.read_text(encoding="utf-8"))["simulation"]["master_seed"]
+LAW_MUTANTS = {
+    "lift_iota_untransposed": (AffineTransform, "lift", lambda t: (
+        kron(t.kappa, t.iota) + kron(t.alpha, t.beta.T))),
+    "lift_kron_swapped": (AffineTransform, "lift", lambda t: (
+        kron(t.iota.T, t.kappa) + kron(t.beta.T, t.alpha))),
+    "block_untransposed": (AsymptoticLaw, "block", lambda law, i, j: (
+        law.maps[i] @ law.lam @ law.maps[j])),
+    "full_mean_reversed": (AsymptoticLaw, "full_mean", lambda law: np.concatenate(
+        [rvec(t.rho) for t in reversed(law.transforms)])),
+    "full_mean_without_rho": (AsymptoticLaw, "full_mean", lambda law: np.zeros(
+        len(law.labels) * law.p * law.q)),
+}
+
+
+def test_affine_limit_closure_gaps_are_rounding():
+    result = verify.criterion_affine_limits(DEFAULT_SEED)
+    gaps = [float(x) for x in re.findall(r"\d\.\de[-+]\d+", result.detail)]
+    assert result.passed
+    assert len(gaps) == 4 and max(gaps) <= 1e-12, result.detail
+
+
+@pytest.mark.parametrize("mutant", LAW_MUTANTS)
+def test_affine_limit_closure_fails_on_a_wrong_block_law(monkeypatch, mutant):
+    owner, name, wrong = LAW_MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, wrong)
+    assert not verify.criterion_affine_limits(DEFAULT_SEED).passed

@@ -1,5 +1,5 @@
 """Replication engine: determinism, law comparison, loss diagnostics, and the
-affine-limit suite."""
+affine-limit suite, which calibrates `compare_law` on a known law."""
 
 import math
 from pathlib import Path
@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 import yaml
 
-from eivreg.asymptotics import (closed_form_score_cov, estimate_score_cov,
-                                joint_law, law_inputs, named_weight_limit,
-                                population)
+from eivreg.asymptotics import (AsymptoticLaw, closed_form_score_cov,
+                                estimate_score_cov, joint_law, law_inputs,
+                                named_weight_limit, population)
 from eivreg.config import parse_config
 from eivreg.estimators import LAW_LABELS
 from eivreg.exceptions import EivregError
-from eivreg.linalg import psd_factor, sym
+from eivreg.linalg import AffineTransform, psd_factor, sym
 from eivreg.model import DesignRule, ModelConfig, Restriction, make_restricted_b
-from eivreg.montecarlo import (EmpiricalSummary, SimulationPlan, _rel_fro,
-                               affine_limit_suite, compare_law,
-                               replication_plan, run_plan)
+from eivreg.montecarlo import (MEAN_TOL_SE, EmpiricalSummary, SimulationPlan,
+                               _rel_fro, compare_law, replication_plan, run_plan)
 from eivreg.risk import dominance_report
+from eivreg.verify import _random_transform
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -89,8 +89,9 @@ def test_compare_law_self_consistency():
     sc = sym(f @ f.T) + np.eye(4)
     law = joint_law(pm, sc, RESTR)
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(6))
-    cmp = compare_law(summary, law, tol_cov=0.10)
-    assert cmp.passed
+    cmp = compare_law(summary, law)
+    assert cmp.worst_cov <= 0.10
+    assert cmp.worst_mean <= MEAN_TOL_SE
 
 
 def test_compare_law_negative_control():
@@ -103,7 +104,7 @@ def test_compare_law_negative_control():
     summary = _summary_from_law_draws(law, 100_000, np.random.default_rng(8))
     wrong = 2.0 * sc
     wrong_law = joint_law(pm, wrong, RESTR)
-    cmp = compare_law(summary, wrong_law, tol_cov=0.10)
+    cmp = compare_law(summary, wrong_law)
     assert not cmp.passed
     assert cmp.worst_cov > 0.3
 
@@ -152,7 +153,8 @@ def test_zero_direction_plan_means_centered():
     b_truth = make_restricted_b(cfg, restr, B_SEED)
     sc = estimate_score_cov(cfg, b_truth, reps=800, seed=72).cov
     law = joint_law(pm, sc, restr)
-    cmp = compare_law(summary, law, tol_cov=0.35)
+    cmp = compare_law(summary, law)
+    assert cmp.worst_cov <= 0.35
     assert cmp.worst_mean <= 4.0
     for label in law.labels:
         np.testing.assert_array_equal(law.mean(label), np.zeros((2, 2)))
@@ -283,6 +285,60 @@ def test_plan_validation():
         _plan(estimators=("generic",))
 
 
+# affine-limit suite: AFFINE_M transforms of p-by-q matrices whose coefficients
+# converge at rate AFFINE_N_CONV^{-1/2}
+AFFINE_M, AFFINE_P, AFFINE_Q, AFFINE_N_CONV = 3, 2, 2, 10_000
+
+
+def affine_limit_suite(seed, draws):
+    """Push a converging matrix-normal sequence through AFFINE_M random affine
+    transforms with converging coefficients, and `compare_law` the draws with
+    the `AsymptoticLaw` of the transforms.
+
+    Also checks the two-transform specialization with an identity first
+    component: the cross block must equal lam @ (I + kron(alpha2.T, beta2)).
+    Returns the comparison and that pair's worst relative Frobenius gap.
+    """
+    m, p, q, n_conv = AFFINE_M, AFFINE_P, AFFINE_Q, AFFINE_N_CONV
+    g = np.random.default_rng([seed, 2, 0])
+    pq = p * q
+    f = g.standard_normal((pq, pq))
+    lam = sym(f @ f.T) / pq + 0.5 * np.eye(pq)
+    transforms = [_random_transform(p, q, g) for _ in range(m)]
+    y = (g.standard_normal((draws, pq)) @ psd_factor(lam).T).reshape(draws, p, q)
+    y = y + g.standard_normal(y.shape) / math.sqrt(n_conv)
+    scale = 1.0 / math.sqrt(n_conv)
+    stacked = np.empty((draws, m * pq))
+    for j, t in enumerate(transforms):
+        kap = t.kappa + scale * g.standard_normal((draws, p, p))
+        iot = t.iota + scale * g.standard_normal((draws, q, q))
+        alp = t.alpha + scale * g.standard_normal((draws, p, p))
+        bet = t.beta + scale * g.standard_normal((draws, q, q))
+        rho = t.rho + scale * g.standard_normal((draws, p, q))
+        val = kap @ y @ iot + alp @ y @ bet + rho
+        stacked[:, j * pq:(j + 1) * pq] = val.reshape(draws, pq)
+    labels = tuple(f"T{j + 1}" for j in range(m))
+    law = AsymptoticLaw(labels=labels, transforms=tuple(transforms), lam=lam)
+    summary = EmpiricalSummary(labels=labels, p=p, q=q, errors=stacked,
+                               losses=np.empty((draws, 0)))  # no estimates, no losses
+    cmp = compare_law(summary, law)
+
+    # identity-first pair: the cross block gains the transposed-lift factor
+    # and the second diagonal block is the two-sided lift of the score cov
+    t_pair = AffineTransform(kappa=np.eye(p), iota=np.eye(q),
+                             alpha=transforms[0].alpha, beta=transforms[0].beta,
+                             rho=transforms[0].rho)
+    base = y.reshape(draws, pq)
+    second = (y + t_pair.alpha @ y @ t_pair.beta + t_pair.rho).reshape(draws, pq)
+    joint = np.cov(np.hstack([base, second]).T)
+    lift2 = t_pair.lift()
+    v12_ref = lam + lam @ np.kron(t_pair.alpha.T, t_pair.beta)
+    v22_ref = lift2 @ lam @ lift2.T
+    pair_rel = max(_rel_fro(joint[:pq, pq:], v12_ref),
+                   _rel_fro(joint[pq:, pq:], v22_ref))
+    return cmp, pair_rel
+
+
 def test_affine_limit_suite_blocks_and_means():
     cmp, pair_rel = affine_limit_suite(seed=123, draws=60_000)
     assert cmp.passed
@@ -294,8 +350,6 @@ def test_affine_limit_suite_blocks_and_means():
 
 def test_identity_transform_recovers_cov():
     # single identity transform: the empirical covariance is the law's own
-    from eivreg.asymptotics import AsymptoticLaw
-    from eivreg.linalg import AffineTransform
     g = np.random.default_rng(12)
     f = g.standard_normal((4, 4))
     lam = sym(f @ f.T) + np.eye(4)

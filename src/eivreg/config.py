@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -31,6 +30,7 @@ def _matrix(value, name: str) -> np.ndarray:
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {kind.__name__: kind for kind in _KIND_NAMES}  # f.type is the annotation string
 
 
 def _scalar(section: str, key: str, value, kind):
@@ -61,15 +61,14 @@ def _section(doc: dict, name: str, required: bool = False) -> dict:
 
 def _settings(cls, sec: dict, section: str, **resolved):
     """The dataclass `cls` built from a section: the fields in `resolved` as
-    given, every other init field converted by `_scalar` to its annotated
+    given, every other init field converted by `_scalar` to its declared
     type, or left at its default when the section omits it."""
-    kinds = get_type_hints(cls)
     values = dict(resolved)
     for f in fields(cls):
         if not f.init or f.name in values:
             continue
         if f.name in sec:
-            values[f.name] = _scalar(section, f.name, sec.pop(f.name), kinds[f.name])
+            values[f.name] = _scalar(section, f.name, sec.pop(f.name), _KINDS[f.type])
         elif f.default is MISSING:
             raise ConfigError(f"{section} section missing field {f.name!r}")
     if sec:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EivregError
-from .linalg import COND_LIMIT, eig_extremes, is_symmetric, solvable, sym
+from .linalg import (ATTENUATION_FLOOR, eig_extremes, ill_conditioned, is_symmetric,
+                     solvable, sym)
 from .model import Restriction
 
 RESTRICTION_TOL = 1e-8
@@ -62,8 +63,7 @@ def lse(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if X.shape[0] != Z.shape[0]:
         raise ValueError("X and Z must have the same number of rows")
     xtx = sym(X.T @ X)
-    ch_min, ch_max = eig_extremes(xtx)
-    if ch_min <= 0 or ch_max / ch_min > COND_LIMIT:
+    if ill_conditioned(xtx):
         raise EivregError("X'X is numerically singular")
     return np.linalg.solve(xtx, X.T @ Z)
 
@@ -78,7 +78,7 @@ def build_kx(X: np.ndarray, sigma_delta2: float) -> Attenuation:
     sigma_d = sigma_x - sigma_delta2 * np.eye(X.shape[1])
     _, x_max = eig_extremes(sigma_x)
     d_min, _ = eig_extremes(sigma_d)
-    if d_min <= 1e-8 * x_max:
+    if d_min <= ATTENUATION_FLOOR * x_max:
         raise EivregError(
             f"attenuation correction breaks down: ch_min(sigma_d)={d_min:.3e}")
     kx = np.linalg.solve(sigma_x, sigma_d)
@@ -95,10 +95,10 @@ def restricted(b1: np.ndarray, sigma_hat: np.ndarray, restr: Restriction) -> np.
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if not is_symmetric(sigma_hat):
         raise ValueError("weight must be symmetric positive definite")
-    ch_min, ch_max = eig_extremes(sigma_hat)
+    ch_min, _ = eig_extremes(sigma_hat)
     if ch_min <= 0:
         raise ValueError(f"weight is not positive definite (ch_min={ch_min:.3e})")
-    if ch_max / ch_min > COND_LIMIT:
+    if ill_conditioned(sigma_hat):
         raise ValueError("weight matrix is too ill-conditioned")
     b, gram_singular = restr.project(b1, restr.theta, sigma_hat)
     if gram_singular:
@@ -161,15 +161,13 @@ def estimate_batch(xtx: np.ndarray, xtz: np.ndarray, n: int,
         sigma_d = sigma_x - sigma_delta2 * np.eye(p)
         x_max = np.linalg.eigvalsh(sigma_x)[:, -1]
         d_min = np.linalg.eigvalsh(sigma_d)[:, 0]
-        exclude(d_min <= 1e-8 * x_max, lambda r: "attenuation correction "
+        exclude(d_min <= ATTENUATION_FLOOR * x_max, lambda r: "attenuation correction "
                 f"breaks down: ch_min(sigma_d)={d_min[r]:.3e}")
         # the check above bounds the condition number of sigma_d
         b1 = np.linalg.solve(solvable(n * sigma_d, failed), xtz)
     for lbl in labels:
         if lbl == "LSE":
-            w = np.linalg.eigvalsh(xtx_s)
-            exclude((w[:, 0] <= 0) | (w[:, -1] / COND_LIMIT > w[:, 0]),
-                    lambda r: "X'X is numerically singular")
+            exclude(ill_conditioned(xtx_s), lambda r: "X'X is numerically singular")
             out[lbl] = np.linalg.solve(solvable(xtx_s, failed), xtz)
         elif lbl == "UE":
             out[lbl] = b1

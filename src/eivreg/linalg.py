@@ -1,5 +1,7 @@
 """Matrix utilities: row-major flattening and Kronecker products, eigenvalue
 extremes, PSD factors, and the lift of an affine transform of p-by-q matrices.
+Every "numerically singular" decision is `ill_conditioned`; every attenuation
+check requires ch_min(sigma_d) > ATTENUATION_FLOOR * ch_max(sigma_x).
 
 Stacking convention used throughout the package: matrix-valued random variables
 are flattened row-major (`rvec`, equal to the classical column-stacking vec of
@@ -19,6 +21,7 @@ from .exceptions import EivregError
 SYM_RTOL = 1e-10
 PSD_CLIP_RTOL = 1e-10
 COND_LIMIT = 1e12
+ATTENUATION_FLOOR = 1e-8
 
 
 def rvec(m: np.ndarray) -> np.ndarray:
@@ -41,6 +44,13 @@ def solvable(mats: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """`mats` (..., k, k) with the identity in place of each matrix flagged
     in `bad` (...), so that a stacked solve cannot raise for it."""
     return np.where(bad[..., None, None], np.eye(mats.shape[-1]), mats)
+
+
+def ill_conditioned(s: np.ndarray) -> np.ndarray:
+    """Whether the symmetric s, or each of a stack (..., k, k), is not positive
+    definite or has lambda_max / lambda_min above COND_LIMIT (or NaN in it)."""
+    w = np.linalg.eigvalsh(sym(s))  # divided, not multiplied: cannot overflow
+    return ~((w[..., 0] > 0) & (w[..., -1] / COND_LIMIT <= w[..., 0]))
 
 
 def is_symmetric(s: np.ndarray) -> bool:

@@ -39,7 +39,8 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .exceptions import ConfigError
-from .linalg import COND_LIMIT, eig_extremes, psd_factor, solvable, sym
+from .linalg import (ATTENUATION_FLOOR, eig_extremes, ill_conditioned, psd_factor,
+                     solvable, sym)
 
 # family -> (skewness gamma1, excess kurtosis gamma2) of the standardized draw
 ERROR_FAMILIES = {
@@ -140,8 +141,7 @@ class ModelConfig:
             raise ConfigError("field 'model.M' does not have full column rank")
         sigma = mtm / self.n + (self.sigma_psi2 + self.sigma_delta2) * np.eye(self.p)
         ch_min, ch_max = eig_extremes(sigma)
-        # same relative floor as the plug-in attenuation estimate
-        if ch_min - self.sigma_delta2 <= 1e-8 * ch_max:
+        if ch_min - self.sigma_delta2 <= ATTENUATION_FLOOR * ch_max:
             raise ConfigError(f"field 'model.sigma_delta2' = {self.sigma_delta2} reaches "
                               f"ch_min(sigma) = {ch_min:.3e} of the design at n = {self.n}; "
                               "the corrected estimator's limit scale is not PD")
@@ -167,9 +167,9 @@ class ModelConfig:
 class Restriction:
     """Linear restriction R1 @ B @ R2 = theta with local direction theta0.
 
-    R1 R1' and R2'R2 must have condition numbers at most COND_LIMIT, and
-    `right` stores (R2'R2)^{-1} R2', which `project`, the one projection
-    onto the restriction, and every restricted limit law multiply by.
+    R1 R1' and R2'R2 must not be `ill_conditioned`, and `right` stores
+    (R2'R2)^{-1} R2', which `project`, the one projection onto the
+    restriction, and every restricted limit law multiply by.
     """
 
     R1: np.ndarray
@@ -193,10 +193,10 @@ class Restriction:
                 f"theta must be {r1.shape[0]}x{r2.shape[1]}, got {th.shape}")
         if t0.shape != th.shape:
             raise ValueError("theta0 must have the same shape as theta")
-        if np.linalg.cond(r1 @ r1.T) > COND_LIMIT:
+        if ill_conditioned(r1 @ r1.T):
             raise ValueError("R1 must have full row rank")
         r2tr2 = r2.T @ r2
-        if np.linalg.cond(r2tr2) > COND_LIMIT:
+        if ill_conditioned(r2tr2):
             raise ValueError("R2 must have full column rank")
         object.__setattr__(self, "right", np.linalg.solve(r2tr2, r2.T))
         if not np.all(np.isfinite(t0)):
@@ -214,9 +214,8 @@ class Restriction:
         """b (p x q, or a stack (..., p, q)) moved onto R1 B R2 = target by
         S^{-1} R1' (R1 S^{-1} R1')^{-1} (R1 b R2 - target) (R2'R2)^{-1} R2',
         for a positive definite weight S of matching shape, I by default.
-        Also returns whether each R1 S^{-1} R1' has condition number above
-        COND_LIMIT; the identity stands in for a flagged one, so a stacked
-        solve never raises."""
+        Also returns whether each R1 S^{-1} R1' is `ill_conditioned`; the
+        identity stands in for a flagged one, so a stacked solve never raises."""
         if weight is None:
             sinv_r1t = self.R1.T  # not a solve against I, which moves bits
         else:
@@ -225,7 +224,7 @@ class Restriction:
             sinv_r1t = np.linalg.solve(weight, np.broadcast_to(
                 self.R1.T, weight.shape[:-2] + self.R1.T.shape))
         gram = self.R1 @ sinv_r1t
-        singular = np.linalg.cond(gram) > COND_LIMIT
+        singular = ill_conditioned(gram)
         gap = self.R1 @ b @ self.R2 - target
         step = np.linalg.solve(solvable(gram, singular), gap)
         return b - sinv_r1t @ step @ self.right, singular

@@ -908,6 +908,9 @@ BAD_CONFIGS = {
     "section_misspelt": (None, "simulaton", {"reps": 10}),
     "section_date": (None, "notes", datetime.date(2026, 10, 20)),
     "estimators_lse": ("simulation", "estimators", ["LSE"]),
+    "estimators_b9": ("simulation", "estimators", ["UE", "B9"]),
+    "r1_nan": ("restriction", "R1", [[math.nan, -0.5]]),
+    "r2_missing": (None, "restriction", {"R1": [[1.0, -0.5]], "theta": [[0.3]]}),
     "score_n_2pow61": ("score_cov", "n", 2 ** 61),
     # M by 2^k and the three variances by 4^k: the score covariance, which
     # scales by 2^(4k), overflows from k = 255
@@ -1153,6 +1156,20 @@ EXIT_CASES = [
     pytest.param("law", ["--config", "{tmp}/score_n_2pow61.yaml"], 2,
                  f"field 'score_cov.n' = {2 ** 61} needs a {2 ** 61}x2 design M, "
                  "more than memory holds", id="law-score_n_2pow61"),
+    # a config or data file that cannot be read, or a document that is no run
+    pytest.param("law", ["--config", "{tmp}/absent.yaml"], 2,
+                 "cannot read config {tmp}/absent.yaml", id="law-config_absent"),
+    pytest.param("law", ["--config", "{tmp}/doc_list.yaml"], 2,
+                 "configuration document must be a mapping", id="law-doc_list"),
+    pytest.param("law", ["--config", "{tmp}/r1_nan.yaml"], 2,
+                 "field 'R1' contains non-finite entries", id="law-r1_nan"),
+    pytest.param("law", ["--config", "{tmp}/r2_missing.yaml"], 2,
+                 "restriction section missing field 'R2'", id="law-r2_missing"),
+    pytest.param("simulate", ["--config", "{tmp}/estimators_b9.yaml", "--workers", "1"],
+                 2, "unknown estimator labels in config: ['B9']",
+                 id="simulate-estimators_b9"),
+    pytest.param("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/absent.csv"], 2,
+                 "cannot read {tmp}/absent.csv", id="estimate-x_absent"),
 ]
 
 
@@ -1160,6 +1177,7 @@ EXIT_CASES = [
 def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
                            message):
     (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "doc_list.yaml").write_text("[1, 2]\n", encoding="utf-8")
     for name in ("b1.csv", "score_cov.csv"):  # output files that cannot be written
         (tmp_path / "blocked" / name).mkdir(parents=True)
     data = np.random.default_rng(0).standard_normal((10, 2))

@@ -137,6 +137,33 @@ def test_singular_design_excluded_like_reference():
     np.testing.assert_array_equal(batch.estimates[0, 0], lse(X, Z))
 
 
+def test_lse_exclusions_match_reference_at_the_condition_limit():
+    # X'X with condition numbers 1e11 and 1e13, either side of COND_LIMIT:
+    # the kernel excludes exactly the replications where lse raises, with
+    # lse's message, and matches lse bit for bit on the others
+    g = np.random.default_rng(9)
+    n, p, conds = 60, 3, (1e11, 1e13) * 4
+    datasets = []
+    for cond in conds:
+        u = np.linalg.qr(g.standard_normal((n, p)))[0]
+        v = np.linalg.qr(g.standard_normal((p, p)))[0]
+        X = (u * np.sqrt(np.geomspace(1.0, cond, p))) @ v.T
+        datasets.append((X, g.standard_normal((n, 2))))
+    xtx = np.stack([X.T @ X for X, _ in datasets])
+    xtz = np.stack([X.T @ Z for X, Z in datasets])
+    batch = estimate_batch(xtx, xtz, n, 0.0, RESTR, ("LSE",))
+    raised = []
+    for r, (X, Z) in enumerate(datasets):
+        try:
+            np.testing.assert_array_equal(batch.estimates[r, 0], lse(X, Z))
+        except EivregError as exc:
+            raised.append((r, str(exc)))
+    assert [r for r, _ in raised] == [1, 3, 5, 7]
+    assert batch.excluded == tuple(r for r, _ in raised)
+    assert batch.reasons == tuple(msg for _, msg in raised)
+    assert set(batch.reasons) == {"X'X is numerically singular"}
+
+
 def test_singular_gram_excluded_like_reference():
     # R1 R1' has condition number 1e8; replication 1's sigma_x stretches
     # the second axis by 1e5, so R1 S^{-1} R1' has condition number about

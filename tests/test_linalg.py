@@ -1,6 +1,7 @@
-"""Row-major flattening and Kronecker algebra, eigenvalue extremes, PSD
-factors, and the covariance blocks of affine transforms, formed by an
-`AsymptoticLaw` whose maps are the transforms' lifts."""
+"""Row-major flattening and Kronecker algebra, eigenvalue extremes, the
+conditioning rule, PSD factors, and the covariance blocks of affine
+transforms, formed by an `AsymptoticLaw` whose maps are the transforms'
+lifts."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from eivreg.asymptotics import AsymptoticLaw
 from eivreg.exceptions import EivregError
-from eivreg.linalg import (AffineTransform, eig_extremes, is_symmetric, kron,
-                           psd_factor, rvec, sym)
+from eivreg.linalg import (COND_LIMIT, AffineTransform, eig_extremes,
+                           ill_conditioned, is_symmetric, kron, psd_factor,
+                           rvec, sym)
 
 RNG = np.random.default_rng(20260810)
 
@@ -124,6 +126,46 @@ def test_eig_extremes_shift(seed, c):
     lo_c, hi_c = eig_extremes(s + c * np.eye(4))
     assert lo_c == pytest.approx(lo + c, abs=1e-10)
     assert hi_c == pytest.approx(hi + c, abs=1e-10)
+
+
+def _spd_with_cond(g, k, cond):
+    """A random symmetric k x k matrix with eigenvalues spread from 1 to cond."""
+    q = np.linalg.qr(g.standard_normal((k, k)))[0]
+    w = np.geomspace(1.0, cond, k)
+    return sym((q * w) @ q.T)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ill_conditioned_is_the_condition_number_rule(k):
+    # the eigenvalue ratio decides as np.linalg.cond's SVD ratio does, on
+    # matrices two orders of magnitude either side of COND_LIMIT
+    g = np.random.default_rng(k)
+    conds = [1e10, 1e11, 1e13, 1e14] * 3
+    mats = np.stack([_spd_with_cond(g, k, c) for c in conds])
+    expected = np.linalg.cond(mats) > COND_LIMIT
+    assert expected.tolist() == [c > COND_LIMIT for c in conds]
+    assert ill_conditioned(mats).tolist() == expected.tolist()
+    assert [bool(ill_conditioned(m)) for m in mats] == expected.tolist()
+    assert ill_conditioned(mats.reshape(3, 4, k, k)).shape == (3, 4)
+
+
+@pytest.mark.parametrize("s", [
+    np.zeros((2, 2)),
+    np.array([[1.0, 1.0], [1.0, 1.0]]),
+    np.diag([1.0, -1e-3]),
+    -np.eye(3),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+], ids=["zero", "singular", "indefinite", "negative", "nan", "inf"])
+def test_ill_conditioned_flags_singular_indefinite_and_nan(s):
+    assert ill_conditioned(s)
+    assert ill_conditioned(np.stack([np.eye(len(s)), s])).tolist() == [False, True]
+
+
+def test_ill_conditioned_does_not_overflow():
+    # eigenvalues near the top of double precision: the ratio is divided out
+    assert not ill_conditioned(np.diag([1e300, 1e299]))
+    assert ill_conditioned(np.diag([1e300, 1e287]))
 
 
 def test_psd_factor_rejects_indefinite():

@@ -130,7 +130,12 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
     if reps < 2:
         raise ValueError("reps must be at least 2")
     B = np.asarray(B, dtype=float)
-    xtx, xtz = draw_stats(cfg, B, seed, 1, reps, workers)
+    sampler = stats_sampler(cfg, B)
+    try:
+        xtx, xtz = draw_stats(sampler, seed, 1, 0, reps, workers)
+    except (MemoryError, ValueError):  # numpy's "array is too big"
+        raise ConfigError(f"field 'score_cov.reps' = {reps} needs {reps} draws of "
+                          "X'X and X'Z, more than memory holds") from None
     p, q = cfg.p, cfg.q
     draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
     e = int(np.frexp(np.max(np.abs(draws)))[1])

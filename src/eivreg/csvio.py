@@ -32,13 +32,14 @@ def open_output(path, newline: str | None = None):
 
 
 def write_matrix_csv(path, arr: np.ndarray, header=None) -> None:
-    """`arr` under `header` (col_1, ... if None), each number as `fmt` writes it."""
+    """`arr` under `header` (col_1, ... if None), each number as `fmt` writes it,
+    formatted one row at a time."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     header = header or [f"col_{j + 1}" for j in range(arr.shape[1])]
     row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open_output(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in arr.tolist())
+        fh.writelines(row % tuple(r.tolist()) for r in arr)
 
 
 def read_matrix_csv(path) -> np.ndarray:

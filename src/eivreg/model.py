@@ -9,12 +9,13 @@ Everything that depends on the sample size n reads it from the `ModelConfig`;
 the same model at another sample size is ``cfg.at_n(n)``.
 
 Replication studies and the score-covariance Monte Carlo check need only the
-sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`,
-which decides when they are drawn on a pool of threads.  `stats_sampler`
-draws them from their exact law under gaussian errors at n >= 2p + q
-(`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G) + F A A' F' with
-M = QR and A Bartlett's factor), at a cost that does not depend on n, and
-from datasets drawn as `generate` draws them otherwise (`RowSampler`).
+sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`
+in block-aligned ranges; it decides when they are drawn on a pool of
+threads.  `stats_sampler` draws them from their exact law under gaussian
+errors at n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G)
++ F A A' F' with M = QR and A Bartlett's factor), at a cost that does not
+depend on n, and from datasets drawn as `generate` draws them otherwise
+(`RowSampler`).
 
 Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
 (BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
@@ -167,9 +168,10 @@ class ModelConfig:
 class Restriction:
     """Linear restriction R1 @ B @ R2 = theta with local direction theta0.
 
-    R1 R1' and R2'R2 must not be `ill_conditioned`, and `right` stores
-    (R2'R2)^{-1} R2', which `project`, the one projection onto the
-    restriction, and every restricted limit law multiply by.
+    Every field must be finite, R1 R1' and R2'R2 must not be
+    `ill_conditioned`, and `right` stores (R2'R2)^{-1} R2', which `project`,
+    the one projection onto the restriction, and every restricted limit law
+    multiply by.
     """
 
     R1: np.ndarray
@@ -193,14 +195,15 @@ class Restriction:
                 f"theta must be {r1.shape[0]}x{r2.shape[1]}, got {th.shape}")
         if t0.shape != th.shape:
             raise ValueError("theta0 must have the same shape as theta")
+        for name, value in (("R1", r1), ("R2", r2), ("theta", th), ("theta0", t0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if ill_conditioned(r1 @ r1.T):
             raise ValueError("R1 must have full row rank")
         r2tr2 = r2.T @ r2
         if ill_conditioned(r2tr2):
             raise ValueError("R2 must have full column rank")
         object.__setattr__(self, "right", np.linalg.solve(r2tr2, r2.T))
-        if not np.all(np.isfinite(t0)):
-            raise ValueError("theta0 must be finite")
 
     def with_theta0(self, theta0: np.ndarray) -> "Restriction":
         return Restriction(self.R1, self.R2, self.theta, theta0)
@@ -382,10 +385,17 @@ def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampl
                            factor=factor, n=cfg.n)
 
 
-def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
-               workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z, stacked, of replications 0, ..., reps - 1 of stream `tag`
-    for datasets of `cfg` with coefficients B.
+def draw_stats(sampler: GaussianSampler | RowSampler, seed: int, tag: int,
+               start: int, stop: int, workers: int = 1
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """X'X and X'Z, stacked, of replications start, ..., stop - 1 of stream
+    `tag`, drawn by `sampler` (from `stats_sampler`, made once for all the
+    ranges a caller draws).
+
+    Chunk contract: `start` is on a block boundary, so a range draws the
+    rows that the whole stream 0, ..., stop - 1 would draw for it, bit for
+    bit; a caller may draw a long stream in consecutive ranges and hold only
+    one range's stacks at a time.
 
     Pool policy: with several workers, a non-gaussian draw of more than one
     block is split into ranges of whole blocks, about four per worker, one
@@ -395,14 +405,16 @@ def draw_stats(cfg: ModelConfig, B: np.ndarray, seed: int, tag: int, reps: int,
     thread.  Ranges start on block boundaries, so the draws do not depend on
     the workers.
     """
-    sampler = stats_sampler(cfg, B)
-    if workers <= 1 or reps <= BLOCK or cfg.error_family == "gaussian":
-        return sampler.draw(block_rngs(seed, tag, 0, reps), reps)
+    reps = stop - start
+    gaussian = (isinstance(sampler, GaussianSampler)
+                or sampler.cfg.error_family == "gaussian")
+    if workers <= 1 or reps <= BLOCK or gaussian:
+        return sampler.draw(block_rngs(seed, tag, start, stop), reps)
     step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
     # imported here: only a pooled draw pays for the pool
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda lo: sampler.draw(
-            block_rngs(seed, tag, lo, min(lo + step, reps)), min(step, reps - lo)),
-            range(0, reps, step)))
+            block_rngs(seed, tag, lo, min(lo + step, stop)), min(step, stop - lo)),
+            range(start, stop, step)))
     return tuple(map(np.concatenate, zip(*parts)))

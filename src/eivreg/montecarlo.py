@@ -4,10 +4,11 @@ and losses, and compare empirical moments against the theoretical limit laws.
 A plan projects the true coefficient matrix onto the drifting restriction
 and draws the X'X and X'Z of its replications from stream tag 0 through
 `model.draw_stats`, which holds the seeding contract and the pool policy;
-its model was checked when it was made.  `estimate_batch` then
-solves every replication and labelled estimator (restricted ones with their
-named weights) at once, as stacked p-by-p problems; a replication that fails
-one of its checks is excluded with the reason.
+its model was checked when it was made.  The replications are drawn and
+solved `CHUNK` at a time: `estimate_batch` solves every replication of a
+chunk and labelled estimator (restricted ones with their named weights) at
+once, as stacked p-by-p problems, and a replication that fails one of its
+checks is excluded with the reason.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import ConfigError, EivregError
-from .model import ModelConfig, Restriction, draw_stats, make_restricted_b
+from .model import (BLOCK, ModelConfig, Restriction, draw_stats, make_restricted_b,
+                    stats_sampler)
 
+# replications drawn and solved at once, whole blocks of the seeding contract:
+# a plan holds one chunk's draws and temporaries, not every replication's
+CHUNK = 8 * BLOCK
 MAX_EXCLUDED_FRACTION = 0.01
 MEAN_TOL_SE = 4.0  # `compare_law`'s bound on a mean discrepancy, in SEs
 COV_TOL_FRO = 0.15  # and on a covariance block's relative Frobenius gap
@@ -86,27 +91,48 @@ class EmpiricalSummary:
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """Run all replications; deterministic for a fixed plan at any worker count.
 
-    Replications that fail a check of `estimate_batch` are excluded; more than
-    1% excluded is an error that quotes the first one's reason.  Scaled errors
-    whose losses or covariance overflow are a ConfigError: the truth B is too large.
+    Chunk contract: replications are drawn, solved and reduced `CHUNK` at a
+    time into scaled errors and losses allocated once for every replication,
+    and each replication's numbers do not depend on its chunk, so the result
+    is the same, bit for bit, at any chunk size.  Replications that fail a
+    check of `estimate_batch` are excluded, by their index in the plan; more
+    than 1% excluded, over every chunk, is an error that quotes the first
+    one's reason.  Scaled errors whose losses or covariance overflow are a
+    ConfigError: the truth B is too large.
     """
-    n = plan.cfg.n
+    n, reps, p = plan.cfg.n, plan.reps, plan.cfg.p
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
-    xtx, xtz = draw_stats(plan.cfg, b_truth, plan.master_seed, 0, plan.reps,
-                          workers)
-    batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
-                           plan.estimators)
-    if len(batch.excluded) > MAX_EXCLUDED_FRACTION * plan.reps:
-        raise EivregError(
-            f"{len(batch.excluded)} of {plan.reps} replications were excluded "
-            f"(first: {batch.reasons[0]})")
-    dev = np.delete(batch.estimates, batch.excluded, axis=0) - b_truth
-    errors = math.sqrt(n) * dev.reshape(len(dev), -1)
-    w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
+    w = np.eye(p) if plan.weight is None else plan.weight
+    k = len(plan.estimators) * p * plan.cfg.q
+    try:
+        errors = np.empty((reps, k))
+        losses = np.empty((reps, len(plan.estimators)))
+    except (MemoryError, ValueError):  # numpy's "array is too big"
+        raise ConfigError(f"field 'simulation.reps' = {reps} needs {reps}x{k} scaled "
+                          "errors, more than memory holds") from None
+    sampler = stats_sampler(plan.cfg, b_truth)
+    excluded, reasons, kept = [], [], 0
+    for start in range(0, reps, CHUNK):
+        xtx, xtz = draw_stats(sampler, plan.master_seed, 0, start,
+                              min(start + CHUNK, reps), workers)
+        batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
+                               plan.estimators)
+        excluded += [start + r for r in batch.excluded]
+        reasons += batch.reasons
+        dev = np.delete(batch.estimates, batch.excluded, axis=0) - b_truth
+        rows = slice(kept, kept + len(dev))
+        errors[rows] = math.sqrt(n) * dev.reshape(len(dev), k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses[rows] = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev,
+                                        axis1=-2, axis2=-1)
+        kept += len(dev)
+    if len(excluded) > MAX_EXCLUDED_FRACTION * reps:
+        raise EivregError(f"{len(excluded)} of {reps} replications were excluded "
+                          f"(first: {reasons[0]})")
+    errors, losses = errors[:kept], losses[:kept]
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = n * np.trace(np.swapaxes(dev, -1, -2) @ w @ dev, axis1=-2, axis2=-1)
-        summary = EmpiricalSummary(labels=plan.estimators, p=plan.cfg.p, q=plan.cfg.q,
-                                   errors=errors, losses=losses, excluded=batch.excluded)
+        summary = EmpiricalSummary(labels=plan.estimators, p=p, q=plan.cfg.q,
+                                   errors=errors, losses=losses, excluded=tuple(excluded))
         if not (np.isfinite(losses).all() and np.isfinite(summary.cov_empirical).all()):
             raise ConfigError(
                 "fields 'simulation.B_seed', 'restriction.R1', 'restriction.R2', "

@@ -17,7 +17,7 @@ from eivreg.config import parse_config
 from eivreg.exceptions import ConfigError
 from eivreg.linalg import eig_extremes, kron, sym
 from eivreg.model import (ERROR_FAMILIES, DesignRule, ModelConfig, Restriction,
-                          draw_stats, generate, make_restricted_b)
+                          draw_stats, generate, make_restricted_b, stats_sampler)
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
@@ -416,7 +416,7 @@ def test_score_convention_matches_feasible_estimator():
     pm = population(cfg)
     sc_plain = estimate_score_cov(cfg, B, reps=reps, seed=21)
     # the infeasible estimator's score, drawn as estimate_score_cov draws
-    xtx, xtz = draw_stats(cfg, B, 22, 1, reps)
+    xtx, xtz = draw_stats(stats_sampler(cfg, B), 22, 1, 0, reps)
     h = (xtz - xtx @ B) / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
     h = h + (xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma) @ pm.kbar @ B
     draws = h.reshape(reps, 1)

@@ -368,6 +368,38 @@ def test_estimate_memory_is_linear_in_n(tmp_path):
     assert peak2 <= 1.25 * data2, (peak2, data2)
 
 
+def test_simulate_memory_is_a_few_times_its_outputs(tmp_path):
+    # replications are drawn and solved a chunk at a time: besides the scaled
+    # errors and losses, the peak holds the covariance's centred copy of the
+    # errors and one chunk's temporaries
+    run = load_config(CONFIG).with_fields({"simulation.reps": 8000})
+    plan = montecarlo.replication_plan(run, run.simulation.estimators)
+    tracemalloc.start()
+    try:
+        summary = run_plan(plan)
+        assert np.isfinite(summary.cov_empirical).all()
+        write_matrix_csv(tmp_path / "losses.csv", summary.losses, summary.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = summary.errors.nbytes + summary.losses.nbytes
+    assert summary.rep_count == plan.reps
+    assert peak <= 2.5 * outputs, (peak, outputs)
+
+
+@pytest.mark.parametrize("rows", [20_000, 80_000])
+def test_write_matrix_csv_memory_does_not_grow_with_rows(tmp_path, rows):
+    # each row is formatted and written on its own
+    arr = np.random.default_rng(rows).standard_normal((rows, 4))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "m.csv", arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024, peak
+
+
 def test_matrix_csv_row_template_matches_fmt(tmp_path):
     # the row template writes each number exactly as fmt, cell by cell,
     # and a header row as the csv module would
@@ -912,6 +944,7 @@ BAD_CONFIGS = {
     "r1_nan": ("restriction", "R1", [[math.nan, -0.5]]),
     "r2_missing": (None, "restriction", {"R1": [[1.0, -0.5]], "theta": [[0.3]]}),
     "score_n_2pow61": ("score_cov", "n", 2 ** 61),
+    "score_reps_1e10": ("score_cov", "reps", 10_000_000_000),
     # M by 2^k and the three variances by 4^k: the score covariance, which
     # scales by 2^(4k), overflows from k = 255
     **{f"scaled_{k}": (None, "model", {
@@ -1170,6 +1203,14 @@ EXIT_CASES = [
                  id="simulate-estimators_b9"),
     pytest.param("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/absent.csv"], 2,
                  "cannot read {tmp}/absent.csv", id="estimate-x_absent"),
+    # a replication count whose scaled errors or score draws memory cannot hold
+    *[pytest.param(cmd, ["--reps", "10000000000", "--workers", "1"], 2,
+                   "field 'simulation.reps' = 10000000000 needs 10000000000x16 scaled "
+                   "errors, more than memory holds", id=f"{cmd}-reps_1e10")
+      for cmd in ("simulate", "verify")],
+    pytest.param("verify", ["--config", "{tmp}/score_reps_1e10.yaml", "--workers", "1"],
+                 2, "field 'score_cov.reps' = 10000000000 needs 10000000000 draws of "
+                 "X'X and X'Z, more than memory holds", id="verify-score_reps_1e10"),
 ]
 
 

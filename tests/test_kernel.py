@@ -19,7 +19,7 @@ from eivreg.model import (BLOCK, ERROR_FAMILIES, DesignRule, ModelConfig,
                           Restriction, RowSampler, block_rngs, generate,
                           make_restricted_b)
 from eivreg import asymptotics, model, montecarlo
-from eivreg.montecarlo import SimulationPlan, run_plan
+from eivreg.montecarlo import CHUNK, SimulationPlan, run_plan
 from test_model import replay_latent
 
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
@@ -51,11 +51,13 @@ def _rep_rngs(seed, tag, reps):
 
 
 def _reference(plan):
-    """One dataset at a time: generate, then lse / build_kx / restricted."""
+    """One dataset at a time: generate, then lse / build_kx / restricted.
+    Returns the kept replications' errors and losses, and the excluded ones
+    with their messages."""
     n = plan.cfg.n
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
-    errors, losses, excluded = [], [], []
+    errors, losses, excluded, reasons = [], [], [], []
     for r, rng in enumerate(_rep_rngs(plan.master_seed, 0, plan.reps)):
         ds = generate(plan.cfg, b_truth, rng)
         try:
@@ -66,20 +68,21 @@ def _reference(plan):
             est = [lse(ds.X, ds.Z) if lbl == "LSE" else b1 if lbl == "UE"
                    else restricted(b1, weights[lbl], plan.restr)
                    for lbl in plan.estimators]
-        except EivregError:
+        except EivregError as exc:
             excluded.append(r)
+            reasons.append(str(exc))
             continue
         devs = [e - b_truth for e in est]
         errors.append(np.concatenate([math.sqrt(n) * rvec(d) for d in devs]))
         losses.append([n * float(np.trace(d.T @ w @ d)) for d in devs])
-    return np.array(errors), np.array(losses), tuple(excluded)
+    return np.array(errors), np.array(losses), tuple(excluded), tuple(reasons)
 
 
 def _row_sampler_only(monkeypatch):
     """Draw gaussian plans through the row sampler too.  The reference loop
     replays those draws, so they test the batched estimate and reduction
     bit for bit; the exact sampler's draws are tested by their law below."""
-    monkeypatch.setattr(model, "stats_sampler", RowSampler)
+    monkeypatch.setattr(montecarlo, "stats_sampler", RowSampler)
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
@@ -88,7 +91,7 @@ def test_run_plan_matches_reference_loop(family, monkeypatch):
         _row_sampler_only(monkeypatch)
     # three blocks, the last one partial; two workers get one block per chunk
     plan = _plan(_cfg(error_family=family), reps=2 * BLOCK + 5)
-    errors, losses, excluded = _reference(plan)
+    errors, losses, excluded, _ = _reference(plan)
     for workers in (1, 2):
         summary = run_plan(plan, workers=workers)
         np.testing.assert_array_equal(summary.errors, errors)
@@ -106,7 +109,7 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
                         theta0=[[0.9]])
     plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=400, master_seed=11,
                  estimators=("UE", "B2", "B3", "B4"), weight=None)
-    errors, losses, excluded = _reference(plan)
+    errors, losses, excluded, _ = _reference(plan)
     summary = run_plan(plan)
     assert 0 < len(excluded) <= 4
     assert summary.excluded == excluded
@@ -117,6 +120,46 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
     with pytest.raises(EivregError, match=r"of 400 replications were excluded "
                        r"\(first: attenuation correction breaks down: ch_min"):
         run_plan(plan)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "shifted-exponential"])
+@pytest.mark.parametrize("reps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+def test_run_plan_is_chunk_invariant(family, reps, monkeypatch):
+    # the exact sampler's stacked products and the row sampler's pooled
+    # draws, chunk by chunk, against the whole plan as one chunk
+    plan = _plan(_cfg(error_family=family), reps=reps)
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "CHUNK", 4 * CHUNK)
+        whole = run_plan(plan)
+    for workers in (1, 2):
+        summary = run_plan(plan, workers=workers)
+        np.testing.assert_array_equal(summary.errors, whole.errors)
+        np.testing.assert_array_equal(summary.losses, whole.losses)
+        assert summary.excluded == whole.excluded
+        assert summary.rep_count == reps
+
+
+def test_exclusions_in_two_chunks_match_reference_loop(monkeypatch):
+    _row_sampler_only(monkeypatch)
+    # test_excluded_replications_match_reference_loop's plan, a chunk and a bit long
+    cfg = _cfg(n=60, p=2, sigma_eps2=1.0, sigma_psi2=0.36,
+               M=DesignRule(low=-0.5, high=0.5, seed=1848))
+    restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
+                        theta0=[[0.9]])
+    plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=CHUNK + 100,
+                 master_seed=11, estimators=("UE", "B2", "B3", "B4"), weight=None)
+    errors, losses, excluded, reasons = _reference(plan)
+    summary = run_plan(plan)
+    assert {r // CHUNK for r in excluded} == {0, 1}
+    assert summary.excluded == excluded
+    np.testing.assert_array_equal(summary.errors, errors)
+    np.testing.assert_allclose(summary.losses, losses, rtol=1e-12, atol=0)
+    # the cap counts every chunk's exclusions and quotes the first reason
+    monkeypatch.setattr(montecarlo, "MAX_EXCLUDED_FRACTION", 0.0)
+    with pytest.raises(EivregError) as exc:
+        run_plan(plan)
+    assert str(exc.value) == (f"{len(excluded)} of {plan.reps} replications were "
+                              f"excluded (first: {reasons[0]})")
 
 
 def test_singular_design_excluded_like_reference():
@@ -361,11 +404,12 @@ def test_pooled_draw_identical_with_threads_switching_often():
     cfg = _cfg(error_family="scaled-t")
     B = make_restricted_b(cfg, RESTR, B_SEED)
     reps = 16 * BLOCK + 5
-    want = model.draw_stats(cfg, B, 7, 0, reps)
+    sampler = model.stats_sampler(cfg, B)
+    want = model.draw_stats(sampler, 7, 0, 0, reps)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = model.draw_stats(cfg, B, 7, 0, reps, workers=8)
+        got = model.draw_stats(sampler, 7, 0, 0, reps, workers=8)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(want, got, strict=True):
@@ -381,7 +425,8 @@ def test_design_materialized_once_per_plan(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(ModelConfig, "design", counting)
-    plan = _plan(_cfg(), reps=40)
+    # three chunks: the sampler is made once, not per chunk
+    plan = _plan(_cfg(), reps=2 * CHUNK + 40)
     run_plan(plan)
     assert len(calls) <= 2
     calls.clear()

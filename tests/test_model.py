@@ -215,6 +215,20 @@ def test_restriction_theta_shape_validation():
         Restriction(R1=[[1.0, 0.0]], R2=[[1.0], [0.0]], theta=[[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("R1", [[np.inf, 1.0]]), ("R1", [[np.nan, 1.0]]), ("R2", [[np.inf], [0.8]]),
+    ("theta", [[np.inf]]), ("theta", [[np.nan]]), ("theta0", [[-np.inf]]),
+], ids=["R1-inf", "R1-nan", "R2-inf", "theta-inf", "theta-nan", "theta0-inf"])
+def test_restriction_rejects_non_finite_fields(field, value):
+    # named before the rank checks, which a NaN would fail as "full row rank"
+    fields = dict(R1=RESTR.R1, R2=RESTR.R2, theta=RESTR.theta, theta0=RESTR.theta0)
+    fields[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            Restriction(**fields)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(n=2, p=2)

@@ -118,10 +118,10 @@ def score_sample(cfg: ModelConfig, B: np.ndarray,
 
 
 def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
-                       seed: int, workers: int = 1) -> ScoreCov:
+                       key: tuple[int, ...], workers: int = 1) -> ScoreCov:
     """Average of flattened-score outer products over `reps` replications.
 
-    The replications are stream tag 1 of `model.draw_stats` on `workers`
+    The replications are the stream `key` of `model.draw_stats` on `workers`
     threads.  The scores are formed for all of them together, with the same
     arithmetic as `score_sample`, and scaled by an exact power of two for the
     products: that changes no bit, and only a result beyond double precision
@@ -132,7 +132,7 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
     B = np.asarray(B, dtype=float)
     sampler = stats_sampler(cfg, B)
     try:
-        xtx, xtz = draw_stats(sampler, seed, 1, 0, reps, workers)
+        xtx, xtz = draw_stats(sampler, key, 0, reps, workers)
     except (MemoryError, ValueError):  # numpy's "array is too big"
         raise ConfigError(f"field 'score_cov.reps' = {reps} needs {reps} draws of "
                           "X'X and X'Z, more than memory holds") from None

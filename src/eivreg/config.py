@@ -14,7 +14,7 @@ import yaml
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, NAMED_WEIGHTS
 from .exceptions import ConfigError
 from .linalg import eig_extremes, is_symmetric
-from .model import DesignRule, ModelConfig, Restriction
+from .model import STREAMS, DesignRule, ModelConfig, Restriction, stream_rng
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -209,7 +209,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"field '{section}.{key}' must be at least {low}, "
                               f"got {value}")
     if sim.B_seed is None:  # the truth B's seed, drawn from a checked master seed
-        sim = replace(sim, B_seed=np.random.default_rng(sim.master_seed)
+        sim = replace(sim, B_seed=stream_rng((sim.master_seed, STREAMS["truth_B"]))
                       .uniform(-1.0, 1.0, size=(p, q)))
     if not isinstance(model.M, DesignRule) and score.n != model.n:
         raise ConfigError(f"field 'score_cov.n' must equal model.n = {model.n} "

@@ -9,26 +9,23 @@ Everything that depends on the sample size n reads it from the `ModelConfig`;
 the same model at another sample size is ``cfg.at_n(n)``.
 
 Replication studies and the score-covariance Monte Carlo check need only the
-sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`
-in block-aligned ranges; it decides when they are drawn on a pool of
-threads.  `stats_sampler` draws them from their exact law under gaussian
-errors at n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G)
+sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`.
+`stats_sampler` draws them from their exact law under gaussian errors at
+n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G)
 + F A A' F' with M = QR and A Bartlett's factor), at a cost that does not
 depend on n, and from datasets drawn as `generate` draws them otherwise
 (`RowSampler`).
 
-Seeding contract: block b of stream `tag`, replications 64b, ..., 64b + 63
-(BLOCK = 64), draws from ``numpy.random.default_rng([master_seed, tag, b])``
-(`block_rngs`).  Replication studies use tag 0, score-covariance estimation
-tag 1, and criterion 8's random instances tag 2.  Under gaussian errors at
-n - p >= k = p + q, the generator of a block of m replications of tags 0
-and 1 yields in order, replication by replication within each draw: m*p*k
-standard normals (the rows of Q'G before the factor F), m*k(k-1)/2 standard
-normals (the strictly lower triangle of A, row by row), and m*k chi-squares
-with n-p, ..., n-p-k+1 degrees of freedom whose square roots form A's
-diagonal.  Otherwise a block's datasets draw one after another as
-`generate` draws them.  Results are independent of evaluation order and of
-the worker count, and reruns are bit-reproducible.
+Seeding contract: every generator is keyed [master_seed, tag, ...] by
+`STREAMS` (`stream_rng`), and block b of a replication stream, replications
+64b, ..., 64b + 63 (BLOCK = 64), appends b to its key (`block_rngs`).  Under
+gaussian errors at n - p >= k = p + q, the generator of a block of m
+replications yields in order, replication by replication within each draw:
+m*p*k standard normals (the rows of Q'G before the factor F), m*k(k-1)/2
+standard normals (the strictly lower triangle of A, row by row), and m*k
+chi-squares with n-p, ..., n-p-k+1 degrees of freedom whose square roots
+form A's diagonal.  Otherwise a block's datasets draw one after another as
+`generate` draws them.  Results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -274,16 +271,25 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Datas
 
 
 BLOCK = 64  # replications per generator of the seeding contract
+# The tag of every random stream, by consumer; no key offsets a seed.  numpy
+# reads [s, 0] as [s], so tag 0 is the truth B's default_rng(master_seed) and
+# no other stream takes it.  DesignRule's seed fixes M and is not a stream.
+STREAMS = {"truth_B": 0, "score_cov": 1, "affine_limits": 2, "simulation": 3,
+           "restriction_exactness": 11, "sqrt_n_rate": 21, "naive_bias": 31,
+           "adr_identity": 51, "dominance": 61}
 
 
-def block_rngs(seed: int, tag: int, start: int,
-               stop: int) -> Iterator[np.random.Generator]:
+def stream_rng(key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of `key`: a master seed, a tag of `STREAMS`, indices."""
+    return np.random.default_rng(list(key))
+
+
+def block_rngs(key: tuple[int, ...], start: int, stop: int) -> Iterator[np.random.Generator]:
     """The generators of the blocks covering replications start, ...,
-    stop - 1 of stream `tag`, each made when it is drawn from."""
+    stop - 1 of the stream `key`, each made when it is drawn from."""
     if start % BLOCK:
         raise ValueError(f"replication {start} is not on a block boundary")
-    return (np.random.default_rng([seed, tag, b])
-            for b in range(start // BLOCK, -(-stop // BLOCK)))
+    return (stream_rng((*key, b)) for b in range(start // BLOCK, -(-stop // BLOCK)))
 
 
 @dataclass(frozen=True)
@@ -385,15 +391,15 @@ def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampl
                            factor=factor, n=cfg.n)
 
 
-def draw_stats(sampler: GaussianSampler | RowSampler, seed: int, tag: int,
+def draw_stats(sampler: GaussianSampler | RowSampler, key: tuple[int, ...],
                start: int, stop: int, workers: int = 1
                ) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z, stacked, of replications start, ..., stop - 1 of stream
-    `tag`, drawn by `sampler` (from `stats_sampler`, made once for all the
+    """X'X and X'Z, stacked, of replications start, ..., stop - 1 of the
+    stream `key`, drawn by `sampler` (from `stats_sampler`, made once for all the
     ranges a caller draws).
 
-    Chunk contract: `start` is on a block boundary, so a range draws the
-    rows that the whole stream 0, ..., stop - 1 would draw for it, bit for
+    Chunk contract: `start` is on a block boundary, so a range's rows are
+    those that drawing replications 0, ..., stop - 1 at once gives, bit for
     bit; a caller may draw a long stream in consecutive ranges and hold only
     one range's stacks at a time.
 
@@ -409,12 +415,12 @@ def draw_stats(sampler: GaussianSampler | RowSampler, seed: int, tag: int,
     gaussian = (isinstance(sampler, GaussianSampler)
                 or sampler.cfg.error_family == "gaussian")
     if workers <= 1 or reps <= BLOCK or gaussian:
-        return sampler.draw(block_rngs(seed, tag, start, stop), reps)
+        return sampler.draw(block_rngs(key, start, stop), reps)
     step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
     # imported here: only a pooled draw pays for the pool
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda lo: sampler.draw(
-            block_rngs(seed, tag, lo, min(lo + step, stop)), min(step, stop - lo)),
+            block_rngs(key, lo, min(lo + step, stop)), min(step, stop - lo)),
             range(start, stop, step)))
     return tuple(map(np.concatenate, zip(*parts)))

@@ -2,7 +2,7 @@
 and losses, and compare empirical moments against the theoretical limit laws.
 
 A plan projects the true coefficient matrix onto the drifting restriction
-and draws the X'X and X'Z of its replications from stream tag 0 through
+and draws the X'X and X'Z of its replications from its stream's key through
 `model.draw_stats`, which holds the seeding contract and the pool policy;
 its model was checked when it was made.  The replications are drawn and
 solved `CHUNK` at a time: `estimate_batch` solves every replication of a
@@ -23,8 +23,8 @@ from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import ConfigError, EivregError
-from .model import (BLOCK, ModelConfig, Restriction, draw_stats, make_restricted_b,
-                    stats_sampler)
+from .model import (BLOCK, STREAMS, ModelConfig, Restriction, draw_stats,
+                    make_restricted_b, stats_sampler)
 
 # replications drawn and solved at once, whole blocks of the seeding contract:
 # a plan holds one chunk's draws and temporaries, not every replication's
@@ -40,7 +40,7 @@ class SimulationPlan:
     restr: Restriction
     b_seed: np.ndarray
     reps: int
-    master_seed: int
+    key: tuple[int, ...]                  # the stream, (master_seed, tag, ...)
     estimators: tuple[str, ...] = LAW_LABELS
     weight: np.ndarray | None = None      # loss weight, identity when None
 
@@ -56,10 +56,10 @@ class SimulationPlan:
 
 
 def replication_plan(run: RunConfig, estimators: tuple[str, ...]) -> SimulationPlan:
-    """The run's replication study of `estimators`, seeded master seed + 7."""
+    """The run's replication study of `estimators`, on stream "simulation"."""
     return SimulationPlan(cfg=run.model, restr=run.restriction,
                           b_seed=run.simulation.B_seed, reps=run.simulation.reps,
-                          master_seed=run.simulation.master_seed + 7,
+                          key=(run.simulation.master_seed, STREAMS["simulation"]),
                           estimators=estimators, weight=run.risk.weight)
 
 
@@ -113,8 +113,7 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     sampler = stats_sampler(plan.cfg, b_truth)
     excluded, reasons, kept = [], [], 0
     for start in range(0, reps, CHUNK):
-        xtx, xtz = draw_stats(sampler, plan.master_seed, 0, start,
-                              min(start + CHUNK, reps), workers)
+        xtx, xtz = draw_stats(sampler, plan.key, start, min(start + CHUNK, reps), workers)
         batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
                                plan.estimators)
         excluded += [start + r for r in batch.excluded]
@@ -165,7 +164,7 @@ def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
     """(f, e) with ||a|| = f 2^e in the Frobenius norm: f is the norm of a
     scaled by 2^-e, e from max|a|, so it cannot overflow."""
     e = int(np.frexp(np.max(np.abs(a)))[1])
-    return float(np.linalg.norm(np.ldexp(a, -e))), e
+    return float(np.sqrt(np.sum(np.ldexp(a, -e) ** 2))), e  # not BLAS's threaded dot
 
 
 def _rel_fro(emp: np.ndarray, ref: np.ndarray) -> float:

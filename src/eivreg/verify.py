@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion of the artifact, runnable as a
 library call (used by both the `verify` subcommand and the pytest suite).
 
-Each criterion is deterministic: all randomness derives from the run
-configuration's master seed through fixed offsets.
+Each criterion is deterministic: every generator is keyed by the run
+configuration's master seed and its own tag in `model.STREAMS`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .asymptotics import (AsymptoticLaw, PopulationModel, estimate_score_cov,
 from .config import RunConfig
 from .estimators import LAW_LABELS, NAMED_WEIGHTS, estimate_all, restricted
 from .linalg import AffineTransform, eig_extremes, rvec, sym
-from .model import Restriction, generate, make_restricted_b
+from .model import STREAMS, Restriction, generate, make_restricted_b, stream_rng
 from .montecarlo import (COV_TOL_FRO, MEAN_TOL_SE, SimulationPlan, _rel_fro,
                          compare_law, replication_plan, run_plan)
 from .risk import (adr_from_law, adr_restricted, dominance_report,
@@ -64,7 +64,7 @@ def _rand_population(p: int, g: np.random.Generator) -> PopulationModel:
 
 
 def criterion_restriction_exactness(seed: int) -> CriterionResult:
-    g = np.random.default_rng([seed, 11])
+    g = stream_rng((seed, STREAMS["restriction_exactness"]))
     worst = 0.0
     for _ in range(100):
         p, q, restr = _rand_instance(g)
@@ -88,7 +88,7 @@ def criterion_sqrt_n_rate(run: RunConfig, seed: int,
     for i, n in enumerate((500, 2000, 8000)):
         plan = SimulationPlan(cfg=run.model.at_n(n), restr=run.restriction,
                               b_seed=run.simulation.B_seed, reps=200,
-                              master_seed=seed + i, estimators=("UE",))
+                              key=(seed, STREAMS["sqrt_n_rate"], i), estimators=("UE",))
         summary = run_plan(plan, workers=workers)
         norms = np.linalg.norm(summary.errors, axis=1) / math.sqrt(n)
         medians.append(float(np.median(norms)))
@@ -108,7 +108,7 @@ def criterion_naive_bias(run: RunConfig, seed: int) -> CriterionResult:
     # noise and a single draw of it is a lottery against the 10x line
     gaps_kb, gaps_b = [], []
     for r in range(9):
-        ds = generate(cfg, b_truth, np.random.default_rng([seed, 31, r]))
+        ds = generate(cfg, b_truth, stream_rng((seed, STREAMS["naive_bias"], r)))
         est = estimate_all(ds.X, ds.Z, cfg.sigma_delta2, run.restriction)
         gaps_kb.append(float(np.linalg.norm(est["LSE"] - pm.k @ b_truth)))
         gaps_b.append(float(np.linalg.norm(est["LSE"] - b_truth)))
@@ -128,8 +128,8 @@ def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray
     # the Monte Carlo estimate of the same score covariance checks the
     # closed form the law is built from
     cfg, B = score_cov_model(run)
-    mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps,
-                            seed=run.simulation.master_seed, workers=workers)
+    mc = estimate_score_cov(cfg, B, reps=run.score_cov.reps, workers=workers,
+                            key=(run.simulation.master_seed, STREAMS["score_cov"]))
     diff = float(np.max(np.abs(mc.cov - lam)))
     score_gap = (diff / mc.standard_error if mc.standard_error > 0
                  else (math.inf if diff > 0 else 0.0))
@@ -144,7 +144,7 @@ def criterion_law_agreement(run: RunConfig, pm: PopulationModel, lam: np.ndarray
 
 
 def criterion_adr_identity(seed: int) -> CriterionResult:
-    g = np.random.default_rng([seed, 51])
+    g = stream_rng((seed, STREAMS["adr_identity"]))
     worst_adr = 0.0
     worst_quad = 0.0
     for _ in range(100):
@@ -173,7 +173,7 @@ def criterion_adr_identity(seed: int) -> CriterionResult:
 
 
 def criterion_dominance(seed: int) -> CriterionResult:
-    g = np.random.default_rng([seed, 61])
+    g = stream_rng((seed, STREAMS["dominance"]))
     violations = 0
     worst_f1 = 0.0
     for i in range(50):
@@ -254,7 +254,7 @@ def criterion_affine_limits(seed: int) -> CriterionResult:
     definition on 100 random instances, with no sampling: T_i F, for
     lam = F F', applies T_i to each column of F as a p-by-q matrix, not
     through `lift`."""
-    g = np.random.default_rng([seed, 2, 0])
+    g = stream_rng((seed, STREAMS["affine_limits"]))
     gaps = {"blocks": [], "lifts": [], "means": [], "identity-pair cross block": []}
     for _ in range(100):
         p, q = (int(k) for k in g.integers(2, 6, size=2))

@@ -71,7 +71,7 @@ def test_population_rejects_degenerate_design_scale():
 def test_score_cov_degenerate_model_is_zero():
     cfg = _cfg(sigma_eps2=0.0, sigma_delta2=0.0, sigma_psi2=0.0, n=200)
     B = np.array([[1.0, 0.2], [-0.3, 0.8]])
-    sc = estimate_score_cov(cfg, B, reps=5, seed=1)
+    sc = estimate_score_cov(cfg, B, reps=5, key=(1, 1))
     np.testing.assert_allclose(sc.cov, np.zeros((4, 4)), atol=1e-20)
 
 
@@ -91,15 +91,15 @@ def test_score_mean_is_centered():
 def test_score_cov_stable_in_n():
     cfg = _cfg()
     B = make_restricted_b(cfg, RESTR, np.array([[1.5, 0.7], [-0.4, 1.2]]))
-    a = estimate_score_cov(cfg.at_n(2000), B, reps=2500, seed=5)
-    b = estimate_score_cov(cfg.at_n(8000), B, reps=2500, seed=6)
+    a = estimate_score_cov(cfg.at_n(2000), B, reps=2500, key=(5, 1))
+    b = estimate_score_cov(cfg.at_n(8000), B, reps=2500, key=(6, 1))
     assert np.linalg.norm(a.cov - b.cov) / np.linalg.norm(b.cov) <= 0.10
 
 
 def test_score_cov_reports_standard_error():
     cfg = _cfg(n=300)
     B = np.array([[1.0, 0.2], [-0.3, 0.8]])
-    sc = estimate_score_cov(cfg, B, reps=500, seed=7)
+    sc = estimate_score_cov(cfg, B, reps=500, key=(7, 1))
     assert sc.standard_error > 0
     assert sc.cov.shape == (4, 4)
 
@@ -148,7 +148,7 @@ def test_closed_form_score_cov_matches_formula_and_monte_carlo(family):
     np.testing.assert_array_equal(cf, cf.T)
     expected = sum(_formula_terms(cfg, B_32).values())
     np.testing.assert_allclose(cf, expected, rtol=1e-12, atol=1e-12)
-    mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
+    mc = estimate_score_cov(cfg, B_32, reps=4000, key=(9, 1))
     assert np.max(np.abs(cf - mc.cov)) <= 4.0 * mc.standard_error
 
 
@@ -157,7 +157,7 @@ def test_monte_carlo_check_detects_each_moment_term():
     # term moves some entry well outside the Monte Carlo's reach
     cfg = _cfg_32("shifted-exponential")
     cf = closed_form_score_cov(cfg, B_32)
-    mc = estimate_score_cov(cfg, B_32, reps=4000, seed=9)
+    mc = estimate_score_cov(cfg, B_32, reps=4000, key=(9, 1))
     terms = _formula_terms(cfg, B_32)
     for name in ("gamma1", "gamma2"):
         dropped = cf - terms[name]
@@ -414,9 +414,9 @@ def test_score_convention_matches_feasible_estimator():
                       sigma_psi2=0.2, M=DesignRule(low=-1, high=1, seed=11))
     B = np.array([[3.0]])
     pm = population(cfg)
-    sc_plain = estimate_score_cov(cfg, B, reps=reps, seed=21)
+    sc_plain = estimate_score_cov(cfg, B, reps=reps, key=(21, 1))
     # the infeasible estimator's score, drawn as estimate_score_cov draws
-    xtx, xtz = draw_stats(stats_sampler(cfg, B), 22, 1, 0, reps)
+    xtx, xtz = draw_stats(stats_sampler(cfg, B), (22, 1), 0, reps)
     h = (xtz - xtx @ B) / math.sqrt(n) + math.sqrt(n) * cfg.sigma_delta2 * B
     h = h + (xtx / math.sqrt(n) - math.sqrt(n) * pm.sigma) @ pm.kbar @ B
     draws = h.reshape(reps, 1)

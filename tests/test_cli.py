@@ -449,6 +449,44 @@ def test_pooled_simulate_leaves_out_multiprocessing(tmp_path):
     assert _python(["-c", code], check=True).stdout.split() == ["0", "True", "False"]
 
 
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # at p = q = 16 the covariance blocks are 256x256, large enough that
+    # OpenBLAS splits a reduction over its threads: every CSV of simulate,
+    # law, adr and efficiency must be the same at one and at two BLAS
+    # threads.  On a one-core machine OpenBLAS runs one thread at either
+    # setting, so there this test cannot show anything.
+    p = q = 16
+    g = np.random.default_rng(16)
+    doc = {"model": {"n": 400, "p": p, "q": q, "sigma_eps2": 2.0,
+                     "sigma_delta2": 0.5, "sigma_psi2": 0.5,
+                     "error_family": "shifted-exponential",
+                     "M": {"kind": "uniform", "low": -4.0, "high": 4.0, "seed": 1848}},
+           "restriction": {"R1": g.standard_normal((2, p)).tolist(),
+                           "R2": g.standard_normal((q, 2)).tolist(),
+                           "theta": [[0.3, 0.1], [0.0, 0.2]],
+                           "theta0": [[0.9, 0.0], [0.0, 0.5]]},
+           "simulation": {"master_seed": 7, "reps": 200},
+           "score_cov": {"n": 400, "reps": 2},
+           "risk": {"weight": "identity", "q0": "B2", "grid": 5}}
+    path = tmp_path / "c16.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    commands = ("simulate", "law", "adr", "efficiency")
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        code = (f"from eivreg import cli; print(*[cli.main([cmd, '--config', "
+                f"{str(path)!r}, '--out', {str(out)!r} + '/' + cmd, '--workers', "
+                f"'1']) for cmd in {commands!r}])")
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = _python(["-c", code], env, check=True)
+        assert run.stdout.splitlines()[-1] == "0 0 0 0"
+    one, two = (sorted(f.relative_to(tmp_path / t)
+                       for f in (tmp_path / t).rglob("*.csv")) for t in ("1", "2"))
+    assert one == two and len(one) > 10
+    differ = [str(f) for f in one
+              if (tmp_path / "1" / f).read_bytes() != (tmp_path / "2" / f).read_bytes()]
+    assert differ == []
+
+
 def test_pooled_simulate_draws_the_design_as_often_as_one_worker(tmp_path,
                                                                 monkeypatch):
     # the row sampler draws M once and its pool tasks share it
@@ -988,72 +1026,91 @@ EXIT_CASES = [
                   "--out", "{tmp}/blocked"], 2, "cannot write {tmp}/blocked/b1.csv"),
     ("law", ["--out", "{tmp}/blocked"], 2,
      "cannot write {tmp}/blocked/score_cov.csv"),
-    ("law", ["--config", "{tmp}/theta_1x2.yaml"], 2,
-     "restriction: theta must be 1x1, got (1, 2)"),
-    ("law", ["--config", "{tmp}/r1_3cols.yaml"], 2,
-     "fields 'R1' and 'R2' must be r1x2 and 2xr2 for R1 B R2 at p=2, q=2, "
-     "got (1, 3) and (2, 1)"),
-    ("adr", ["--config", "{tmp}/r1_rank.yaml"], 2,
-     "restriction: R1 must have full row rank"),
+    pytest.param("law", ["--config", "{tmp}/theta_1x2.yaml"], 2,
+                 "restriction: theta must be 1x1, got (1, 2)", id="law-theta_1x2"),
+    pytest.param("law", ["--config", "{tmp}/r1_3cols.yaml"], 2,
+                 "fields 'R1' and 'R2' must be r1x2 and 2xr2 for R1 B R2 at p=2, q=2, "
+                 "got (1, 3) and (2, 1)", id="law-r1_3cols"),
+    pytest.param("adr", ["--config", "{tmp}/r1_rank.yaml"], 2,
+                 "restriction: R1 must have full row rank", id="adr-r1_rank"),
     pytest.param("efficiency", ["--config", "{tmp}/q0_b9.yaml"], 2,
                  "field 'q0' must be one of B2, B3, B4, got 'B9'",
                  id="efficiency-q0_b9"),
-    ("adr", ["--config", "{tmp}/weight_asym.yaml"], 2,
-     "field 'weight' must be a symmetric positive definite 2x2 matrix"),
-    ("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"], 2,
-     "field 'weight' must be a symmetric positive definite 2x2 matrix"),
+    pytest.param("adr", ["--config", "{tmp}/weight_asym.yaml"], 2,
+                 "field 'weight' must be a symmetric positive definite 2x2 matrix",
+                 id="adr-weight_asym"),
+    pytest.param("simulate", ["--config", "{tmp}/weight_asym.yaml", "--workers", "1"],
+                 2, "field 'weight' must be a symmetric positive definite 2x2 matrix",
+                 id="simulate-weight_asym"),
     pytest.param("simulate", ["--seed", "-10", "--workers", "1"], 2,
                  "--seed: must be at least 0, got -10", id="simulate-seed-neg"),
-    ("law", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
-     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
-    ("adr", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
-     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
-    ("simulate", ["--config", "{tmp}/b_seed_2x3.yaml", "--workers", "1"], 2,
-     "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)"),
-    ("law", ["--config", "{tmp}/weight_eye.yaml"], 2,
-     "field 'weight' must be 'identity' or a matrix, got 'eye'"),
-    ("law", ["--config", "{tmp}/n_empty.yaml"], 2,
-     "field 'model.n' must be an integer, got None"),
-    ("efficiency", ["--config", "{tmp}/grid_list.yaml"], 2,
-     "field 'risk.grid' must be an integer, got [1, 2]"),
-    ("law", ["--config", "{tmp}/model_list.yaml"], 2,
-     "section 'model' must be a mapping, got [1, 2]"),
-    ("simulate", ["--config", "{tmp}/estimators_5.yaml", "--workers", "1"], 2,
-     "field 'simulation.estimators' must be a list of labels, got 5"),
-    ("simulate", ["--config", "{tmp}/reps_many.yaml", "--workers", "1"], 2,
-     "field 'simulation.reps' must be an integer, got 'many'"),
-    ("law", ["--config", "{tmp}/estimators_dup.yaml"], 2,
-     "field 'simulation.estimators' repeats a label, got ['UE', 'UE']"),
-    ("simulate", ["--config", "{tmp}/estimators_dup.yaml", "--workers", "1"], 2,
-     "field 'simulation.estimators' repeats a label, got ['UE', 'UE']"),
-    ("law", ["--config", "{tmp}/r2_near_singular.yaml"], 2,
-     "restriction: R2 must have full column rank"),
-    ("estimate", ["--config", "{tmp}/r2_near_singular.yaml",
-                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
-     "restriction: R2 must have full column rank"),
+    pytest.param("law", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
+                 "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)",
+                 id="law-b_seed_2x3"),
+    pytest.param("adr", ["--config", "{tmp}/b_seed_2x3.yaml"], 2,
+                 "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)",
+                 id="adr-b_seed_2x3"),
+    pytest.param("simulate", ["--config", "{tmp}/b_seed_2x3.yaml", "--workers", "1"], 2,
+                 "field 'B_seed' must be 2x2 at p=2, q=2, got (2, 3)",
+                 id="simulate-b_seed_2x3"),
+    pytest.param("law", ["--config", "{tmp}/weight_eye.yaml"], 2,
+                 "field 'weight' must be 'identity' or a matrix, got 'eye'",
+                 id="law-weight_eye"),
+    pytest.param("law", ["--config", "{tmp}/n_empty.yaml"], 2,
+                 "field 'model.n' must be an integer, got None", id="law-n_empty"),
+    pytest.param("efficiency", ["--config", "{tmp}/grid_list.yaml"], 2,
+                 "field 'risk.grid' must be an integer, got [1, 2]",
+                 id="efficiency-grid_list"),
+    pytest.param("law", ["--config", "{tmp}/model_list.yaml"], 2,
+                 "section 'model' must be a mapping, got [1, 2]", id="law-model_list"),
+    pytest.param("simulate", ["--config", "{tmp}/estimators_5.yaml", "--workers", "1"],
+                 2, "field 'simulation.estimators' must be a list of labels, got 5",
+                 id="simulate-estimators_5"),
+    pytest.param("simulate", ["--config", "{tmp}/reps_many.yaml", "--workers", "1"], 2,
+                 "field 'simulation.reps' must be an integer, got 'many'",
+                 id="simulate-reps_many"),
+    pytest.param("law", ["--config", "{tmp}/estimators_dup.yaml"], 2,
+                 "field 'simulation.estimators' repeats a label, got ['UE', 'UE']",
+                 id="law-estimators_dup"),
+    pytest.param("simulate",
+                 ["--config", "{tmp}/estimators_dup.yaml", "--workers", "1"], 2,
+                 "field 'simulation.estimators' repeats a label, got ['UE', 'UE']",
+                 id="simulate-estimators_dup"),
+    pytest.param("law", ["--config", "{tmp}/r2_near_singular.yaml"], 2,
+                 "restriction: R2 must have full column rank",
+                 id="law-r2_near_singular"),
+    pytest.param("estimate", ["--config", "{tmp}/r2_near_singular.yaml",
+                              "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+                 "restriction: R2 must have full column rank",
+                 id="estimate-r2_near_singular"),
     # out-of-range run settings fail in parse_config under every command,
     # not only under the one that uses them
-    ("law", ["--config", "{tmp}/grid_0.yaml"], 2,
-     "field 'risk.grid' must be at least 2, got 0"),
-    ("efficiency", ["--config", "{tmp}/grid_0.yaml"], 2,
-     "field 'risk.grid' must be at least 2, got 0"),
-    ("law", ["--config", "{tmp}/grid_neg.yaml"], 2,
-     "field 'risk.grid' must be at least 2, got -4"),
-    ("efficiency", ["--config", "{tmp}/grid_neg.yaml"], 2,
-     "field 'risk.grid' must be at least 2, got -4"),
+    pytest.param("law", ["--config", "{tmp}/grid_0.yaml"], 2,
+                 "field 'risk.grid' must be at least 2, got 0", id="law-grid_0"),
+    pytest.param("efficiency", ["--config", "{tmp}/grid_0.yaml"], 2,
+                 "field 'risk.grid' must be at least 2, got 0", id="efficiency-grid_0"),
+    pytest.param("law", ["--config", "{tmp}/grid_neg.yaml"], 2,
+                 "field 'risk.grid' must be at least 2, got -4", id="law-grid_neg"),
+    pytest.param("efficiency", ["--config", "{tmp}/grid_neg.yaml"], 2,
+                 "field 'risk.grid' must be at least 2, got -4",
+                 id="efficiency-grid_neg"),
     # a field the risk section no longer has
     pytest.param("law", ["--config", "{tmp}/scale_max.yaml"], 2,
                  "unknown risk fields: ['scale_max']", id="law-scale_max"),
     pytest.param("efficiency", ["--config", "{tmp}/scale_max.yaml"], 2,
                  "unknown risk fields: ['scale_max']", id="efficiency-scale_max"),
-    ("law", ["--config", "{tmp}/sim_reps_1.yaml"], 2,
-     "field 'simulation.reps' must be at least 2, got 1"),
-    ("simulate", ["--config", "{tmp}/sim_reps_1.yaml", "--workers", "1"], 2,
-     "field 'simulation.reps' must be at least 2, got 1"),
-    ("law", ["--config", "{tmp}/score_reps_0.yaml"], 2,
-     "field 'score_cov.reps' must be at least 2, got 0"),
-    ("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
-     "field 'score_cov.reps' must be at least 2, got 0"),
+    pytest.param("law", ["--config", "{tmp}/sim_reps_1.yaml"], 2,
+                 "field 'simulation.reps' must be at least 2, got 1",
+                 id="law-sim_reps_1"),
+    pytest.param("simulate", ["--config", "{tmp}/sim_reps_1.yaml", "--workers", "1"], 2,
+                 "field 'simulation.reps' must be at least 2, got 1",
+                 id="simulate-sim_reps_1"),
+    pytest.param("law", ["--config", "{tmp}/score_reps_0.yaml"], 2,
+                 "field 'score_cov.reps' must be at least 2, got 0",
+                 id="law-score_reps_0"),
+    pytest.param("verify", ["--config", "{tmp}/score_reps_0.yaml", "--workers", "1"], 2,
+                 "field 'score_cov.reps' must be at least 2, got 0",
+                 id="verify-score_reps_0"),
     # options a command never reads are not accepted
     pytest.param("law", ["--reps", "1"], 2, "unrecognized arguments: --reps 1",
                  id="law-reps-unrecognized"),
@@ -1061,11 +1118,12 @@ EXIT_CASES = [
                  id="adr-reps-unrecognized"),
     pytest.param("estimate", ["--n", "10", "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"],
                  2, "unrecognized arguments: --n 10", id="estimate-n-unrecognized"),
-    ("law", ["--config", "{tmp}/score_n_2.yaml"], 2,
-     "field 'score_cov.n' must be at least 3, got 2"),
-    ("estimate", ["--config", "{tmp}/score_n_2.yaml",
-                  "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
-     "field 'score_cov.n' must be at least 3, got 2"),
+    pytest.param("law", ["--config", "{tmp}/score_n_2.yaml"], 2,
+                 "field 'score_cov.n' must be at least 3, got 2", id="law-score_n_2"),
+    pytest.param("estimate", ["--config", "{tmp}/score_n_2.yaml",
+                              "--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"], 2,
+                 "field 'score_cov.n' must be at least 3, got 2",
+                 id="estimate-score_n_2"),
     # the design and sigma_delta2 against it are checked when the
     # configuration is read, with no numpy warning on the way
     *[pytest.param(cmd, ["--config", "{tmp}/m_huge.yaml", "--workers", "1"], 2,

@@ -37,16 +37,16 @@ def _cfg(**kw):
 
 
 def _plan(cfg, **kw):
-    base = dict(cfg=cfg, restr=RESTR, b_seed=B_SEED, reps=24, master_seed=41,
+    base = dict(cfg=cfg, restr=RESTR, b_seed=B_SEED, reps=24, key=(41, 0),
                 estimators=LABELS, weight=LOSS_WEIGHT)
     base.update(kw)
     return SimulationPlan(**base)
 
 
-def _rep_rngs(seed, tag, reps):
+def _rep_rngs(key, reps):
     """The generator of each of replications 0, ..., reps - 1: its block's,
     drawn on by the block's replications in turn."""
-    return [rng for rng in block_rngs(seed, tag, 0, reps)
+    return [rng for rng in block_rngs(key, 0, reps)
             for _ in range(BLOCK)][:reps]
 
 
@@ -58,7 +58,7 @@ def _reference(plan):
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
     w = np.eye(plan.cfg.p) if plan.weight is None else plan.weight
     errors, losses, excluded, reasons = [], [], [], []
-    for r, rng in enumerate(_rep_rngs(plan.master_seed, 0, plan.reps)):
+    for r, rng in enumerate(_rep_rngs(plan.key, plan.reps)):
         ds = generate(plan.cfg, b_truth, rng)
         try:
             att = build_kx(ds.X, plan.cfg.sigma_delta2)
@@ -107,7 +107,7 @@ def test_excluded_replications_match_reference_loop(monkeypatch):
                M=DesignRule(low=-0.5, high=0.5, seed=1848))
     restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                         theta0=[[0.9]])
-    plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=400, master_seed=11,
+    plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=400, key=(11, 0),
                  estimators=("UE", "B2", "B3", "B4"), weight=None)
     errors, losses, excluded, _ = _reference(plan)
     summary = run_plan(plan)
@@ -147,7 +147,7 @@ def test_exclusions_in_two_chunks_match_reference_loop(monkeypatch):
     restr = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                         theta0=[[0.9]])
     plan = _plan(cfg, restr=restr, b_seed=B_SEED[:2], reps=CHUNK + 100,
-                 master_seed=11, estimators=("UE", "B2", "B3", "B4"), weight=None)
+                 key=(11, 0), estimators=("UE", "B2", "B3", "B4"), weight=None)
     errors, losses, excluded, reasons = _reference(plan)
     summary = run_plan(plan)
     assert {r // CHUNK for r in excluded} == {0, 1}
@@ -329,8 +329,8 @@ def test_score_cov_matches_score_sample_loop():
     B = B_SEED[:2]
     reps, seed = BLOCK + 5, 17
     draws = np.array([score_sample(cfg, B, rng)
-                      for rng in _rep_rngs(seed, 1, reps)])
-    sc = estimate_score_cov(cfg, B, reps=reps, seed=seed)
+                      for rng in _rep_rngs((seed, 1), reps)])
+    sc = estimate_score_cov(cfg, B, reps=reps, key=(seed, 1))
     np.testing.assert_array_equal(sc.cov, sym(draws.T @ draws) / reps)
     prods = draws[:, :, None] * draws[:, None, :]
     se = float(np.sqrt(np.var(prods, axis=0, ddof=1) / reps).max())
@@ -363,7 +363,7 @@ def test_score_draws_come_from_the_samplers(family, monkeypatch):
     monkeypatch.setattr(model, "generate", forbidden)
     monkeypatch.setattr(asymptotics, "generate", forbidden, raising=False)
     cfg = _cfg(p=2, error_family=family)
-    sc = estimate_score_cov(cfg, B_SEED[:2], reps=20, seed=5)
+    sc = estimate_score_cov(cfg, B_SEED[:2], reps=20, key=(5, 1))
     assert np.all(np.isfinite(sc.cov)) and sc.standard_error > 0
     draw = score_sample(cfg, B_SEED[:2], np.random.default_rng(5))
     assert draw.shape == (4,) and np.all(np.isfinite(draw))
@@ -405,11 +405,11 @@ def test_pooled_draw_identical_with_threads_switching_often():
     B = make_restricted_b(cfg, RESTR, B_SEED)
     reps = 16 * BLOCK + 5
     sampler = model.stats_sampler(cfg, B)
-    want = model.draw_stats(sampler, 7, 0, 0, reps)
+    want = model.draw_stats(sampler, (7, 0), 0, reps)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = model.draw_stats(sampler, 7, 0, 0, reps, workers=8)
+        got = model.draw_stats(sampler, (7, 0), 0, reps, workers=8)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(want, got, strict=True):
@@ -430,7 +430,7 @@ def test_design_materialized_once_per_plan(monkeypatch):
     run_plan(plan)
     assert len(calls) <= 2
     calls.clear()
-    estimate_score_cov(plan.cfg, B_SEED, reps=40, seed=3)
+    estimate_score_cov(plan.cfg, B_SEED, reps=40, key=(3, 1))
     assert len(calls) <= 2
 
 
@@ -454,9 +454,9 @@ def _sampler_and_exact_mean(plan):
     return sampler, b_truth, mu.T @ mu + cfg.n * _omega(cfg, b_truth)
 
 
-def _draw(sampler, seed, start, stop):
-    """X'X and X'Z of replications start, ..., stop - 1 of stream tag 0."""
-    return sampler.draw(block_rngs(seed, 0, start, stop), stop - start)
+def _draw(sampler, key, start, stop):
+    """X'X and X'Z of replications start, ..., stop - 1 of the stream `key`."""
+    return sampler.draw(block_rngs(key, start, stop), stop - start)
 
 
 def _pieces_mean(sampler):
@@ -490,7 +490,7 @@ def test_gaussian_sampler_mean_is_exact():
     reps = 2 * BLOCK + 5
     rows = RowSampler(plan.cfg, b_truth)
     for drawn in (sampler, rows):
-        draws = _stats(*_draw(drawn, plan.master_seed, 0, reps))
+        draws = _stats(*_draw(drawn, plan.key, 0, reps))
         assert _mean_gap_se(draws, exact, 3) <= 4.0
 
 
@@ -506,10 +506,10 @@ def test_gaussian_sampler_follows_documented_draw_order(n):
     p, k = plan.cfg.p, plan.cfg.p + plan.cfg.q
     dof = n - p
     assert isinstance(sampler, RowSampler) == (dof < k)
-    xtx, xtz = _draw(sampler, plan.master_seed, 0, plan.reps)
+    xtx, xtz = _draw(sampler, plan.key, 0, plan.reps)
     for b, lo in enumerate(range(0, plan.reps, BLOCK)):
         m = min(BLOCK, plan.reps - lo)
-        rng = np.random.default_rng([plan.master_seed, 0, b])
+        rng = np.random.default_rng([*plan.key, b])
         if dof < k:
             for i in range(m):
                 ds = generate(plan.cfg, b_truth, rng)
@@ -532,10 +532,10 @@ def test_gaussian_sampler_follows_documented_draw_order(n):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_gaussian_sampler_matches_row_sampler(seed):
     reps = 2000
-    plan = _plan(_cfg(), reps=reps, master_seed=seed)
+    plan = _plan(_cfg(), reps=reps, key=(seed, 0))
     sampler, b_truth, exact = _sampler_and_exact_mean(plan)
-    wishart = _stats(*_draw(sampler, seed, 0, reps))
-    rows = _stats(*_draw(RowSampler(plan.cfg, b_truth), seed, 0, reps))
+    wishart = _stats(*_draw(sampler, plan.key, 0, reps))
+    rows = _stats(*_draw(RowSampler(plan.cfg, b_truth), plan.key, 0, reps))
     gap = np.abs(wishart.mean(axis=0) - rows.mean(axis=0)) / np.sqrt(
         (wishart.var(axis=0, ddof=1) + rows.var(axis=0, ddof=1)) / reps)
     assert gap.max() <= 4.0
@@ -548,8 +548,8 @@ def test_gaussian_sampler_matches_row_sampler(seed):
 def test_gaussian_sampler_is_chunk_and_worker_invariant():
     plan = _plan(_cfg(), reps=2 * BLOCK + 5)
     sampler, _, _ = _sampler_and_exact_mean(plan)
-    full = _draw(sampler, plan.master_seed, 0, plan.reps)
-    part = _draw(sampler, plan.master_seed, BLOCK, plan.reps)
+    full = _draw(sampler, plan.key, 0, plan.reps)
+    part = _draw(sampler, plan.key, BLOCK, plan.reps)
     for whole, piece in zip(full, part):
         np.testing.assert_array_equal(whole[BLOCK:], piece)
     s1 = run_plan(plan, workers=1)
@@ -561,7 +561,7 @@ def test_gaussian_sampler_is_chunk_and_worker_invariant():
 
 def test_chunk_off_a_block_boundary_is_refused():
     with pytest.raises(ValueError, match="block boundary"):
-        block_rngs(41, 0, 5, BLOCK + 5)
+        block_rngs((41, 0), 5, BLOCK + 5)
 
 
 def test_one_generator_per_block(monkeypatch):
@@ -570,7 +570,7 @@ def test_one_generator_per_block(monkeypatch):
     real = np.random.default_rng
 
     def counting(seed=None):
-        if isinstance(seed, list) and seed[:2] == [plan.master_seed, 0]:
+        if isinstance(seed, list) and seed[:2] == list(plan.key):
             seeded.append(seed[2])
         return real(seed)
 
@@ -607,7 +607,7 @@ def test_gaussian_sampler_edge_cases(case):
     if not isinstance(sampler, RowSampler):
         np.testing.assert_allclose(_pieces_mean(sampler), exact, rtol=1e-12,
                                    atol=1e-12 * np.abs(exact).max())
-    draws = _stats(*_draw(sampler, plan.master_seed, 0, plan.reps))
+    draws = _stats(*_draw(sampler, plan.key, 0, plan.reps))
     assert _mean_gap_se(draws, exact, cfg.p) <= 4.0
     summary = run_plan(plan)
     assert summary.rep_count > 0.99 * plan.reps

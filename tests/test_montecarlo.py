@@ -2,6 +2,7 @@
 affine-limit suite, which calibrates `compare_law` on a known law."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,19 @@ from eivreg.config import parse_config
 from eivreg.estimators import LAW_LABELS
 from eivreg.exceptions import EivregError
 from eivreg.linalg import AffineTransform, psd_factor, sym
-from eivreg.model import DesignRule, ModelConfig, Restriction, make_restricted_b
+from eivreg.model import (STREAMS, DesignRule, ModelConfig, Restriction,
+                          make_restricted_b, stream_rng)
 from eivreg.montecarlo import (MEAN_TOL_SE, EmpiricalSummary, SimulationPlan,
                                _rel_fro, compare_law, replication_plan, run_plan)
 from eivreg.risk import dominance_report
-from eivreg.verify import _random_transform
+from eivreg.verify import (_random_transform, criterion_law_agreement,
+                           criterion_sqrt_n_rate)
 
 RESTR = Restriction(R1=[[1.0, -0.5]], R2=[[1.0], [0.8]], theta=[[0.3]],
                     theta0=[[0.9]])
 B_SEED = np.array([[1.6, 0.8], [-0.5, 1.3]])
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "default.yaml"
 
 
 def _cfg(**kw):
@@ -36,7 +40,7 @@ def _cfg(**kw):
 
 def _plan(**kw):
     base = dict(cfg=_cfg(), restr=RESTR, b_seed=B_SEED, reps=200,
-                master_seed=99)
+                key=(99, 0))
     base.update(kw)
     return SimulationPlan(**base)
 
@@ -135,7 +139,7 @@ def test_loss_scale_constant_in_n():
     medians = []
     for n in (500, 2000, 8000):
         plan = _plan(cfg=_cfg(n=n), reps=100, estimators=("UE",),
-                     master_seed=40 + n)
+                     key=(40 + n, 0))
         summary = run_plan(plan, workers=4)
         medians.append(float(np.median(summary.losses[:, 0])))
     for a, b in zip(medians, medians[1:]):
@@ -147,11 +151,11 @@ def test_zero_direction_plan_means_centered():
     # empirical means must sit within Monte Carlo resolution of them
     cfg = _cfg(n=800)
     restr = Restriction(R1=RESTR.R1, R2=RESTR.R2, theta=RESTR.theta)
-    plan = _plan(cfg=cfg, restr=restr, reps=800, master_seed=71)
+    plan = _plan(cfg=cfg, restr=restr, reps=800, key=(71, 0))
     summary = run_plan(plan, workers=4)
     pm = population(cfg)
     b_truth = make_restricted_b(cfg, restr, B_SEED)
-    sc = estimate_score_cov(cfg, b_truth, reps=800, seed=72).cov
+    sc = estimate_score_cov(cfg, b_truth, reps=800, key=(72, 1)).cov
     law = joint_law(pm, sc, restr)
     cmp = compare_law(summary, law)
     assert cmp.worst_cov <= 0.35
@@ -167,9 +171,9 @@ def test_law_agreement_under_skewed_errors():
     pm = population(cfg)
     cfg_s = cfg.at_n(2000)
     b_s = make_restricted_b(cfg_s, RESTR, B_SEED)
-    score = estimate_score_cov(cfg_s, b_s, reps=2000, seed=51)
+    score = estimate_score_cov(cfg_s, b_s, reps=2000, key=(51, 1))
     law = joint_law(pm, score.cov, RESTR)
-    plan = _plan(cfg=cfg, reps=2000, master_seed=52)
+    plan = _plan(cfg=cfg, reps=2000, key=(52, 0))
     summary = run_plan(plan, workers=4)
     cmp = compare_law(summary, law)
     assert cmp.passed, (cmp.worst_cov, cmp.worst_mean)
@@ -179,7 +183,7 @@ def test_law_agreement_under_skewed_errors():
     exact, exact_g = (closed_form_score_cov(c, b_s) for c in (cfg_s, cfg_g))
     rel = np.linalg.norm(exact - exact_g) / np.linalg.norm(exact_g)
     assert rel > 0.10
-    score_g = estimate_score_cov(cfg_g, b_s, reps=2000, seed=53)
+    score_g = estimate_score_cov(cfg_g, b_s, reps=2000, key=(53, 1))
     for sc, ref in ((score, exact), (score_g, exact_g)):
         assert np.max(np.abs(sc.cov - ref)) <= 4.0 * sc.standard_error
 
@@ -244,8 +248,8 @@ def test_empirical_adr_matches_theory():
     restr = RESTR
     pm = population(cfg)
     b_truth = make_restricted_b(cfg, restr, B_SEED)
-    sc = estimate_score_cov(cfg, b_truth, reps=2000, seed=10).cov
-    plan = _plan(cfg=cfg, reps=2000, master_seed=11)
+    sc = estimate_score_cov(cfg, b_truth, reps=2000, key=(10, 1)).cov
+    plan = _plan(cfg=cfg, reps=2000, key=(11, 0))
     summary = run_plan(plan, workers=4)
     rep = dominance_report(np.eye(2), pm, sc, restr, named_weight_limit(pm, "B3"))
     theory_ue = rep.adr_ue
@@ -300,7 +304,7 @@ def affine_limit_suite(seed, draws):
     Returns the comparison and that pair's worst relative Frobenius gap.
     """
     m, p, q, n_conv = AFFINE_M, AFFINE_P, AFFINE_Q, AFFINE_N_CONV
-    g = np.random.default_rng([seed, 2, 0])
+    g = stream_rng((seed, STREAMS["affine_limits"]))
     pq = p * q
     f = g.standard_normal((pq, pq))
     lam = sym(f @ f.T) / pq + 0.5 * np.eye(pq)
@@ -361,3 +365,61 @@ def test_identity_transform_recovers_cov():
     y = g.standard_normal((50_000, 4)) @ psd_factor(lam).T
     emp = np.cov(y.T)
     assert np.linalg.norm(emp - lam) / np.linalg.norm(lam) <= 0.10
+
+
+def test_stream_tags_are_distinct_and_in_the_readme_contract():
+    assert len(set(STREAMS.values())) == len(STREAMS)
+    contract = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Reproducibility contract", 1)[1]
+    for name, tag in STREAMS.items():
+        assert f"| `{name}` | {tag} |" in contract
+    # numpy reads trailing zeros of a key as absent, so the truth B's tag 0
+    # keeps the generator default_rng(master_seed)
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    del doc["simulation"]["B_seed"]
+    run = parse_config(doc)
+    seed = run.simulation.master_seed
+    assert STREAMS["truth_B"] == 0
+    np.testing.assert_array_equal(run.simulation.B_seed, np.random.default_rng(
+        seed).uniform(-1.0, 1.0, size=(run.model.p, run.model.q)))
+
+
+def test_every_generator_is_made_from_the_stream_table():
+    # `stream_rng` makes every generator, and DesignRule's seed, a config
+    # field that fixes M, is the one other seed; no key offsets a seed
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "eivreg").glob("*.py")}
+    calls = {name: text.count("np.random.default_rng(") for name, text in sources.items()}
+    assert {name: k for name, k in calls.items() if k} == {"model.py": 2}
+    assert not [name for name, text in sources.items()
+                if re.search(r"seed \+ |seed\) \+ ", text)]
+
+
+def test_no_generator_is_shared_across_seeds_or_consumers(monkeypatch):
+    # every stream key drawn by the truth B, criterion 2's plans and criterion
+    # 4's replications and score check, at master seeds s, s + 1 and s + 7.
+    # Keys are compared by the state they seed, since numpy reads [s, 0, 0]
+    # as [s]; DesignRule's seed fixes M and is not a stream
+    doc = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    del doc["simulation"]["B_seed"]
+    doc["simulation"]["reps"] = doc["score_cov"]["reps"] = 100
+    real, keys, design_seed = np.random.default_rng, [], doc["model"]["M"]["seed"]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+        keys.append(seed) if seed != design_seed else None) or real(seed))
+    states = {}
+    base = doc["simulation"]["master_seed"]
+    for seed in (base, base + 1, base + 7):
+        doc["simulation"]["master_seed"] = seed
+        runs = []
+        for name, draw in (
+                ("truth B", lambda: runs.append(parse_config(doc))),
+                ("criterion 2", lambda: criterion_sqrt_n_rate(runs[0], seed)),
+                ("criterion 4", lambda: criterion_law_agreement(runs[0],
+                                                                *law_inputs(runs[0])))):
+            keys.clear()
+            draw()
+            assert keys, name
+            for key in keys:
+                state = tuple(np.random.SeedSequence(key).generate_state(4))
+                assert state not in states, (seed, name, key, states.get(state))
+                states[state] = (seed, name, key)

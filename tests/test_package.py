@@ -74,7 +74,7 @@ def _adr_at_weight(weight):
      "weight must be positive definite"),
     (lambda: restricted(np.zeros((2, 2)), np.diag([1.0, 1e-13]), RESTR), ValueError,
      "weight matrix is too ill-conditioned"),
-    (lambda: estimate_score_cov(CFG, np.eye(2), reps=1, seed=0), ValueError,
+    (lambda: estimate_score_cov(CFG, np.eye(2), reps=1, key=(0, 1)), ValueError,
      "reps must be at least 2"),
     (lambda: closed_form_score_cov(CFG, B_3x2), ValueError, "B must be 2x2, got (3, 2)"),
     (lambda: limit_transform(population(CFG), 2, q0=np.eye(2)), ValueError,

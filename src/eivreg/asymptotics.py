@@ -20,9 +20,10 @@ exactly from the design and the first four moments of the error family
 Monte Carlo averaging of flattened-score outer products and serves as its
 check, returning it with its standard error as a `ScoreCov`.
 Since Z - X B = E - Delta B, the score needs only the sufficient statistics,
-X'(E - Delta B) = X'Z - X'X B, so its draws come from `model.draw_stats`,
-which also drives the replication studies.  Every function here works at the
-model's own n; another sample size is ``cfg.at_n(n)``.
+X'(E - Delta B) = X'Z - X'X B, so its draws come chunk by chunk from
+`model.draw_stats`, which also drives the replication studies.  Every
+function here works at the model's own n; another sample size is
+``cfg.at_n(n)``.
 
 A label's limit weight Q0 comes from `estimators.NAMED_WEIGHTS`, the one
 place where an estimator label is defined, through `named_weight_limit`;
@@ -113,7 +114,7 @@ def score_sample(cfg: ModelConfig, B: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """One flattened draw of the centered score at the model's n."""
     B = np.asarray(B, dtype=float)
-    xtx, xtz = stats_sampler(cfg, B).draw([rng], 1)
+    xtx, xtz = stats_sampler(cfg, B).draw(rng, 1)
     return rvec(_centered_score(cfg, B, xtx, xtz)[0])
 
 
@@ -122,29 +123,30 @@ def estimate_score_cov(cfg: ModelConfig, B: np.ndarray, reps: int,
     """Average of flattened-score outer products over `reps` replications.
 
     The replications are the stream `key` of `model.draw_stats` on `workers`
-    threads.  The scores are formed for all of them together, with the same
-    arithmetic as `score_sample`, and scaled by an exact power of two for the
-    products: that changes no bit, and only a result beyond double precision
-    comes back as inf.  The standard error needs at least two replications.
+    threads.  Each chunk's scores are formed with the same arithmetic as
+    `score_sample` into one array of every replication's, which is scaled in
+    place by an exact power of two for the products: that changes no bit,
+    and only a result beyond double precision comes back as inf.  The
+    standard error needs at least two replications.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     B = np.asarray(B, dtype=float)
-    sampler = stats_sampler(cfg, B)
+    k = cfg.p * cfg.q
     try:
-        xtx, xtz = draw_stats(sampler, key, 0, reps, workers)
+        draws = np.empty((reps, k))
     except (MemoryError, ValueError):  # numpy's "array is too big"
-        raise ConfigError(f"field 'score_cov.reps' = {reps} needs {reps} draws of "
-                          "X'X and X'Z, more than memory holds") from None
-    p, q = cfg.p, cfg.q
-    draws = _centered_score(cfg, B, xtx, xtz).reshape(reps, p * q)
+        raise ConfigError(f"field 'score_cov.reps' = {reps} needs {reps}x{k} score "
+                          "draws, more than memory holds") from None
+    for start, xtx, xtz in draw_stats(cfg, B, key, reps, workers):
+        draws[start:start + len(xtx)] = _centered_score(cfg, B, xtx, xtz).reshape(-1, k)
     e = int(np.frexp(np.max(np.abs(draws)))[1])
-    draws = np.ldexp(draws, -e)
+    np.ldexp(draws, -e, out=draws)
     cov = sym(draws.T @ draws) / reps
     # entrywise Monte Carlo SE of the averaged outer products, one column of
     # products at a time; the products are symmetric, so only j >= i
     var_max = np.max([np.var(draws[:, i, None] * draws[:, i:], axis=0,
-                             ddof=1).max() for i in range(p * q)])
+                             ddof=1).max() for i in range(k)])
     with np.errstate(over="ignore"):
         return ScoreCov(cov=np.ldexp(cov, 2 * e),
                         standard_error=float(np.ldexp(np.sqrt(var_max / reps), 2 * e)))

@@ -208,6 +208,9 @@ def parse_config(doc: dict) -> RunConfig:
         if value < low:
             raise ConfigError(f"field '{section}.{key}' must be at least {low}, "
                               f"got {value}")
+    if sim.master_seed >= 2 ** 32:  # numpy splits a larger key word into two
+        raise ConfigError(f"field 'simulation.master_seed' must be below 2^32, "
+                          f"got {sim.master_seed}")
     if sim.B_seed is None:  # the truth B's seed, drawn from a checked master seed
         sim = replace(sim, B_seed=stream_rng((sim.master_seed, STREAMS["truth_B"]))
                       .uniform(-1.0, 1.0, size=(p, q)))

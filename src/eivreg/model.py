@@ -9,16 +9,17 @@ Everything that depends on the sample size n reads it from the `ModelConfig`;
 the same model at another sample size is ``cfg.at_n(n)``.
 
 Replication studies and the score-covariance Monte Carlo check need only the
-sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`.
-`stats_sampler` draws them from their exact law under gaussian errors at
-n >= 2p + q (`GaussianSampler`, (R [I, B] + Q'G)' (R [I, B] + Q'G)
-+ F A A' F' with M = QR and A Bartlett's factor), at a cost that does not
-depend on n, and from datasets drawn as `generate` draws them otherwise
-(`RowSampler`).
+sufficient statistics X'X and X'Z of each dataset, all drawn by `draw_stats`,
+one chunk of whole blocks at a time.  `stats_sampler` draws them from their
+exact law under gaussian errors at n >= 2p + q (`GaussianSampler`,
+(R [I, B] + Q'G)' (R [I, B] + Q'G) + F A A' F' with M = QR and A Bartlett's
+factor), at a cost that does not depend on n, and from datasets drawn as
+`generate` draws them otherwise (`RowSampler`).  Each sampler draws one
+block from one generator.
 
 Seeding contract: every generator is keyed [master_seed, tag, ...] by
 `STREAMS` (`stream_rng`), and block b of a replication stream, replications
-64b, ..., 64b + 63 (BLOCK = 64), appends b to its key (`block_rngs`).  Under
+64b, ..., 64b + 63 (BLOCK = 64), appends b to its key.  Under
 gaussian errors at n - p >= k = p + q, the generator of a block of m
 replications yields in order, replication by replication within each draw:
 m*p*k standard normals (the rows of Q'G before the factor F), m*k(k-1)/2
@@ -31,7 +32,7 @@ form A's diagonal.  Otherwise a block's datasets draw one after another as
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
@@ -271,6 +272,9 @@ def generate(cfg: ModelConfig, B: np.ndarray, rng: np.random.Generator) -> Datas
 
 
 BLOCK = 64  # replications per generator of the seeding contract
+# replications drawn at once, whole blocks: a caller holds one chunk's draws
+# and temporaries, not every replication's
+CHUNK = 8 * BLOCK
 # The tag of every random stream, by consumer; no key offsets a seed.  numpy
 # reads [s, 0] as [s], so tag 0 is the truth B's default_rng(master_seed) and
 # no other stream takes it.  DesignRule's seed fixes M and is not a stream.
@@ -282,14 +286,6 @@ STREAMS = {"truth_B": 0, "score_cov": 1, "affine_limits": 2, "simulation": 3,
 def stream_rng(key: tuple[int, ...]) -> np.random.Generator:
     """The generator of `key`: a master seed, a tag of `STREAMS`, indices."""
     return np.random.default_rng(list(key))
-
-
-def block_rngs(key: tuple[int, ...], start: int, stop: int) -> Iterator[np.random.Generator]:
-    """The generators of the blocks covering replications start, ...,
-    stop - 1 of the stream `key`, each made when it is drawn from."""
-    if start % BLOCK:
-        raise ValueError(f"replication {start} is not on a block boundary")
-    return (stream_rng((*key, b)) for b in range(start // BLOCK, -(-stop // BLOCK)))
 
 
 @dataclass(frozen=True)
@@ -310,26 +306,25 @@ class RowSampler:
     def __post_init__(self):
         object.__setattr__(self, "design", self.cfg.design())
 
-    def draw(self, rngs: Iterable[np.random.Generator], reps: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`."""
+    def draw(self, rng: np.random.Generator, reps: int) -> tuple[np.ndarray, np.ndarray]:
+        """X'X and X'Z, stacked, of `reps` datasets drawn one after another
+        from `rng`."""
         cfg, design = self.cfg, self.design
         n, p = design.shape
         e, delta, psi, z = (np.empty((n, k)) for k in (cfg.q, p, p, cfg.q))
         xtx, xtz = np.empty((reps, p, p)), np.empty((reps, p, cfg.q))
         scaled = ((e, cfg.sigma_eps2), (delta, cfg.sigma_delta2),
                   (psi, cfg.sigma_psi2))
-        for lo, rng in zip(range(0, reps, BLOCK), rngs, strict=True):
-            for i in range(lo, min(lo + BLOCK, reps)):
-                for buf, var in scaled:  # E, Delta, Psi, as generate draws
-                    standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
-                    buf *= math.sqrt(var)
-                d = np.add(design, psi, out=psi)
-                np.matmul(d, self.B, out=z)
-                z += e
-                x = np.add(d, delta, out=delta)
-                np.matmul(x.T, x, out=xtx[i])
-                np.matmul(x.T, z, out=xtz[i])
+        for i in range(reps):
+            for buf, var in scaled:  # E, Delta, Psi, as generate draws
+                standardized_draw(cfg.error_family, buf.shape, rng, out=buf)
+                buf *= math.sqrt(var)
+            d = np.add(design, psi, out=psi)
+            np.matmul(d, self.B, out=z)
+            z += e
+            x = np.add(d, delta, out=delta)
+            np.matmul(x.T, x, out=xtx[i])
+            np.matmul(x.T, z, out=xtz[i])
         return xtx, xtz
 
 
@@ -348,26 +343,18 @@ class GaussianSampler:
     factor: np.ndarray    # F with F F' = Omega
     n: int
 
-    def draw(self, rngs: Iterable[np.random.Generator], reps: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """X'X and X'Z, stacked, of `reps` datasets, a block from each of `rngs`
-        in the draw order of the seeding contract."""
+    def draw(self, rng: np.random.Generator, reps: int) -> tuple[np.ndarray, np.ndarray]:
+        """X'X and X'Z, stacked, of `reps` datasets drawn from `rng` in the
+        draw order of the seeding contract."""
         p, k = self.root.shape
         low, diag = np.tril_indices(k, -1), np.diag_indices(k)
-        normals = np.empty((reps, p, k))
+        normals = rng.standard_normal((reps, p, k))
         a = np.zeros((reps, k, k))
-        for lo, rng in zip(range(0, reps, BLOCK), rngs, strict=True):
-            m = min(BLOCK, reps - lo)
-            rng.standard_normal(out=normals[lo:lo + m])
-            a[lo:lo + m, low[0], low[1]] = rng.standard_normal((m, len(low[0])))
-            a[lo:lo + m, diag[0], diag[1]] = np.sqrt(
-                rng.chisquare(self.n - p - np.arange(k), (m, k)))
-        # the stacks scale with reps: hold as few at once as we can
+        a[:, low[0], low[1]] = rng.standard_normal((reps, len(low[0])))
+        a[:, diag[0], diag[1]] = np.sqrt(rng.chisquare(self.n - p - np.arange(k), (reps, k)))
         h = normals @ self.factor.T
-        del normals
         h += self.root
         t = self.factor @ a
-        del a
         top = np.swapaxes(h[:, :, :p], 1, 2) @ h
         top += t[:, :p] @ np.swapaxes(t, 1, 2)
         return top[:, :, :p], top[:, :, p:]
@@ -391,36 +378,35 @@ def stats_sampler(cfg: ModelConfig, B: np.ndarray) -> GaussianSampler | RowSampl
                            factor=factor, n=cfg.n)
 
 
-def draw_stats(sampler: GaussianSampler | RowSampler, key: tuple[int, ...],
-               start: int, stop: int, workers: int = 1
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """X'X and X'Z, stacked, of replications start, ..., stop - 1 of the
-    stream `key`, drawn by `sampler` (from `stats_sampler`, made once for all the
-    ranges a caller draws).
+def draw_stats(cfg: ModelConfig, B: np.ndarray, key: tuple[int, ...], reps: int,
+               workers: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, X'X, X'Z) of replications start, ..., start + CHUNK - 1 of the
+    stream `key` (fewer in the last chunk), chunk by chunk over `reps`
+    replications of datasets of `cfg` with coefficients B.  The sampler of
+    `stats_sampler` is made once, and block b draws from
+    `stream_rng((*key, b))`, so a replication's rows do not depend on CHUNK.
 
-    Chunk contract: `start` is on a block boundary, so a range's rows are
-    those that drawing replications 0, ..., stop - 1 at once gives, bit for
-    bit; a caller may draw a long stream in consecutive ranges and hold only
-    one range's stacks at a time.
-
-    Pool policy: with several workers, a non-gaussian draw of more than one
-    block is split into ranges of whole blocks, about four per worker, one
-    task each on a pool of threads, which numpy's fills and products let run
+    Pool policy: with several workers, each block of a non-gaussian chunk is
+    one task on a pool of threads, which numpy's fills and products let run
     at once.  Gaussian draws, exact or of a few rows at n < 2p + q, cost
-    less than a pool's start: they and single blocks run in the calling
-    thread.  Ranges start on block boundaries, so the draws do not depend on
-    the workers.
+    less than a pool's start, and a single block needs none: they run in
+    the calling thread.  The blocks do not depend on the workers.
     """
-    reps = stop - start
-    gaussian = (isinstance(sampler, GaussianSampler)
-                or sampler.cfg.error_family == "gaussian")
-    if workers <= 1 or reps <= BLOCK or gaussian:
-        return sampler.draw(block_rngs(key, start, stop), reps)
-    step = BLOCK * math.ceil(reps / (4 * workers * BLOCK))
+    sampler = stats_sampler(cfg, B)
+
+    def block(b):
+        return sampler.draw(stream_rng((*key, b)), min(BLOCK, reps - b * BLOCK))
+
+    def chunks(map_blocks):
+        for start in range(0, reps, CHUNK):
+            stop = min(start + CHUNK, reps)
+            parts = list(map_blocks(block, range(start // BLOCK, -(-stop // BLOCK))))
+            yield (start, *map(np.concatenate, zip(*parts)))
+
+    if workers <= 1 or reps <= BLOCK or cfg.error_family == "gaussian":
+        yield from chunks(map)
+        return
     # imported here: only a pooled draw pays for the pool
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda lo: sampler.draw(
-            block_rngs(key, lo, min(lo + step, stop)), min(step, stop - lo)),
-            range(start, stop, step)))
-    return tuple(map(np.concatenate, zip(*parts)))
+        yield from chunks(pool.map)

@@ -3,12 +3,11 @@ and losses, and compare empirical moments against the theoretical limit laws.
 
 A plan projects the true coefficient matrix onto the drifting restriction
 and draws the X'X and X'Z of its replications from its stream's key through
-`model.draw_stats`, which holds the seeding contract and the pool policy;
-its model was checked when it was made.  The replications are drawn and
-solved `CHUNK` at a time: `estimate_batch` solves every replication of a
-chunk and labelled estimator (restricted ones with their named weights) at
-once, as stacked p-by-p problems, and a replication that fails one of its
-checks is excluded with the reason.
+`model.draw_stats`, which holds the seeding contract, the chunks and the
+pool policy; its model was checked when it was made.  `estimate_batch`
+solves every replication of a chunk and labelled estimator (restricted ones
+with their named weights) at once, as stacked p-by-p problems, and a
+replication that fails one of its checks is excluded with the reason.
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ from .asymptotics import AsymptoticLaw
 from .config import RunConfig
 from .estimators import ESTIMATOR_LABELS, LAW_LABELS, estimate_batch
 from .exceptions import ConfigError, EivregError
-from .model import (BLOCK, STREAMS, ModelConfig, Restriction, draw_stats,
-                    make_restricted_b, stats_sampler)
+from .model import STREAMS, ModelConfig, Restriction, draw_stats, make_restricted_b
 
-# replications drawn and solved at once, whole blocks of the seeding contract:
-# a plan holds one chunk's draws and temporaries, not every replication's
-CHUNK = 8 * BLOCK
 MAX_EXCLUDED_FRACTION = 0.01
 MEAN_TOL_SE = 4.0  # `compare_law`'s bound on a mean discrepancy, in SEs
 COV_TOL_FRO = 0.15  # and on a covariance block's relative Frobenius gap
@@ -91,14 +86,14 @@ class EmpiricalSummary:
 def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     """Run all replications; deterministic for a fixed plan at any worker count.
 
-    Chunk contract: replications are drawn, solved and reduced `CHUNK` at a
-    time into scaled errors and losses allocated once for every replication,
-    and each replication's numbers do not depend on its chunk, so the result
-    is the same, bit for bit, at any chunk size.  Replications that fail a
-    check of `estimate_batch` are excluded, by their index in the plan; more
-    than 1% excluded, over every chunk, is an error that quotes the first
-    one's reason.  Scaled errors whose losses or covariance overflow are a
-    ConfigError: the truth B is too large.
+    Chunk contract: replications are drawn, solved and reduced a chunk of
+    `model.draw_stats` at a time into scaled errors and losses allocated
+    once for every replication, and each replication's numbers do not depend
+    on its chunk, so the result is the same, bit for bit, at any chunk size.
+    Replications that fail a check of `estimate_batch` are excluded, by
+    their index in the plan; more than 1% excluded, over every chunk, is an
+    error that quotes the first one's reason.  Scaled errors whose losses or
+    covariance overflow are a ConfigError: the truth B is too large.
     """
     n, reps, p = plan.cfg.n, plan.reps, plan.cfg.p
     b_truth = make_restricted_b(plan.cfg, plan.restr, plan.b_seed)
@@ -110,10 +105,8 @@ def run_plan(plan: SimulationPlan, workers: int = 1) -> EmpiricalSummary:
     except (MemoryError, ValueError):  # numpy's "array is too big"
         raise ConfigError(f"field 'simulation.reps' = {reps} needs {reps}x{k} scaled "
                           "errors, more than memory holds") from None
-    sampler = stats_sampler(plan.cfg, b_truth)
     excluded, reasons, kept = [], [], 0
-    for start in range(0, reps, CHUNK):
-        xtx, xtz = draw_stats(sampler, plan.key, start, min(start + CHUNK, reps), workers)
+    for start, xtx, xtz in draw_stats(plan.cfg, b_truth, plan.key, reps, workers):
         batch = estimate_batch(xtx, xtz, n, plan.cfg.sigma_delta2, plan.restr,
                                plan.estimators)
         excluded += [start + r for r in batch.excluded]

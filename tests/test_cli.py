@@ -19,11 +19,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eivreg import cli, csvio, montecarlo
-from eivreg.asymptotics import law_inputs, named_weight_limit
+from eivreg.asymptotics import (estimate_score_cov, law_inputs, named_weight_limit,
+                                score_cov_model)
 from eivreg.csvio import read_matrix_csv, write_matrix_csv
 from eivreg.estimators import lse
 from eivreg.exceptions import ConfigError, EivregError
-from eivreg.model import DesignRule, generate, make_restricted_b
+from eivreg.model import STREAMS, DesignRule, generate, make_restricted_b
 from eivreg.config import config_digest, load_config, parse_config
 from eivreg.montecarlo import run_plan
 from eivreg.risk import adr_restricted
@@ -385,6 +386,47 @@ def test_simulate_memory_is_a_few_times_its_outputs(tmp_path):
     outputs = summary.errors.nbytes + summary.losses.nbytes
     assert summary.rep_count == plan.reps
     assert peak <= 2.5 * outputs, (peak, outputs)
+
+
+def _traced_peak(fn):
+    """fn()'s result and tracemalloc's peak over it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_marginal_memory_is_its_outputs():
+    # a replication adds its scaled errors and losses and the covariance's
+    # centred copy of its errors; a chunk's draws and temporaries do not grow
+    def summary_with_cov(plan):
+        summary = run_plan(plan)
+        assert np.isfinite(summary.cov_empirical).all()
+        return summary
+
+    peaks, outputs = [], []
+    for reps in (4000, 16_000):
+        run = load_config(CONFIG).with_fields({"simulation.reps": reps})
+        plan = montecarlo.replication_plan(run, run.simulation.estimators)
+        summary, peak = _traced_peak(lambda: summary_with_cov(plan))
+        assert summary.rep_count == reps
+        peaks.append(peak)
+        outputs.append(summary.errors.nbytes + summary.losses.nbytes)
+    assert peaks[1] - peaks[0] <= 2 * (outputs[1] - outputs[0]), (peaks, outputs)
+
+
+def test_score_cov_marginal_memory_is_three_scores():
+    # a draw adds its score, and the standard error's column of products
+    # and np.var's centred copy of it; a chunk's X'X and X'Z do not grow
+    run = load_config(CONFIG)
+    cfg, B = score_cov_model(run)
+    key = (run.simulation.master_seed, STREAMS["score_cov"])
+    low, high = (_traced_peak(lambda: estimate_score_cov(cfg, B, reps, key))[1]
+                 for reps in (4000, 16_000))
+    per_score = (high - low) / (16_000 - 4000) / (8 * cfg.p * cfg.q)
+    assert per_score <= 3.5, per_score
 
 
 @pytest.mark.parametrize("rows", [20_000, 80_000])
@@ -971,6 +1013,7 @@ BAD_CONFIGS = {
     "n_2": ("model", "n", 2),
     "m_explicit_2x2": ("model", "M", [[1.0, 0.0], [0.0, 1.0]]),
     "master_seed_neg": ("simulation", "master_seed", -1),
+    "master_seed_2pow32": ("simulation", "master_seed", 2 ** 32),
     # a drift or a truth B whose squares overflow double precision
     "theta0_1e300": ("restriction", "theta0", [[1.0e300]]),
     "b_seed_1e300": ("simulation", "B_seed", [[1.0e300, 0.8], [-0.5, 1.3]]),
@@ -1003,10 +1046,9 @@ def _exit_code(argv):
         return exc.code
 
 
-# (command, options, exit code, a part of stderr); pytest names a case
-# without an explicit id by its position and its message, so such a case goes
-# at the end and a reworded message renames only its own case.  An explicit id
-# is the command and the option or config name.
+# (command, options, exit code, a part of stderr), each with an explicit id:
+# the command and the option or config name, so inserting a case or rewording
+# a message renames no case.
 EXIT_CASES = [
     pytest.param("simulate", ["--workers", "0"], 2, "--workers",
                  id="simulate-workers-0"),
@@ -1017,15 +1059,18 @@ EXIT_CASES = [
                  "--reps: must be at least 2, got 1", id="simulate-reps-1"),
     pytest.param("simulate", ["--reps", "4", "--workers", "1"], 0, "",
                  id="simulate-reps-4"),
-    ("law", ["--out", "{tmp}/file/o"], 2, "file/o"),
-    ("estimate", ["--z", "{tmp}/z_inf.csv", "--x", "{tmp}/x.csv"], 2,
-     "z_inf.csv: row 3, column 2: non-finite value 'inf'"),
-    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_nan.csv"], 2,
-     "x_nan.csv: row 3, column 2: non-finite value 'nan'"),
-    ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv",
-                  "--out", "{tmp}/blocked"], 2, "cannot write {tmp}/blocked/b1.csv"),
-    ("law", ["--out", "{tmp}/blocked"], 2,
-     "cannot write {tmp}/blocked/score_cov.csv"),
+    pytest.param("law", ["--out", "{tmp}/file/o"], 2, "file/o", id="law-out_under_file"),
+    pytest.param("estimate", ["--z", "{tmp}/z_inf.csv", "--x", "{tmp}/x.csv"], 2,
+                 "z_inf.csv: row 3, column 2: non-finite value 'inf'",
+                 id="estimate-z_inf"),
+    pytest.param("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x_nan.csv"], 2,
+                 "x_nan.csv: row 3, column 2: non-finite value 'nan'",
+                 id="estimate-x_nan"),
+    pytest.param("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv",
+                              "--out", "{tmp}/blocked"], 2,
+                 "cannot write {tmp}/blocked/b1.csv", id="estimate-out_blocked"),
+    pytest.param("law", ["--out", "{tmp}/blocked"], 2,
+                 "cannot write {tmp}/blocked/score_cov.csv", id="law-out_blocked"),
     pytest.param("law", ["--config", "{tmp}/theta_1x2.yaml"], 2,
                  "restriction: theta must be 1x1, got (1, 2)", id="law-theta_1x2"),
     pytest.param("law", ["--config", "{tmp}/r1_3cols.yaml"], 2,
@@ -1202,7 +1247,8 @@ EXIT_CASES = [
       for cmd, data in (("law", []), ("adr", []), ("efficiency", []),
                         ("simulate", []),
                         ("estimate", ["--z", "{tmp}/z.csv", "--x", "{tmp}/x.csv"]))],
-    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+    *[pytest.param(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message,
+                   id=f"{cmd}-{name}")
       for name, message in (
           ("eps_neg", "field 'model.sigma_eps2' must be at least 0, got -1.0"),
           ("p_0", "field 'model.p' must be at least 1, got 0"),
@@ -1221,7 +1267,8 @@ EXIT_CASES = [
           ("b_seed_1e300", "field 'simulation.B_seed' and the restriction give "
                            "a truth B whose B'B overflows at n = 400"))
       for cmd in ("law", "adr", "efficiency", "simulate", "verify")],
-    *[(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message)
+    *[pytest.param(cmd, ["--config", f"{{tmp}}/{name}.yaml", *data], 2, message,
+                   id=f"{cmd}-{name}")
       for name, message in (
           ("section_misspelt", "unknown sections: ['simulaton']"),
           ("section_date", "unknown sections: ['notes']"))
@@ -1267,8 +1314,18 @@ EXIT_CASES = [
                    "errors, more than memory holds", id=f"{cmd}-reps_1e10")
       for cmd in ("simulate", "verify")],
     pytest.param("verify", ["--config", "{tmp}/score_reps_1e10.yaml", "--workers", "1"],
-                 2, "field 'score_cov.reps' = 10000000000 needs 10000000000 draws of "
-                 "X'X and X'Z, more than memory holds", id="verify-score_reps_1e10"),
+                 2, "field 'score_cov.reps' = 10000000000 needs 10000000000x4 score "
+                 "draws, more than memory holds", id="verify-score_reps_1e10"),
+    # numpy splits a key word of 2^32 or more, so distinct seeds could share
+    # a generator: refused in the file and as --seed, and 2^32 - 1 runs
+    pytest.param("law", ["--config", "{tmp}/master_seed_2pow32.yaml"], 2,
+                 "field 'simulation.master_seed' must be below 2^32, got 4294967296",
+                 id="law-master_seed_2pow32"),
+    pytest.param("simulate", ["--seed", str(2 ** 32), "--workers", "1"], 2,
+                 "field 'simulation.master_seed' must be below 2^32, got 4294967296",
+                 id="simulate-seed_2pow32"),
+    pytest.param("simulate", ["--seed", str(2 ** 32 - 1), "--reps", "4", "--workers", "1"],
+                 0, "", id="simulate-seed_2pow32_minus_1"),
 ]
 
 
@@ -1309,9 +1366,10 @@ def test_option_exit_codes(tmp_path, config_path, capsys, command, extra, code,
 
 
 def test_option_exit_case_ids_are_unique():
-    # pytest would silently suffix a repeated id; pytest's own ids hold "extra"
-    ids = [case.id for case in EXIT_CASES if hasattr(case, "id")]
-    assert len(set(ids)) == len(ids)
+    # every case is named, and pytest would silently suffix a repeated id;
+    # pytest's own ids hold "extra"
+    ids = [getattr(case, "id", None) for case in EXIT_CASES]
+    assert None not in ids and len(set(ids)) == len(ids)
     assert not [i for i in ids if "extra" in i]
 
 

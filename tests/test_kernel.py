@@ -15,11 +15,11 @@ from eivreg.estimators import (NAMED_WEIGHTS, build_kx, estimate_batch, lse,
                                restricted)
 from eivreg.exceptions import EivregError
 from eivreg.linalg import rvec, sym
-from eivreg.model import (BLOCK, ERROR_FAMILIES, DesignRule, ModelConfig,
-                          Restriction, RowSampler, block_rngs, generate,
-                          make_restricted_b)
+from eivreg.model import (BLOCK, CHUNK, ERROR_FAMILIES, DesignRule, ModelConfig,
+                          Restriction, RowSampler, generate, make_restricted_b,
+                          stream_rng)
 from eivreg import asymptotics, model, montecarlo
-from eivreg.montecarlo import CHUNK, SimulationPlan, run_plan
+from eivreg.montecarlo import SimulationPlan, run_plan
 from test_model import replay_latent
 
 RESTR = Restriction(R1=[[1.0, -0.5, 0.25]], R2=[[1.0], [0.8]], theta=[[0.3]],
@@ -46,8 +46,8 @@ def _plan(cfg, **kw):
 def _rep_rngs(key, reps):
     """The generator of each of replications 0, ..., reps - 1: its block's,
     drawn on by the block's replications in turn."""
-    return [rng for rng in block_rngs(key, 0, reps)
-            for _ in range(BLOCK)][:reps]
+    blocks = [stream_rng((*key, b)) for b in range(-(-reps // BLOCK))]
+    return [blocks[r // BLOCK] for r in range(reps)]
 
 
 def _reference(plan):
@@ -82,14 +82,14 @@ def _row_sampler_only(monkeypatch):
     """Draw gaussian plans through the row sampler too.  The reference loop
     replays those draws, so they test the batched estimate and reduction
     bit for bit; the exact sampler's draws are tested by their law below."""
-    monkeypatch.setattr(montecarlo, "stats_sampler", RowSampler)
+    monkeypatch.setattr(model, "stats_sampler", RowSampler)
 
 
 @pytest.mark.parametrize("family", sorted(ERROR_FAMILIES))
 def test_run_plan_matches_reference_loop(family, monkeypatch):
     if family == "gaussian":
         _row_sampler_only(monkeypatch)
-    # three blocks, the last one partial; two workers get one block per chunk
+    # three blocks, the last one partial; two workers get one task per block
     plan = _plan(_cfg(error_family=family), reps=2 * BLOCK + 5)
     errors, losses, excluded, _ = _reference(plan)
     for workers in (1, 2):
@@ -129,7 +129,7 @@ def test_run_plan_is_chunk_invariant(family, reps, monkeypatch):
     # draws, chunk by chunk, against the whole plan as one chunk
     plan = _plan(_cfg(error_family=family), reps=reps)
     with monkeypatch.context() as m:
-        m.setattr(montecarlo, "CHUNK", 4 * CHUNK)
+        m.setattr(model, "CHUNK", 4 * CHUNK)
         whole = run_plan(plan)
     for workers in (1, 2):
         summary = run_plan(plan, workers=workers)
@@ -137,6 +137,19 @@ def test_run_plan_is_chunk_invariant(family, reps, monkeypatch):
         np.testing.assert_array_equal(summary.losses, whole.losses)
         assert summary.excluded == whole.excluded
         assert summary.rep_count == reps
+
+
+@pytest.mark.parametrize("family", ["gaussian", "shifted-exponential"])
+def test_score_cov_is_chunk_invariant(family, monkeypatch):
+    # three chunks, the last one partial, against the stream as one chunk
+    cfg, B, reps = _cfg(p=2, error_family=family), B_SEED[:2], 2 * CHUNK + 5
+    with monkeypatch.context() as m:
+        m.setattr(model, "CHUNK", 4 * CHUNK)
+        whole = estimate_score_cov(cfg, B, reps=reps, key=(19, 1))
+    for workers in (1, 2):
+        sc = estimate_score_cov(cfg, B, reps=reps, key=(19, 1), workers=workers)
+        np.testing.assert_array_equal(sc.cov, whole.cov)
+        assert sc.standard_error == whole.standard_error
 
 
 def test_exclusions_in_two_chunks_match_reference_loop(monkeypatch):
@@ -344,7 +357,7 @@ def test_score_from_sufficient_statistics_matches_latent_form(family):
     cfg = _cfg(n=2000, error_family=family)
     rng, replay = np.random.default_rng(8), np.random.default_rng(8)
     datasets = [generate(cfg, B_SEED, rng) for _ in range(2)]
-    xtx, xtz = RowSampler(cfg, B_SEED).draw([np.random.default_rng(8)], 2)
+    xtx, xtz = RowSampler(cfg, B_SEED).draw(np.random.default_rng(8), 2)
     for i, ds in enumerate(datasets):
         E, Delta, Psi = replay_latent(cfg, replay)
         np.testing.assert_array_equal(ds.X, cfg.design() + Psi + Delta)
@@ -387,8 +400,8 @@ def record_pools(monkeypatch) -> list:
 def test_pool_only_for_row_sampler_plans(family, monkeypatch):
     # an exact-sampler replication costs less than shipping it to a worker
     opened = record_pools(monkeypatch)
-    # two workers split a row-sampler plan into four block-aligned chunks,
-    # the last one partial
+    # two workers take a row-sampler plan's four blocks, the last one
+    # partial, as one task each
     plan = _plan(_cfg(error_family=family), reps=3 * BLOCK + 7)
     s1 = run_plan(plan, workers=1)
     s2 = run_plan(plan, workers=2)
@@ -404,16 +417,17 @@ def test_pooled_draw_identical_with_threads_switching_often():
     cfg = _cfg(error_family="scaled-t")
     B = make_restricted_b(cfg, RESTR, B_SEED)
     reps = 16 * BLOCK + 5
-    sampler = model.stats_sampler(cfg, B)
-    want = model.draw_stats(sampler, (7, 0), 0, reps)
+    want = list(model.draw_stats(cfg, B, (7, 0), reps))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = model.draw_stats(sampler, (7, 0), 0, reps, workers=8)
+        got = list(model.draw_stats(cfg, B, (7, 0), reps, workers=8))
     finally:
         sys.setswitchinterval(interval)
-    for a, b in zip(want, got, strict=True):
-        np.testing.assert_array_equal(a, b)
+    for (start_a, *a), (start_b, *b) in zip(want, got, strict=True):
+        assert start_a == start_b
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_design_materialized_once_per_plan(monkeypatch):
@@ -455,8 +469,11 @@ def _sampler_and_exact_mean(plan):
 
 
 def _draw(sampler, key, start, stop):
-    """X'X and X'Z of replications start, ..., stop - 1 of the stream `key`."""
-    return sampler.draw(block_rngs(key, start, stop), stop - start)
+    """X'X and X'Z of replications start, ..., stop - 1 of the stream `key`,
+    start on a block boundary, drawn by `sampler` one block at a time."""
+    parts = [sampler.draw(stream_rng((*key, lo // BLOCK)), min(BLOCK, stop - lo))
+             for lo in range(start, stop, BLOCK)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _pieces_mean(sampler):
@@ -557,11 +574,6 @@ def test_gaussian_sampler_is_chunk_and_worker_invariant():
     np.testing.assert_array_equal(s1.errors, s2.errors)
     assert s1.excluded == s2.excluded
     np.testing.assert_array_equal(s1.losses, s2.losses)
-
-
-def test_chunk_off_a_block_boundary_is_refused():
-    with pytest.raises(ValueError, match="block boundary"):
-        block_rngs((41, 0), 5, BLOCK + 5)
 
 
 def test_one_generator_per_block(monkeypatch):

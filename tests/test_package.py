@@ -1,7 +1,9 @@
 """The package's public surface: exactly the names README's quick start
 calls through `ev.`, an `import eivreg` that stays off the replication
-and acceptance modules, and the exception each library guard raises."""
+and acceptance modules, the exception each library guard raises, and no
+module importing a name it does not use."""
 
+import ast
 import os
 import re
 import subprocess
@@ -101,3 +103,22 @@ def test_library_guards_raise_their_message(call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_every_top_level_import_is_used():
+    # a name imported at a module's top level is read there or exported
+    unused = []
+    for path in sorted((ROOT / "src" / "eivreg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read | exported]
+    assert not unused
